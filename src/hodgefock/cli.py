@@ -17,7 +17,8 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from math import comb
 
 from . import __version__
@@ -34,14 +35,7 @@ from .chaos import (
 from .errors import ConfigError
 from .fock_ops import alt_subset, lower, operator_matrix, raise_, symmetric_group, sym_subset
 from .hodge import exactness_report, hodge_split, random_tensor, weitzenboeck_defect, witnesses
-from .rep_theory import (
-    action_trace,
-    embedded_subspace,
-    intersect,
-    orbit_span,
-    orbit_split_spaces,
-    span_all_positions,
-)
+from .rep_theory import action_trace, decomposition_dims, orbit_span, orbit_split_spaces
 from .tensor_core import FockTensor, MixedIndex, block_dim, enum_basis, inner
 
 SUITES = ("weitzenboeck", "exactness", "split", "decomposition", "rep", "chaos")
@@ -89,19 +83,7 @@ class VerifyConfig:
             raise ConfigError(f"inconsistent filters: k + q = {self.k + self.q} != n = {self.n}")
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "max_dim": self.max_dim,
-            "max_n": self.max_n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "dim": self.dim,
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "format": self.format,
-            "out": self.out,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -143,8 +125,14 @@ def _case_weitzenboeck(d: int, n: int, k: int, seed: int, trials: int):
     return ("pass" if defect == 0 else "fail"), details
 
 
+@lru_cache(maxsize=None)
+def _exactness_report(d: int, n: int):
+    """One report per (d, n) and process; each of its n + 1 cases reads a row."""
+    return exactness_report(d, n)
+
+
 def _case_exactness(d: int, n: int, k: int, seed: int, trials: int):
-    rep = exactness_report(d, n)
+    rep = _exactness_report(d, n)
     row = rep.row(k)
     lower_ok = row.ker_lower == (rep.row(k + 1).rank_lower if k < n else 0)
     raise_ok = row.ker_raise == (rep.row(k - 1).rank_raise if k > 0 else 0)
@@ -187,21 +175,15 @@ def _case_split(d: int, n: int, k: int, seed: int, trials: int):
 
 def _case_decomposition(d: int, n: int, k: int, seed: int, trials: int):
     q = n - k
-    space = embedded_subspace(d, k, q)
-    sp = intersect(space, span_all_positions(d, k + 1, q - 1))
-    sm = intersect(space, span_all_positions(d, k - 1, q + 1))
+    dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
     ker_lower = block_dim(d, k, q) - operator_matrix("lower", d, k, q).rank()
     details = {
-        "dim": space.dim,
-        "dim_plus": sp.dim,
-        "dim_minus": sm.dim,
+        "dim": dim,
+        "dim_plus": dim_plus,
+        "dim_minus": dim_minus,
         "ker_lower": ker_lower,
     }
-    ok = (
-        sp.dim + sm.dim == space.dim
-        and intersect(sp, sm).dim == 0
-        and sp.dim == ker_lower
-    )
+    ok = direct and dim_plus == ker_lower
     return ("pass" if ok else "fail"), details
 
 
@@ -421,7 +403,11 @@ def run_verify(cfg: VerifyConfig) -> Report:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunk = max(1, len(specs) // (workers * 4))
                 cases = list(pool.map(_run_case, specs, chunksize=chunk))
-        except Exception:
+        except Exception as e:
+            print(
+                f"warning: process pool failed ({type(e).__name__}: {e}); running cases serially",
+                file=sys.stderr,
+            )
             cases = None
     if cases is None:
         cases = [_run_case(s) for s in specs]

@@ -9,16 +9,31 @@ with eigenvalues differing by exactly n = k + q. That operator is the
 matrix form of the two composites lower . raise_ and raise_ . lower read
 through embed, so the subspace split here and the tensor split in the
 hodge module are the same decomposition in two coordinate systems.
+
+The decomposition check works one weight block at a time.  A weight is
+the multiset of indices of a slot key; embed of a label and every slot
+permutation of it stay inside one weight, so the embedded block, both
+position families and their intersections are direct sums over weights.
+Relabelling the ground basis by some sigma in S_d acts on each index,
+commutes with slot permutations and maps embed of a label to plus or
+minus embed of the relabelled label, so it carries the whole picture of
+one weight onto the picture of the relabelled weight.  All weights with
+the same multiplicity pattern mu therefore give the same dimensions, and
+decomposition_dims solves the representative weight 1^mu_1 2^mu_2 ...
+once per pattern and multiplies by the number of weights sharing it.
+embedded_subspace and span_all_positions stay as the full-power oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, perm, prod
 
-from .errors import DimensionMismatch, InvalidIndex, NotInvariant
+from .errors import ConsistencyError, DimensionMismatch, InvalidIndex, NotInvariant
 from .fock_ops import Permutation, permute
 from .linalg import EchelonBasis, kernel_basis
 from .tensor_core import FockTensor, FullTensor, MixedIndex, embed, enum_basis
@@ -115,7 +130,8 @@ def hook_dim(shape: HookShape) -> int:
         leg = sum(1 for (a, b) in cells if b == j and a > i)
         product *= arm + leg + 1
     dim = factorial(shape.n) // product
-    assert dim == comb(shape.n - 1, shape.m), "hook product disagrees with binomial"
+    if dim != comb(shape.n - 1, shape.m):
+        raise ConsistencyError(f"hook product {dim} disagrees with C({shape.n - 1}, {shape.m})")
     return dim
 
 
@@ -152,29 +168,36 @@ def orbit_span(b: MixedIndex, d: int) -> Subspace:
     return out
 
 
+def _embedded_span(d: int, n: int, labels) -> Subspace:
+    out = Subspace(d, n)
+    for b in labels:
+        out.add(embed(FockTensor.basis(d, b)))
+    return out
+
+
+def _position_span(d: int, n: int, k: int, labels) -> Subspace:
+    """Span of embed(b) for each label b, placed at every k-subset of positions."""
+    out = Subspace(d, n)
+    for b in labels:
+        w = embed(FockTensor.basis(d, b))
+        for positions in combinations(range(1, n + 1), k):
+            out.add(permute(w, position_permutation(n, k, positions)))
+    return out
+
+
 def span_all_positions(d: int, k: int, q: int) -> Subspace:
     """Span of every mixed block placed at every k-subset of slot positions.
 
     Degenerate degrees give the zero subspace of the right ambient power.
     """
-    n = k + q
-    out = Subspace(d, n)
     if k < 0 or q < 0 or q > d:
-        return out
-    labels = enum_basis(d, k, q)
-    for positions in combinations(range(1, n + 1), k):
-        p = position_permutation(n, k, positions)
-        for b in labels:
-            out.add(permute(embed(FockTensor.basis(d, b)), p))
-    return out
+        return Subspace(d, k + q)
+    return _position_span(d, k + q, k, enum_basis(d, k, q))
 
 
 def embedded_subspace(d: int, k: int, q: int) -> Subspace:
     """embed-image of the canonical block H_{k,q} (positions 1..k fixed)."""
-    out = Subspace(d, k + q)
-    for b in enum_basis(d, k, q):
-        out.add(embed(FockTensor.basis(d, b)))
-    return out
+    return _embedded_span(d, k + q, enum_basis(d, k, q))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -197,6 +220,84 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
                         vec.pop(key, None)
         out.add(FullTensor(a.dim_ground, a.degree, vec))
     return out
+
+
+def _partitions(n: int, max_parts: int, largest: int) -> list[tuple[int, ...]]:
+    """Partitions of n into at most max_parts parts, each at most largest."""
+    if n == 0:
+        return [()]
+    if max_parts == 0:
+        return []
+    return [
+        (first,) + rest
+        for first in range(min(n, largest), 0, -1)
+        for rest in _partitions(n - first, max_parts - 1, first)
+    ]
+
+
+def weight_patterns(d: int, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Multiplicity patterns of the degree-n weights over R^d, with counts.
+
+    A weight is a multiset of n indices from 1..d; its pattern mu lists
+    the multiplicities in decreasing order, a partition of n with at most
+    d parts.  The count of weights sharing mu is
+    d! / ((d - r)! * prod_v m_v!), with r = len(mu) and m_v the number of
+    parts equal to v.
+    """
+    return [
+        (mu, perm(d, len(mu)) // prod(map(factorial, Counter(mu).values())))
+        for mu in _partitions(n, d, n)
+    ]
+
+
+def _weight_labels(mu: tuple[int, ...], k: int, q: int) -> list[MixedIndex]:
+    """Canonical labels of H_{k,q} (k + q = sum(mu)) of weight 1^mu_1 2^mu_2 ..."""
+    if k < 0 or q < 0:
+        return []
+    out = []
+    for alt in combinations(range(1, len(mu) + 1), q):
+        sym: list[int] = []
+        for v, m in enumerate(mu, 1):
+            sym += [v] * (m - (v in alt))
+        out.append(MixedIndex(tuple(sym), alt))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pattern_block(mu: tuple[int, ...], k: int, q: int) -> tuple[int, int, int, bool]:
+    """(dim, dim_plus, dim_minus, direct) of the representative weight block.
+
+    The labels of 1^mu_1 2^mu_2 ... use the indices 1..len(mu) only, so the
+    block is built over R^len(mu) and serves every d >= len(mu).
+    """
+    r, n = len(mu), k + q
+    space = _embedded_span(r, n, _weight_labels(mu, k, q))
+    plus = intersect(space, _position_span(r, n, k + 1, _weight_labels(mu, k + 1, q - 1)))
+    minus = intersect(space, _position_span(r, n, k - 1, _weight_labels(mu, k - 1, q + 1)))
+    direct = plus.dim + minus.dim == space.dim and intersect(plus, minus).dim == 0
+    return space.dim, plus.dim, minus.dim, direct
+
+
+def decomposition_dims(d: int, k: int, q: int) -> tuple[int, int, int, bool]:
+    """Dimensions of the embedded block H_{k,q} and of its two pieces.
+
+    Returns (dim, dim_plus, dim_minus, direct): dim_plus and dim_minus are
+    the dimensions of the intersections of embedded_subspace(d, k, q) with
+    span_all_positions(d, k + 1, q - 1) and span_all_positions(d, k - 1, q + 1),
+    and direct says that on every weight block the two intersections meet
+    only in zero and their dimensions add up to the block's.  Computed per
+    weight block, one representative per multiplicity pattern (see the
+    module docstring).
+    """
+    dim = dim_plus = dim_minus = 0
+    direct = True
+    for mu, count in weight_patterns(d, k + q):
+        b_dim, b_plus, b_minus, b_direct = _pattern_block(mu, k, q)
+        dim += count * b_dim
+        dim_plus += count * b_plus
+        dim_minus += count * b_minus
+        direct = direct and b_direct
+    return dim, dim_plus, dim_minus, direct
 
 
 def transposition_sum_matrix(space: Subspace) -> list[list]:

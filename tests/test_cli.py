@@ -5,7 +5,7 @@ import json
 import pytest
 
 import hodgefock.cli as cli
-from hodgefock import ConfigError
+from hodgefock import ConfigError, exactness_report
 from hodgefock.cli import Report, VerifyConfig, main, parse_report, render_report, run_verify
 
 
@@ -47,6 +47,30 @@ def test_report_schema():
         assert set(case) == {"name", "params", "status", "details"}
         assert case["status"] in ("pass", "fail", "skip")
         assert set(case["params"]) == {"d", "n", "k"}
+
+
+def test_config_dict_keeps_the_field_order():
+    assert list(small().as_dict()) == [
+        "suite", "max_dim", "max_n", "trials", "seed", "dim", "n", "k", "q", "format", "out",
+    ]
+
+
+def test_exactness_report_is_built_once_per_grid_point(monkeypatch):
+    calls = []
+
+    def counted(d, n):
+        calls.append((d, n))
+        return exactness_report(d, n)
+
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    monkeypatch.setattr(cli, "exactness_report", counted)
+    cli._exactness_report.cache_clear()
+    try:
+        report = run_verify(small(suite="exactness", max_dim=2, max_n=3))
+    finally:
+        cli._exactness_report.cache_clear()
+    assert report.status == "pass" and len(report.cases) == 2 * (2 + 3 + 4)
+    assert sorted(calls) == [(d, n) for d in (1, 2) for n in (1, 2, 3)]
 
 
 def test_config_validation():
@@ -118,6 +142,25 @@ def test_exception_in_case_is_reported_not_raised(monkeypatch):
     report = run_verify(small(suite="weitzenboeck", max_dim=1, max_n=1))
     assert report.status == "fail"
     assert report.cases[0]["details"]["error"] == "RuntimeError: synthetic"
+
+
+def test_pool_failure_is_reported_and_falls_back_to_serial(monkeypatch, capsys):
+    argv = ["verify", "all", "--max-dim", "2", "--max-n", "2", "--format", "json"]
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no semaphores")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "2")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == serial
+    assert captured.err == (
+        "warning: process pool failed (OSError: no semaphores); running cases serially\n"
+    )
 
 
 def test_main_pass_exit_zero(capsys):

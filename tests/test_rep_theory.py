@@ -1,13 +1,15 @@
 """Orbit spans, position-set families, the transposition-sum split."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
 
 import hodgefock as hf
+from hodgefock import rep_theory
 from hodgefock import (
+    ConsistencyError,
     FockTensor,
     FullTensor,
     HookShape,
@@ -16,6 +18,7 @@ from hodgefock import (
     Permutation,
     Subspace,
     action_trace,
+    decomposition_dims,
     embed,
     embedded_subspace,
     hook_dim,
@@ -28,6 +31,7 @@ from hodgefock import (
     raise_,
     span_all_positions,
     symmetric_group,
+    weight_patterns,
 )
 from hodgefock.rep_theory import has_distinct_indices, position_permutation, transposition_sum_matrix
 
@@ -83,6 +87,12 @@ def test_hook_dims_are_binomials():
     with pytest.raises(hf.InvalidIndex):
         HookShape(3, 3)
     assert HookShape(3, 1).cells() == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_hook_dim_self_check_raises(monkeypatch):
+    monkeypatch.setattr(rep_theory, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(ConsistencyError):
+        hook_dim(HookShape(3, 1))
 
 
 def test_position_permutation_moves_the_first_block():
@@ -151,6 +161,32 @@ def test_intersect_example():
     t = intersect(span_all_positions(2, 2, 0), embedded_subspace(2, 1, 1))
     assert s == t
     assert intersect(s, span_all_positions(2, 0, 2)).dim == 0
+
+
+def test_weight_pattern_counts_cover_the_power():
+    """Each pattern mu stands for count weights of n!/prod(mu_i!) keys each."""
+    for d in range(1, 6):
+        for n in range(1, 7):
+            patterns = weight_patterns(d, n)
+            assert len({mu for mu, _ in patterns}) == len(patterns)
+            for mu, count in patterns:
+                assert sum(mu) == n and len(mu) <= d and list(mu) == sorted(mu, reverse=True)
+                assert count >= 1
+            keys = sum(count * factorial(n) // prod(map(factorial, mu)) for mu, count in patterns)
+            assert keys == d**n, (d, n)
+
+
+def test_decomposition_dims_match_the_full_power_oracle():
+    for d in range(1, 4):
+        for n in range(1, 5):
+            for k in range(n + 1):
+                q = n - k
+                space = embedded_subspace(d, k, q)
+                sp = intersect(space, span_all_positions(d, k + 1, q - 1))
+                sm = intersect(space, span_all_positions(d, k - 1, q + 1))
+                assert sp.dim + sm.dim == space.dim and intersect(sp, sm).dim == 0
+                expected = (space.dim, sp.dim, sm.dim, True)
+                assert decomposition_dims(d, k, q) == expected, (d, k, q)
 
 
 def test_orbit_split_dims_examples():
