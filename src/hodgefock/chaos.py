@@ -27,34 +27,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Mapping
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
-from .tensor_core import FockTensor, MixedIndex, as_coeff, enum_basis
+from .fock_ops import _wedge_insert
+from .linalg import SparseVector, as_coeff, dot, lincomb
+from .tensor_core import FockTensor, MixedIndex, enum_basis
 
 
-class Poly:
+def _render_monomial(exps: tuple[int, ...]) -> str:
+    return "*".join(f"x{i}" if m == 1 else f"x{i}^{m}" for i, m in enumerate(exps, start=1) if m)
+
+
+def _check_multidegrees(dim: int, coeffs: Mapping | None, what: str) -> dict:
+    """Validated, merged copy of a dict keyed by nonnegative dim-tuples."""
+    if dim < 1:
+        raise DimensionMismatch(f"number of variables must be >= 1, got {dim}")
+    data: dict[tuple[int, ...], object] = {}
+    for key, c in (coeffs or {}).items():
+        key = tuple(key)
+        if len(key) != dim or any(e < 0 for e in key):
+            raise InvalidIndex(f"bad {what} {key!r} for dim {dim}")
+        data[key] = data.get(key, 0) + as_coeff(c)
+    return data
+
+
+class Poly(SparseVector):
     """Polynomial in x_1..x_dim with exact coefficients, sparse by exponent."""
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim",)
+
+    _render_key = staticmethod(_render_monomial)
 
     def __init__(self, dim: int, coeffs: Mapping | None = None):
-        if dim < 1:
-            raise DimensionMismatch(f"number of variables must be >= 1, got {dim}")
-        data: dict[tuple[int, ...], object] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                exps = tuple(exps)
-                if len(exps) != dim or any(e < 0 for e in exps):
-                    raise InvalidIndex(f"bad exponent tuple {exps!r} for dim {dim}")
-                c = as_coeff(c)
-                if c:
-                    data[exps] = data.get(exps, 0) + c
-                    if not data[exps]:
-                        del data[exps]
-        self.dim = dim
-        self.coeffs = data
+        self._set((dim,), _check_multidegrees(dim, coeffs, "exponent tuple"))
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
@@ -71,45 +78,10 @@ class Poly:
         exps = tuple(1 if j == i else 0 for j in range(1, dim + 1))
         return cls(dim, {exps: 1})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         if not self.coeffs:
             return -1
         return max(sum(e) for e in self.coeffs)
-
-    def items(self) -> list:
-        return sorted(self.coeffs.items())
-
-    def _check_same(self, other: "Poly") -> None:
-        if not isinstance(other, Poly):
-            raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"variable counts differ: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_same(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = out.get(e, 0) + c
-            if cur:
-                out[e] = cur
-            else:
-                out.pop(e, None)
-        return Poly(self.dim, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Poly":
-        c = as_coeff(c)
-        if not c:
-            return Poly(self.dim)
-        return Poly(self.dim, {e: c * v for e, v in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -119,57 +91,19 @@ class Poly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                cur = out.get(e, 0) + c1 * c2
-                if cur:
-                    out[e] = cur
-                else:
-                    out.pop(e, None)
-        return Poly(self.dim, out)
-
-    def __rmul__(self, c):
-        return self.scale(c)
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly._trusted((self.dim,), out)
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in x_i."""
         if not 1 <= i <= self.dim:
             raise InvalidIndex(f"variable index {i} outside 1..{self.dim}")
-        out: dict[tuple[int, ...], object] = {}
-        for e, c in self.coeffs.items():
-            m = e[i - 1]
-            if m:
-                new = e[: i - 1] + (m - 1,) + e[i:]
-                cur = out.get(new, 0) + m * c
-                if cur:
-                    out[new] = cur
-                else:
-                    out.pop(new, None)
-        return Poly(self.dim, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.dim == other.dim
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("Poly is not hashable")
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items():
-            mono = "*".join(
-                f"x{i}" if m == 1 else f"x{i}^{m}"
-                for i, m in enumerate(e, start=1)
-                if m
-            )
-            parts.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"Poly({self.dim}: {self.render()})"
+        out = {
+            e[: i - 1] + (e[i - 1] - 1,) + e[i:]: e[i - 1] * c
+            for e, c in self.coeffs.items()
+            if e[i - 1]
+        }
+        return Poly._trusted((self.dim,), out)
 
 
 @lru_cache(maxsize=None)
@@ -202,6 +136,20 @@ def _x_power_in_he(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((j, c) for j, c in out.items() if c))
 
 
+def _expand_product(table, key: tuple[int, ...]) -> dict:
+    """prod_i f_{key_i}(x_i) multiplied out, where table(a) lists the terms
+    (exponent, coeff) of the one-variable f_a; keys never collide."""
+    partial: dict[tuple[int, ...], object] = {(): 1}
+    for a in key:
+        partial = {prefix + (e,): v * w for prefix, v in partial.items() for e, w in table(a)}
+    return partial
+
+
+def _hermite_monomial(mult: tuple[int, ...]) -> dict:
+    """prod_i He_{mult_i}(x_i), as monomial coefficients."""
+    return _expand_product(_he_coeffs, mult)
+
+
 def hermite(a: int) -> Poly:
     """Monic Hermite polynomial He_a in one variable."""
     if a < 0:
@@ -209,7 +157,7 @@ def hermite(a: int) -> Poly:
     return Poly(1, {(e,): c for e, c in _he_coeffs(a)})
 
 
-class HermiteExpansion:
+class HermiteExpansion(SparseVector):
     """Exact coordinates of a polynomial in the product Hermite basis.
 
     Keys are multi-degrees (a_1..a_dim) with coefficient on
@@ -217,180 +165,82 @@ class HermiteExpansion:
     entries both ways, so from_poly and to_poly are exact inverses.
     """
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim",)
 
     def __init__(self, dim: int, coeffs: Mapping | None = None):
-        if dim < 1:
-            raise DimensionMismatch(f"number of variables must be >= 1, got {dim}")
-        data: dict[tuple[int, ...], object] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                key = tuple(key)
-                if len(key) != dim or any(a < 0 for a in key):
-                    raise InvalidIndex(f"bad Hermite multi-degree {key!r}")
-                c = as_coeff(c)
-                if c:
-                    data[key] = data.get(key, 0) + c
-                    if not data[key]:
-                        del data[key]
-        self.dim = dim
-        self.coeffs = data
+        self._set((dim,), _check_multidegrees(dim, coeffs, "Hermite multi-degree"))
 
     @classmethod
     def from_poly(cls, p: Poly) -> "HermiteExpansion":
         out: dict[tuple[int, ...], object] = {}
         for exps, c in p.coeffs.items():
-            partial: dict[tuple[int, ...], object] = {(): c}
-            for m in exps:
-                table = _x_power_in_he(m)
-                nxt: dict[tuple[int, ...], object] = {}
-                for prefix, v in partial.items():
-                    for j, w in table:
-                        key = prefix + (j,)
-                        cur = nxt.get(key, 0) + v * w
-                        if cur:
-                            nxt[key] = cur
-                        else:
-                            nxt.pop(key, None)
-                partial = nxt
-            for key, v in partial.items():
-                cur = out.get(key, 0) + v
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-        return cls(p.dim, out)
+            for key, w in _expand_product(_x_power_in_he, exps).items():
+                out[key] = out.get(key, 0) + c * w
+        return cls._trusted((p.dim,), out)
 
     def to_poly(self) -> Poly:
-        out = Poly.zero(self.dim)
-        for key, c in self.coeffs.items():
-            partial: dict[tuple[int, ...], object] = {(): c}
-            for a in key:
-                table = _he_coeffs(a)
-                nxt: dict[tuple[int, ...], object] = {}
-                for prefix, v in partial.items():
-                    for e, w in table:
-                        nxt[prefix + (e,)] = v * w
-                partial = nxt
-            out = out + Poly(self.dim, partial)
-        return out
+        terms = ((c, _hermite_monomial(key)) for key, c in self.coeffs.items())
+        return Poly._trusted((self.dim,), lincomb(terms))
 
     def total_degrees(self) -> set[int]:
         return {sum(key) for key in self.coeffs}
 
-    def items(self) -> list:
-        return sorted(self.coeffs.items())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HermiteExpansion)
-            and self.dim == other.dim
-            and self.coeffs == other.coeffs
-        )
+class FormField(SparseVector):
+    """Polynomial q-form on R^d, sparse over (wedge key, exponent tuple).
 
-    def __repr__(self):
-        return f"HermiteExpansion({self.dim}: {dict(self.items())!r})"
+    The constructor takes component polynomials on wedge keys, and
+    component(J) gives one back; the operators act on the flat monomials.
+    """
 
-
-class FormField:
-    """Polynomial q-form on R^d: component polynomials on wedge keys."""
-
-    __slots__ = ("dim", "q", "comps")
+    __slots__ = ("dim", "q")
 
     def __init__(self, dim: int, q: int, comps: Mapping | None = None):
         if dim < 1:
             raise DimensionMismatch(f"ground dimension must be >= 1, got {dim}")
         if q < 0:
             raise DegreeOutOfRange(f"form degree must be >= 0, got {q}")
-        data: dict[tuple[int, ...], Poly] = {}
-        if comps:
-            for key, poly in comps.items():
-                key = tuple(key)
-                if len(key) != q or any(
-                    not 1 <= i <= dim for i in key
-                ) or any(a >= b for a, b in zip(key, key[1:])):
-                    raise InvalidIndex(f"bad wedge key {key!r} for a {q}-form on R^{dim}")
-                if not isinstance(poly, Poly):
-                    raise TypeError("components must be Poly")
-                if poly.dim != dim:
-                    raise DimensionMismatch("component variable count differs from dim")
-                if not poly.is_zero():
-                    data[key] = data[key] + poly if key in data else poly
-                    if data[key].is_zero():
-                        del data[key]
-        self.dim = dim
-        self.q = q
-        self.comps = data
+        data: dict[tuple, object] = {}
+        for key, poly in (comps or {}).items():
+            key = tuple(key)
+            if len(key) != q or any(
+                not 1 <= i <= dim for i in key
+            ) or any(a >= b for a, b in zip(key, key[1:])):
+                raise InvalidIndex(f"bad wedge key {key!r} for a {q}-form on R^{dim}")
+            if not isinstance(poly, Poly):
+                raise TypeError("components must be Poly")
+            if poly.dim != dim:
+                raise DimensionMismatch("component variable count differs from dim")
+            for e, c in poly.coeffs.items():
+                data[(key, e)] = data.get((key, e), 0) + c
+        self._set((dim, q), data)
 
     @classmethod
     def zero(cls, dim: int, q: int) -> "FormField":
         return cls(dim, q)
 
-    def is_zero(self) -> bool:
-        return not self.comps
+    @staticmethod
+    def _render_key(key) -> str:
+        wedge, exps = key
+        parts = (_render_monomial(exps), "^".join(f"dx{i}" for i in wedge))
+        return "*".join(p for p in parts if p)
 
     def component(self, key: Iterable[int]) -> Poly:
-        return self.comps.get(tuple(key), Poly.zero(self.dim))
+        key = tuple(key)
+        return Poly._trusted((self.dim,), {e: c for (j, e), c in self.coeffs.items() if j == key})
 
     def items(self) -> list:
-        return sorted(self.comps.items())
-
-    def _check_same(self, other: "FormField") -> None:
-        if not isinstance(other, FormField):
-            raise TypeError(f"expected FormField, got {type(other).__name__}")
-        if (self.dim, self.q) != (other.dim, other.q):
-            raise DimensionMismatch(
-                f"form shapes differ: {(self.dim, self.q)} vs {(other.dim, other.q)}"
-            )
-
-    def __add__(self, other: "FormField") -> "FormField":
-        self._check_same(other)
-        out = dict(self.comps)
-        for key, p in other.comps.items():
-            cur = out.get(key)
-            s = cur + p if cur is not None else p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return FormField(self.dim, self.q, out)
-
-    def __sub__(self, other: "FormField") -> "FormField":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "FormField":
-        return self.scale(-1)
-
-    def scale(self, c) -> "FormField":
-        c = as_coeff(c)
-        if not c:
-            return FormField(self.dim, self.q)
-        return FormField(self.dim, self.q, {k: p.scale(c) for k, p in self.comps.items()})
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
+        """The nonzero components as sorted (wedge key, Poly) pairs."""
+        comps: dict[tuple[int, ...], dict] = {}
+        for (key, e), c in self.coeffs.items():
+            comps.setdefault(key, {})[e] = c
+        return sorted((key, Poly._trusted((self.dim,), mono)) for key, mono in comps.items())
 
     def hermite_degrees(self) -> set[int]:
         out: set[int] = set()
-        for p in self.comps.values():
+        for _, p in self.items():
             out |= HermiteExpansion.from_poly(p).total_degrees()
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormField)
-            and (self.dim, self.q) == (other.dim, other.q)
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        raise TypeError("FormField is not hashable")
-
-    def __repr__(self):
-        body = "; ".join(f"{k}: {p.render()}" for k, p in self.items()) or "0"
-        return f"FormField({self.dim}, q={self.q}: {body})"
 
 
 @dataclass(frozen=True)
@@ -407,19 +257,6 @@ class GradedFock:
         return max(self.parts, default=0)
 
 
-def _hermite_monomial(dim: int, mult: tuple[int, ...]) -> Poly:
-    """prod_i He_{mult_i}(x_i) as a Poly in dim variables."""
-    partial: dict[tuple[int, ...], object] = {(): 1}
-    for a in mult:
-        table = _he_coeffs(a)
-        nxt: dict[tuple[int, ...], object] = {}
-        for prefix, v in partial.items():
-            for e, w in table:
-                nxt[prefix + (e,)] = v * w
-        partial = nxt
-    return Poly(dim, partial)
-
-
 def _label_multiplicities(label: MixedIndex, dim: int) -> tuple[int, ...]:
     mult = [0] * dim
     for i in label.sym:
@@ -431,24 +268,21 @@ def chaos_poly(t: FockTensor) -> Poly:
     """Polynomial of a purely symmetric tensor (q = 0) in the Gaussian model."""
     if t.q != 0:
         raise DegreeOutOfRange(f"chaos_poly needs q = 0, got q = {t.q}")
-    if t.k < 0:
-        return Poly.zero(t.dim)
-    out = Poly.zero(t.dim)
-    for label, c in t.coeffs.items():
-        out = out + _hermite_monomial(t.dim, _label_multiplicities(label, t.dim)).scale(c)
-    return out
+    return chaos_field(t).component(())
 
 
 def chaos_field(t: FockTensor) -> FormField:
-    """Polynomial q-form of a mixed tensor: wedge part becomes the key."""
-    if t.k < 0 or t.q > t.dim:
+    """Polynomial q-form of a mixed tensor: wedge part becomes the key.
+
+    A degenerate block (k < 0, q < 0 or q > d) holds only zero, which goes
+    to the zero form of degree max(q, 0)."""
+    if t.k < 0 or t.q < 0 or t.q > t.dim:
         return FormField.zero(t.dim, max(t.q, 0))
-    comps: dict[tuple[int, ...], Poly] = {}
+    out: dict[tuple, object] = {}
     for label, c in t.coeffs.items():
-        p = _hermite_monomial(t.dim, _label_multiplicities(label, t.dim)).scale(c)
-        cur = comps.get(label.alt)
-        comps[label.alt] = cur + p if cur is not None else p
-    return FormField(t.dim, t.q, comps)
+        for e, w in _hermite_monomial(_label_multiplicities(label, t.dim)).items():
+            out[(label.alt, e)] = out.get((label.alt, e), 0) + c * w
+    return FormField._trusted((t.dim, t.q), out)
 
 
 def exp_vector(h: Iterable, order: int) -> GradedFock:
@@ -482,33 +316,18 @@ def exp_vector(h: Iterable, order: int) -> GradedFock:
     return GradedFock(d, parts)
 
 
-def _wedge_key(i: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    if i in key:
-        return None
-    below = sum(1 for j in key if j < i)
-    return (-1) ** below, key[:below] + (i,) + key[below:]
-
-
 def exterior_derivative(u: FormField) -> FormField:
     """Gradient wedged onto each component: (q+1)-form of d applied to u."""
-    comps: dict[tuple[int, ...], Poly] = {}
-    for key, f in u.comps.items():
-        for i in range(1, u.dim + 1):
-            g = f.diff(i)
-            if g.is_zero():
-                continue
-            ins = _wedge_key(i, key)
+    out: dict[tuple, object] = {}
+    for (key, e), c in u.coeffs.items():
+        for i, m in enumerate(e, start=1):
+            ins = _wedge_insert(i, key) if m else None
             if ins is None:
                 continue
             sign, new = ins
-            g = g.scale(sign)
-            cur = comps.get(new)
-            s = cur + g if cur is not None else g
-            if s.is_zero():
-                comps.pop(new, None)
-            else:
-                comps[new] = s
-    return FormField(u.dim, u.q + 1, comps)
+            mono = (new, e[: i - 1] + (m - 1,) + e[i:])
+            out[mono] = out.get(mono, 0) + sign * m * c
+    return FormField._trusted((u.dim, u.q + 1), out)
 
 
 def codifferential(u: FormField) -> FormField:
@@ -516,27 +335,25 @@ def codifferential(u: FormField) -> FormField:
     the creation operator x_{j_i} f - df/dx_{j_i}, signs alternating."""
     if u.q == 0:
         raise DegreeOutOfRange("codifferential needs form degree q >= 1")
-    comps: dict[tuple[int, ...], Poly] = {}
-    for key, f in u.comps.items():
+    out: dict[tuple, object] = {}
+    for (key, e), c in u.coeffs.items():
         for pos, j in enumerate(key):
-            term = Poly.variable(u.dim, j) * f - f.diff(j)
-            if pos % 2:
-                term = -term
+            sign = -1 if pos % 2 else 1
             new = key[:pos] + key[pos + 1 :]
-            cur = comps.get(new)
-            s = cur + term if cur is not None else term
-            if s.is_zero():
-                comps.pop(new, None)
-            else:
-                comps[new] = s
-    return FormField(u.dim, u.q - 1, comps)
+            m = e[j - 1]
+            up = (new, e[: j - 1] + (m + 1,) + e[j:])
+            out[up] = out.get(up, 0) + sign * c
+            if m:
+                down = (new, e[: j - 1] + (m - 1,) + e[j:])
+                out[down] = out.get(down, 0) - sign * m * c
+    return FormField._trusted((u.dim, u.q - 1), out)
 
 
 def _as_form(f) -> FormField:
     if isinstance(f, FormField):
         return f
     if isinstance(f, Poly):
-        return FormField(f.dim, 0, {(): f} if not f.is_zero() else None)
+        return FormField._trusted((f.dim, 0), {((), e): c for e, c in f.coeffs.items()})
     raise TypeError(f"expected Poly or FormField, got {type(f).__name__}")
 
 
@@ -564,21 +381,14 @@ def gaussian_inner(u, v):
     u = _as_form(u)
     v = _as_form(v)
     u._check_same(v)
+    v_comps = dict(v.items())
     total = Fraction(0)
-    for key, f in u.comps.items():
-        g = v.comps.get(key)
-        if g is None:
-            continue
-        fe = HermiteExpansion.from_poly(f).coeffs
-        ge = HermiteExpansion.from_poly(g).coeffs
-        small, big = (fe, ge) if len(fe) <= len(ge) else (ge, fe)
-        for a, c in small.items():
-            other = big.get(a)
-            if other:
-                weight = 1
-                for ai in a:
-                    weight *= factorial(ai)
-                total += c * other * weight
+    for key, f in u.items():
+        g = v_comps.get(key)
+        if g is not None:
+            fe = HermiteExpansion.from_poly(f).coeffs
+            ge = HermiteExpansion.from_poly(g).coeffs
+            total += dot(fe, ge, lambda a: prod(map(factorial, a)))
     return total
 
 
@@ -624,7 +434,7 @@ def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField
     for i in range(1, d + 1):
         if not hs[i - 1]:
             continue
-        ins = _wedge_key(i, x)
+        ins = _wedge_insert(i, x)
         if ins is None:
             continue
         sign, new = ins

@@ -134,8 +134,7 @@ def _exactness_report(d: int, n: int):
 def _case_exactness(d: int, n: int, k: int, seed: int, trials: int):
     rep = _exactness_report(d, n)
     row = rep.row(k)
-    lower_ok = row.ker_lower == (rep.row(k + 1).rank_lower if k < n else 0)
-    raise_ok = row.ker_raise == (rep.row(k - 1).rank_raise if k > 0 else 0)
+    lower_ok, raise_ok = rep.exact_at(k)
     counts_ok = (
         row.rank_lower + row.ker_lower == row.dim
         and row.rank_raise + row.ker_raise == row.dim
@@ -399,6 +398,8 @@ def run_verify(cfg: VerifyConfig) -> Report:
     workers = _worker_budget()
     cases = None
     if workers > 1 and len(specs) > 1:
+        # The pool starts all of its workers at once; never more than cases.
+        workers = min(workers, len(specs))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunk = max(1, len(specs) // (workers * 4))

@@ -19,16 +19,8 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
-from .linalg import matrix_rank
-from .tensor_core import (
-    FockTensor,
-    FullTensor,
-    MixedIndex,
-    _gram_factor,
-    as_coeff,
-    enum_basis,
-    perm_sign,
-)
+from .linalg import as_coeff, lincomb, matrix_rank
+from .tensor_core import FockTensor, FullTensor, MixedIndex, _gram_factor, enum_basis, perm_sign
 
 
 class Permutation:
@@ -98,15 +90,8 @@ def permute(t: FullTensor, p: Permutation) -> FullTensor:
     if p.degree != t.n:
         raise DimensionMismatch(f"permutation degree {p.degree} != tensor degree {t.n}")
     inv = p.inverse().images
-    out: dict[tuple[int, ...], object] = {}
-    for key, c in t.coeffs.items():
-        new = tuple(key[inv[j] - 1] for j in range(t.n))
-        cur = out.get(new, 0) + c
-        if cur:
-            out[new] = cur
-        else:
-            out.pop(new, None)
-    return FullTensor(t.dim, t.n, out)
+    out = {tuple(key[inv[j] - 1] for j in range(t.n)): c for key, c in t.coeffs.items()}
+    return FullTensor._trusted((t.dim, t.n), out)
 
 
 def _check_positions(t: FullTensor, positions: Iterable[int]) -> tuple[int, ...]:
@@ -132,12 +117,8 @@ def sym_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
             for p, v in zip(pos, arr):
                 new[p - 1] = v
             new = tuple(new)
-            cur = out.get(new, 0) + c
-            if cur:
-                out[new] = cur
-            else:
-                out.pop(new, None)
-    return FullTensor(t.dim, t.n, out)
+            out[new] = out.get(new, 0) + c
+    return FullTensor._trusted((t.dim, t.n), out)
 
 
 def alt_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
@@ -160,12 +141,8 @@ def alt_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
             for p, s in zip(pos, sigma):
                 new[p - 1] = sub[s]
             new = tuple(new)
-            cur = out.get(new, 0) + sign * c
-            if cur:
-                out[new] = cur
-            else:
-                out.pop(new, None)
-    return FullTensor(t.dim, t.n, out)
+            out[new] = out.get(new, 0) + sign * c
+    return FullTensor._trusted((t.dim, t.n), out)
 
 
 def _wedge_insert(i: int, alt: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -173,8 +150,7 @@ def _wedge_insert(i: int, alt: tuple[int, ...]) -> tuple[int, tuple[int, ...]] |
     if i in alt:
         return None
     below = sum(1 for j in alt if j < i)
-    pos = below
-    return (-1) ** below, alt[:pos] + (i,) + alt[pos:]
+    return (-1) ** below, alt[:below] + (i,) + alt[below:]
 
 
 def lower(t: FockTensor) -> FockTensor:
@@ -187,7 +163,7 @@ def lower(t: FockTensor) -> FockTensor:
     applications stay total across the end of the complex.
     """
     if t.k < 0 or t.q < 0 or t.q > t.dim:
-        return FockTensor(t.dim, t.k - 1, t.q + 1)
+        return FockTensor._trusted((t.dim, t.k - 1, t.q + 1), {})
     out: dict[MixedIndex, object] = {}
     for label, c in t.coeffs.items():
         for s in range(t.k):
@@ -196,12 +172,8 @@ def lower(t: FockTensor) -> FockTensor:
                 continue
             sign, alt = ins
             new = MixedIndex(label.sym[:s] + label.sym[s + 1 :], alt)
-            cur = out.get(new, 0) + sign * c
-            if cur:
-                out[new] = cur
-            else:
-                out.pop(new, None)
-    return FockTensor(t.dim, t.k - 1, t.q + 1, out)
+            out[new] = out.get(new, 0) + sign * c
+    return FockTensor._trusted((t.dim, t.k - 1, t.q + 1), out)
 
 
 def raise_(t: FockTensor) -> FockTensor:
@@ -214,7 +186,7 @@ def raise_(t: FockTensor) -> FockTensor:
     zero of the shifted block instead.
     """
     if t.k < 0 or t.q < 0 or t.q > t.dim:
-        return FockTensor(t.dim, t.k + 1, t.q - 1)
+        return FockTensor._trusted((t.dim, t.k + 1, t.q - 1), {})
     if t.q == 0:
         raise DegreeOutOfRange("raise_ needs at least one wedge slot (q >= 1)")
     out: dict[MixedIndex, object] = {}
@@ -225,12 +197,8 @@ def raise_(t: FockTensor) -> FockTensor:
                 tuple(sorted(label.sym + (j,))),
                 label.alt[:i] + label.alt[i + 1 :],
             )
-            cur = out.get(new, 0) + (-1) ** i * c
-            if cur:
-                out[new] = cur
-            else:
-                out.pop(new, None)
-    return FockTensor(t.dim, t.k + 1, t.q - 1, out)
+            out[new] = out.get(new, 0) + (-1) ** i * c
+    return FockTensor._trusted((t.dim, t.k + 1, t.q - 1), out)
 
 
 class LinearMap:
@@ -268,41 +236,30 @@ class LinearMap:
     def zero(cls, dom_sig, dom_basis, cod_sig, cod_basis) -> "LinearMap":
         return cls(dom_sig, dom_basis, cod_sig, cod_basis, {})
 
+    def _with_entries(self, terms) -> "LinearMap":
+        """Same bases, entries the linear combination of the given entry dicts."""
+        return LinearMap(self.dom_sig, self.dom_basis, self.cod_sig, self.cod_basis, lincomb(terms))
+
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if self.shape != other.shape or self.dom_sig != other.dom_sig:
             raise DimensionMismatch("matrix shapes differ")
-        out = dict(self.entries)
-        for rc, v in other.entries.items():
-            cur = out.get(rc, 0) + v
-            if cur:
-                out[rc] = cur
-            else:
-                out.pop(rc, None)
-        return LinearMap(self.dom_sig, self.dom_basis, self.cod_sig, self.cod_basis, out)
+        return self._with_entries(((1, self.entries), (1, other.entries)))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinearMap":
-        c = as_coeff(c)
-        ent = {rc: c * v for rc, v in self.entries.items()} if c else {}
-        return LinearMap(self.dom_sig, self.dom_basis, self.cod_sig, self.cod_basis, ent)
+        return self._with_entries(((as_coeff(c), self.entries),))
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         """self composed after other."""
         if other.cod_sig != self.dom_sig or len(other.cod_basis) != len(self.dom_basis):
             raise DimensionMismatch("composition domains do not line up")
-        by_col: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
+        cols = self.columns()
         out: dict[tuple[int, int], object] = {}
-        for (mid, c), v in other.entries.items():
-            for r, w in by_col.get(mid, ()):
-                cur = out.get((r, c), 0) + w * v
-                if cur:
-                    out[(r, c)] = cur
-                else:
-                    out.pop((r, c), None)
+        for c, col in enumerate(other.columns()):
+            for r, v in lincomb((w, cols[mid]) for mid, w in col.items()).items():
+                out[(r, c)] = v
         return LinearMap(other.dom_sig, other.dom_basis, self.cod_sig, self.cod_basis, out)
 
     def transpose(self) -> "LinearMap":
@@ -312,21 +269,10 @@ class LinearMap:
     def apply(self, t: FockTensor) -> FockTensor:
         if t.signature != self.dom_sig:
             raise DimensionMismatch(f"tensor {t.signature} != domain {self.dom_sig}")
+        cols = self.columns()
         index = {label: i for i, label in enumerate(self.dom_basis)}
-        out: dict[MixedIndex, object] = {}
-        by_col: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        for label, coeff in t.coeffs.items():
-            for r, v in by_col.get(index[label], ()):
-                lab = self.cod_basis[r]
-                cur = out.get(lab, 0) + v * coeff
-                if cur:
-                    out[lab] = cur
-                else:
-                    out.pop(lab, None)
-        d, k, q = self.cod_sig
-        return FockTensor(d, k, q, out if out else None)
+        image = lincomb((c, cols[index[label]]) for label, c in t.coeffs.items())
+        return FockTensor._trusted(self.cod_sig, {self.cod_basis[r]: v for r, v in image.items()})
 
     def max_abs_entry(self) -> Fraction:
         if not self.entries:

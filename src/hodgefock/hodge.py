@@ -109,21 +109,22 @@ class ExactnessReport:
                 return r
         raise KeyError(k)
 
+    def exact_at(self, k: int) -> tuple[bool, bool]:
+        """(lower, raise_) exactness at H_{k,n-k}: each kernel there equals
+        the image of the same operator from the neighbouring block, with
+        the missing operator at either end counting as the zero map."""
+        r = self.row(k)
+        lower_ok = r.ker_lower == (self.row(k + 1).rank_lower if k < self.n else 0)
+        raise_ok = r.ker_raise == (self.row(k - 1).rank_raise if k > 0 else 0)
+        return lower_ok, raise_ok
+
     def lower_exact(self) -> bool:
         """Ker(lower on H_{k,q}) = Im(lower from H_{k+1,q-1}) at every k."""
-        for r in self.rows:
-            incoming = self.row(r.k + 1).rank_lower if r.k < self.n else 0
-            if r.ker_lower != incoming:
-                return False
-        return True
+        return all(self.exact_at(r.k)[0] for r in self.rows)
 
     def raise_exact(self) -> bool:
         """Ker(raise_ on H_{k,q}) = Im(raise_ from H_{k-1,q+1}) at every k."""
-        for r in self.rows:
-            incoming = self.row(r.k - 1).rank_raise if r.k > 0 else 0
-            if r.ker_raise != incoming:
-                return False
-        return True
+        return all(self.exact_at(r.k)[1] for r in self.rows)
 
     def harmonic_trivial(self) -> bool:
         return all(r.harmonic_dim == 0 for r in self.rows)

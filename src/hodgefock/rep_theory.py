@@ -35,7 +35,7 @@ from math import comb, factorial, perm, prod
 
 from .errors import ConsistencyError, DimensionMismatch, InvalidIndex, NotInvariant
 from .fock_ops import Permutation, permute
-from .linalg import EchelonBasis, kernel_basis
+from .linalg import EchelonBasis, kernel_basis, lincomb
 from .tensor_core import FockTensor, FullTensor, MixedIndex, embed, enum_basis
 
 
@@ -80,10 +80,8 @@ class Subspace:
         return self._ech.contains(t.coeffs)
 
     def basis(self) -> list[FullTensor]:
-        return [
-            FullTensor(self.dim_ground, self.degree, row)
-            for row in self._ech.sorted_rows()
-        ]
+        shape = (self.dim_ground, self.degree)
+        return [FullTensor._trusted(shape, row) for row in self._ech.sorted_rows()]
 
     def coordinates(self, t: FullTensor) -> list:
         """Coefficients of t in the canonical basis; NotInvariant if outside."""
@@ -206,19 +204,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise DimensionMismatch("subspaces live in different ambient powers")
     cols_a = [t.coeffs for t in a.basis()]
     cols_b = [t.coeffs for t in b.basis()]
-    kern = kernel_basis(cols_a + cols_b)
     out = Subspace(a.dim_ground, a.degree)
-    for tag in kern:
-        vec: dict = {}
-        for j, c in tag.items():
-            if j < len(cols_a):
-                for key, v in cols_a[j].items():
-                    cur = vec.get(key, 0) + c * v
-                    if cur:
-                        vec[key] = cur
-                    else:
-                        vec.pop(key, None)
-        out.add(FullTensor(a.dim_ground, a.degree, vec))
+    for tag in kernel_basis(cols_a + cols_b):
+        out._ech.insert(lincomb((c, cols_a[j]) for j, c in tag.items() if j < len(cols_a)))
     return out
 
 
@@ -300,35 +288,30 @@ def decomposition_dims(d: int, k: int, q: int) -> tuple[int, int, int, bool]:
     return dim, dim_plus, dim_minus, direct
 
 
+def _transposition_sum(v: FullTensor) -> FullTensor:
+    """Sum over all slot transpositions (i j), i < j, of the permuted v."""
+    n = v.n
+    images = (
+        permute(v, Permutation.transposition(n, i, j)).coeffs
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    )
+    return FullTensor._trusted((v.dim, n), lincomb((1, image) for image in images))
+
+
 def transposition_sum_matrix(space: Subspace) -> list[list]:
     """Matrix, in the canonical basis, of the sum of all slot transpositions.
 
     The subspace must be invariant (NotInvariant otherwise).  Entry [i][j]
     is the i-th coordinate of the image of the j-th basis vector.
     """
-    n = space.degree
-    basis = space.basis()
-    cols = []
-    for v in basis:
-        acc = FullTensor.zero(space.dim_ground, n)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                acc = acc + permute(v, Permutation.transposition(n, i, j))
-        cols.append(space.coordinates(acc))
-    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+    cols = [space.coordinates(_transposition_sum(v)) for v in space.basis()]
+    return [list(row) for row in zip(*cols)]
 
 
 def _apply_shifted(space: Subspace, shift) -> list[FullTensor]:
     """(sum of transpositions - shift) applied to each canonical basis vector."""
-    n = space.degree
-    out = []
-    for v in space.basis():
-        acc = v.scale(-shift)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                acc = acc + permute(v, Permutation.transposition(n, i, j))
-        out.append(acc)
-    return out
+    return [_transposition_sum(v) - v.scale(shift) for v in space.basis()]
 
 
 def orbit_split_spaces(b: MixedIndex, d: int) -> tuple[Subspace, Subspace]:

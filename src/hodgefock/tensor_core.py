@@ -23,25 +23,22 @@ Normalization conventions, fixed once and used everywhere:
 
 With these choices every structural operator in the package has integer
 matrix entries.
+
+FockTensor and FullTensor are linalg.SparseVector subclasses: the sparse
+format and its arithmetic live in linalg.  Their constructors are the
+public edge and validate every label or key; embed, project_mixed and the
+operators in fock_ops build their (already canonical) output through the
+unchecked SparseVector._trusted instead.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
-
-
-def as_coeff(x):
-    """Coerce a scalar to an exact coefficient; floats are refused."""
-    if isinstance(x, float):
-        raise TypeError("float coefficients are not exact; use Fraction")
-    if isinstance(x, (int, Fraction)):
-        return x
-    return Fraction(x)
+from .linalg import SparseVector, as_coeff, dot
 
 
 def sort_sign(seq: tuple) -> tuple | None:
@@ -121,24 +118,22 @@ def _gram_factor(label: MixedIndex) -> int:
     return out
 
 
-class FockTensor:
+class FockTensor(SparseVector):
     """Element of a mixed block H_{k,q}, sparse over canonical labels.
 
-    Treated as immutable: all operations return fresh tensors.  A
-    degenerate signature (k < 0, q < 0 or q > d) is allowed only for the
-    zero tensor, so maps off the end of a complex have an honest zero
+    A degenerate signature (k < 0, q < 0 or q > d) is allowed only for
+    the zero tensor, so maps off the end of a complex have an honest zero
     target.
     """
 
-    __slots__ = ("dim", "k", "q", "coeffs")
+    __slots__ = ("dim", "k", "q")
 
     def __init__(self, dim: int, k: int, q: int, coeffs: Mapping | None = None):
         if dim < 1:
             raise DimensionMismatch(f"ground dimension must be >= 1, got {dim}")
-        degenerate = k < 0 or q < 0 or q > dim
         data: dict[MixedIndex, object] = {}
         if coeffs:
-            if degenerate:
+            if k < 0 or q < 0 or q > dim:
                 raise DegreeOutOfRange(
                     f"block ({k},{q}) over R^{dim} is zero-dimensional"
                 )
@@ -149,15 +144,8 @@ class FockTensor:
                     raise InvalidIndex(f"label {label!r} has wrong degrees")
                 if not label.is_canonical(dim):
                     raise InvalidIndex(f"label {label!r} is not canonical")
-                c = as_coeff(c)
-                if c:
-                    data[label] = data.get(label, 0) + c
-                    if not data[label]:
-                        del data[label]
-        self.dim = dim
-        self.k = k
-        self.q = q
-        self.coeffs = data
+                data[label] = data.get(label, 0) + as_coeff(c)
+        self._set((dim, k, q), data)
 
     @classmethod
     def zero(cls, dim: int, k: int, q: int) -> "FockTensor":
@@ -172,80 +160,13 @@ class FockTensor:
     def signature(self) -> tuple[int, int, int]:
         return (self.dim, self.k, self.q)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self) -> list:
-        return sorted(self.coeffs.items())
-
-    def _check_same(self, other: "FockTensor") -> None:
-        if not isinstance(other, FockTensor):
-            raise TypeError(f"expected FockTensor, got {type(other).__name__}")
-        if self.signature != other.signature:
-            raise DimensionMismatch(
-                f"signature mismatch: {self.signature} vs {other.signature}"
-            )
-
-    def __add__(self, other: "FockTensor") -> "FockTensor":
-        self._check_same(other)
-        out = dict(self.coeffs)
-        for label, c in other.coeffs.items():
-            cur = out.get(label, 0) + c
-            if cur:
-                out[label] = cur
-            else:
-                out.pop(label, None)
-        return FockTensor(self.dim, self.k, self.q, out)
-
-    def __sub__(self, other: "FockTensor") -> "FockTensor":
-        return self + (-other)
-
-    def __neg__(self) -> "FockTensor":
-        return self.scale(-1)
-
-    def scale(self, c) -> "FockTensor":
-        c = as_coeff(c)
-        if not c:
-            return FockTensor(self.dim, self.k, self.q)
-        return FockTensor(
-            self.dim, self.k, self.q, {l: c * v for l, v in self.coeffs.items()}
-        )
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return self.scale(Fraction(1) / as_coeff(c))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FockTensor)
-            and self.signature == other.signature
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("FockTensor is not hashable")
-
-    def render(self) -> str:
-        """Canonical text form, e.g. '3/2*(1,1;2,3) + -1*(1,2;1,3)'.
-
-        Stable: terms sorted by label, coefficients printed exactly.
-        """
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{l.render()}" for l, c in self.items())
-
-    def __repr__(self):
-        return f"FockTensor({self.dim},{self.k},{self.q}: {self.render()})"
+    _render_key = staticmethod(MixedIndex.render)
 
 
-class FullTensor:
+class FullTensor(SparseVector):
     """Element of the full tensor power (R^d)^{tensor n}, sparse over slot keys."""
 
-    __slots__ = ("dim", "n", "coeffs")
+    __slots__ = ("dim", "n")
 
     def __init__(self, dim: int, n: int, coeffs: Mapping | None = None):
         if dim < 1:
@@ -253,19 +174,12 @@ class FullTensor:
         if n < 0:
             raise DegreeOutOfRange(f"tensor degree must be >= 0, got {n}")
         data: dict[tuple[int, ...], object] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                key = tuple(key)
-                if len(key) != n or not all(1 <= i <= dim for i in key):
-                    raise InvalidIndex(f"key {key!r} invalid for degree {n}, dim {dim}")
-                c = as_coeff(c)
-                if c:
-                    data[key] = data.get(key, 0) + c
-                    if not data[key]:
-                        del data[key]
-        self.dim = dim
-        self.n = n
-        self.coeffs = data
+        for key, c in (coeffs or {}).items():
+            key = tuple(key)
+            if len(key) != n or not all(1 <= i <= dim for i in key):
+                raise InvalidIndex(f"key {key!r} invalid for degree {n}, dim {dim}")
+            data[key] = data.get(key, 0) + as_coeff(c)
+        self._set((dim, n), data)
 
     @classmethod
     def zero(cls, dim: int, n: int) -> "FullTensor":
@@ -275,71 +189,6 @@ class FullTensor:
     def basis(cls, dim: int, key: tuple[int, ...]) -> "FullTensor":
         key = tuple(key)
         return cls(dim, len(key), {key: 1})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self) -> list:
-        return sorted(self.coeffs.items())
-
-    def _check_same(self, other: "FullTensor") -> None:
-        if not isinstance(other, FullTensor):
-            raise TypeError(f"expected FullTensor, got {type(other).__name__}")
-        if (self.dim, self.n) != (other.dim, other.n):
-            raise DimensionMismatch(
-                f"shape mismatch: {(self.dim, self.n)} vs {(other.dim, other.n)}"
-            )
-
-    def __add__(self, other: "FullTensor") -> "FullTensor":
-        self._check_same(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            cur = out.get(key, 0) + c
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
-        return FullTensor(self.dim, self.n, out)
-
-    def __sub__(self, other: "FullTensor") -> "FullTensor":
-        return self + (-other)
-
-    def __neg__(self) -> "FullTensor":
-        return self.scale(-1)
-
-    def scale(self, c) -> "FullTensor":
-        c = as_coeff(c)
-        if not c:
-            return FullTensor(self.dim, self.n)
-        return FullTensor(self.dim, self.n, {k: c * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return self.scale(Fraction(1) / as_coeff(c))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FullTensor)
-            and (self.dim, self.n) == (other.dim, other.n)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("FullTensor is not hashable")
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            "{}*({})".format(c, ",".join(map(str, k))) for k, c in self.items()
-        )
-
-    def __repr__(self):
-        return f"FullTensor({self.dim},{self.n}: {self.render()})"
 
 
 def _signed_arrangements(q: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -371,12 +220,8 @@ def embed(t: FockTensor) -> FullTensor:
         for rho in permutations(label.sym):
             for sign, sigma in signed:
                 key = rho + tuple(label.alt[s] for s in sigma)
-                cur = out.get(key, 0) + sign * c
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-    return FullTensor(t.dim, n, out)
+                out[key] = out.get(key, 0) + sign * c
+    return FullTensor._trusted((t.dim, n), out)
 
 
 def project_mixed(t: FullTensor, k: int) -> FockTensor:
@@ -399,12 +244,8 @@ def project_mixed(t: FullTensor, k: int) -> FockTensor:
             continue
         sign, alt = res
         label = MixedIndex(tuple(sorted(key[:k])), alt)
-        cur = out.get(label, 0) + sign * c
-        if cur:
-            out[label] = cur
-        else:
-            out.pop(label, None)
-    return FockTensor(t.dim, k, q, out)
+        out[label] = out.get(label, 0) + sign * c
+    return FockTensor._trusted((t.dim, k, q), out)
 
 
 def inner(t: FockTensor, u: FockTensor):
@@ -415,25 +256,13 @@ def inner(t: FockTensor, u: FockTensor):
     multiplicity factorials.
     """
     t._check_same(u)
-    total = Fraction(0)
-    small, big = (t.coeffs, u.coeffs) if len(t.coeffs) <= len(u.coeffs) else (u.coeffs, t.coeffs)
-    for label, c in small.items():
-        other = big.get(label)
-        if other:
-            total += c * other * _gram_factor(label)
-    return total
+    return dot(t.coeffs, u.coeffs, _gram_factor)
 
 
 def inner_full(t: FullTensor, u: FullTensor):
     """Slot-wise pairing on the full tensor power (basis keys orthonormal)."""
     t._check_same(u)
-    total = Fraction(0)
-    small, big = (t.coeffs, u.coeffs) if len(t.coeffs) <= len(u.coeffs) else (u.coeffs, t.coeffs)
-    for key, c in small.items():
-        other = big.get(key)
-        if other:
-            total += c * other
-    return total
+    return dot(t.coeffs, u.coeffs)
 
 
 def block_dim(d: int, k: int, q: int) -> int:

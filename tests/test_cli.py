@@ -1,5 +1,6 @@
 """Driver behavior: determinism, report schema, exit codes, filters."""
 
+import hashlib
 import json
 
 import pytest
@@ -161,6 +162,43 @@ def test_pool_failure_is_reported_and_falls_back_to_serial(monkeypatch, capsys):
     assert captured.err == (
         "warning: process pool failed (OSError: no semaphores); running cases serially\n"
     )
+
+
+def test_pool_is_never_larger_than_the_case_list(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the executor: records its size, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, specs, chunksize=1):
+            return map(fn, specs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "8")
+    report = run_verify(small(suite="weitzenboeck", max_dim=1, max_n=1))
+    assert len(report.cases) == 2 and report.status == "pass"
+    run_verify(small(suite="weitzenboeck", max_dim=3, max_n=3))
+    assert sizes == [2, 8]
+
+
+def test_report_bytes_match_the_recorded_digest(monkeypatch, capsys):
+    # sha256 of the serial `verify all --max-dim 3 --max-n 4 --seed 42
+    # --format json` output; any refactor must keep these bytes.
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    argv = ["verify", "all", "--max-dim", "3", "--max-n", "4", "--seed", "42", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "58669858cd0bcde5c1fbb258772cbbf10dd6f894385a67617b9edbacfe75cdb3"
 
 
 def test_main_pass_exit_zero(capsys):
