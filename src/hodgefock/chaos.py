@@ -298,21 +298,16 @@ def exp_vector(h: Iterable, order: int) -> GradedFock:
         raise DimensionMismatch("h must have at least one coordinate")
     if order < 0:
         raise DegreeOutOfRange(f"truncation order must be >= 0, got {order}")
-    parts: dict[int, FockTensor] = {}
-    for k in range(order + 1):
-        coeffs = {}
-        for label in enum_basis(d, k, 0):
-            mult = _label_multiplicities(label, d)
-            c = Fraction(1)
-            for hi, a in zip(hs, mult):
-                if a:
-                    if not hi:
-                        c = Fraction(0)
-                        break
-                    c *= Fraction(hi) ** a / factorial(a)
-            if c:
-                coeffs[label] = c
-        parts[k] = FockTensor(d, k, 0, coeffs)
+
+    def coeff(label: MixedIndex):
+        return prod(
+            Fraction(hi) ** a / factorial(a) for hi, a in zip(hs, _label_multiplicities(label, d))
+        )
+
+    parts = {
+        k: FockTensor._trusted((d, k, 0), {b: coeff(b) for b in enum_basis(d, k, 0)})
+        for k in range(order + 1)
+    }
     return GradedFock(d, parts)
 
 
@@ -420,14 +415,15 @@ def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField
     graded = exp_vector(hs, order)
 
     def tensor_with(key: tuple[int, ...]) -> FormField:
-        acc = FormField.zero(d, len(key))
-        for k in range(order + 1):
-            part = graded.part(k)
-            coeffs = {
-                MixedIndex(label.sym, key): c for label, c in part.coeffs.items()
-            }
-            acc = acc + chaos_field(FockTensor(d, k, len(key), coeffs))
-        return acc
+        relabelled = (
+            FockTensor._trusted(
+                (d, k, len(key)), {MixedIndex(b.sym, key): c for b, c in part.coeffs.items()}
+            )
+            for k, part in graded.parts.items()
+        )
+        return FormField._trusted(
+            (d, len(key)), lincomb((1, chaos_field(t).coeffs) for t in relabelled)
+        )
 
     left = exterior_derivative(tensor_with(x))
     right = FormField.zero(d, q + 1)

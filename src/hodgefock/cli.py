@@ -17,7 +17,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from math import comb
 
@@ -95,23 +95,11 @@ class Report:
     status: str = "pass"
 
     def as_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "config": self.config,
-            "cases": self.cases,
-            "status": self.status,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
-        return cls(
-            tool=data["tool"],
-            version=data["version"],
-            config=data["config"],
-            cases=data["cases"],
-            status=data["status"],
-        )
+        return cls(**data)
 
 
 def _rng(seed: int, *tags) -> random.Random:
@@ -251,21 +239,13 @@ def _case_rep(d: int, n: int, k: int, seed: int, trials: int):
 def _case_chaos(d: int, n: int, k: int, seed: int, trials: int):
     q = n - k
     labels = enum_basis(d, k, q)
-    diagram = all(
-        exterior_derivative(chaos_field(FockTensor.basis(d, b)))
-        == chaos_field(lower(FockTensor.basis(d, b)))
-        for b in labels
-    )
-    dual = q == 0 or all(
-        codifferential(chaos_field(FockTensor.basis(d, b)))
-        == chaos_field(raise_(FockTensor.basis(d, b)))
-        for b in labels
-    )
-    eigen = all(
-        hodge_laplacian(chaos_field(FockTensor.basis(d, b)))
-        == chaos_field(FockTensor.basis(d, b)).scale(n)
-        for b in labels
-    )
+    basis = [FockTensor.basis(d, b) for b in labels]
+    forms = [chaos_field(e) for e in basis]
+    diagram = dual = eigen = True
+    for e, f in zip(basis, forms):
+        diagram = diagram and exterior_derivative(f) == chaos_field(lower(e))
+        dual = dual and (q == 0 or codifferential(f) == chaos_field(raise_(e)))
+        eigen = eigen and hodge_laplacian(f) == f.scale(n)
     details = {
         "dim": block_dim(d, k, q),
         "diagram": diagram,
@@ -274,10 +254,8 @@ def _case_chaos(d: int, n: int, k: int, seed: int, trials: int):
     }
     ok = diagram and dual and eigen
     if q == 0 and labels:
-        fields = [chaos_field(FockTensor.basis(d, b)) for b in labels]
         iso = all(
-            gaussian_inner(fields[i], fields[j])
-            == inner(FockTensor.basis(d, labels[i]), FockTensor.basis(d, labels[j]))
+            gaussian_inner(forms[i], forms[j]) == inner(basis[i], basis[j])
             for i in range(len(labels))
             for j in range(i, len(labels))
         )
@@ -460,31 +438,20 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run an invariant suite over a parameter grid")
+    verify.set_defaults(**asdict(VerifyConfig()))
     verify.add_argument("suite", choices=SUITES + ("all",))
-    verify.add_argument("--max-dim", type=int, default=3)
-    verify.add_argument("--max-n", type=int, default=4)
-    verify.add_argument("--dim", type=int, default=None)
-    verify.add_argument("--n", type=int, default=None)
-    verify.add_argument("--k", type=int, default=None)
-    verify.add_argument("--q", type=int, default=None)
-    verify.add_argument("--trials", type=int, default=20)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--format", choices=("json", "text"), default="text")
-    verify.add_argument("--out", default=None)
+    verify.add_argument("--max-dim", type=int)
+    verify.add_argument("--max-n", type=int)
+    verify.add_argument("--dim", type=int)
+    verify.add_argument("--n", type=int)
+    verify.add_argument("--k", type=int)
+    verify.add_argument("--q", type=int)
+    verify.add_argument("--trials", type=int)
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--format", choices=("json", "text"))
+    verify.add_argument("--out")
     args = parser.parse_args(argv)
-    cfg = VerifyConfig(
-        suite=args.suite,
-        max_dim=args.max_dim,
-        max_n=args.max_n,
-        trials=args.trials,
-        seed=args.seed,
-        dim=args.dim,
-        n=args.n,
-        k=args.k,
-        q=args.q,
-        format=args.format,
-        out=args.out,
-    )
+    cfg = VerifyConfig(**{f.name: getattr(args, f.name) for f in fields(VerifyConfig)})
     try:
         report = run_verify(cfg)
     except ConfigError as e:

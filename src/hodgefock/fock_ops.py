@@ -20,7 +20,15 @@ from typing import Iterable, Iterator
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
 from .linalg import as_coeff, lincomb, matrix_rank
-from .tensor_core import FockTensor, FullTensor, MixedIndex, _gram_factor, enum_basis, perm_sign
+from .tensor_core import (
+    FockTensor,
+    FullTensor,
+    MixedIndex,
+    _gram_factor,
+    _signed_arrangements,
+    enum_basis,
+    perm_sign,
+)
 
 
 class Permutation:
@@ -101,8 +109,8 @@ def _check_positions(t: FullTensor, positions: Iterable[int]) -> tuple[int, ...]
     return pos
 
 
-def sym_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
-    """Average of the slot permutations fixing everything off `positions`."""
+def _average(t: FullTensor, positions: Iterable[int], signed: bool) -> FullTensor:
+    """(Signed) average of the slot permutations moving only `positions`."""
     pos = _check_positions(t, positions)
     m = len(pos)
     if m <= 1:
@@ -112,37 +120,23 @@ def sym_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
     for key, c in t.coeffs.items():
         c = c * inv_m
         sub = [key[p - 1] for p in pos]
-        for arr in _itpermutations(sub):
-            new = list(key)
-            for p, v in zip(pos, arr):
-                new[p - 1] = v
-            new = tuple(new)
-            out[new] = out.get(new, 0) + c
-    return FullTensor._trusted((t.dim, t.n), out)
-
-
-def alt_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
-    """Signed average of the slot permutations moving only `positions`."""
-    pos = _check_positions(t, positions)
-    m = len(pos)
-    if m <= 1:
-        return t
-    inv_m = Fraction(1, factorial(m))
-    signed = [
-        (perm_sign([s + 1 for s in sigma]), sigma)
-        for sigma in _itpermutations(range(m))
-    ]
-    out: dict[tuple[int, ...], object] = {}
-    for key, c in t.coeffs.items():
-        c = c * inv_m
-        sub = [key[p - 1] for p in pos]
-        for sign, sigma in signed:
+        for sign, sigma in _signed_arrangements(m):
             new = list(key)
             for p, s in zip(pos, sigma):
                 new[p - 1] = sub[s]
             new = tuple(new)
-            out[new] = out.get(new, 0) + sign * c
+            out[new] = out.get(new, 0) + (sign * c if signed else c)
     return FullTensor._trusted((t.dim, t.n), out)
+
+
+def sym_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
+    """Average of the slot permutations fixing everything off `positions`."""
+    return _average(t, positions, signed=False)
+
+
+def alt_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
+    """Signed average of the slot permutations moving only `positions`."""
+    return _average(t, positions, signed=True)
 
 
 def _wedge_insert(i: int, alt: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:

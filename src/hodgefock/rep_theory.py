@@ -157,13 +157,8 @@ def orbit_span(b: MixedIndex, d: int) -> Subspace:
     positions already span the orbit; the full n! sweep is used as a
     cross-check oracle in the tests.
     """
-    k, q = len(b.sym), len(b.alt)
-    n = k + q
-    w = embed(FockTensor.basis(d, b))
-    out = Subspace(d, n)
-    for positions in combinations(range(1, n + 1), k):
-        out.add(permute(w, position_permutation(n, k, positions)))
-    return out
+    k = len(b.sym)
+    return _position_span(d, k + len(b.alt), k, [b])
 
 
 def _embedded_span(d: int, n: int, labels) -> Subspace:
@@ -202,8 +197,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Exact intersection, via the kernel of the stacked column system."""
     if (a.dim_ground, a.degree) != (b.dim_ground, b.degree):
         raise DimensionMismatch("subspaces live in different ambient powers")
-    cols_a = [t.coeffs for t in a.basis()]
-    cols_b = [t.coeffs for t in b.basis()]
+    cols_a = a._ech.sorted_rows()
+    cols_b = b._ech.sorted_rows()
     out = Subspace(a.dim_ground, a.degree)
     for tag in kernel_basis(cols_a + cols_b):
         out._ech.insert(lincomb((c, cols_a[j]) for j, c in tag.items() if j < len(cols_a)))

@@ -33,6 +33,7 @@ unchecked SparseVector._trusted instead.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from typing import Iterable, Mapping, NamedTuple
@@ -75,12 +76,6 @@ class MixedIndex(NamedTuple):
         return "({};{})".format(
             ",".join(map(str, self.sym)), ",".join(map(str, self.alt))
         )
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i in self.sym:
-            out[i] = out.get(i, 0) + 1
-        return out
 
     def is_canonical(self, dim: int) -> bool:
         ok_range = all(1 <= i <= dim for i in self.sym + self.alt)
@@ -191,16 +186,10 @@ class FullTensor(SparseVector):
         return cls(dim, len(key), {key: 1})
 
 
-def _signed_arrangements(q: int) -> list[tuple[int, tuple[int, ...]]]:
-    if q not in _SIGNED_ARRANGEMENTS:
-        _SIGNED_ARRANGEMENTS[q] = [
-            (perm_sign([s + 1 for s in sigma]), sigma)
-            for sigma in permutations(range(q))
-        ]
-    return _SIGNED_ARRANGEMENTS[q]
-
-
-_SIGNED_ARRANGEMENTS: dict[int, list] = {}
+@lru_cache(maxsize=None)
+def _signed_arrangements(q: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign, sigma) for every permutation sigma of range(q), in lexicographic order."""
+    return tuple((perm_sign([s + 1 for s in sigma]), sigma) for sigma in permutations(range(q)))
 
 
 def embed(t: FockTensor) -> FullTensor:

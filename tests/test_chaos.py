@@ -265,6 +265,9 @@ def test_exp_vector_parts():
         MixedIndex((2, 2, 2), ()): Fraction(9, 2),
     }
     assert g.part(4).is_zero()
+    z = exp_vector((0, 3), 2)
+    assert z.part(1).coeffs == {MixedIndex((2,), ()): 3}
+    assert z.part(2).coeffs == {MixedIndex((2, 2), ()): Fraction(9, 2)}
 
 
 def test_commutation_defect_frozen_example():

@@ -190,15 +190,43 @@ def test_pool_is_never_larger_than_the_case_list(monkeypatch):
     assert sizes == [2, 8]
 
 
+RECORDED_DIGESTS = [
+    (
+        ["all", "--max-dim", "3", "--max-n", "4", "--seed", "42"],
+        "58669858cd0bcde5c1fbb258772cbbf10dd6f894385a67617b9edbacfe75cdb3",
+    ),
+    (
+        ["chaos", "--max-dim", "5", "--max-n", "4", "--seed", "3"],
+        "0d8d5c262d42ddaba0b78d26dbf29c7e548a2ace806f5766fbf921e39bbc5093",
+    ),
+]
+
+
 def test_report_bytes_match_the_recorded_digest(monkeypatch, capsys):
-    # sha256 of the serial `verify all --max-dim 3 --max-n 4 --seed 42
-    # --format json` output; any refactor must keep these bytes.
+    # sha256 of the serial `verify <grid> --format json` output; any
+    # refactor must keep these bytes.
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    argv = ["verify", "all", "--max-dim", "3", "--max-n", "4", "--seed", "42", "--format", "json"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == "58669858cd0bcde5c1fbb258772cbbf10dd6f894385a67617b9edbacfe75cdb3"
+    for grid, digest in RECORDED_DIGESTS:
+        assert main(["verify", *grid, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, grid
+
+
+@pytest.mark.parametrize("d, n, k, calls", [(3, 3, 1, 33), (3, 3, 3, 26), (2, 2, 0, 3)])
+def test_chaos_case_builds_each_field_once(d, n, k, calls, monkeypatch):
+    # One field per label, one per lower and raise_ image, and two per
+    # adjoint trial (three trials when q + 1 <= d).
+    built = []
+    original = cli.chaos_field
+
+    def counted(t):
+        built.append(t)
+        return original(t)
+
+    monkeypatch.setattr(cli, "chaos_field", counted)
+    status, _ = cli._case_chaos(d, n, k, 0, 20)
+    assert status == "pass"
+    assert len(built) == calls
 
 
 def test_main_pass_exit_zero(capsys):
