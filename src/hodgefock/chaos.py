@@ -276,13 +276,11 @@ def chaos_field(t: FockTensor) -> FormField:
 
     A degenerate block (k < 0, q < 0 or q > d) holds only zero, which goes
     to the zero form of degree max(q, 0)."""
-    if t.k < 0 or t.q < 0 or t.q > t.dim:
-        return FormField.zero(t.dim, max(t.q, 0))
     out: dict[tuple, object] = {}
     for label, c in t.coeffs.items():
         for e, w in _hermite_monomial(_label_multiplicities(label, t.dim)).items():
             out[(label.alt, e)] = out.get((label.alt, e), 0) + c * w
-    return FormField._trusted((t.dim, t.q), out)
+    return FormField._trusted((t.dim, max(t.q, 0)), out)
 
 
 def exp_vector(h: Iterable, order: int) -> GradedFock:

@@ -156,8 +156,6 @@ def lower(t: FockTensor) -> FockTensor:
     degenerate zero input passes through as the shifted zero, so chained
     applications stay total across the end of the complex.
     """
-    if t.k < 0 or t.q < 0 or t.q > t.dim:
-        return FockTensor._trusted((t.dim, t.k - 1, t.q + 1), {})
     out: dict[MixedIndex, object] = {}
     for label, c in t.coeffs.items():
         for s in range(t.k):
@@ -225,10 +223,6 @@ class LinearMap:
     def identity(cls, sig, basis) -> "LinearMap":
         ent = {(i, i): 1 for i in range(len(basis))}
         return cls(sig, basis, sig, basis, ent)
-
-    @classmethod
-    def zero(cls, dom_sig, dom_basis, cod_sig, cod_basis) -> "LinearMap":
-        return cls(dom_sig, dom_basis, cod_sig, cod_basis, {})
 
     def _with_entries(self, terms) -> "LinearMap":
         """Same bases, entries the linear combination of the given entry dicts."""

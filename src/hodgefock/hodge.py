@@ -10,12 +10,12 @@ raise_ . lower is killed by raise_, and the two pieces are orthogonal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import DegreeOutOfRange
 from .fock_ops import LinearMap, Permutation, lower, operator_matrix, permute, raise_
-from .linalg import matrix_rank
+from .linalg import kernel_basis, matrix_rank
 from .tensor_core import FockTensor, FullTensor, MixedIndex, embed, enum_basis
 
 
@@ -23,23 +23,16 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
     """Largest |entry| of raise_ . lower + lower . raise_ - (k+q) * id.
 
     Computed on exact integer matrices; the identity holds iff this is 0.
-    Boundary terms (k = 0 or q = 0) are zero maps.
+    Boundary terms (k = 0 or q = 0) are zero maps, and a block with q > d
+    gives 0.  Stated for k, q >= 0: at q = -1 the raise_ matrix is asked
+    for at q = 0, which raises DegreeOutOfRange.
     """
-    basis = enum_basis(d, k, q)
-    if not basis:
-        return Fraction(0)
-    n = k + q
-    sig = (d, k, q)
-    total = LinearMap.zero(sig, basis, sig, basis)
-    if k >= 1:
-        total = total + operator_matrix("raise", d, k - 1, q + 1) @ operator_matrix(
-            "lower", d, k, q
-        )
+    total = operator_matrix("raise", d, k - 1, q + 1) @ operator_matrix("lower", d, k, q)
     if q >= 1:
         total = total + operator_matrix("lower", d, k + 1, q - 1) @ operator_matrix(
             "raise", d, k, q
         )
-    defect = total - LinearMap.identity(sig, basis).scale(n)
+    defect = total - LinearMap.identity((d, k, q), enum_basis(d, k, q)).scale(k + q)
     return defect.max_abs_entry()
 
 
@@ -57,10 +50,7 @@ def hodge_split(t: FockTensor) -> tuple[FockTensor, FockTensor]:
         plus = lower(raise_(t)) / n
     else:
         plus = FockTensor.zero(t.dim, t.k, t.q)
-    if t.k >= 1:
-        minus = raise_(lower(t)) / n
-    else:
-        minus = FockTensor.zero(t.dim, t.k, t.q)
+    minus = raise_(lower(t)) / n
     return plus, minus
 
 
@@ -78,16 +68,7 @@ class ExactnessRow:
     harmonic_dim: int
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "q": self.q,
-            "dim": self.dim,
-            "rank_lower": self.rank_lower,
-            "ker_lower": self.ker_lower,
-            "rank_raise": self.rank_raise,
-            "ker_raise": self.ker_raise,
-            "harmonic_dim": self.harmonic_dim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -154,35 +135,33 @@ def exactness_report(d: int, n: int) -> ExactnessReport:
 
     The harmonic dimension of a block is the kernel of the stacked matrix
     (lower on top of raise_), i.e. dim(Ker lower intersect Ker raise_);
-    end-of-sequence operators are zero maps.
+    end-of-sequence operators are zero maps.  Ranks and kernels come from
+    separate eliminations, so rank_nullity_ok cross-checks the two.
     """
     if n < 1:
         raise DegreeOutOfRange("the report needs total degree n >= 1")
     rows = []
     for k in range(n, -1, -1):
         q = n - k
-        basis = enum_basis(d, k, q)
-        dim = len(basis)
-        if dim == 0:
-            rows.append(ExactnessRow(k, q, 0, 0, 0, 0, 0, 0))
-            continue
         m_lower = operator_matrix("lower", d, k, q)
-        m_raise = operator_matrix("raise", d, k, q) if q >= 1 else None
-        rank_lower = m_lower.rank()
-        rank_raise = m_raise.rank() if m_raise is not None else 0
-        stacked_cols: list[dict] = [{} for _ in range(dim)]
-        for (r, c), v in m_lower.entries.items():
-            stacked_cols[c][("L", r)] = v
-        if m_raise is not None:
-            for (r, c), v in m_raise.entries.items():
-                stacked_cols[c][("R", r)] = v
-        harmonic = dim - matrix_rank(stacked_cols)
+        dim = len(m_lower.dom_basis)
+        maps = [m_lower]
+        rank_lower, ker_lower = _rank_and_kernel(m_lower)
+        rank_raise, ker_raise = 0, dim
+        if q >= 1:
+            m_raise = operator_matrix("raise", d, k, q)
+            maps.append(m_raise)
+            rank_raise, ker_raise = _rank_and_kernel(m_raise)
+        harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
         rows.append(
-            ExactnessRow(
-                k, q, dim, rank_lower, dim - rank_lower, rank_raise, dim - rank_raise, harmonic
-            )
+            ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)
         )
     return ExactnessReport(d, n, tuple(rows))
+
+
+def _rank_and_kernel(m: LinearMap) -> tuple[int, int]:
+    """Rank and kernel dimension, each from its own elimination."""
+    return m.rank(), len(kernel_basis(m.columns()))
 
 
 def witnesses(b: MixedIndex, d: int) -> tuple[FullTensor, FullTensor]:

@@ -183,8 +183,6 @@ def span_all_positions(d: int, k: int, q: int) -> Subspace:
 
     Degenerate degrees give the zero subspace of the right ambient power.
     """
-    if k < 0 or q < 0 or q > d:
-        return Subspace(d, k + q)
     return _position_span(d, k + q, k, enum_basis(d, k, q))
 
 

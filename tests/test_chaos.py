@@ -112,6 +112,9 @@ def test_chaos_field_example():
     assert u.component((2,)).coeffs == {(1, 0): 1}
     assert u.component((1,)).is_zero()
     assert chaos_field(FockTensor(2, 1, 3)).is_zero()
+    # a degenerate block goes to the zero form of degree max(q, 0)
+    for k, q in ((1, 3), (0, 3), (1, -1), (-1, 0)):
+        assert chaos_field(FockTensor.zero(2, k, q)) == FormField.zero(2, max(q, 0))
 
 
 def test_form_field_validation():

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import hodgefock.cli as cli
+import hodgefock.hodge as hodge
 from hodgefock import ConfigError, exactness_report
 from hodgefock.cli import Report, VerifyConfig, main, parse_report, render_report, run_verify
 
@@ -72,6 +73,20 @@ def test_exactness_report_is_built_once_per_grid_point(monkeypatch):
         cli._exactness_report.cache_clear()
     assert report.status == "pass" and len(report.cases) == 2 * (2 + 3 + 4)
     assert sorted(calls) == [(d, n) for d in (1, 2) for n in (1, 2, 3)]
+
+
+def test_rank_nullity_check_can_fail(monkeypatch):
+    # Kernels come from their own elimination, so a kernel that loses a
+    # vector breaks rank + kernel = dim and fails the case.
+    real = hodge.kernel_basis
+    monkeypatch.setattr(hodge, "kernel_basis", lambda cols: real(cols)[:-1])
+    cli._exactness_report.cache_clear()
+    try:
+        assert not exactness_report(2, 2).rank_nullity_ok()
+        status, _ = cli._case_exactness(2, 2, 1, 0, 0)
+    finally:
+        cli._exactness_report.cache_clear()
+    assert status == "fail"
 
 
 def test_config_validation():
@@ -198,6 +213,10 @@ RECORDED_DIGESTS = [
     (
         ["chaos", "--max-dim", "5", "--max-n", "4", "--seed", "3"],
         "0d8d5c262d42ddaba0b78d26dbf29c7e548a2ace806f5766fbf921e39bbc5093",
+    ),
+    (
+        ["all", "--max-dim", "4", "--max-n", "4", "--seed", "1"],
+        "e73e201f05f71a25b4ce91347c887743352de44b0d3c94fc9412a23e10a6b902",
     ),
 ]
 

@@ -109,6 +109,9 @@ def test_lower_at_bottom_is_the_zero_map():
     assert lower(z).signature == (2, -2, 4)
     assert raise_(z).signature == (2, 0, 2)
     assert raise_(z).is_zero()
+    for k, q in ((1, -1), (-1, 0), (0, 3), (2, 3)):
+        z = lower(FockTensor.zero(2, k, q))
+        assert z.is_zero() and z.signature == (2, k - 1, q + 1)
 
 
 def test_raise_examples():

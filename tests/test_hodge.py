@@ -22,6 +22,7 @@ from hodgefock import (
     witnesses,
 )
 from hodgefock.fock_ops import alt_subset, sym_subset
+from hodgefock.hodge import ExactnessRow
 from hodgefock.rep_theory import orbit_span, span_all_positions
 
 from conftest import mixed_tensors
@@ -36,6 +37,9 @@ def test_weitzenboeck_defect_vanishes_on_small_grid():
 
 def test_weitzenboeck_defect_on_empty_block_is_zero():
     assert weitzenboeck_defect(1, 0, 2) == 0
+    for d in (1, 2, 3):
+        for k in range(4):
+            assert weitzenboeck_defect(d, k, d + 1) == 0, (d, k)
 
 
 def test_split_example():
@@ -78,6 +82,7 @@ def test_split_boundary_blocks():
     u = FockTensor.basis(2, MixedIndex((), (1, 2)))
     plus, minus = hodge_split(u)
     assert minus.is_zero() and plus == u
+    assert minus == FockTensor.zero(2, 0, 2)
 
 
 def test_exactness_report_frozen_oracle():
@@ -98,6 +103,11 @@ def test_exactness_report_with_empty_blocks():
     rows = {r.k: r for r in rep.rows}
     assert (rows[2].dim, rows[1].dim, rows[0].dim) == (1, 1, 0)
     assert rep.is_exact()
+    # every block with q > d is zero-dimensional and has an all-zero row
+    for d in (1, 2, 3):
+        for k in range(4):
+            row = exactness_report(d, k + d + 1).row(k)
+            assert row == ExactnessRow(k, d + 1, 0, 0, 0, 0, 0, 0), (d, k)
 
 
 def test_exactness_report_grid():

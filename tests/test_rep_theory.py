@@ -145,9 +145,12 @@ def test_span_all_positions_example():
     assert span_all_positions(2, 1, 1).dim == 4
     assert span_all_positions(2, 2, 0).dim == 3
     assert span_all_positions(2, 0, 2).dim == 1
-    # degenerate degrees give the zero subspace
+    # degenerate degrees give the zero subspace of the right ambient power
     assert span_all_positions(2, -1, 3).dim == 0
     assert span_all_positions(2, 1, 3).dim == 0
+    for k, q in ((-1, 3), (1, 3), (2, -1), (-1, 0)):
+        s = span_all_positions(2, k, q)
+        assert s.dim == 0 and (s.dim_ground, s.degree) == (2, k + q)
 
 
 def test_embedded_subspace_dims():
