@@ -372,6 +372,8 @@ def _worker_budget() -> int:
 def run_verify(cfg: VerifyConfig) -> Report:
     cfg.validate()
     specs = _case_specs(cfg)
+    if not specs:
+        raise ConfigError("the filters select no case")
     workers = _worker_budget()
     cases = None
     if workers > 1 and len(specs) > 1:

@@ -19,13 +19,14 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
-from .linalg import as_coeff, lincomb, matrix_rank
+from .linalg import SparseVector, as_coeff, lincomb, matrix_rank
 from .tensor_core import (
     FockTensor,
     FullTensor,
     MixedIndex,
     _gram_factor,
     _signed_arrangements,
+    block_dim,
     enum_basis,
     perm_sign,
 )
@@ -193,101 +194,67 @@ def raise_(t: FockTensor) -> FockTensor:
     return FockTensor._trusted((t.dim, t.k + 1, t.q - 1), out)
 
 
-class LinearMap:
+class LinearMap(SparseVector):
     """Exact sparse matrix of a map between two mixed blocks.
 
-    Rows are indexed by the codomain basis, columns by the domain basis,
-    both in canonical enumeration order.
+    Keys are (row, col).  Rows index the codomain basis and columns the
+    domain basis, both enum_basis of their signature, so the signatures
+    fix the bases and block_dim gives the sizes.
     """
 
-    __slots__ = ("dom_sig", "dom_basis", "cod_sig", "cod_basis", "entries")
+    __slots__ = ("dom_sig", "cod_sig")
 
-    def __init__(self, dom_sig, dom_basis, cod_sig, cod_basis, entries):
-        self.dom_sig = tuple(dom_sig)
-        self.dom_basis = list(dom_basis)
-        self.cod_sig = tuple(cod_sig)
-        self.cod_basis = list(cod_basis)
-        self.entries = {}
+    def __init__(self, dom_sig, cod_sig, entries):
+        dom_sig, cod_sig = tuple(dom_sig), tuple(cod_sig)
+        rows, cols = block_dim(*cod_sig), block_dim(*dom_sig)
+        data: dict[tuple[int, int], object] = {}
         for (r, c), v in entries.items():
-            if not 0 <= r < len(self.cod_basis) or not 0 <= c < len(self.dom_basis):
-                raise InvalidIndex(f"entry ({r},{c}) outside matrix shape {self.shape}")
-            v = as_coeff(v)
-            if v:
-                self.entries[(r, c)] = v
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.cod_basis), len(self.dom_basis))
+            if not 0 <= r < rows or not 0 <= c < cols:
+                raise InvalidIndex(f"entry ({r},{c}) outside matrix shape ({rows}, {cols})")
+            data[(r, c)] = as_coeff(v)
+        self._set((dom_sig, cod_sig), data)
 
     @classmethod
-    def identity(cls, sig, basis) -> "LinearMap":
-        ent = {(i, i): 1 for i in range(len(basis))}
-        return cls(sig, basis, sig, basis, ent)
-
-    def _with_entries(self, terms) -> "LinearMap":
-        """Same bases, entries the linear combination of the given entry dicts."""
-        return LinearMap(self.dom_sig, self.dom_basis, self.cod_sig, self.cod_basis, lincomb(terms))
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        if self.shape != other.shape or self.dom_sig != other.dom_sig:
-            raise DimensionMismatch("matrix shapes differ")
-        return self._with_entries(((1, self.entries), (1, other.entries)))
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LinearMap":
-        return self._with_entries(((as_coeff(c), self.entries),))
+    def identity(cls, sig) -> "LinearMap":
+        return cls(sig, sig, {(i, i): 1 for i in range(block_dim(*sig))})
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         """self composed after other."""
-        if other.cod_sig != self.dom_sig or len(other.cod_basis) != len(self.dom_basis):
+        if other.cod_sig != self.dom_sig:
             raise DimensionMismatch("composition domains do not line up")
         cols = self.columns()
         out: dict[tuple[int, int], object] = {}
         for c, col in enumerate(other.columns()):
             for r, v in lincomb((w, cols[mid]) for mid, w in col.items()).items():
                 out[(r, c)] = v
-        return LinearMap(other.dom_sig, other.dom_basis, self.cod_sig, self.cod_basis, out)
+        return LinearMap._trusted((other.dom_sig, self.cod_sig), out)
 
     def transpose(self) -> "LinearMap":
-        ent = {(c, r): v for (r, c), v in self.entries.items()}
-        return LinearMap(self.cod_sig, self.cod_basis, self.dom_sig, self.dom_basis, ent)
+        ent = {(c, r): v for (r, c), v in self.coeffs.items()}
+        return LinearMap._trusted((self.cod_sig, self.dom_sig), ent)
 
     def apply(self, t: FockTensor) -> FockTensor:
         if t.signature != self.dom_sig:
             raise DimensionMismatch(f"tensor {t.signature} != domain {self.dom_sig}")
         cols = self.columns()
-        index = {label: i for i, label in enumerate(self.dom_basis)}
+        index = {label: i for i, label in enumerate(enum_basis(*self.dom_sig))}
+        cod = enum_basis(*self.cod_sig)
         image = lincomb((c, cols[index[label]]) for label, c in t.coeffs.items())
-        return FockTensor._trusted(self.cod_sig, {self.cod_basis[r]: v for r, v in image.items()})
+        return FockTensor._trusted(self.cod_sig, {cod[r]: v for r, v in image.items()})
 
     def max_abs_entry(self) -> Fraction:
-        if not self.entries:
+        if not self.coeffs:
             return Fraction(0)
-        return Fraction(max(abs(v) for v in self.entries.values()))
+        return Fraction(max(abs(v) for v in self.coeffs.values()))
 
     def columns(self) -> list[dict]:
-        cols: list[dict] = [{} for _ in self.dom_basis]
-        for (r, c), v in self.entries.items():
+        cols: list[dict] = [{} for _ in range(block_dim(*self.dom_sig))]
+        for (r, c), v in self.coeffs.items():
             cols[c][r] = v
         return cols
 
     def rank(self) -> int:
         return matrix_rank(self.columns())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearMap)
-            and self.dom_sig == other.dom_sig
-            and self.cod_sig == other.cod_sig
-            and self.dom_basis == other.dom_basis
-            and self.cod_basis == other.cod_basis
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"LinearMap({self.dom_sig}->{self.cod_sig}, shape {self.shape})"
 
 
 def operator_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
@@ -299,7 +266,6 @@ def operator_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
     """
     if which not in ("lower", "raise"):
         raise InvalidIndex(f"unknown operator {which!r}")
-    dom = enum_basis(d, k, q)
     if which == "lower":
         op = lower
         cod_sig = (d, k - 1, q + 1)
@@ -308,18 +274,16 @@ def operator_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
             raise DegreeOutOfRange("raise_ needs at least one wedge slot (q >= 1)")
         op = raise_
         cod_sig = (d, k + 1, q - 1)
-    cod = enum_basis(d, *cod_sig[1:])
-    index = {label: i for i, label in enumerate(cod)}
+    index = {label: i for i, label in enumerate(enum_basis(*cod_sig))}
     entries: dict[tuple[int, int], object] = {}
-    for c, label in enumerate(dom):
+    for c, label in enumerate(enum_basis(d, k, q)):
         image = op(FockTensor.basis(d, label))
         for lab, v in image.coeffs.items():
             entries[(index[lab], c)] = v
-    return LinearMap((d, k, q), dom, cod_sig, cod, entries)
+    return LinearMap._trusted(((d, k, q), cod_sig), entries)
 
 
 def gram_matrix(d: int, k: int, q: int) -> LinearMap:
     """Diagonal pairing matrix of H_{k,q}: multiplicity factorials."""
-    basis = enum_basis(d, k, q)
-    ent = {(i, i): _gram_factor(label) for i, label in enumerate(basis)}
-    return LinearMap((d, k, q), basis, (d, k, q), basis, ent)
+    ent = {(i, i): _gram_factor(label) for i, label in enumerate(enum_basis(d, k, q))}
+    return LinearMap._trusted(((d, k, q), (d, k, q)), ent)

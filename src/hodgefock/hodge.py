@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DegreeOutOfRange
 from .fock_ops import LinearMap, Permutation, lower, operator_matrix, permute, raise_
 from .linalg import kernel_basis, matrix_rank
-from .tensor_core import FockTensor, FullTensor, MixedIndex, embed, enum_basis
+from .tensor_core import FockTensor, FullTensor, MixedIndex, block_dim, embed, enum_basis
 
 
 def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
@@ -24,15 +24,16 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
 
     Computed on exact integer matrices; the identity holds iff this is 0.
     Boundary terms (k = 0 or q = 0) are zero maps, and a block with q > d
-    gives 0.  Stated for k, q >= 0: at q = -1 the raise_ matrix is asked
-    for at q = 0, which raises DegreeOutOfRange.
+    gives 0.  Negative k or q raises DegreeOutOfRange.
     """
+    if k < 0 or q < 0:
+        raise DegreeOutOfRange(f"the defect needs k, q >= 0, got ({k},{q})")
     total = operator_matrix("raise", d, k - 1, q + 1) @ operator_matrix("lower", d, k, q)
     if q >= 1:
         total = total + operator_matrix("lower", d, k + 1, q - 1) @ operator_matrix(
             "raise", d, k, q
         )
-    defect = total - LinearMap.identity((d, k, q), enum_basis(d, k, q)).scale(k + q)
+    defect = total - LinearMap.identity((d, k, q)).scale(k + q)
     return defect.max_abs_entry()
 
 
@@ -144,7 +145,7 @@ def exactness_report(d: int, n: int) -> ExactnessReport:
     for k in range(n, -1, -1):
         q = n - k
         m_lower = operator_matrix("lower", d, k, q)
-        dim = len(m_lower.dom_basis)
+        dim = block_dim(d, k, q)
         maps = [m_lower]
         rank_lower, ker_lower = _rank_and_kernel(m_lower)
         rank_raise, ker_raise = 0, dim

@@ -7,11 +7,12 @@ fractions.Fraction, never floats, so every rank, kernel and echelon form
 below is exact.
 
 SparseVector is the base of every exact container (FockTensor,
-FullTensor, Poly, HermiteExpansion, FormField): arithmetic, equality and
-rendering are written once, here.  Validation happens only at the public
-edge, in each subclass's own __init__.  Operators build their output with
-_trusted, which skips the checks and drops the zeros once, so their inner
-loops just accumulate with out[key] = out.get(key, 0) + v.
+FullTensor, Poly, HermiteExpansion, FormField, LinearMap): arithmetic,
+equality and rendering are written once, here.  Validation happens only
+at the public edge, in each subclass's own __init__.  Operators build
+their output with _trusted, which skips the checks and drops the zeros
+once, so their inner loops just accumulate with
+out[key] = out.get(key, 0) + v.
 """
 
 from __future__ import annotations

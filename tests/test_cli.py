@@ -135,10 +135,11 @@ def test_rep_degenerate_annotation():
     assert note["label"] == "(1,1;)"
 
 
-def test_empty_case_list_passes():
-    report = run_verify(small(suite="split", n=1, k=5))
-    assert report.cases == []
-    assert report.status == "pass"
+def test_empty_case_list_is_a_config_error(capsys):
+    with pytest.raises(ConfigError, match="select no case"):
+        run_verify(small(suite="split", n=1, k=5))
+    assert main(["verify", "all", "--k", "7", "--max-n", "4"]) == 2
+    assert "select no case" in capsys.readouterr().err
 
 
 def test_failing_case_flips_status(monkeypatch):
@@ -217,6 +218,10 @@ RECORDED_DIGESTS = [
     (
         ["all", "--max-dim", "4", "--max-n", "4", "--seed", "1"],
         "e73e201f05f71a25b4ce91347c887743352de44b0d3c94fc9412a23e10a6b902",
+    ),
+    (
+        ["decomposition", "--max-dim", "5", "--max-n", "4"],
+        "4cf2545a1a6eac99958ebbe0e316cc9d97be8dcb5edf6205b90a1785fa790032",
     ),
 ]
 

@@ -180,7 +180,7 @@ def test_operator_matrix_entries_are_integers():
                     if which == "raise" and q == 0:
                         continue
                     m = operator_matrix(which, d, k, q)
-                    for value in m.entries.values():
+                    for value in m.coeffs.values():
                         assert Fraction(value).denominator == 1
 
 
@@ -193,7 +193,7 @@ def test_operator_matrix_rejects_unknown_name():
 
 def test_lower_matrix_at_bottom_has_empty_codomain():
     m = operator_matrix("lower", 2, 0, 2)
-    assert m.shape == (0, 1)
+    assert hf.block_dim(*m.cod_sig) == 0 and len(m.columns()) == 1
     assert m.rank() == 0
 
 
@@ -214,8 +214,8 @@ def test_gram_matrix_is_the_multiplicity_diagonal():
     labels = hf.enum_basis(3, 3, 1)
     for i, b in enumerate(labels):
         t = FockTensor.basis(3, b)
-        assert g.entries.get((i, i)) == hf.inner(t, t)
-    assert all(i == j for i, j in g.entries)
+        assert g.coeffs.get((i, i)) == hf.inner(t, t)
+    assert all(i == j for i, j in g.coeffs)
 
 
 def test_adjointness_through_gram_matrices():
@@ -229,8 +229,7 @@ def test_adjointness_through_gram_matrices():
 
 
 def test_linear_map_algebra():
-    basis = hf.enum_basis(2, 1, 1)
-    ident = LinearMap.identity((2, 1, 1), basis)
+    ident = LinearMap.identity((2, 1, 1))
     m = operator_matrix("lower", 2, 1, 1)
     assert m @ ident == m
     assert (m + m).scale(Fraction(1, 2)) == m

@@ -42,6 +42,12 @@ def test_weitzenboeck_defect_on_empty_block_is_zero():
             assert weitzenboeck_defect(d, k, d + 1) == 0, (d, k)
 
 
+@pytest.mark.parametrize("d, k, q", [(2, 1, -1), (2, 1, -2), (2, -1, 2)])
+def test_weitzenboeck_defect_refuses_negative_degrees(d, k, q):
+    with pytest.raises(DegreeOutOfRange):
+        weitzenboeck_defect(d, k, q)
+
+
 def test_split_example():
     t = FockTensor.basis(2, MixedIndex((1,), (2,)))
     plus, minus = hodge_split(t)

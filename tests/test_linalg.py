@@ -8,11 +8,16 @@ from itertools import combinations
 import pytest
 
 from hodgefock import (
+    DimensionMismatch,
     FockTensor,
     FullTensor,
+    InvalidIndex,
+    LinearMap,
     enum_basis,
     embed,
+    gram_matrix,
     lower,
+    operator_matrix,
     permute,
     project_mixed,
     raise_,
@@ -131,6 +136,13 @@ def test_operator_outputs_pass_the_validating_constructors():
                 check(lower(t))
                 if q >= 1:
                     check(raise_(t))
+                m = operator_matrix("lower", d, k, q)
+                g = gram_matrix(d, k, q)
+                ident = LinearMap.identity((d, k, q))
+                for x in (m, g, ident, m.transpose(), m @ g, g + ident, m.scale(3)):
+                    check(x)
+                if q >= 1:
+                    check(operator_matrix("raise", d, k, q))
                 w = embed(t)
                 check(w)
                 check(project_mixed(w, k))
@@ -157,10 +169,15 @@ def test_operator_outputs_pass_the_validating_constructors():
 
 
 def test_shape_and_type_mismatch_are_refused():
-    from hodgefock import DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         Poly.const(2, 1) + Poly.const(3, 1)
+    with pytest.raises(DimensionMismatch):
+        # same 2x2 size, different codomains (2, 0, 1) and (2, 1, 0)
+        operator_matrix("lower", 2, 1, 0) + gram_matrix(2, 1, 0)
+    with pytest.raises(InvalidIndex):
+        LinearMap((2, 1, 1), (2, 0, 2), {(1, 0): 1})
+    with pytest.raises(TypeError):
+        LinearMap((2, 1, 1), (2, 0, 2), {(0, 0): 0.5})
     with pytest.raises(TypeError):
         FullTensor(2, 1, {(1,): 1}) + FockTensor.zero(2, 1, 0)
     with pytest.raises(TypeError):
