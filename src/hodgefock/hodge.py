@@ -68,6 +68,9 @@ class ExactnessRow:
     ker_raise: int
     harmonic_dim: int
 
+    def rank_nullity_ok(self) -> bool:
+        return self.rank_lower + self.ker_lower == self.dim == self.rank_raise + self.ker_raise
+
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -112,10 +115,7 @@ class ExactnessReport:
         return all(r.harmonic_dim == 0 for r in self.rows)
 
     def rank_nullity_ok(self) -> bool:
-        return all(
-            r.rank_lower + r.ker_lower == r.dim and r.rank_raise + r.ker_raise == r.dim
-            for r in self.rows
-        )
+        return all(r.rank_nullity_ok() for r in self.rows)
 
     def is_exact(self) -> bool:
         return self.lower_exact() and self.raise_exact() and self.harmonic_trivial()

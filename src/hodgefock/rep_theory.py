@@ -307,8 +307,8 @@ def _apply_shifted(space: Subspace, shift) -> list[FullTensor]:
     return [_transposition_sum(v) - v.scale(shift) for v in space.basis()]
 
 
-def orbit_split_spaces(b: MixedIndex, d: int) -> tuple[Subspace, Subspace]:
-    """The two invariant pieces of orbit_span(b).
+def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspace]:
+    """The two invariant pieces of orbit = orbit_span(b, d).
 
     The transposition sum acts on the orbit span with the two hook
     eigenvalues c+ = k(k+1)/2 - q(q-1)/2 and c- = c+ - n.  Shifting by one
@@ -319,12 +319,12 @@ def orbit_split_spaces(b: MixedIndex, d: int) -> tuple[Subspace, Subspace]:
     n = k + q
     if n < 1:
         raise InvalidIndex("the split needs total degree k + q >= 1")
-    v = orbit_span(b, d)
     c_plus = Fraction(k * (k + 1), 2) - Fraction(q * (q - 1), 2)
     c_minus = c_plus - n
-    plus = Subspace.spanned_by(d, n, _apply_shifted(v, c_minus))
-    minus = Subspace.spanned_by(d, n, _apply_shifted(v, c_plus))
-    if plus.dim + minus.dim != v.dim:
+    d = orbit.dim_ground
+    plus = Subspace.spanned_by(d, n, _apply_shifted(orbit, c_minus))
+    minus = Subspace.spanned_by(d, n, _apply_shifted(orbit, c_plus))
+    if plus.dim + minus.dim != orbit.dim:
         raise NotInvariant("transposition sum has an unexpected eigenvalue")
     return plus, minus
 
@@ -335,7 +335,7 @@ def orbit_split_dims(b: MixedIndex, d: int) -> tuple[int, int]:
     For a label with all indices distinct these are the two hook
     dimensions (C(n-1, q-1), C(n-1, q)).
     """
-    plus, minus = orbit_split_spaces(b, d)
+    plus, minus = orbit_split_spaces(b, orbit_span(b, d))
     return plus.dim, minus.dim
 
 

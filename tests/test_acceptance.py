@@ -166,7 +166,7 @@ def test_criterion_5_representation_split(capsys):
                     if not member_ok:
                         failures.append((b, "witnesses"))
                 if n <= 4:
-                    plus, minus = orbit_split_spaces(b, d)
+                    plus, minus = orbit_split_spaces(b, orbit)
                     for p in symmetric_group(n):
                         if action_trace(orbit, p) != action_trace(plus, p) + action_trace(
                             minus, p

@@ -6,13 +6,14 @@ import json
 import pytest
 
 import hodgefock.cli as cli
+import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
 from hodgefock import ConfigError, exactness_report
 from hodgefock.cli import Report, VerifyConfig, main, parse_report, render_report, run_verify
 
 
 def small(**kwargs):
-    base = dict(suite="all", max_dim=2, max_n=2, trials=3, seed=7, format="json")
+    base = dict(suite="all", max_dim=2, max_n=2, seed=7, format="json")
     base.update(kwargs)
     return VerifyConfig(**base)
 
@@ -53,7 +54,7 @@ def test_report_schema():
 
 def test_config_dict_keeps_the_field_order():
     assert list(small().as_dict()) == [
-        "suite", "max_dim", "max_n", "trials", "seed", "dim", "n", "k", "q", "format", "out",
+        "suite", "max_dim", "max_n", "seed", "dim", "n", "k", "q", "format", "out",
     ]
 
 
@@ -83,7 +84,7 @@ def test_rank_nullity_check_can_fail(monkeypatch):
     cli._exactness_report.cache_clear()
     try:
         assert not exactness_report(2, 2).rank_nullity_ok()
-        status, _ = cli._case_exactness(2, 2, 1, 0, 0)
+        status, _ = cli._case_exactness(2, 2, 1, 0)
     finally:
         cli._exactness_report.cache_clear()
     assert status == "fail"
@@ -93,7 +94,6 @@ def test_config_validation():
     for bad in (
         small(max_dim=0),
         small(max_n=0),
-        small(trials=-1),
         small(suite="bogus"),
         small(format="xml"),
         small(n=2, k=1, q=2),
@@ -209,31 +209,77 @@ def test_pool_is_never_larger_than_the_case_list(monkeypatch):
 RECORDED_DIGESTS = [
     (
         ["all", "--max-dim", "3", "--max-n", "4", "--seed", "42"],
+        "9c4f28044598c527d6ba2d99415f730f9629e5abc14a194ab5fbfaf91d9828b3",
         "58669858cd0bcde5c1fbb258772cbbf10dd6f894385a67617b9edbacfe75cdb3",
     ),
     (
         ["chaos", "--max-dim", "5", "--max-n", "4", "--seed", "3"],
+        "f44534978b0f0f8e659a6583af7c00ca94ad1e66c573503ac0ac28adbd927318",
         "0d8d5c262d42ddaba0b78d26dbf29c7e548a2ace806f5766fbf921e39bbc5093",
     ),
     (
         ["all", "--max-dim", "4", "--max-n", "4", "--seed", "1"],
+        "0b89add226bc5ada25ddd151416398e6836e1c2cd37502f886adefab74425fc9",
         "e73e201f05f71a25b4ce91347c887743352de44b0d3c94fc9412a23e10a6b902",
     ),
     (
         ["decomposition", "--max-dim", "5", "--max-n", "4"],
+        "88900725584cb4c366a1a8824355c264e265204423522081055c4ea7d75bd52a",
         "4cf2545a1a6eac99958ebbe0e316cc9d97be8dcb5edf6205b90a1785fa790032",
     ),
 ]
 
 
+def _with_sampled_trials(out: str) -> str:
+    """The report as it read while the split was sampled: `trials` (20 by
+    default) after `max_n` in the config and last in each split case."""
+    data = json.loads(out)
+    config = {}
+    for key, value in data["config"].items():
+        config[key] = value
+        if key == "max_n":
+            config["trials"] = 20
+    data["config"] = config
+    for case in data["cases"]:
+        if case["name"].startswith("split "):
+            case["details"]["trials"] = 20
+    return json.dumps(data, indent=2) + "\n"
+
+
 def test_report_bytes_match_the_recorded_digest(monkeypatch, capsys):
     # sha256 of the serial `verify <grid> --format json` output; any
-    # refactor must keep these bytes.
+    # refactor must keep these bytes.  Restoring the two removed `trials`
+    # keys must give back the bytes of the sampled split, so the report
+    # changed in those keys and nowhere else.
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    for grid, digest in RECORDED_DIGESTS:
+    for grid, digest, sampled_digest in RECORDED_DIGESTS:
         assert main(["verify", *grid, "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, grid
+        old = _with_sampled_trials(out).encode("utf-8")
+        assert hashlib.sha256(old).hexdigest() == sampled_digest, grid
+
+
+def _doubled_own_gram(d, k, q):
+    g = fock_ops.gram_matrix(d, k, q)
+    return g.scale(2) if (k, q) == (1, 1) else g
+
+
+def _swapped_split(t):
+    plus, minus = hodge.hodge_split(t)
+    return minus, plus
+
+
+@pytest.mark.parametrize(
+    "name, stand_in",
+    [("gram_matrix", _doubled_own_gram), ("hodge_split", _swapped_split)],
+)
+def test_split_case_fails_when_its_proof_breaks(name, stand_in, monkeypatch):
+    # A doubled gram matrix breaks only the adjointness that proves
+    # orthogonality; a swapped split breaks the per-label identities.
+    assert cli._case_split(2, 2, 1, 0)[0] == "pass"
+    monkeypatch.setattr(cli, name, stand_in)
+    assert cli._case_split(2, 2, 1, 0)[0] == "fail"
 
 
 @pytest.mark.parametrize("d, n, k, calls", [(3, 3, 1, 33), (3, 3, 3, 26), (2, 2, 0, 3)])
@@ -248,7 +294,7 @@ def test_chaos_case_builds_each_field_once(d, n, k, calls, monkeypatch):
         return original(t)
 
     monkeypatch.setattr(cli, "chaos_field", counted)
-    status, _ = cli._case_chaos(d, n, k, 0, 20)
+    status, _ = cli._case_chaos(d, n, k, 0)
     assert status == "pass"
     assert len(built) == calls
 

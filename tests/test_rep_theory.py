@@ -216,8 +216,8 @@ def test_orbit_split_spaces_match_intersection_route():
     for n, k in [(2, 1), (3, 1), (3, 2), (4, 2)]:
         d, q = n, n - k
         b = MixedIndex(tuple(range(1, k + 1)), tuple(range(k + 1, n + 1)))
-        plus, minus = orbit_split_spaces(b, d)
         orbit = orbit_span(b, d)
+        plus, minus = orbit_split_spaces(b, orbit)
         assert plus == intersect(orbit, span_all_positions(d, k + 1, q - 1))
         assert minus == intersect(orbit, span_all_positions(d, k - 1, q + 1))
 
@@ -261,6 +261,6 @@ def test_character_additivity():
     ]:
         n = len(b.sym) + len(b.alt)
         orbit = orbit_span(b, d)
-        plus, minus = orbit_split_spaces(b, d)
+        plus, minus = orbit_split_spaces(b, orbit)
         for p in symmetric_group(n):
             assert action_trace(orbit, p) == action_trace(plus, p) + action_trace(minus, p)
