@@ -6,6 +6,12 @@ nonzero coefficient; absent keys are zero.  Coefficients are ints or
 fractions.Fraction, never floats, so every rank, kernel and echelon form
 below is exact.
 
+EchelonBasis is the one elimination routine; matrix_rank and
+kernel_basis are built on it.  It clears each input's denominators and
+keeps its rows as primitive integer vectors, reduced by fraction-free
+integer cross-multiplication; Fraction rows with pivot 1 are built only
+when a caller reads rows, sorted_rows or a kernel vector.
+
 SparseVector is the base of every exact container (FockTensor,
 FullTensor, Poly, HermiteExpansion, FormField, LinearMap): arithmetic,
 equality and rendering are written once, here.  Validation happens only
@@ -18,6 +24,7 @@ out[key] = out.get(key, 0) + v.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 
@@ -136,82 +143,132 @@ class SparseVector:
         return f"{type(self).__name__}({','.join(map(str, self.shape()))}: {self.render()})"
 
 
-def subtract_scaled(vec: dict, row: dict, c) -> None:
-    """In place: vec -= c * row, dropping entries that cancel to zero."""
-    for key, val in row.items():
-        cur = vec.get(key, 0) - c * val
+def _integer_row(vec: dict) -> dict:
+    """vec times the lcm of its denominators: an integer vector, zeros dropped.
+
+    This is the edge of the elimination: every entry goes through
+    as_coeff, so floats are refused here.
+    """
+    if all(type(v) is int for v in vec.values()):
+        # The common case (embed, permute, operator matrices): no lcm needed.
+        return {key: v for key, v in vec.items() if v}
+    coeffs = {key: as_coeff(v) for key, v in vec.items()}
+    m = lcm(*(c.denominator for c in coeffs.values()))
+    return {key: c.numerator * (m // c.denominator) for key, c in coeffs.items() if c}
+
+
+def _primitive(vec: dict, p) -> dict:
+    """vec divided by the gcd of its entries, signed so that vec[p] > 0."""
+    g = gcd(*vec.values())
+    if vec[p] < 0:
+        g = -g
+    return vec if g == 1 else {key: v // g for key, v in vec.items()}
+
+
+def _cancel(vec: dict, row: dict, p) -> dict:
+    """a * vec - c * row for a = row[p] > 0 and c = vec[p], both divided by
+    gcd(a, c): an integer vector without key p.  vec is updated in place
+    when a == 1."""
+    a, c = row[p], vec[p]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a != 1:
+        vec = {key: a * v for key, v in vec.items()}
+    for key, v in row.items():
+        cur = vec.get(key, 0) - c * v
         if cur:
             vec[key] = cur
         else:
-            vec.pop(key, None)
+            del vec[key]
+    return vec
 
 
-def eliminate(vec: dict, rows: dict) -> dict:
-    """Reduce a copy of vec against rows (a dict pivot -> pivot-normalized row).
-
-    Rows must be in echelon form: each row's pivot is its smallest key.
-    A single pass in increasing pivot order then suffices, because
-    eliminating pivot p only introduces keys larger than p.
-    """
-    out = dict(vec)
-    for p in sorted(rows):
-        c = out.get(p)
-        if c:
-            subtract_scaled(out, rows[p], c)
-    return out
+def _normalized(row: dict, p) -> dict:
+    a = row[p]
+    return {key: Fraction(v, a) for key, v in row.items()}
 
 
 class EchelonBasis:
-    """A reduced-echelon family of sparse vectors with pivots normalized to 1.
+    """A reduced-echelon family of sparse vectors, stored as primitive integer rows.
 
-    The stored rows are a canonical basis of the span: two spans are equal
-    iff the row dicts are equal, which the tests rely on.  This is the one
+    Each stored row is keyed by its pivot (its smallest key), has no entry
+    at any other row's pivot, has a positive pivot entry, and has
+    coprime entries.  That scaling of the reduced echelon form is unique,
+    so the stored rows are a canonical basis of the span: two spans are
+    equal iff the bases compare equal.  Inputs are cleared of
+    denominators on the way in, and elimination is fraction-free integer
+    cross-multiplication (Bareiss, Math. Comp. 22, 1968; here each row's
+    content gcd is divided out instead), with no modular shortcut.
+    rows and sorted_rows give the same basis with pivots
+    normalized to 1, as Fraction rows built on demand.  This is the one
     elimination routine of the package; matrix_rank and kernel_basis are
     built on it.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_rows",)
 
     def __init__(self):
-        self.rows: dict = {}
+        self._rows: dict = {}
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EchelonBasis) and self._rows == other._rows
+
+    __hash__ = None
+
+    def primitive_rows(self) -> list[dict]:
+        """The stored integer rows in pivot order, read-only and valid until the next insert."""
+        return [self._rows[p] for p in sorted(self._rows)]
+
+    @property
+    def rows(self) -> dict:
+        """pivot -> the stored row scaled to pivot entry 1, as Fractions."""
+        return {p: _normalized(row, p) for p, row in self._rows.items()}
 
     def sorted_rows(self) -> list[dict]:
-        return [self.rows[p] for p in sorted(self.rows)]
+        return [_normalized(self._rows[p], p) for p in sorted(self._rows)]
 
-    def reduce(self, vec: dict) -> dict:
-        return eliminate(vec, self.rows)
+    def _reduce(self, vec: dict) -> dict:
+        """A nonzero multiple of the residue of vec against the stored rows.
+
+        Rows are fully reduced, so cancelling pivot p adds no other
+        pivot key: one pass over the pivots present in vec suffices.
+        """
+        out = _integer_row(vec)
+        rows = self._rows
+        for p in [key for key in out if key in rows]:
+            out = _cancel(out, rows[p], p)
+        return out
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not self._reduce(vec)
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span.  Returns True iff the dimension grew."""
-        res = self.reduce(vec)
+        res = self._reduce(vec)
         if not res:
             return False
         p = min(res)
-        inv = Fraction(1) / res[p]
-        new = {k: v * inv for k, v in res.items()}
-        for row in self.rows.values():
-            c = row.get(p)
-            if c:
-                subtract_scaled(row, new, c)
-        self.rows[p] = new
+        new = _primitive(res, p)
+        rows = self._rows
+        for q, row in rows.items():
+            if p in row:
+                rows[q] = _primitive(_cancel(row, new, p), q)
+        rows[p] = new
         return True
 
     def coordinates(self, vec: dict) -> list | None:
-        """Coefficients of vec in the stored row basis, or None if outside.
+        """Coefficients of vec in the normalized row basis, or None if outside.
 
         Because rows are fully reduced, the coefficient on the row with
         pivot p is just vec[p].
         """
-        if self.reduce(vec):
+        if self._reduce(vec):
             return None
-        return [vec.get(p, 0) for p in sorted(self.rows)]
+        return [vec.get(p, 0) for p in sorted(self._rows)]
 
 
 def matrix_rank(columns: list[dict]) -> int:
@@ -236,7 +293,7 @@ def kernel_basis(columns: list[dict]) -> list[dict]:
         vec[(1, j)] = 1
         ech.insert(vec)
     return [
-        {j: v for (_, j), v in row.items()}
-        for p, row in sorted(ech.rows.items())
+        {j: v for (_, j), v in _normalized(row, p).items()}
+        for p, row in sorted(ech._rows.items())
         if p[0] == 1
     ]

@@ -42,9 +42,10 @@ from .tensor_core import FockTensor, FullTensor, MixedIndex, embed, enum_basis
 class Subspace:
     """Subspace of the full tensor power, held as a reduced echelon basis.
 
-    The stored basis is canonical (pivots normalized, fully reduced,
-    sorted by pivot key), so two Subspace objects are equal iff they are
-    the same subspace of the same ambient power.
+    The stored basis is canonical (fully reduced primitive integer rows
+    with positive pivots, see EchelonBasis), so two Subspace objects are
+    equal iff they are the same subspace of the same ambient power.
+    basis() and coordinates() use the same rows scaled to pivot 1.
     """
 
     __slots__ = ("dim_ground", "degree", "_ech")
@@ -83,6 +84,11 @@ class Subspace:
         shape = (self.dim_ground, self.degree)
         return [FullTensor._trusted(shape, row) for row in self._ech.sorted_rows()]
 
+    def primitive_basis(self) -> list[FullTensor]:
+        """basis() with each vector scaled to coprime integer entries."""
+        shape = (self.dim_ground, self.degree)
+        return [FullTensor._trusted(shape, row) for row in self._ech.primitive_rows()]
+
     def coordinates(self, t: FullTensor) -> list:
         """Coefficients of t in the canonical basis; NotInvariant if outside."""
         self._check(t)
@@ -95,7 +101,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and (self.dim_ground, self.degree) == (other.dim_ground, other.degree)
-            and self._ech.rows == other._ech.rows
+            and self._ech == other._ech
         )
 
     def __repr__(self):
@@ -195,8 +201,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Exact intersection, via the kernel of the stacked column system."""
     if (a.dim_ground, a.degree) != (b.dim_ground, b.degree):
         raise DimensionMismatch("subspaces live in different ambient powers")
-    cols_a = a._ech.sorted_rows()
-    cols_b = b._ech.sorted_rows()
+    cols_a = a._ech.primitive_rows()
+    cols_b = b._ech.primitive_rows()
     out = Subspace(a.dim_ground, a.degree)
     for tag in kernel_basis(cols_a + cols_b):
         out._ech.insert(lincomb((c, cols_a[j]) for j, c in tag.items() if j < len(cols_a)))
@@ -303,8 +309,8 @@ def transposition_sum_matrix(space: Subspace) -> list[list]:
 
 
 def _apply_shifted(space: Subspace, shift) -> list[FullTensor]:
-    """(sum of transpositions - shift) applied to each canonical basis vector."""
-    return [_transposition_sum(v) - v.scale(shift) for v in space.basis()]
+    """(sum of transpositions - shift) applied to a basis of space."""
+    return [_transposition_sum(v) - v.scale(shift) for v in space.primitive_basis()]
 
 
 def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspace]:
@@ -340,10 +346,19 @@ def orbit_split_dims(b: MixedIndex, d: int) -> tuple[int, int]:
 
 
 def action_trace(space: Subspace, p: Permutation):
-    """Trace of the slot action of p on an invariant subspace."""
+    """Trace of the slot action of p on an invariant subspace.
+
+    The canonical basis vector with pivot key k is v / v[k] for the
+    primitive vector v, and its own coordinate is read at k, so it adds
+    p(v)[k] / v[k] (NotInvariant if p(v) leaves the subspace).
+    """
     if p.degree != space.degree:
         raise DimensionMismatch("permutation degree differs from ambient degree")
     total = Fraction(0)
-    for i, v in enumerate(space.basis()):
-        total += space.coordinates(permute(v, p))[i]
+    for v in space.primitive_basis():
+        image = permute(v, p)
+        if not space.contains(image):
+            raise NotInvariant("vector lies outside the subspace")
+        pivot = min(v.coeffs)
+        total += Fraction(image.coeffs.get(pivot, 0), v.coeffs[pivot])
     return total

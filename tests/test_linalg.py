@@ -1,9 +1,11 @@
-"""The sparse-vector core: elimination against a dense oracle, and the
-unchecked constructor used by operators against the validating ones."""
+"""The sparse-vector core: elimination against a dense oracle and against
+the Fraction elimination it replaced, and the unchecked constructor used
+by operators against the validating ones."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -33,7 +35,97 @@ from hodgefock.chaos import (
     exterior_derivative,
 )
 from hodgefock.fock_ops import alt_subset, sym_subset
-from hodgefock.linalg import EchelonBasis, kernel_basis, matrix_rank
+from hodgefock.linalg import EchelonBasis, kernel_basis, lincomb, matrix_rank
+
+
+def subtract_scaled(vec: dict, row: dict, c) -> None:
+    """In place: vec -= c * row, dropping entries that cancel to zero."""
+    for key, val in row.items():
+        cur = vec.get(key, 0) - c * val
+        if cur:
+            vec[key] = cur
+        else:
+            vec.pop(key, None)
+
+
+def eliminate(vec: dict, rows: dict) -> dict:
+    """Reduce a copy of vec against rows (a dict pivot -> pivot-normalized row).
+
+    Rows must be in echelon form: each row's pivot is its smallest key.
+    A single pass in increasing pivot order then suffices, because
+    eliminating pivot p only introduces keys larger than p.
+    """
+    out = dict(vec)
+    for p in sorted(rows):
+        c = out.get(p)
+        if c:
+            subtract_scaled(out, rows[p], c)
+    return out
+
+
+class FractionEchelonBasis:
+    """A reduced-echelon family of sparse vectors with pivots normalized to 1.
+
+    The slow, obvious oracle of linalg.EchelonBasis: every row is reduced
+    in Fraction arithmetic.  Inputs must hold no explicit zero entries.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def sorted_rows(self) -> list[dict]:
+        return [self.rows[p] for p in sorted(self.rows)]
+
+    def reduce(self, vec: dict) -> dict:
+        return eliminate(vec, self.rows)
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the span.  Returns True iff the dimension grew."""
+        res = self.reduce(vec)
+        if not res:
+            return False
+        p = min(res)
+        inv = Fraction(1) / res[p]
+        new = {k: v * inv for k, v in res.items()}
+        for row in self.rows.values():
+            c = row.get(p)
+            if c:
+                subtract_scaled(row, new, c)
+        self.rows[p] = new
+        return True
+
+    def coordinates(self, vec: dict) -> list | None:
+        """Coefficients of vec in the stored row basis, or None if outside.
+
+        Because rows are fully reduced, the coefficient on the row with
+        pivot p is just vec[p].
+        """
+        if self.reduce(vec):
+            return None
+        return [vec.get(p, 0) for p in sorted(self.rows)]
+
+
+def fraction_kernel_basis(columns: list[dict]) -> list[dict]:
+    """linalg.kernel_basis on the Fraction oracle."""
+    ech = FractionEchelonBasis()
+    for j, col in enumerate(columns):
+        vec = {(0, key): v for key, v in col.items()}
+        vec[(1, j)] = 1
+        ech.insert(vec)
+    return [
+        {j: v for (_, j), v in row.items()}
+        for p, row in sorted(ech.rows.items())
+        if p[0] == 1
+    ]
 
 
 def dense_rank(columns, nrows):
@@ -65,6 +157,80 @@ def random_columns(rng, nrows, ncols):
         combo = {i: cols[a].get(i, 0) + c * cols[b].get(i, 0) for i in range(nrows)}
         cols.append({i: v for i, v in combo.items() if v})
     return cols
+
+
+def rational_vectors(rng, nrows, count):
+    """Sparse int and Fraction vectors, some of them rational rescalings of
+    earlier ones, with no explicit zero entries."""
+    vecs = []
+    for _ in range(count):
+        if vecs and rng.random() < 0.3:
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+            vecs.append({i: c * v for i, v in rng.choice(vecs).items()})
+            continue
+        vec = {}
+        for i in range(nrows):
+            if rng.random() < 0.5:
+                v = rng.randint(-9, 9)
+                vec[i] = v if rng.random() < 0.5 else Fraction(v, rng.randint(1, 6))
+        vecs.append({i: v for i, v in vec.items() if v})
+    return vecs
+
+
+def assert_primitive_reduced(ech):
+    """Each stored row: integers, pivot = smallest key with positive entry,
+    coprime entries, and no entry at another row's pivot."""
+    pivots = set(ech._rows)
+    for p, row in ech._rows.items():
+        assert p == min(row) and row[p] > 0, row
+        assert all(type(v) is int and v for v in row.values()), row
+        assert gcd(*row.values()) == 1, row
+        assert not (pivots - {p}) & row.keys(), row
+
+
+def test_echelon_basis_matches_the_fraction_oracle():
+    rng = random.Random("linalg:oracle")
+    for _ in range(300):
+        nrows = rng.randint(0, 7)
+        vecs = rational_vectors(rng, nrows, rng.randint(0, 8))
+        ech, oracle = EchelonBasis(), FractionEchelonBasis()
+        for vec in vecs:
+            assert ech.insert(vec) == oracle.insert(vec), vecs
+            assert_primitive_reduced(ech)
+        assert ech.dim == oracle.dim
+        assert ech.rows == oracle.rows
+        assert ech.sorted_rows() == oracle.sorted_rows()
+        probes = rational_vectors(rng, nrows, 4)
+        probes += [
+            {i: v for i, v in lincomb((rng.randint(-3, 3), vec) for vec in vecs).items() if v}
+            for _ in range(3)
+        ]
+        for probe in probes:
+            assert ech.contains(probe) == oracle.contains(probe), (vecs, probe)
+            assert ech.coordinates(probe) == oracle.coordinates(probe), (vecs, probe)
+        assert kernel_basis(vecs) == fraction_kernel_basis(vecs), vecs
+
+
+def test_explicit_zero_entries_are_dropped():
+    assert matrix_rank([{0: 0, 1: 1}]) == 1
+    assert kernel_basis([{0: 0}, {0: 1}]) == [{0: 1}]
+    ech = EchelonBasis()
+    assert ech.insert({0: 0}) is False
+    assert ech.dim == 0
+
+
+def test_float_entries_are_refused():
+    ech = EchelonBasis()
+    ech.insert({0: 1})
+    for call in (
+        lambda: matrix_rank([{0: 1.0}]),
+        lambda: kernel_basis([{0: 0.5}, {0: 1.5}]),
+        lambda: EchelonBasis().insert({0: 2.0}),
+        lambda: ech.contains({0: 0.5}),
+        lambda: ech.coordinates({0: 0.5}),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_matrix_rank_matches_dense_elimination():

@@ -244,6 +244,13 @@ def test_transposition_sum_needs_invariance():
     space = Subspace.spanned_by(2, 2, [FullTensor(2, 2, {(1, 2): 1})])
     with pytest.raises(NotInvariant):
         transposition_sum_matrix(space)
+    with pytest.raises(NotInvariant):
+        action_trace(space, Permutation((2, 1)))
+
+
+def coordinate_trace(space, p):
+    """The trace read off the coordinates of each canonical basis vector's image."""
+    return sum(space.coordinates(permute(v, p))[i] for i, v in enumerate(space.basis()))
 
 
 def test_action_trace_example():
@@ -251,6 +258,13 @@ def test_action_trace_example():
     swap = Permutation((2, 1, 3))
     assert action_trace(orbit, swap) == -1
     assert action_trace(orbit, Permutation.identity(3)) == orbit.dim
+    # The stored row of 2*e11 + e22 has pivot entry 2, not 1.
+    space = Subspace.spanned_by(
+        2, 2, [FullTensor(2, 2, {(1, 1): 2, (2, 2): 1}), FullTensor(2, 2, {(1, 2): 1, (2, 1): -1})]
+    )
+    assert action_trace(space, Permutation((2, 1))) == 0
+    for p in symmetric_group(2):
+        assert action_trace(space, p) == coordinate_trace(space, p)
 
 
 def test_character_additivity():
@@ -264,3 +278,5 @@ def test_character_additivity():
         plus, minus = orbit_split_spaces(b, orbit)
         for p in symmetric_group(n):
             assert action_trace(orbit, p) == action_trace(plus, p) + action_trace(minus, p)
+            for space in (orbit, plus, minus):
+                assert action_trace(space, p) == coordinate_trace(space, p)
