@@ -149,11 +149,12 @@ def _integer_row(vec: dict) -> dict:
     This is the edge of the elimination: every entry goes through
     as_coeff, so floats are refused here.
     """
-    if all(type(v) is int for v in vec.values()):
-        # The common case (embed, permute, operator matrices): no lcm needed.
-        return {key: v for key, v in vec.items() if v}
     coeffs = {key: as_coeff(v) for key, v in vec.items()}
-    m = lcm(*(c.denominator for c in coeffs.values()))
+    # A running lcm: lcm(*denominators) would build a list and a tuple as
+    # long as vec.
+    m = 1
+    for c in coeffs.values():
+        m = lcm(m, c.denominator)
     return {key: c.numerator * (m // c.denominator) for key, c in coeffs.items() if c}
 
 
