@@ -42,6 +42,13 @@ from .tensor_core import FockTensor, MixedIndex, block_dim, enum_basis, inner
 SUITES = ("weitzenboeck", "exactness", "split", "decomposition", "rep", "chaos")
 
 
+def _writable(path: str) -> bool:
+    """Whether open(path, "w") can succeed, judged without creating the file."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    return os.access(os.path.dirname(path) or ".", os.W_OK)
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     suite: str = "all"
@@ -79,6 +86,8 @@ class VerifyConfig:
             and self.k + self.q != self.n
         ):
             raise ConfigError(f"inconsistent filters: k + q = {self.k + self.q} != n = {self.n}")
+        if self.out is not None and not _writable(self.out):
+            raise ConfigError(f"cannot write the report to {self.out!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -321,7 +330,9 @@ def _run_case(spec):
 
 
 def _case_specs(cfg: VerifyConfig) -> list:
-    suites = list(SUITES) if cfg.suite == "all" else [cfg.suite]
+    # Built in report order: suites sorted by name, then d, n, k, with a
+    # chaos-truncation case after the k = n chaos case of its (d, n).
+    suites = sorted(SUITES) if cfg.suite == "all" else [cfg.suite]
     d_values = [cfg.dim] if cfg.dim is not None else list(range(1, cfg.max_dim + 1))
     if cfg.n is not None:
         n_values = [cfg.n]
@@ -347,10 +358,6 @@ def _case_specs(cfg: VerifyConfig) -> list:
                         continue
                     name = f"chaos-truncation d={d} n={n}"
                     specs.append(("chaos-truncation", name, d, n, n, cfg.seed))
-    def suite_of(label: str) -> str:
-        return "chaos" if label == "chaos-truncation" else label
-
-    specs.sort(key=lambda s: (suite_of(s[0]), s[2], s[3], s[4], s[1]))
     return specs
 
 

@@ -9,8 +9,8 @@ below is exact.
 EchelonBasis is the one elimination routine; matrix_rank and
 kernel_basis are built on it.  It clears each input's denominators and
 keeps its rows as primitive integer vectors, reduced by fraction-free
-integer cross-multiplication; Fraction rows with pivot 1 are built only
-when a caller reads rows, sorted_rows or a kernel vector.
+integer cross-multiplication; those rows are the one basis of the span
+that callers read.
 
 SparseVector is the base of every exact container (FockTensor,
 FullTensor, Poly, HermiteExpansion, FormField, LinearMap): arithmetic,
@@ -184,11 +184,6 @@ def _cancel(vec: dict, row: dict, p) -> dict:
     return vec
 
 
-def _normalized(row: dict, p) -> dict:
-    a = row[p]
-    return {key: Fraction(v, a) for key, v in row.items()}
-
-
 class EchelonBasis:
     """A reduced-echelon family of sparse vectors, stored as primitive integer rows.
 
@@ -200,8 +195,7 @@ class EchelonBasis:
     denominators on the way in, and elimination is fraction-free integer
     cross-multiplication (Bareiss, Math. Comp. 22, 1968; here each row's
     content gcd is divided out instead), with no modular shortcut.
-    rows and sorted_rows give the same basis with pivots
-    normalized to 1, as Fraction rows built on demand.  This is the one
+    rows() and coordinates() read that one basis.  This is the one
     elimination routine of the package; matrix_rank and kernel_basis are
     built on it.
     """
@@ -220,17 +214,9 @@ class EchelonBasis:
 
     __hash__ = None
 
-    def primitive_rows(self) -> list[dict]:
+    def rows(self) -> list[dict]:
         """The stored integer rows in pivot order, read-only and valid until the next insert."""
         return [self._rows[p] for p in sorted(self._rows)]
-
-    @property
-    def rows(self) -> dict:
-        """pivot -> the stored row scaled to pivot entry 1, as Fractions."""
-        return {p: _normalized(row, p) for p, row in self._rows.items()}
-
-    def sorted_rows(self) -> list[dict]:
-        return [_normalized(self._rows[p], p) for p in sorted(self._rows)]
 
     def _reduce(self, vec: dict) -> dict:
         """A nonzero multiple of the residue of vec against the stored rows.
@@ -262,14 +248,14 @@ class EchelonBasis:
         return True
 
     def coordinates(self, vec: dict) -> list | None:
-        """Coefficients of vec in the normalized row basis, or None if outside.
+        """Coefficients of vec on rows(), or None if outside.
 
         Because rows are fully reduced, the coefficient on the row with
-        pivot p is just vec[p].
+        pivot p is vec[p] / row[p], an exact Fraction.
         """
         if self._reduce(vec):
             return None
-        return [vec.get(p, 0) for p in sorted(self._rows)]
+        return [Fraction(vec.get(p, 0), row[p]) for p, row in sorted(self._rows.items())]
 
 
 def matrix_rank(columns: list[dict]) -> int:
@@ -286,7 +272,8 @@ def kernel_basis(columns: list[dict]) -> list[dict]:
     Each kernel element is a dict column-index -> coefficient.  The
     augmented vectors (columns[j] keyed (0, key), plus 1 at (1, j)) are
     row-reduced together; a reduced row with no (0, key) entry left has
-    its pivot at some (1, j), and its tag part is a kernel vector.
+    its pivot at some (1, j), and its tag part is a kernel vector, with
+    coprime integer entries.
     """
     ech = EchelonBasis()
     for j, col in enumerate(columns):
@@ -294,7 +281,7 @@ def kernel_basis(columns: list[dict]) -> list[dict]:
         vec[(1, j)] = 1
         ech.insert(vec)
     return [
-        {j: v for (_, j), v in _normalized(row, p).items()}
+        {j: v for (_, j), v in row.items()}
         for p, row in sorted(ech._rows.items())
         if p[0] == 1
     ]

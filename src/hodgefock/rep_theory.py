@@ -45,7 +45,7 @@ class Subspace:
     The stored basis is canonical (fully reduced primitive integer rows
     with positive pivots, see EchelonBasis), so two Subspace objects are
     equal iff they are the same subspace of the same ambient power.
-    basis() and coordinates() use the same rows scaled to pivot 1.
+    basis() returns those rows and coordinates() reads t on them.
     """
 
     __slots__ = ("dim_ground", "degree", "_ech")
@@ -81,13 +81,9 @@ class Subspace:
         return self._ech.contains(t.coeffs)
 
     def basis(self) -> list[FullTensor]:
+        """The canonical basis: coprime integer vectors in pivot order."""
         shape = (self.dim_ground, self.degree)
-        return [FullTensor._trusted(shape, row) for row in self._ech.sorted_rows()]
-
-    def primitive_basis(self) -> list[FullTensor]:
-        """basis() with each vector scaled to coprime integer entries."""
-        shape = (self.dim_ground, self.degree)
-        return [FullTensor._trusted(shape, row) for row in self._ech.primitive_rows()]
+        return [FullTensor._trusted(shape, row) for row in self._ech.rows()]
 
     def coordinates(self, t: FullTensor) -> list:
         """Coefficients of t in the canonical basis; NotInvariant if outside."""
@@ -201,8 +197,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Exact intersection, via the kernel of the stacked column system."""
     if (a.dim_ground, a.degree) != (b.dim_ground, b.degree):
         raise DimensionMismatch("subspaces live in different ambient powers")
-    cols_a = a._ech.primitive_rows()
-    cols_b = b._ech.primitive_rows()
+    cols_a = a._ech.rows()
+    cols_b = b._ech.rows()
     out = Subspace(a.dim_ground, a.degree)
     for tag in kernel_basis(cols_a + cols_b):
         out._ech.insert(lincomb((c, cols_a[j]) for j, c in tag.items() if j < len(cols_a)))
@@ -310,7 +306,7 @@ def transposition_sum_matrix(space: Subspace) -> list[list]:
 
 def _apply_shifted(space: Subspace, shift) -> list[FullTensor]:
     """(sum of transpositions - shift) applied to a basis of space."""
-    return [_transposition_sum(v) - v.scale(shift) for v in space.primitive_basis()]
+    return [_transposition_sum(v) - v.scale(shift) for v in space.basis()]
 
 
 def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspace]:
@@ -348,14 +344,14 @@ def orbit_split_dims(b: MixedIndex, d: int) -> tuple[int, int]:
 def action_trace(space: Subspace, p: Permutation):
     """Trace of the slot action of p on an invariant subspace.
 
-    The canonical basis vector with pivot key k is v / v[k] for the
-    primitive vector v, and its own coordinate is read at k, so it adds
-    p(v)[k] / v[k] (NotInvariant if p(v) leaves the subspace).
+    The coordinate of p(v) on a canonical basis vector v with pivot key
+    k is read at k, so v adds p(v)[k] / v[k] (NotInvariant if p(v)
+    leaves the subspace).
     """
     if p.degree != space.degree:
         raise DimensionMismatch("permutation degree differs from ambient degree")
     total = Fraction(0)
-    for v in space.primitive_basis():
+    for v in space.basis():
         image = permute(v, p)
         if not space.contains(image):
             raise NotInvariant("vector lies outside the subspace")

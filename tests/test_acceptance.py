@@ -10,7 +10,9 @@ import random
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
+import hodgefock
 from hodgefock import (
     FockTensor,
     MixedIndex,
@@ -267,8 +269,11 @@ def test_criterion_7_cli_determinism(capsys):
         "--format",
         "json",
     ]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # Run from the package's source root so that `-m hodgefock` imports
+    # the code under test whether or not it is installed.
+    src = Path(hodgefock.__file__).resolve().parents[1]
+    first = subprocess.run(cmd, capture_output=True, cwd=src)
+    second = subprocess.run(cmd, capture_output=True, cwd=src)
     failures = []
     if first.returncode != 0:
         failures.append(("exit", first.returncode, first.stderr.decode()[:200]))

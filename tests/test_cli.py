@@ -376,3 +376,14 @@ def test_rationals_render_as_exact_strings():
     for case in report.cases:
         assert case["details"]["defect"] == "0"
         assert isinstance(case["details"]["defect"], str)
+
+
+def test_main_unwritable_out_exits_two_before_any_case(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "_run_case", lambda spec: ran.append(spec))
+    target = tmp_path / "missing" / "r.json"
+    argv = ["verify", "weitzenboeck", "--max-dim", "2", "--max-n", "2", "--out", str(target)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert ran == []
+    assert not target.parent.exists()

@@ -177,6 +177,12 @@ def rational_vectors(rng, nrows, count):
     return vecs
 
 
+def pivot_one(row: dict) -> dict:
+    """row scaled so that its entry at its smallest key is 1, as Fractions."""
+    a = row[min(row)]
+    return {key: Fraction(v, a) for key, v in row.items()}
+
+
 def assert_primitive_reduced(ech):
     """Each stored row: integers, pivot = smallest key with positive entry,
     coprime entries, and no entry at another row's pivot."""
@@ -198,8 +204,9 @@ def test_echelon_basis_matches_the_fraction_oracle():
             assert ech.insert(vec) == oracle.insert(vec), vecs
             assert_primitive_reduced(ech)
         assert ech.dim == oracle.dim
-        assert ech.rows == oracle.rows
-        assert ech.sorted_rows() == oracle.sorted_rows()
+        rows = ech.rows()
+        assert {min(row): pivot_one(row) for row in rows} == oracle.rows
+        assert [pivot_one(row) for row in rows] == oracle.sorted_rows()
         probes = rational_vectors(rng, nrows, 4)
         probes += [
             {i: v for i, v in lincomb((rng.randint(-3, 3), vec) for vec in vecs).items() if v}
@@ -207,8 +214,19 @@ def test_echelon_basis_matches_the_fraction_oracle():
         ]
         for probe in probes:
             assert ech.contains(probe) == oracle.contains(probe), (vecs, probe)
-            assert ech.coordinates(probe) == oracle.coordinates(probe), (vecs, probe)
-        assert kernel_basis(vecs) == fraction_kernel_basis(vecs), vecs
+            coords, expected = ech.coordinates(probe), oracle.coordinates(probe)
+            if expected is None:
+                assert coords is None, (vecs, probe)
+                continue
+            assert all(type(c) in (int, Fraction) for c in coords), (vecs, probe)
+            # The oracle's coordinate i is on row i scaled to pivot 1.
+            scaled = [c * row[min(row)] for c, row in zip(coords, rows)]
+            assert scaled == expected, (vecs, probe)
+        kern = kernel_basis(vecs)
+        for x in kern:
+            assert all(type(v) is int for v in x.values()) and gcd(*x.values()) == 1, vecs
+        oracle_kern = fraction_kernel_basis(vecs)
+        assert [pivot_one(x) for x in kern] == [pivot_one(x) for x in oracle_kern], vecs
 
 
 def test_explicit_zero_entries_are_dropped():
@@ -271,7 +289,7 @@ def test_echelon_rows_do_not_depend_on_insertion_order():
             other = EchelonBasis()
             for col in shuffled:
                 other.insert(col)
-            assert other.rows == reference.rows
+            assert other.rows() == reference.rows()
 
 
 def revalidated(x):

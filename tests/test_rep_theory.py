@@ -70,14 +70,24 @@ def test_subspace_equality_is_span_equality():
 def test_subspace_coordinates():
     v1 = FullTensor(2, 2, {(1, 2): 1, (2, 1): 1})
     v2 = FullTensor(2, 2, {(1, 2): 1, (2, 1): -1})
-    s = Subspace.spanned_by(2, 2, [v1, v2])
-    coords = s.coordinates(FullTensor(2, 2, {(1, 2): 5, (2, 1): -1}))
-    rebuilt = FullTensor.zero(2, 2)
-    for c, basis_vec in zip(coords, s.basis()):
-        rebuilt = rebuilt + basis_vec.scale(c)
-    assert rebuilt.coeffs == {(1, 2): 5, (2, 1): -1}
-    with pytest.raises(NotInvariant):
-        s.coordinates(FullTensor(2, 2, {(1, 1): 1}))
+    # The stored row of 2*e11 + e22 has pivot entry 2, not 1: its
+    # coordinate is a division that must stay exact.
+    w = FullTensor(2, 2, {(1, 1): 2, (2, 2): 1})
+    for s, t in [
+        (Subspace.spanned_by(2, 2, [v1, v2]), FullTensor(2, 2, {(1, 2): 5, (2, 1): -1})),
+        (
+            Subspace.spanned_by(2, 2, [w, v2]),
+            FullTensor(2, 2, {(1, 1): 3, (2, 2): Fraction(3, 2), (1, 2): 4, (2, 1): -4}),
+        ),
+    ]:
+        coords = s.coordinates(t)
+        assert all(type(c) in (int, Fraction) for c in coords), coords
+        rebuilt = FullTensor.zero(2, 2)
+        for c, basis_vec in zip(coords, s.basis()):
+            rebuilt = rebuilt + basis_vec.scale(c)
+        assert rebuilt == t
+        with pytest.raises(NotInvariant):
+            s.coordinates(FullTensor(2, 2, {(1, 1): 1}))
 
 
 def test_hook_dims_are_binomials():
