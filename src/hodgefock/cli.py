@@ -19,11 +19,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 from . import __version__
 from .chaos import (
     FormField,
+    HermiteExpansion,
+    _he_coeffs,
     chaos_field,
     codifferential,
     commutation_defect,
@@ -33,11 +35,12 @@ from .chaos import (
     hodge_laplacian,
 )
 from .errors import ConfigError
-from .fock_ops import alt_subset, gram_matrix, lower, operator_matrix, raise_, sym_subset
-from .fock_ops import symmetric_group
-from .hodge import exactness_report, hodge_split, random_tensor, weitzenboeck_defect, witnesses
+from .fock_ops import LinearMap, alt_subset, gram_matrix, lower, operator_matrix, raise_
+from .fock_ops import sym_subset, symmetric_group
+from .hodge import exactness_report, hodge_split, random_tensor, split_matrices
+from .hodge import weitzenboeck_defect, witnesses
 from .rep_theory import action_trace, decomposition_dims, orbit_span, orbit_split_spaces
-from .tensor_core import FockTensor, MixedIndex, block_dim, enum_basis, inner
+from .tensor_core import FockTensor, MixedIndex, _gram_factor, block_dim, enum_basis, inner
 
 SUITES = ("weitzenboeck", "exactness", "split", "decomposition", "rep", "chaos")
 
@@ -144,28 +147,52 @@ def _case_exactness(d: int, n: int, k: int, seed: int):
     return ("pass" if ok else "fail"), details
 
 
-def _case_split(d: int, n: int, k: int, seed: int):
-    q = n - k
-    zero = FockTensor.zero(d, k, q)
+def _split_residuals(d: int, k: int, q: int, labels: list):
+    """(identity, residuals) pairs of the split on H_{k,q}, lazily.
 
-    def splits(b: MixedIndex) -> bool:
-        e = FockTensor.basis(d, b)
-        plus, minus = hodge_split(e)
-        return (
-            plus + minus == e
-            and lower(plus).is_zero()
-            and (raise_(minus).is_zero() if q >= 1 else plus.is_zero())
-            and hodge_split(plus) == (plus, zero)
-            and hodge_split(minus) == (zero, minus)
-        )
-
-    # The identities are linear, so holding on every basis label they hold on the block.
-    ok = all(splits(b) for b in enum_basis(d, k, q))
+    With A, B = split_matrices(d, k, q) and n = k + q, each split claim
+    is an integer identity of whole-block matrices, which holds iff its
+    residuals are zero.  hodge_split itself is checked once, on
+    t = sum_i (i+1) e_i, against (A t / n, B t / n).
+    """
+    n = k + q
+    a, b = split_matrices(d, k, q)
+    low = operator_matrix("lower", d, k, q)
+    yield "plus + minus = t", [a + b - LinearMap.identity((d, k, q)).scale(n)]
+    yield "lower(plus) = 0", [low @ a]
+    if q >= 1:
+        yield "raise_(minus) = 0", [operator_matrix("raise", d, k, q) @ b]
+    else:
+        yield "plus = 0", [a]
+    yield "split(plus) = (plus, 0)", [a @ a - a.scale(n), b @ a]
+    yield "split(minus) = (0, minus)", [a @ b, b @ b - b.scale(n)]
     # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
-    ok = ok and gram_matrix(d, k - 1, q + 1) @ operator_matrix("lower", d, k, q) == (
+    adjoint = gram_matrix(d, k - 1, q + 1) @ low - (
         gram_matrix(d, k, q) @ operator_matrix("raise", d, k - 1, q + 1)
     ).transpose()
-    return ("pass" if ok else "fail"), {"dim": block_dim(d, k, q)}
+    yield "adjoint", [adjoint]
+    if labels:
+        t = FockTensor(d, k, q, {label: i + 1 for i, label in enumerate(labels)})
+        plus, minus = hodge_split(t)
+        yield "hodge_split", [plus - a.apply(t) / n, minus - b.apply(t) / n]
+
+
+def _case_split(d: int, n: int, k: int, seed: int):
+    q = n - k
+    labels = enum_basis(d, k, q)
+    details = {"dim": len(labels)}
+    index = {label: i for i, label in enumerate(labels)}
+    for name, residuals in _split_residuals(d, k, q, labels):
+        # Matrix residuals are keyed (row, column), tensor residuals by label.
+        bad = [
+            key[1] if isinstance(res, LinearMap) else index[key]
+            for res in residuals
+            for key in res.coeffs
+        ]
+        if bad:
+            details.update(failed=name, label=labels[min(bad)].render())
+            return "fail", details
+    return "pass", details
 
 
 def _case_decomposition(d: int, n: int, k: int, seed: int):
@@ -242,16 +269,52 @@ def _case_rep(d: int, n: int, k: int, seed: int):
     return ("pass" if ok else "fail"), details
 
 
+@lru_cache(maxsize=None)
+def _hermite_table_holds(n: int) -> bool:
+    """E[He_a He_b] = a! delta_ab for a, b <= n, one variable.
+
+    Computed from the monomial coefficients of He and the Gaussian
+    moments E[x^m] = (m-1)!! (zero for odd m), never through from_poly.
+    """
+
+    def moment(m: int) -> int:
+        return 0 if m % 2 else prod(range(m - 1, 0, -2))
+
+    return all(
+        sum(c * w * moment(e + f) for e, c in _he_coeffs(a) for f, w in _he_coeffs(b))
+        == (factorial(a) if a == b else 0)
+        for a in range(n + 1)
+        for b in range(n + 1)
+    )
+
+
+def _isometric_on_label(b: MixedIndex, e: FockTensor, f: FormField) -> bool:
+    """The per-label half of the isometry certificate at q = 0.
+
+    f = He_{mult(b)} exactly, and both pairings give e_b the weight
+    prod mult(b)!.  Both pairings are bilinear and vanish on distinct
+    keys, so with _hermite_table_holds these prove the isometry.
+    """
+    mult = tuple(b.sym.count(i) for i in range(1, e.dim + 1))
+    return (
+        HermiteExpansion.from_poly(f.component(())).coeffs == {mult: 1}
+        and _gram_factor(b) == prod(map(factorial, mult))
+        and gaussian_inner(f, f) == inner(e, e)
+    )
+
+
 def _case_chaos(d: int, n: int, k: int, seed: int):
     q = n - k
     labels = enum_basis(d, k, q)
     basis = [FockTensor.basis(d, b) for b in labels]
     forms = [chaos_field(e) for e in basis]
     diagram = dual = eigen = True
-    for e, f in zip(basis, forms):
+    iso = q == 0 and _hermite_table_holds(n)
+    for b, e, f in zip(labels, basis, forms):
         diagram = diagram and exterior_derivative(f) == chaos_field(lower(e))
         dual = dual and (q == 0 or codifferential(f) == chaos_field(raise_(e)))
         eigen = eigen and hodge_laplacian(f) == f.scale(n)
+        iso = iso and _isometric_on_label(b, e, f)
     details = {
         "dim": block_dim(d, k, q),
         "diagram": diagram,
@@ -260,11 +323,6 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
     }
     ok = diagram and dual and eigen
     if q == 0:
-        iso = all(
-            gaussian_inner(forms[i], forms[j]) == inner(basis[i], basis[j])
-            for i in range(len(labels))
-            for j in range(i, len(labels))
-        )
         details["isometry"] = iso
         ok = ok and iso
     if q + 1 <= d:

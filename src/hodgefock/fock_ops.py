@@ -14,6 +14,7 @@ integer matrices of the operators in the canonical bases.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as _itpermutations
 from math import factorial
 from typing import Iterable, Iterator
@@ -257,12 +258,15 @@ class LinearMap(SparseVector):
         return matrix_rank(self.columns())
 
 
+@lru_cache(maxsize=None)
 def operator_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
     """Matrix of lower or raise_ on H_{k,q} in the canonical bases.
 
     Entries are integers under the package conventions.  lower at k = 0
     gives a zero-row matrix (the codomain is the degenerate block);
-    raise_ demands q >= 1.
+    raise_ demands q >= 1.  Built once per argument tuple and process:
+    the suites ask for the same matrices, and a LinearMap is never
+    mutated.
     """
     if which not in ("lower", "raise"):
         raise InvalidIndex(f"unknown operator {which!r}")

@@ -1,10 +1,14 @@
 """Degree-n commutation identity, exact sequences and the two-term split.
 
-On H_{k,q} with n = k + q >= 1 the composites raise_ . lower and
-lower . raise_ sum to n times the identity (boundary composites through a
-missing block count as zero).  Dividing by n yields two complementary
-idempotents: the image of lower . raise_ is killed by lower, the image of
-raise_ . lower is killed by raise_, and the two pieces are orthogonal.
+On H_{k,q} with n = k + q >= 1 write A = lower . raise_ and
+B = raise_ . lower (boundary composites through a missing block count as
+zero, so A = 0 when q = 0).  Then A + B = n times the identity, and
+dividing by n yields two complementary idempotents: the image of A is
+killed by lower, the image of B is killed by raise_, and the two pieces
+are orthogonal.  split_matrices gives A and B as exact integer matrices,
+so on a whole block the split claims are integer identities with no
+division: A + B = n I, lower A = 0, raise_ B = 0, A A = n A, B A = 0,
+A B = 0 and B B = n B.
 """
 
 from __future__ import annotations
@@ -19,6 +23,22 @@ from .linalg import kernel_basis, matrix_rank
 from .tensor_core import FockTensor, FullTensor, MixedIndex, block_dim, embed, enum_basis
 
 
+def split_matrices(d: int, k: int, q: int) -> tuple[LinearMap, LinearMap]:
+    """A = lower . raise_ and B = raise_ . lower on H_{k,q}, as integer matrices.
+
+    Column b of each is the image of the basis label b; A is the zero map
+    when q = 0.  The split of t is (A t / n, B t / n).  Negative k or q
+    raises DegreeOutOfRange.
+    """
+    if k < 0 or q < 0:
+        raise DegreeOutOfRange(f"the split matrices need k, q >= 0, got ({k},{q})")
+    b = operator_matrix("raise", d, k - 1, q + 1) @ operator_matrix("lower", d, k, q)
+    if q == 0:
+        return LinearMap._trusted(b.shape(), {}), b
+    a = operator_matrix("lower", d, k + 1, q - 1) @ operator_matrix("raise", d, k, q)
+    return a, b
+
+
 def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
     """Largest |entry| of raise_ . lower + lower . raise_ - (k+q) * id.
 
@@ -26,15 +46,8 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
     Boundary terms (k = 0 or q = 0) are zero maps, and a block with q > d
     gives 0.  Negative k or q raises DegreeOutOfRange.
     """
-    if k < 0 or q < 0:
-        raise DegreeOutOfRange(f"the defect needs k, q >= 0, got ({k},{q})")
-    total = operator_matrix("raise", d, k - 1, q + 1) @ operator_matrix("lower", d, k, q)
-    if q >= 1:
-        total = total + operator_matrix("lower", d, k + 1, q - 1) @ operator_matrix(
-            "raise", d, k, q
-        )
-    defect = total - LinearMap.identity((d, k, q)).scale(k + q)
-    return defect.max_abs_entry()
+    a, b = split_matrices(d, k, q)
+    return (a + b - LinearMap.identity((d, k, q)).scale(k + q)).max_abs_entry()
 
 
 def hodge_split(t: FockTensor) -> tuple[FockTensor, FockTensor]:

@@ -276,7 +276,7 @@ def _swapped_split(t):
 )
 def test_split_case_fails_when_its_proof_breaks(name, stand_in, monkeypatch):
     # A doubled gram matrix breaks only the adjointness that proves
-    # orthogonality; a swapped split breaks the per-label identities.
+    # orthogonality; a swapped split breaks the hodge_split check.
     assert cli._case_split(2, 2, 1, 0)[0] == "pass"
     monkeypatch.setattr(cli, name, stand_in)
     assert cli._case_split(2, 2, 1, 0)[0] == "fail"
