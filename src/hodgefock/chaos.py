@@ -191,6 +191,9 @@ class FormField(SparseVector):
 
     The constructor takes component polynomials on wedge keys, and
     component(J) gives one back; the operators act on the flat monomials.
+    A degree q < 0 or q > dim has no wedge key, so only the zero form
+    lives there: the degree a form operator reaches off the end of the
+    complex, as with FockTensor.
     """
 
     __slots__ = ("dim", "q")
@@ -198,8 +201,6 @@ class FormField(SparseVector):
     def __init__(self, dim: int, q: int, comps: Mapping | None = None):
         if dim < 1:
             raise DimensionMismatch(f"ground dimension must be >= 1, got {dim}")
-        if q < 0:
-            raise DegreeOutOfRange(f"form degree must be >= 0, got {q}")
         data: dict[tuple, object] = {}
         for key, poly in (comps or {}).items():
             key = tuple(key)
@@ -275,12 +276,12 @@ def chaos_field(t: FockTensor) -> FormField:
     """Polynomial q-form of a mixed tensor: wedge part becomes the key.
 
     A degenerate block (k < 0, q < 0 or q > d) holds only zero, which goes
-    to the zero form of degree max(q, 0)."""
+    to the zero form of the same degree q."""
     out: dict[tuple, object] = {}
     for label, c in t.coeffs.items():
         for e, w in _hermite_monomial(_label_multiplicities(label, t.dim)).items():
             out[(label.alt, e)] = out.get((label.alt, e), 0) + c * w
-    return FormField._trusted((t.dim, max(t.q, 0)), out)
+    return FormField._trusted((t.dim, t.q), out)
 
 
 def exp_vector(h: Iterable, order: int) -> GradedFock:
@@ -325,9 +326,8 @@ def exterior_derivative(u: FormField) -> FormField:
 
 def codifferential(u: FormField) -> FormField:
     """Gaussian divergence: on f * e_J it contracts each wedge slot j_i with
-    the creation operator x_{j_i} f - df/dx_{j_i}, signs alternating."""
-    if u.q == 0:
-        raise DegreeOutOfRange("codifferential needs form degree q >= 1")
+    the creation operator x_{j_i} f - df/dx_{j_i}, signs alternating.  A
+    0-form has no wedge slot, so its image is the zero (-1)-form."""
     out: dict[tuple, object] = {}
     for (key, e), c in u.coeffs.items():
         for pos, j in enumerate(key):
@@ -357,12 +357,11 @@ def ornstein_uhlenbeck(f: Poly) -> Poly:
 
 
 def hodge_laplacian(u) -> FormField:
-    """codifferential(exterior_derivative(u)) plus the q >= 1 mirror term."""
+    """Hodge Laplacian delta d u + d delta u, delta = codifferential and
+    d = exterior_derivative.  On a 0-form delta u is the zero (-1)-form,
+    so only delta d u, the number operator, is left."""
     u = _as_form(u)
-    out = codifferential(exterior_derivative(u))
-    if u.q >= 1:
-        out = out + exterior_derivative(codifferential(u))
-    return out
+    return codifferential(exterior_derivative(u)) + exterior_derivative(codifferential(u))
 
 
 def gaussian_inner(u, v):

@@ -160,10 +160,7 @@ def _split_residuals(d: int, k: int, q: int, labels: list):
     low = operator_matrix("lower", d, k, q)
     yield "plus + minus = t", [a + b - LinearMap.identity((d, k, q)).scale(n)]
     yield "lower(plus) = 0", [low @ a]
-    if q >= 1:
-        yield "raise_(minus) = 0", [operator_matrix("raise", d, k, q) @ b]
-    else:
-        yield "plus = 0", [a]
+    yield "raise_(minus) = 0", [operator_matrix("raise", d, k, q) @ b]
     yield "split(plus) = (plus, 0)", [a @ a - a.scale(n), b @ a]
     yield "split(minus) = (0, minus)", [a @ b, b @ b - b.scale(n)]
     # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
@@ -198,14 +195,16 @@ def _case_split(d: int, n: int, k: int, seed: int):
 def _case_decomposition(d: int, n: int, k: int, seed: int):
     q = n - k
     dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
-    ker_lower = block_dim(d, k, q) - operator_matrix("lower", d, k, q).rank()
+    block = block_dim(d, k, q)
+    ker_lower = block - operator_matrix("lower", d, k, q).rank()
     details = {
         "dim": dim,
         "dim_plus": dim_plus,
         "dim_minus": dim_minus,
         "ker_lower": ker_lower,
     }
-    ok = direct and dim_plus == ker_lower
+    # With direct, the embedded dimension ties dim_minus to rank(lower).
+    ok = direct and dim == block and dim_plus == ker_lower
     return ("pass" if ok else "fail"), details
 
 

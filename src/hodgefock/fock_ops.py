@@ -19,7 +19,7 @@ from itertools import permutations as _itpermutations
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
+from .errors import DimensionMismatch, InvalidIndex
 from .linalg import SparseVector, as_coeff, lincomb, matrix_rank
 from .tensor_core import (
     FockTensor,
@@ -174,19 +174,15 @@ def raise_(t: FockTensor) -> FockTensor:
     """Move one wedge slot into the symmetric part, with alternating signs.
 
     On a label with wedge entries j_1 < ... < j_q: sum of
-    (-1)^(i-1) * (sym with j_i inserted) tensor (wedge minus j_i).
-    Raises DegreeOutOfRange when q = 0 on an honest block: there is no
-    wedge slot to move.  A degenerate zero input passes through as the
-    zero of the shifted block instead.
+    (-1)^(i-1) * (sym with j_i inserted) tensor (wedge minus j_i).  For
+    q = 0 there is no wedge slot and the result is the zero of the
+    degenerate block (k+1, -1), and a degenerate zero input passes
+    through as the shifted zero: like lower, raise_ is the zero map off
+    the end of the complex.
     """
-    if t.k < 0 or t.q < 0 or t.q > t.dim:
-        return FockTensor._trusted((t.dim, t.k + 1, t.q - 1), {})
-    if t.q == 0:
-        raise DegreeOutOfRange("raise_ needs at least one wedge slot (q >= 1)")
     out: dict[MixedIndex, object] = {}
     for label, c in t.coeffs.items():
-        for i in range(t.q):
-            j = label.alt[i]
+        for i, j in enumerate(label.alt):
             new = MixedIndex(
                 tuple(sorted(label.sym + (j,))),
                 label.alt[:i] + label.alt[i + 1 :],
@@ -263,21 +259,18 @@ def operator_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
     """Matrix of lower or raise_ on H_{k,q} in the canonical bases.
 
     Entries are integers under the package conventions.  lower at k = 0
-    gives a zero-row matrix (the codomain is the degenerate block);
-    raise_ demands q >= 1.  Built once per argument tuple and process:
-    the suites ask for the same matrices, and a LinearMap is never
-    mutated.
+    and raise_ at q = 0 give zero-row matrices: the codomain is a
+    degenerate block.  Built once per argument tuple and process: the
+    suites ask for the same matrices, and a LinearMap is never mutated.
     """
-    if which not in ("lower", "raise"):
-        raise InvalidIndex(f"unknown operator {which!r}")
     if which == "lower":
         op = lower
         cod_sig = (d, k - 1, q + 1)
-    else:
-        if q == 0:
-            raise DegreeOutOfRange("raise_ needs at least one wedge slot (q >= 1)")
+    elif which == "raise":
         op = raise_
         cod_sig = (d, k + 1, q - 1)
+    else:
+        raise InvalidIndex(f"unknown operator {which!r}")
     index = {label: i for i, label in enumerate(enum_basis(*cod_sig))}
     entries: dict[tuple[int, int], object] = {}
     for c, label in enumerate(enum_basis(d, k, q)):

@@ -1,14 +1,15 @@
 """Degree-n commutation identity, exact sequences and the two-term split.
 
 On H_{k,q} with n = k + q >= 1 write A = lower . raise_ and
-B = raise_ . lower (boundary composites through a missing block count as
-zero, so A = 0 when q = 0).  Then A + B = n times the identity, and
-dividing by n yields two complementary idempotents: the image of A is
-killed by lower, the image of B is killed by raise_, and the two pieces
-are orthogonal.  split_matrices gives A and B as exact integer matrices,
-so on a whole block the split claims are integer identities with no
-division: A + B = n I, lower A = 0, raise_ B = 0, A A = n A, B A = 0,
-A B = 0 and B B = n B.
+B = raise_ . lower.  Off the end of the complex both operators are the
+zero map into an empty block, so A = 0 when q = 0 and B = 0 when k = 0.
+Then A + B = n times the identity, and dividing by n yields two
+complementary idempotents: the image of A is killed by lower, the image
+of B is killed by raise_, and the two pieces are orthogonal.
+split_matrices gives A and B as exact integer matrices, so on a whole
+block the split claims are integer identities with no division:
+A + B = n I, lower A = 0, raise_ B = 0, A A = n A, B A = 0, A B = 0 and
+B B = n B.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ from .tensor_core import FockTensor, FullTensor, MixedIndex, block_dim, embed, e
 def split_matrices(d: int, k: int, q: int) -> tuple[LinearMap, LinearMap]:
     """A = lower . raise_ and B = raise_ . lower on H_{k,q}, as integer matrices.
 
-    Column b of each is the image of the basis label b; A is the zero map
-    when q = 0.  The split of t is (A t / n, B t / n).  Negative k or q
-    raises DegreeOutOfRange.
+    Column b of each is the image of the basis label b.  Each composite
+    runs through the empty block off the end of the complex when q = 0
+    (for A) or k = 0 (for B), and so is the zero map there.  The split of
+    t is (A t / n, B t / n).  Negative k or q raises DegreeOutOfRange.
     """
     if k < 0 or q < 0:
         raise DegreeOutOfRange(f"the split matrices need k, q >= 0, got ({k},{q})")
-    b = operator_matrix("raise", d, k - 1, q + 1) @ operator_matrix("lower", d, k, q)
-    if q == 0:
-        return LinearMap._trusted(b.shape(), {}), b
     a = operator_matrix("lower", d, k + 1, q - 1) @ operator_matrix("raise", d, k, q)
+    b = operator_matrix("raise", d, k - 1, q + 1) @ operator_matrix("lower", d, k, q)
     return a, b
 
 
@@ -60,12 +60,7 @@ def hodge_split(t: FockTensor) -> tuple[FockTensor, FockTensor]:
     n = t.k + t.q
     if n < 1:
         raise DegreeOutOfRange("the split needs total degree k + q >= 1")
-    if t.q >= 1:
-        plus = lower(raise_(t)) / n
-    else:
-        plus = FockTensor.zero(t.dim, t.k, t.q)
-    minus = raise_(lower(t)) / n
-    return plus, minus
+    return lower(raise_(t)) / n, raise_(lower(t)) / n
 
 
 @dataclass(frozen=True)
@@ -148,8 +143,9 @@ def exactness_report(d: int, n: int) -> ExactnessReport:
     """Exact ranks, kernels and harmonic dimensions for total degree n >= 1.
 
     The harmonic dimension of a block is the kernel of the stacked matrix
-    (lower on top of raise_), i.e. dim(Ker lower intersect Ker raise_);
-    end-of-sequence operators are zero maps.  Ranks and kernels come from
+    (lower on top of raise_), i.e. dim(Ker lower intersect Ker raise_).
+    lower at k = 0 and raise_ at q = 0 are zero-row matrices, so the same
+    code serves the ends of the sequence.  Ranks and kernels come from
     separate eliminations, so rank_nullity_ok cross-checks the two.
     """
     if n < 1:
@@ -157,15 +153,9 @@ def exactness_report(d: int, n: int) -> ExactnessReport:
     rows = []
     for k in range(n, -1, -1):
         q = n - k
-        m_lower = operator_matrix("lower", d, k, q)
+        maps = [operator_matrix("lower", d, k, q), operator_matrix("raise", d, k, q)]
+        (rank_lower, ker_lower), (rank_raise, ker_raise) = map(_rank_and_kernel, maps)
         dim = block_dim(d, k, q)
-        maps = [m_lower]
-        rank_lower, ker_lower = _rank_and_kernel(m_lower)
-        rank_raise, ker_raise = 0, dim
-        if q >= 1:
-            m_raise = operator_matrix("raise", d, k, q)
-            maps.append(m_raise)
-            rank_raise, ker_raise = _rank_and_kernel(m_raise)
         harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
         rows.append(
             ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)

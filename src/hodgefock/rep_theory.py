@@ -304,11 +304,6 @@ def transposition_sum_matrix(space: Subspace) -> list[list]:
     return [list(row) for row in zip(*cols)]
 
 
-def _apply_shifted(space: Subspace, shift) -> list[FullTensor]:
-    """(sum of transpositions - shift) applied to a basis of space."""
-    return [_transposition_sum(v) - v.scale(shift) for v in space.basis()]
-
-
 def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspace]:
     """The two invariant pieces of orbit = orbit_span(b, d).
 
@@ -323,9 +318,12 @@ def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspa
         raise InvalidIndex("the split needs total degree k + q >= 1")
     c_plus = Fraction(k * (k + 1), 2) - Fraction(q * (q - 1), 2)
     c_minus = c_plus - n
-    d = orbit.dim_ground
-    plus = Subspace.spanned_by(d, n, _apply_shifted(orbit, c_minus))
-    minus = Subspace.spanned_by(d, n, _apply_shifted(orbit, c_plus))
+    plus = Subspace(orbit.dim_ground, n)
+    minus = Subspace(orbit.dim_ground, n)
+    for v in orbit.basis():
+        tv = _transposition_sum(v)
+        plus.add(tv - v.scale(c_minus))
+        minus.add(tv - v.scale(c_plus))
     if plus.dim + minus.dim != orbit.dim:
         raise NotInvariant("transposition sum has an unexpected eigenvalue")
     return plus, minus

@@ -5,7 +5,8 @@ prints a single [criterion N] line so the run log shows the gate at a
 glance.
 """
 
-import json
+import hashlib
+import os
 import random
 import subprocess
 import sys
@@ -253,6 +254,10 @@ def test_criterion_6_chaos_model(capsys):
     _announce(capsys, 6, "Gaussian model matches the tensor calculus", failures)
 
 
+# sha256 of the passing report below, also in tests/test_cli.py::RECORDED_DIGESTS.
+CRITERION_7_DIGEST = "9c4f28044598c527d6ba2d99415f730f9629e5abc14a194ab5fbfaf91d9828b3"
+
+
 def test_criterion_7_cli_determinism(capsys):
     cmd = [
         sys.executable,
@@ -270,18 +275,18 @@ def test_criterion_7_cli_determinism(capsys):
         "json",
     ]
     # Run from the package's source root so that `-m hodgefock` imports
-    # the code under test whether or not it is installed.
+    # the code under test whether or not it is installed.  One run is
+    # serial and one pooled; both must give the recorded bytes.
     src = Path(hodgefock.__file__).resolve().parents[1]
-    first = subprocess.run(cmd, capture_output=True, cwd=src)
-    second = subprocess.run(cmd, capture_output=True, cwd=src)
+    runs = {
+        workers: subprocess.run(
+            cmd, capture_output=True, cwd=src, env={**os.environ, "HODGEFOCK_WORKERS": workers}
+        )
+        for workers in ("1", "2")
+    }
     failures = []
-    if first.returncode != 0:
-        failures.append(("exit", first.returncode, first.stderr.decode()[:200]))
-    if first.stdout != second.stdout:
-        failures.append(("not byte-identical",))
-    if not failures:
-        report = json.loads(first.stdout)
-        if report["status"] != "pass":
-            bad = [c["name"] for c in report["cases"] if c["status"] == "fail"]
-            failures.append(("status", report["status"], bad[:5]))
+    for workers, run in runs.items():
+        digest = hashlib.sha256(run.stdout).hexdigest()
+        if run.returncode != 0 or digest != CRITERION_7_DIGEST:
+            failures.append((workers, run.returncode, digest[:8], run.stderr.decode()[:200]))
     _announce(capsys, 7, "verify all is deterministic and green", failures)

@@ -112,9 +112,9 @@ def test_chaos_field_example():
     assert u.component((2,)).coeffs == {(1, 0): 1}
     assert u.component((1,)).is_zero()
     assert chaos_field(FockTensor(2, 1, 3)).is_zero()
-    # a degenerate block goes to the zero form of degree max(q, 0)
+    # a degenerate block goes to the zero form of the same degree
     for k, q in ((1, 3), (0, 3), (1, -1), (-1, 0)):
-        assert chaos_field(FockTensor.zero(2, k, q)) == FormField.zero(2, max(q, 0))
+        assert chaos_field(FockTensor.zero(2, k, q)) == FormField.zero(2, q)
 
 
 def test_form_field_validation():
@@ -126,6 +126,11 @@ def test_form_field_validation():
         FormField(2, 2, {(2, 1): Poly.const(2, 1)})
     with pytest.raises(TypeError):
         hash(FormField.zero(2, 1))
+    # off either end of the complex only the zero form exists
+    for q, key in ((-1, ()), (3, (1, 2))):
+        assert FormField(2, q).is_zero() and FormField(2, q) == FormField.zero(2, q)
+        with pytest.raises(InvalidIndex):
+            FormField(2, q, {key: Poly.const(2, 1)})
 
 
 def test_exterior_derivative_signs():
@@ -157,8 +162,9 @@ def test_codifferential_examples():
     dw = codifferential(w)
     assert dw.component((1,)).coeffs == {(0, 1): -1}
     assert dw.component((2,)).coeffs == {(1, 0): 1}
-    with pytest.raises(DegreeOutOfRange):
-        codifferential(FormField.zero(2, 0))
+    # a 0-form has no wedge slot: its image is the zero (-1)-form
+    f = FormField(2, 0, {(): he2})
+    assert codifferential(f) == FormField.zero(2, -1)
 
 
 def test_codifferential_squares_to_zero():

@@ -282,6 +282,21 @@ def test_split_case_fails_when_its_proof_breaks(name, stand_in, monkeypatch):
     assert cli._case_split(2, 2, 1, 0)[0] == "fail"
 
 
+def test_decomposition_case_checks_the_embedded_dimension(monkeypatch):
+    # One vector less in the block and in the minus piece keeps direct
+    # and dim_plus == ker_lower; only dim == block_dim sees it.
+    assert cli._case_decomposition(3, 3, 1, 0)[0] == "pass"
+    real = cli.decomposition_dims
+
+    def short(d, k, q):
+        dim, dim_plus, dim_minus, direct = real(d, k, q)
+        return dim - 1, dim_plus, dim_minus - 1, direct
+
+    monkeypatch.setattr(cli, "decomposition_dims", short)
+    status, details = cli._case_decomposition(3, 3, 1, 0)
+    assert status == "fail" and details["dim"] == 8
+
+
 @pytest.mark.parametrize("d, n, k, calls", [(3, 3, 1, 33), (3, 3, 3, 26), (2, 2, 0, 3)])
 def test_chaos_case_builds_each_field_once(d, n, k, calls, monkeypatch):
     # One field per label, one per lower and raise_ image, and two per

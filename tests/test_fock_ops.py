@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import hodgefock as hf
 from hodgefock import (
-    DegreeOutOfRange,
     FockTensor,
     FullTensor,
     InvalidIndex,
@@ -128,8 +127,11 @@ def test_raise_examples():
 
 
 def test_raise_needs_a_wedge_slot():
-    with pytest.raises(DegreeOutOfRange):
-        raise_(FockTensor.basis(2, MixedIndex((1,), ())))
+    # no wedge slot to move: the zero map into the empty block (k+1, -1)
+    z = raise_(FockTensor.basis(2, MixedIndex((1,), ())))
+    assert z.is_zero() and z.signature == (2, 2, -1)
+    assert raise_(z).signature == (2, 3, -2) and raise_(z).is_zero()
+    assert lower(z).signature == (2, 1, 0) and lower(z).is_zero()
 
 
 @given(mixed_tensors())
@@ -145,11 +147,7 @@ def test_raise_twice_is_zero(t):
 @given(mixed_tensors())
 def test_interchange_sums_to_degree(t):
     """raise_ after lower plus lower after raise_ multiplies by k + q."""
-    n = t.k + t.q
-    total = lower(raise_(t)) if t.q >= 1 else FockTensor.zero(t.dim, t.k, t.q)
-    if t.k >= 1:
-        total = total + raise_(lower(t))
-    assert total == t * n
+    assert lower(raise_(t)) + raise_(lower(t)) == t * (t.k + t.q)
 
 
 @given(mixed_tensors(min_k=1))
@@ -177,8 +175,6 @@ def test_operator_matrix_entries_are_integers():
             for k in range(n + 1):
                 q = n - k
                 for which in ("lower", "raise"):
-                    if which == "raise" and q == 0:
-                        continue
                     m = operator_matrix(which, d, k, q)
                     for value in m.coeffs.values():
                         assert Fraction(value).denominator == 1
@@ -187,8 +183,10 @@ def test_operator_matrix_entries_are_integers():
 def test_operator_matrix_rejects_unknown_name():
     with pytest.raises(InvalidIndex):
         operator_matrix("shift", 2, 1, 1)
-    with pytest.raises(DegreeOutOfRange):
-        operator_matrix("raise", 2, 1, 0)
+    # raise at q = 0 is the zero-row map into the empty block
+    m = operator_matrix("raise", 2, 1, 0)
+    assert m.cod_sig == (2, 2, -1) and hf.block_dim(*m.cod_sig) == 0
+    assert m.columns() == [{}, {}] and m.rank() == 0
 
 
 def test_lower_matrix_at_bottom_has_empty_codomain():
@@ -203,7 +201,7 @@ def test_matrix_apply_agrees_with_operator(t):
     assert m.apply(t) == lower(t)
 
 
-@given(mixed_tensors(min_q=1))
+@given(mixed_tensors())
 def test_raise_matrix_apply_agrees_with_operator(t):
     m = operator_matrix("raise", t.dim, t.k, t.q)
     assert m.apply(t) == raise_(t)

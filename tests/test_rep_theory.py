@@ -244,6 +244,22 @@ def test_casimir_transports_the_split(t):
     assert embed(raise_(lower(t))) == w.scale(c_plus) - _casimir(w)
 
 
+def test_orbit_split_sums_transpositions_once_per_basis_vector(monkeypatch):
+    calls = []
+    real = rep_theory._transposition_sum
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(rep_theory, "_transposition_sum", counted)
+    b = MixedIndex((1,), (2, 3))
+    orbit = orbit_span(b, 3)
+    plus, minus = orbit_split_spaces(b, orbit)
+    assert (plus.dim, minus.dim) == (2, 1)
+    assert len(calls) == orbit.dim == comb(3, 1)
+
+
 def test_transposition_sum_matrix_on_symmetric_block():
     space = span_all_positions(2, 2, 0)
     m = transposition_sum_matrix(space)
