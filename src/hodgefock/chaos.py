@@ -20,6 +20,14 @@ the gradient-and-wedge operator (exterior_derivative) and raise_ becomes
 the Gaussian divergence (codifferential); their composite on functions is
 the classical number operator x . grad - laplacian (ornstein_uhlenbeck),
 diagonal with eigenvalue = total Hermite degree.
+
+In Hermite coordinates, keyed (wedge key, multi-degree) by hermite_key,
+both operators are integer shifts, one coordinate at a time:
+He_a' = a He_{a-1} for the derivative and x He_a - He_a' = He_{a+1} for
+the creation part of the divergence.  hermite_matrix writes them as
+matrices indexed by the labels of the neighbouring blocks, so the
+`verify chaos` suite proves the dictionary by comparing them with the
+integer matrices of lower and raise_ (operator_matrix), with no sampling.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from math import factorial, prod
 from typing import Iterable, Mapping
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
-from .fock_ops import _wedge_insert
+from .fock_ops import LinearMap, _wedge_insert
 from .linalg import SparseVector, as_coeff, dot, lincomb
 from .tensor_core import FockTensor, MixedIndex, enum_basis
 
@@ -145,6 +153,13 @@ def _expand_product(table, key: tuple[int, ...]) -> dict:
     return partial
 
 
+@lru_cache(maxsize=None)
+def _monomial_in_he(exps: tuple[int, ...]) -> tuple:
+    """prod_i x_i^{exps_i} in the product Hermite basis, as (key, coeff)
+    pairs; the same monomials recur in every wedge component."""
+    return tuple(_expand_product(_x_power_in_he, exps).items())
+
+
 def _hermite_monomial(mult: tuple[int, ...]) -> dict:
     """prod_i He_{mult_i}(x_i), as monomial coefficients."""
     return _expand_product(_he_coeffs, mult)
@@ -174,7 +189,7 @@ class HermiteExpansion(SparseVector):
     def from_poly(cls, p: Poly) -> "HermiteExpansion":
         out: dict[tuple[int, ...], object] = {}
         for exps, c in p.coeffs.items():
-            for key, w in _expand_product(_x_power_in_he, exps).items():
+            for key, w in _monomial_in_he(exps):
                 out[key] = out.get(key, 0) + c * w
         return cls._trusted((p.dim,), out)
 
@@ -265,6 +280,12 @@ def _label_multiplicities(label: MixedIndex, dim: int) -> tuple[int, ...]:
     return tuple(mult)
 
 
+def hermite_key(label: MixedIndex, dim: int) -> tuple:
+    """The dictionary on one label: e_b goes to He_{mult(b)} dx_{b.alt},
+    the Hermite coordinate keyed (b.alt, mult(b))."""
+    return label.alt, _label_multiplicities(label, dim)
+
+
 def chaos_poly(t: FockTensor) -> Poly:
     """Polynomial of a purely symmetric tensor (q = 0) in the Gaussian model."""
     if t.q != 0:
@@ -279,8 +300,9 @@ def chaos_field(t: FockTensor) -> FormField:
     to the zero form of the same degree q."""
     out: dict[tuple, object] = {}
     for label, c in t.coeffs.items():
-        for e, w in _hermite_monomial(_label_multiplicities(label, t.dim)).items():
-            out[(label.alt, e)] = out.get((label.alt, e), 0) + c * w
+        wedge, mult = hermite_key(label, t.dim)
+        for e, w in _hermite_monomial(mult).items():
+            out[(wedge, e)] = out.get((wedge, e), 0) + c * w
     return FormField._trusted((t.dim, t.q), out)
 
 
@@ -340,6 +362,49 @@ def codifferential(u: FormField) -> FormField:
                 down = (new, e[: j - 1] + (m - 1,) + e[j:])
                 out[down] = out.get(down, 0) - sign * m * c
     return FormField._trusted((u.dim, u.q - 1), out)
+
+
+def _hermite_image(which: str, key: tuple[int, ...], m: tuple[int, ...]):
+    """d ("lower") or δ ("raise") of He_m dx_key in Hermite coordinates,
+    as (coeff, (wedge key, multi-degree)) terms:
+
+        d: He_m dx_J -> sum_i m_i He_{m-e_i} dx_i ^ dx_J,
+        δ: He_m dx_J -> sum_pos (-1)^pos He_{m+e_j} dx_{J without j},  j = J[pos].
+
+    These are the ladders He_a' = a He_{a-1} and x He_a - He_a' = He_{a+1}
+    applied one coordinate at a time, with the wedge signs of
+    exterior_derivative and codifferential.
+    """
+    if which == "lower":
+        for i, a in enumerate(m, start=1):
+            ins = _wedge_insert(i, key) if a else None
+            if ins is not None:
+                sign, new = ins
+                yield sign * a, (new, m[: i - 1] + (a - 1,) + m[i:])
+    else:
+        for pos, j in enumerate(key):
+            up = m[: j - 1] + (m[j - 1] + 1,) + m[j:]
+            yield (-1) ** pos, (key[:pos] + key[pos + 1 :], up)
+
+
+def hermite_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
+    """Matrix of d ("lower") or δ ("raise") on the chaos of H_{k,q}.
+
+    Column b is _hermite_image of He_{mult(b)} dx_{b.alt}, and each image
+    key is read back as the label of the neighbouring block with that
+    hermite_key.  Under the dictionary this must equal
+    operator_matrix(which, d, k, q), entry for entry; off the end of the
+    complex both are zero maps into the empty block.
+    """
+    if which not in ("lower", "raise"):
+        raise InvalidIndex(f"unknown operator {which!r}")
+    cod_sig = (d, k - 1, q + 1) if which == "lower" else (d, k + 1, q - 1)
+    index = {hermite_key(b, d): r for r, b in enumerate(enum_basis(*cod_sig))}
+    entries: dict[tuple[int, int], object] = {}
+    for c, b in enumerate(enum_basis(d, k, q)):
+        for v, key in _hermite_image(which, *hermite_key(b, d)):
+            entries[(index[key], c)] = v
+    return LinearMap._trusted(((d, k, q), cod_sig), entries)
 
 
 def _as_form(f) -> FormField:

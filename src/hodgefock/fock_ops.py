@@ -274,7 +274,7 @@ def operator_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
     index = {label: i for i, label in enumerate(enum_basis(*cod_sig))}
     entries: dict[tuple[int, int], object] = {}
     for c, label in enumerate(enum_basis(d, k, q)):
-        image = op(FockTensor.basis(d, label))
+        image = op(FockTensor._trusted((d, k, q), {label: 1}))
         for lab, v in image.coeffs.items():
             entries[(index[lab], c)] = v
     return LinearMap._trusted(((d, k, q), cod_sig), entries)

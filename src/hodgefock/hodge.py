@@ -196,7 +196,11 @@ def witnesses(b: MixedIndex, d: int) -> tuple[FullTensor, FullTensor]:
 
 
 def random_tensor(d: int, k: int, q: int, rng: random.Random) -> FockTensor:
-    """Deterministic pseudo-random element: coefficients uniform in -9..9."""
+    """Deterministic pseudo-random element: coefficients uniform in -9..9.
+
+    No verify case draws one: every suite is proved on the whole block.
+    It serves property tests and sampled cross-checks.
+    """
     coeffs = {}
     for label in enum_basis(d, k, q):
         c = rng.randint(-9, 9)

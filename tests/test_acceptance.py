@@ -16,7 +16,6 @@ from pathlib import Path
 import hodgefock
 from hodgefock import (
     FockTensor,
-    MixedIndex,
     alt_subset,
     block_dim,
     chaos_field,

@@ -1,10 +1,11 @@
 """Whole-block certificates of the split and chaos suites.
 
 The split is proved by integer identities of the matrices of
-split_matrices, and the chaos isometry at q = 0 by three facts per label
-plus a one-variable Hermite moment table.  The slow checks they replaced
-stay here as oracles, and a stand-in for each ingredient shows that the
-case fails without it.
+split_matrices.  The chaos suite is proved in Hermite coordinates: the
+dictionary on one field per block, the shift matrices of hermite_matrix
+against operator_matrix, one-variable ladder and moment tables, and the
+Fock adjointness.  The slow checks they replaced stay here as oracles,
+and a stand-in for each ingredient shows that the case fails without it.
 """
 
 import inspect
@@ -12,24 +13,48 @@ import sys
 
 import pytest
 
+import hodgefock.chaos as chaos
 import hodgefock.cli as cli
 import hodgefock.hodge as hodge
-from hodgefock import FockTensor, chaos_field, enum_basis, gaussian_inner, inner, lower, raise_
-from hodgefock.chaos import HermiteExpansion
+from hodgefock import (
+    FockTensor,
+    chaos_field,
+    codifferential,
+    enum_basis,
+    exterior_derivative,
+    gaussian_inner,
+    hodge_laplacian,
+    inner,
+    lower,
+    raise_,
+    random_tensor,
+)
+from hodgefock.chaos import FormField, HermiteExpansion
 from hodgefock.cli import VerifyConfig, run_verify
-from hodgefock.fock_ops import gram_matrix, operator_matrix
+from hodgefock.fock_ops import _wedge_insert, gram_matrix, operator_matrix
 from hodgefock.hodge import hodge_split
 
 GRID = [(d, n, k) for d in (1, 2, 3) for n in range(1, 5) for k in range(n + 1)]
 
+CACHES = (
+    operator_matrix,
+    cli._hermite_table_holds,
+    cli._ladder_tables_hold,
+    cli._hermite_matches,
+    cli._chaos_block_holds,
+)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    operator_matrix.cache_clear()
-    cli._hermite_table_holds.cache_clear()
+    clear_caches()
     yield
-    operator_matrix.cache_clear()
-    cli._hermite_table_holds.cache_clear()
+    clear_caches()
 
 
 def split_oracle(d, n, k):
@@ -66,12 +91,55 @@ def isometry_oracle(d, n):
     )
 
 
+def chaos_oracle(d, n, k, seed):
+    """The chaos case as it ran label by label on monomials, with the
+    adjoint sampled on three seeded random pairs of fields."""
+    q = n - k
+    labels = enum_basis(d, k, q)
+    basis = [FockTensor.basis(d, b) for b in labels]
+    diagram = dual = eigen = True
+    for e in basis:
+        f = chaos_field(e)
+        diagram = diagram and exterior_derivative(f) == chaos_field(lower(e))
+        dual = dual and codifferential(f) == chaos_field(raise_(e))
+        eigen = eigen and hodge_laplacian(f) == f.scale(n)
+    details = {
+        "dim": len(labels),
+        "diagram": diagram,
+        "dual_diagram": dual,
+        "laplacian_eigenvalue": str(n) if labels else "0",
+    }
+    ok = diagram and dual and eigen
+    if q == 0:
+        details["isometry"] = isometry_oracle(d, n)
+        ok = ok and details["isometry"]
+    if q + 1 <= d:
+        rng = cli._rng(seed, "chaos", d, n, k)
+        adj = True
+        for _ in range(3):
+            u = chaos_field(random_tensor(d, k, q, rng))
+            w = chaos_field(random_tensor(d, max(k - 1, 0), q + 1, rng))
+            adj = adj and gaussian_inner(exterior_derivative(u), w) == gaussian_inner(
+                u, codifferential(w)
+            )
+        details["adjoint"] = adj
+        ok = ok and adj
+    return ("pass" if ok else "fail"), details
+
+
 @pytest.mark.parametrize("d, n, k", GRID)
 def test_split_case_agrees_with_the_per_label_oracle(d, n, k):
     status, details = cli._case_split(d, n, k, 0)
     assert split_oracle(d, n, k)
     assert status == "pass"
     assert details == {"dim": len(enum_basis(d, k, n - k))}
+
+
+@pytest.mark.parametrize("d, n, k", GRID)
+def test_chaos_case_agrees_with_the_per_label_oracle(d, n, k):
+    case = cli._case_chaos(d, n, k, 0)
+    assert case[0] == "pass"
+    assert case == chaos_oracle(d, n, k, 0)
 
 
 @pytest.mark.parametrize("d, n, k", GRID)
@@ -85,11 +153,16 @@ def test_chaos_isometry_agrees_with_the_all_pairs_oracle(d, n, k):
         assert "isometry" not in details
 
 
+def _bumped(m, key=(0, 0)):
+    """The matrix m with the entry at key raised by 1."""
+    entries = dict(m.coeffs)
+    entries[key] = entries.get(key, 0) + 1
+    return type(m)._trusted(m.shape(), entries)
+
+
 def _perturbed_a(d, k, q, real):
     a, b = real(d, k, q)
-    entries = dict(a.coeffs)
-    entries[(0, 2)] = entries.get((0, 2), 0) + 1
-    return type(a)._trusted(a.shape(), entries), b
+    return _bumped(a, (0, 2)), b
 
 
 def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
@@ -154,22 +227,23 @@ def _wrong_he_row(real):
 
 
 CHAOS_STAND_INS = {
-    # caught by the single-key check, and by gaussian_inner(f, f)
+    # caught by the dictionary check, and by gaussian_inner(f, f)
     "from_poly adds a key": lambda mp: mp.setattr(
         HermiteExpansion, "from_poly", _from_poly_with(lambda h: {**h.coeffs, (0,) * h.dim: 1})
     ),
-    # caught by the single-key check alone: the weights prod a! are symmetric
+    # caught by the dictionary check alone: the weights prod a! are symmetric
     "from_poly reverses keys": lambda mp: mp.setattr(
         HermiteExpansion,
         "from_poly",
         _from_poly_with(lambda h: {key[::-1]: c for key, c in h.coeffs.items()}),
     ),
-    # caught by the moment table alone, which reads cli's _he_coeffs
+    # caught by the moment table, which reads cli's _he_coeffs
     "He_2 = x^2": lambda mp: mp.setattr(cli, "_he_coeffs", _wrong_he_row(cli._he_coeffs)),
     "gram factor + 1": lambda mp: mp.setattr(
         cli, "_gram_factor", lambda b, real=cli._gram_factor: real(b) + 1
     ),
-    # doubles both sides of the adjoint trials, so only the isometry sees it
+    # doubles the one gaussian_inner(f, f) per block, which only the
+    # isometry runs (and the adjoint, which rests on the isometry)
     "gaussian_inner doubled": lambda mp: mp.setattr(
         cli, "gaussian_inner", lambda u, v, real=cli.gaussian_inner: 2 * real(u, v)
     ),
@@ -181,10 +255,152 @@ def test_chaos_isometry_fails_without_each_ingredient(stand_in, monkeypatch):
     d, n = 2, 3
     status, details = cli._case_chaos(d, n, n, 0)
     assert status == "pass" and details["isometry"] is True
-    cli._hermite_table_holds.cache_clear()
+    clear_caches()
     CHAOS_STAND_INS[stand_in](monkeypatch)
     status, details = cli._case_chaos(d, n, n, 0)
     assert status == "fail" and details["isometry"] is False
+
+
+def _d_without_m(u):
+    """exterior_derivative with the factor m of d(x^m) = m x^(m-1) dropped."""
+    out = {}
+    for (key, e), c in u.coeffs.items():
+        for i, m in enumerate(e, start=1):
+            ins = _wedge_insert(i, key) if m else None
+            if ins is not None:
+                sign, new = ins
+                mono = (new, e[: i - 1] + (m - 1,) + e[i:])
+                out[mono] = out.get(mono, 0) + sign * c
+    return FormField._trusted((u.dim, u.q + 1), out)
+
+
+def _delta_without_slot_signs(u):
+    """codifferential with the sign (-1)^pos of each wedge slot replaced by
+    +1, which flips it on every second slot: only a 2-form, such as the
+    dx_1 ^ dx_2 rows of the ladder table, sees it."""
+    out = {}
+    for (key, e), c in u.coeffs.items():
+        for pos, j in enumerate(key):
+            new = key[:pos] + key[pos + 1 :]
+            m = e[j - 1]
+            up = (new, e[: j - 1] + (m + 1,) + e[j:])
+            out[up] = out.get(up, 0) + c
+            if m:
+                down = (new, e[: j - 1] + (m - 1,) + e[j:])
+                out[down] = out.get(down, 0) - m * c
+    return FormField._trusted((u.dim, u.q - 1), out)
+
+
+def _both(name, stand_in):
+    # cli runs the operator in the ladder tables, chaos in hodge_laplacian.
+    def patch(mp):
+        mp.setattr(cli, name, stand_in)
+        mp.setattr(chaos, name, stand_in)
+
+    return patch
+
+
+def _perturbed_matrix(op):
+    def stand_in(which, d, k, q, real=operator_matrix):
+        m = real(which, d, k, q)
+        return _bumped(m) if which == op and m.coeffs else m
+
+    return stand_in
+
+
+def _perturbed_shift_at(sig, real=cli.hermite_matrix):
+    """hermite_matrix with one entry of δ on the block sig = (k, q) changed."""
+
+    def stand_in(which, d, k, q):
+        m = real(which, d, k, q)
+        return _bumped(m) if (which, k, q) == ("raise", *sig) else m
+
+    return stand_in
+
+
+def _doubled_gram_at(sig):
+    def stand_in(d, k, q, real=gram_matrix):
+        g = real(d, k, q)
+        return g.scale(2) if (k, q) == sig else g
+
+    return stand_in
+
+
+def _rekeys_first_label(t, real=chaos_field):
+    """chaos_field with the first label's coefficient moved onto the second."""
+    labels = sorted(t.coeffs)
+    coeffs = dict(t.coeffs)
+    if len(labels) >= 2:
+        coeffs[labels[1]] += coeffs.pop(labels[0])
+    return real(FockTensor._trusted(t.shape(), coeffs))
+
+
+# (patch, the key it must make fail) on the case d = 2, n = 3, k = 2:
+# q = 1, so every key but isometry is reported.
+CERTIFICATE_STAND_INS = {
+    "exterior_derivative without m": (_both("exterior_derivative", _d_without_m), "diagram"),
+    "codifferential second slot sign flipped": (
+        _both("codifferential", _delta_without_slot_signs),
+        "dual_diagram",
+    ),
+    "operator_matrix lower entry perturbed": (
+        lambda mp: mp.setattr(cli, "operator_matrix", _perturbed_matrix("lower")),
+        "diagram",
+    ),
+    "operator_matrix raise entry perturbed": (
+        lambda mp: mp.setattr(cli, "operator_matrix", _perturbed_matrix("raise")),
+        "dual_diagram",
+    ),
+    # δ on the neighbour H_{1,2}: the adjoint pairs H_{2,1} with it.
+    "hermite_matrix raise perturbed on H_{1,2}": (
+        lambda mp: mp.setattr(cli, "hermite_matrix", _perturbed_shift_at((1, 2))),
+        "adjoint",
+    ),
+    "gram factor + 1 at q = 1": (
+        lambda mp: mp.setattr(cli, "_gram_factor", lambda b, real=cli._gram_factor: real(b) + 1),
+        "adjoint",
+    ),
+    "gram_matrix doubled on H_{2,1}": (
+        lambda mp: mp.setattr(cli, "gram_matrix", _doubled_gram_at((2, 1))),
+        "adjoint",
+    ),
+    "chaos_field re-keys one label": (
+        lambda mp: mp.setattr(cli, "chaos_field", _rekeys_first_label),
+        "diagram",
+    ),
+    # The Laplacian has no boolean key: its eigenvalue fails the case.
+    "hodge_laplacian adds u": (
+        lambda mp: mp.setattr(
+            cli, "hodge_laplacian", lambda u, real=cli.hodge_laplacian: real(u) + u
+        ),
+        None,
+    ),
+    "A + B != n I": (
+        lambda mp: mp.setattr(
+            hodge,
+            "split_matrices",
+            lambda d, k, q, real=hodge.split_matrices: _perturbed_a(d, k, q, real),
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("stand_in", sorted(CERTIFICATE_STAND_INS))
+def test_chaos_certificate_fails_without_each_ingredient(stand_in, monkeypatch):
+    d, n, k = 2, 3, 2
+    status, details = cli._case_chaos(d, n, k, 0)
+    assert status == "pass"
+    assert details["adjoint"] is True and "isometry" not in details
+    clear_caches()
+    patch, key = CERTIFICATE_STAND_INS[stand_in]
+    patch(monkeypatch)
+    status, details = cli._case_chaos(d, n, k, 0)
+    assert status == "fail"
+    if key is not None:
+        assert details[key] is False
+    else:
+        assert details["diagram"] and details["dual_diagram"] and details["adjoint"]
 
 
 def test_operator_matrix_is_built_once_and_never_mutated(monkeypatch):

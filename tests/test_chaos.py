@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-import hodgefock as hf
 from hodgefock import (
     DegreeOutOfRange,
     FockTensor,
@@ -27,7 +26,15 @@ from hodgefock import (
     raise_,
     random_tensor,
 )
-from hodgefock.chaos import FormField, GradedFock, HermiteExpansion, Poly, exp_vector, hermite
+from hodgefock.chaos import (
+    FormField,
+    HermiteExpansion,
+    Poly,
+    exp_vector,
+    hermite,
+    hermite_key,
+    hermite_matrix,
+)
 
 from conftest import mixed_tensor_pairs, mixed_tensors
 
@@ -194,6 +201,32 @@ def test_diagram_lower_route(t):
 @given(mixed_tensors(max_dim=3, max_n=4, min_q=1))
 def test_diagram_raise_route(t):
     assert codifferential(chaos_field(t)) == chaos_field(raise_(t))
+
+
+def _hermite_coords(form):
+    return {
+        (key, mult): c
+        for key, p in form.items()
+        for mult, c in HermiteExpansion.from_poly(p).coeffs.items()
+    }
+
+
+@pytest.mark.parametrize("which, op", [("lower", exterior_derivative), ("raise", codifferential)])
+def test_hermite_matrix_columns_are_the_operator_on_each_label(which, op):
+    # Column b, read through hermite_key, is the Hermite expansion of the
+    # monomial-basis operator on the chaos field of e_b: the shift rule
+    # holds over R^d, not only on the two-variable ladder table.
+    for d in (1, 2, 3):
+        for k in range(4):
+            for q in range(d + 1):
+                m = hermite_matrix(which, d, k, q)
+                cod = enum_basis(*m.cod_sig)
+                for b, col in zip(enum_basis(d, k, q), m.columns()):
+                    got = {hermite_key(cod[r], d): v for r, v in col.items()}
+                    want = _hermite_coords(op(chaos_field(FockTensor.basis(d, b))))
+                    assert got == want, (which, b)
+    with pytest.raises(InvalidIndex):
+        hermite_matrix("grad", 2, 1, 1)
 
 
 @given(mixed_tensors(max_dim=3, max_n=4))

@@ -8,8 +8,8 @@ import pytest
 import hodgefock.cli as cli
 import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
-from hodgefock import ConfigError, exactness_report
-from hodgefock.cli import Report, VerifyConfig, main, parse_report, render_report, run_verify
+from hodgefock import ConfigError, block_dim, exactness_report
+from hodgefock.cli import VerifyConfig, main, parse_report, render_report, run_verify
 
 
 def small(**kwargs):
@@ -297,21 +297,43 @@ def test_decomposition_case_checks_the_embedded_dimension(monkeypatch):
     assert status == "fail" and details["dim"] == 8
 
 
-@pytest.mark.parametrize("d, n, k, calls", [(3, 3, 1, 33), (3, 3, 3, 26), (2, 2, 0, 3)])
-def test_chaos_case_builds_each_field_once(d, n, k, calls, monkeypatch):
-    # One field per label, one per lower and raise_ image, and two per
-    # adjoint trial (three trials when q + 1 <= d).
+@pytest.mark.parametrize("d, n, k", [(3, 3, 1), (3, 3, 3), (2, 2, 0)])
+def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
+    # The certificate reads the dictionary off one field for each
+    # non-empty block among H_{k,q} and its neighbours H_{k-1,q+1} and
+    # H_{k+1,q-1}; there is no per-label field and no random field.
+    q = n - k
+    for cache in (cli._chaos_block_holds, cli._hermite_table_holds):
+        cache.cache_clear()
     built = []
     original = cli.chaos_field
 
     def counted(t):
-        built.append(t)
+        built.append(t.signature)
         return original(t)
 
     monkeypatch.setattr(cli, "chaos_field", counted)
     status, _ = cli._case_chaos(d, n, k, 0)
     assert status == "pass"
-    assert len(built) == calls
+    blocks = [(d, k + i, q - i) for i in (0, -1, 1)]
+    assert built == [sig for sig in blocks if block_dim(*sig)]
+
+
+def test_chaos_cases_draw_nothing_from_the_seed(monkeypatch, capsys):
+    # Only chaos-truncation draws from the seed (its vector h); the chaos
+    # case bytes are the same for every seed.
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    drawn = []
+    real = cli._rng
+    monkeypatch.setattr(cli, "_rng", lambda seed, *tags: drawn.append(tags[0]) or real(seed, *tags))
+    outs = []
+    for seed in ("0", "1"):
+        argv = ["verify", "chaos", "--max-dim", "3", "--max-n", "3", "--seed", seed]
+        assert main([*argv, "--format", "json"]) == 0
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        outs.append(json.dumps([c for c in cases if c["name"].startswith("chaos ")], indent=2))
+    assert outs[0] == outs[1] and len(json.loads(outs[0])) == 27
+    assert set(drawn) == {"trunc"}
 
 
 def test_main_pass_exit_zero(capsys):

@@ -6,11 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-import hodgefock as hf
 from hodgefock import (
     DegreeOutOfRange,
     FockTensor,
-    FullTensor,
     MixedIndex,
     exactness_report,
     hodge_split,
