@@ -41,13 +41,14 @@ from .chaos import (
 from .errors import ConfigError
 # lower and raise_ are unused here; they stay bound because the
 # benchmark's tracer tests check that its wrappers reach cli.lower.
-from .fock_ops import LinearMap, alt_subset, gram_matrix, lower, operator_matrix, raise_
-from .fock_ops import sym_subset, symmetric_group
+from .fock_ops import LinearMap, Permutation, gram_matrix, lower, operator_matrix, permute, raise_
 from .hodge import exactness_report, hodge_split, split_matrices
 from .hodge import weitzenboeck_defect, witnesses
 from .linalg import lincomb
-from .rep_theory import action_trace, decomposition_dims, orbit_span, orbit_split_spaces
-from .tensor_core import FockTensor, MixedIndex, _gram_factor, block_dim, enum_basis, inner
+from .rep_theory import action_trace, class_representatives, decomposition_dims, orbit_span
+from .rep_theory import orbit_split_spaces
+from .tensor_core import FockTensor, FullTensor, MixedIndex, _gram_factor, block_dim, enum_basis
+from .tensor_core import inner
 
 SUITES = ("weitzenboeck", "exactness", "split", "decomposition", "rep", "chaos")
 
@@ -231,6 +232,16 @@ def _repeated_label(d: int, n: int, k: int) -> MixedIndex | None:
     return None
 
 
+def _slot_symmetric(v: FullTensor, lo: int, hi: int, sign: int) -> bool:
+    """Whether each (i i+1), lo <= i < hi, maps v to sign * v: these generate
+    the permutations of slots lo..hi, so v is symmetric (sign 1) or
+    alternating (sign -1) there.  True on an empty or one-slot range."""
+    target = v if sign == 1 else -v
+    return all(
+        permute(v, Permutation.transposition(v.n, i, i + 1)) == target for i in range(lo, hi)
+    )
+
+
 def _case_rep(d: int, n: int, k: int, seed: int):
     q = n - k
     if n > d:
@@ -256,17 +267,20 @@ def _case_rep(d: int, n: int, k: int, seed: int):
             and not vminus.is_zero()
             and orbit.contains(vplus)
             and orbit.contains(vminus)
-            and sym_subset(vplus, range(1, k + 2)) == vplus
-            and alt_subset(vplus, range(k + 2, n + 1)) == vplus
-            and alt_subset(vminus, range(k, n + 1)) == vminus
-            and sym_subset(vminus, range(1, k)) == vminus
+            and _slot_symmetric(vplus, 1, k + 1, 1)
+            and _slot_symmetric(vplus, k + 2, n, -1)
+            and _slot_symmetric(vminus, k, n, -1)
+            and _slot_symmetric(vminus, 1, k - 1, 1)
         )
         details["witnesses"] = "ok" if wit_ok else "bad"
         ok = ok and wit_ok
     if n <= 4:
+        # action_trace proves invariance under the generators (i i+1), so the
+        # characters are class functions: one permutation per class covers S_n.
+        generators = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
         char_ok = all(
             action_trace(orbit, p) == action_trace(plus, p) + action_trace(minus, p)
-            for p in symmetric_group(n)
+            for p in generators + class_representatives(n)
         )
         details["character_additive"] = char_ok
         ok = ok and char_ok

@@ -19,7 +19,3 @@ class NotInvariant(ValueError):
 
 class ConfigError(ValueError):
     """Invalid verification run configuration."""
-
-
-class ConsistencyError(ArithmeticError):
-    """Two independent exact computations of the same quantity disagree."""

@@ -8,7 +8,9 @@ maps square to zero and satisfy the degree-n commutation identity
 
 Also here: the slot action of the symmetric group on full tensors, the
 averaging (anti)symmetrizers over a chosen position set, and exact
-integer matrices of the operators in the canonical bases.
+integer matrices of the operators in the canonical bases.  The m!-term
+averagers and the n!-element symmetric_group are public helpers and test
+oracles; no verify case calls them.
 """
 
 from __future__ import annotations

@@ -22,18 +22,20 @@ the same multiplicity pattern mu therefore give the same dimensions, and
 decomposition_dims solves the representative weight 1^mu_1 2^mu_2 ...
 once per pattern and multiplies by the number of weights sharing it.
 embedded_subspace and span_all_positions stay as the full-power oracle.
+
+Characters are class functions: class_representatives gives one
+permutation per cycle type of S_n, built from the partitions of n.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, perm, prod
+from math import factorial, perm, prod
 
-from .errors import ConsistencyError, DimensionMismatch, InvalidIndex, NotInvariant
+from .errors import DimensionMismatch, InvalidIndex, NotInvariant
 from .fock_ops import Permutation, permute
 from .linalg import EchelonBasis, kernel_basis, lincomb
 from .tensor_core import FockTensor, FullTensor, MixedIndex, embed, enum_basis
@@ -102,37 +104,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(ambient=({self.dim_ground},{self.degree}), dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class HookShape:
-    """Hook partition (n - m, 1^m) of n, i.e. arm n - m - 1 and leg m."""
-
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.m <= self.n - 1:
-            raise InvalidIndex(f"hook needs 0 <= m <= n-1, got m={self.m}, n={self.n}")
-
-    def cells(self) -> list[tuple[int, int]]:
-        first_row = [(0, j) for j in range(self.n - self.m)]
-        column = [(i, 0) for i in range(1, self.m + 1)]
-        return first_row + column
-
-
-def hook_dim(shape: HookShape) -> int:
-    """Irreducible dimension by the hook length product; equals C(n-1, m)."""
-    cells = set(shape.cells())
-    product = 1
-    for (i, j) in cells:
-        arm = sum(1 for (a, b) in cells if a == i and b > j)
-        leg = sum(1 for (a, b) in cells if b == j and a > i)
-        product *= arm + leg + 1
-    dim = factorial(shape.n) // product
-    if dim != comb(shape.n - 1, shape.m):
-        raise ConsistencyError(f"hook product {dim} disagrees with C({shape.n - 1}, {shape.m})")
-    return dim
 
 
 def position_permutation(n: int, k: int, positions: tuple[int, ...]) -> Permutation:
@@ -356,3 +327,16 @@ def action_trace(space: Subspace, p: Permutation):
         pivot = min(v.coeffs)
         total += Fraction(image.coeffs.get(pivot, 0), v.coeffs[pivot])
     return total
+
+
+def class_representatives(n: int) -> list[Permutation]:
+    """One permutation per cycle type of S_n: for each partition
+    (l_1, l_2, ...) of n, the cycles (1 .. l_1)(l_1+1 .. l_1+l_2) ..."""
+    out = []
+    for shape in _partitions(n, n, n):
+        images: list[int] = []
+        for length in shape:
+            start = len(images) + 1
+            images += list(range(start + 1, start + length)) + [start]
+        out.append(Permutation(images))
+    return out

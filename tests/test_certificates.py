@@ -1,25 +1,34 @@
-"""Whole-block certificates of the split and chaos suites.
+"""Whole-block certificates of the split and chaos suites, and the
+group checks of the rep suite.
 
 The split is proved by integer identities of the matrices of
 split_matrices.  The chaos suite is proved in Hermite coordinates: the
 dictionary on one field per block, the shift matrices of hermite_matrix
 against operator_matrix, one-variable ladder and moment tables, and the
-Fock adjointness.  The slow checks they replaced stay here as oracles,
-and a stand-in for each ingredient shows that the case fails without it.
+Fock adjointness.  The rep suite reads S_n through its adjacent
+transpositions and one permutation per cycle type.  The slow checks they
+replaced stay here as oracles, and a stand-in for each ingredient shows
+that the case fails without it.
 """
 
 import inspect
 import sys
+from math import comb
 
 import pytest
+from hypothesis import given
 
 import hodgefock.chaos as chaos
 import hodgefock.cli as cli
 import hodgefock.hodge as hodge
 from hodgefock import (
     FockTensor,
+    Subspace,
+    action_trace,
+    alt_subset,
     chaos_field,
     codifferential,
+    embed,
     enum_basis,
     exterior_derivative,
     gaussian_inner,
@@ -28,11 +37,15 @@ from hodgefock import (
     lower,
     raise_,
     random_tensor,
+    sym_subset,
+    symmetric_group,
 )
 from hodgefock.chaos import FormField, HermiteExpansion
 from hodgefock.cli import VerifyConfig, run_verify
 from hodgefock.fock_ops import _wedge_insert, gram_matrix, operator_matrix
 from hodgefock.hodge import hodge_split
+
+from conftest import full_tensors
 
 GRID = [(d, n, k) for d in (1, 2, 3) for n in range(1, 5) for k in range(n + 1)]
 
@@ -426,3 +439,120 @@ def test_operator_matrix_is_built_once_and_never_mutated(monkeypatch):
     for key in asked:
         assert operator_matrix(*key) == operator_matrix.__wrapped__(*key), key
     assert operator_matrix.cache_info().misses == len(asked)
+
+
+REP_GRID = [(d, n, k) for d in range(1, 5) for n in range(1, 5) for k in range(n + 1)]
+REP_GRID += [(5, 5, k) for k in range(6)]
+
+
+def rep_oracle(d, n, k):
+    """The rep case with the witnesses checked by the averaging
+    symmetrizers and the characters compared on all n! permutations."""
+    q = n - k
+    if n > d:
+        return "skip", {"reason": "no distinct-index label", "dim": d, "n": n}
+    b = cli._distinct_label(n, k)
+    orbit = cli.orbit_span(b, d)
+    plus, minus = cli.orbit_split_spaces(b, orbit)
+    dim_plus = comb(n - 1, q - 1) if q >= 1 else 0
+    details = {
+        "label": b.render(),
+        "orbit_dim": orbit.dim,
+        "split_dims": [plus.dim, minus.dim],
+        "expected": [comb(n, k), dim_plus, comb(n - 1, q)],
+    }
+    ok = orbit.dim == comb(n, k) and (plus.dim, minus.dim) == (dim_plus, comb(n - 1, q))
+    if k >= 1 and q >= 1:
+        vplus, vminus = cli.witnesses(b, d)
+        wit_ok = (
+            not vplus.is_zero()
+            and not vminus.is_zero()
+            and orbit.contains(vplus)
+            and orbit.contains(vminus)
+            and sym_subset(vplus, range(1, k + 2)) == vplus
+            and alt_subset(vplus, range(k + 2, n + 1)) == vplus
+            and alt_subset(vminus, range(k, n + 1)) == vminus
+            and sym_subset(vminus, range(1, k)) == vminus
+        )
+        details["witnesses"] = "ok" if wit_ok else "bad"
+        ok = ok and wit_ok
+    if n <= 4:
+        char_ok = all(
+            action_trace(orbit, p) == action_trace(plus, p) + action_trace(minus, p)
+            for p in symmetric_group(n)
+        )
+        details["character_additive"] = char_ok
+        ok = ok and char_ok
+    rep_label = cli._repeated_label(d, n, k)
+    if rep_label is not None:
+        details["degenerate"] = {
+            "label": rep_label.render(),
+            "orbit_dim": cli.orbit_span(rep_label, d).dim,
+            "note": "degenerate-orbit",
+        }
+    return ("pass" if ok else "fail"), details
+
+
+@pytest.mark.parametrize("d, n, k", REP_GRID)
+def test_rep_case_agrees_with_the_averaging_oracle(d, n, k):
+    case = cli._case_rep(d, n, k, 0)
+    assert case[0] == ("skip" if n > d else "pass")
+    assert case == rep_oracle(d, n, k)
+
+
+@given(full_tensors())
+def test_slot_symmetry_by_adjacent_transpositions_matches_the_averagers(v):
+    # Every slot range lo..hi, the empty ones (hi = lo - 1) and the
+    # one-slot ones included; averaging v over the range first gives a
+    # tensor on which both sides must say True.
+    for lo in range(1, v.n + 2):
+        for hi in range(lo - 1, v.n + 1):
+            positions = range(lo, hi + 1)
+            for w in (v, sym_subset(v, positions), alt_subset(v, positions)):
+                assert cli._slot_symmetric(w, lo, hi, 1) == (sym_subset(w, positions) == w)
+                assert cli._slot_symmetric(w, lo, hi, -1) == (alt_subset(w, positions) == w)
+
+
+def _orbit_vector_as_vplus(b, d, real=cli.witnesses):
+    """witnesses with vplus replaced by embed(e_b): in the orbit, but not
+    symmetric in slots 1..k+1."""
+    return embed(FockTensor.basis(d, b)), real(b, d)[1]
+
+
+def _orbit_vector_span_as_plus(b, orbit, real=cli.orbit_split_spaces):
+    """orbit_split_spaces with plus replaced by the span of embed(e_b),
+    which is not S_n-invariant."""
+    d, n = orbit.dim_ground, orbit.degree
+    plus = Subspace.spanned_by(d, n, [embed(FockTensor.basis(d, b))])
+    return plus, real(b, orbit)[1]
+
+
+def _reported(case, d, n, k):
+    """(status, details) as the driver reports them: an exception fails the case."""
+    try:
+        return case(d, n, k)
+    except Exception as e:
+        return "fail", {"error": f"{type(e).__name__}: {e}"}
+
+
+# On d = n = 3, k = 2 the plus piece has dimension C(2, 0) = 1, so the
+# one-vector plus keeps the split dimensions: only the characters see it.
+@pytest.mark.parametrize(
+    "name, stand_in, check",
+    [
+        ("witnesses", _orbit_vector_as_vplus, lambda det: det["witnesses"] == "bad"),
+        (
+            "orbit_split_spaces",
+            _orbit_vector_span_as_plus,
+            lambda det: det["error"].startswith("NotInvariant"),
+        ),
+    ],
+)
+def test_rep_case_and_oracle_fail_with_each_stand_in(name, stand_in, check, monkeypatch):
+    d, n, k = 3, 3, 2
+    assert cli._case_rep(d, n, k, 0)[0] == "pass"
+    monkeypatch.setattr(cli, name, stand_in)
+    for case in (lambda d, n, k: cli._case_rep(d, n, k, 0), rep_oracle):
+        status, details = _reported(case, d, n, k)
+        assert status == "fail"
+        assert check(details)

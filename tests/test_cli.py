@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -227,6 +228,11 @@ RECORDED_DIGESTS = [
         "88900725584cb4c366a1a8824355c264e265204423522081055c4ea7d75bd52a",
         "4cf2545a1a6eac99958ebbe0e316cc9d97be8dcb5edf6205b90a1785fa790032",
     ),
+    (
+        ["rep", "--max-dim", "5", "--max-n", "5"],
+        "c1c38dffcf2f5c666241c59bbcaeda57d356895aa3430e23c417d73c775904a6",
+        "537454fa995970fdec3aea4ce94221ecf611d70b659c03ffe289e064102fdeb1",
+    ),
 ]
 
 
@@ -258,6 +264,33 @@ def test_report_bytes_match_the_recorded_digest(monkeypatch, capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, grid
         old = _with_sampled_trials(out).encode("utf-8")
         assert hashlib.sha256(old).hexdigest() == sampled_digest, grid
+
+
+def test_verify_path_runs_no_group_order_loop(monkeypatch, capsys):
+    # The rep case reads S_n through its generators and one permutation
+    # per cycle type, so a run in which the m!-term averagers and the n!
+    # permutation sweep raise, in every hodgefock module that binds them,
+    # and every cache starts empty, still passes with the recorded bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("m! or n! loop on the verify path")
+
+    originals = {"_average": fock_ops._average, "symmetric_group": fock_ops.symmetric_group}
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "hodgefock":
+            continue
+        for attr, original in originals.items():
+            if getattr(mod, attr, None) is original:
+                monkeypatch.setattr(mod, attr, refuse)
+        for value in list(vars(mod).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    assert fock_ops._average is refuse and fock_ops.symmetric_group is refuse
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    grid, digest, _ = RECORDED_DIGESTS[2]
+    assert grid == ["all", "--max-dim", "4", "--max-n", "4", "--seed", "1"]
+    assert main(["verify", *grid, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def _doubled_own_gram(d, k, q):

@@ -1,5 +1,6 @@
 """Orbit spans, position-set families, the transposition-sum split."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -9,10 +10,8 @@ from hypothesis import given
 import hodgefock as hf
 from hodgefock import rep_theory
 from hodgefock import (
-    ConsistencyError,
     FockTensor,
     FullTensor,
-    HookShape,
     MixedIndex,
     NotInvariant,
     Permutation,
@@ -21,7 +20,6 @@ from hodgefock import (
     decomposition_dims,
     embed,
     embedded_subspace,
-    hook_dim,
     intersect,
     lower,
     orbit_span,
@@ -33,7 +31,8 @@ from hodgefock import (
     symmetric_group,
     weight_patterns,
 )
-from hodgefock.rep_theory import has_distinct_indices, position_permutation, transposition_sum_matrix
+from hodgefock.rep_theory import class_representatives, has_distinct_indices, position_permutation
+from hodgefock.rep_theory import transposition_sum_matrix
 
 from conftest import mixed_tensors
 
@@ -88,21 +87,6 @@ def test_subspace_coordinates():
         assert rebuilt == t
         with pytest.raises(NotInvariant):
             s.coordinates(FullTensor(2, 2, {(1, 1): 1}))
-
-
-def test_hook_dims_are_binomials():
-    for n in range(1, 7):
-        for m in range(n):
-            assert hook_dim(HookShape(n, m)) == comb(n - 1, m)
-    with pytest.raises(hf.InvalidIndex):
-        HookShape(3, 3)
-    assert HookShape(3, 1).cells() == [(0, 0), (0, 1), (1, 0)]
-
-
-def test_hook_dim_self_check_raises(monkeypatch):
-    monkeypatch.setattr(rep_theory, "comb", lambda n, k: comb(n, k) + 1)
-    with pytest.raises(ConsistencyError):
-        hook_dim(HookShape(3, 1))
 
 
 def test_position_permutation_moves_the_first_block():
@@ -306,3 +290,31 @@ def test_character_additivity():
             assert action_trace(orbit, p) == action_trace(plus, p) + action_trace(minus, p)
             for space in (orbit, plus, minus):
                 assert action_trace(space, p) == coordinate_trace(space, p)
+
+
+def cycle_type(p: Permutation) -> tuple[int, ...]:
+    """Cycle lengths of p, largest first."""
+    seen: set[int] = set()
+    lengths = []
+    for start in range(1, p.degree + 1):
+        i, length = start, 0
+        while i not in seen:
+            seen.add(i)
+            i = p(i)
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)])
+def test_class_representatives_meet_each_cycle_type_once(n, classes):
+    types = [cycle_type(p) for p in class_representatives(n)]
+    assert len(types) == len(set(types)) == classes
+    # The class of cycle type lambda has n!/z_lambda elements, with
+    # z_lambda = prod_v v^m_v m_v! over the part sizes v of multiplicity m_v.
+    sizes = {
+        t: factorial(n) // prod(v**m * factorial(m) for v, m in Counter(t).items()) for t in types
+    }
+    assert sum(sizes.values()) == factorial(n)
+    assert Counter(cycle_type(p) for p in symmetric_group(n)) == sizes
