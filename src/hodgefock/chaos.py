@@ -21,10 +21,17 @@ the Gaussian divergence (codifferential); their composite on functions is
 the classical number operator x . grad - laplacian (ornstein_uhlenbeck),
 diagonal with eigenvalue = total Hermite degree.
 
-In Hermite coordinates, keyed (wedge key, multi-degree) by hermite_key,
-both operators are integer shifts, one coordinate at a time:
-He_a' = a He_{a-1} for the derivative and x He_a - He_a' = He_{a+1} for
-the creation part of the divergence.  hermite_matrix writes them as
+A form's Hermite coordinates {(wedge key, multi-degree): c} are its
+coefficients on He_m dx_J.  Forms change basis in two places only:
+FormField.from_hermite multiplies the products out into monomials, and
+FormField.hermite_coords reads each wedge component back through
+HermiteExpansion.from_poly.  chaos_field, gaussian_inner and the
+`verify chaos` checks all go through these two.
+
+In these coordinates, where hermite_key gives a label's key, both
+operators are integer shifts, one coordinate at a time: He_a' =
+a He_{a-1} for the derivative and x He_a - He_a' = He_{a+1} for the
+creation part of the divergence.  hermite_matrix writes them as
 matrices indexed by the labels of the neighbouring blocks, so the
 `verify chaos` suite proves the dictionary by comparing them with the
 integer matrices of lower and raise_ (operator_matrix), with no sampling.
@@ -197,9 +204,6 @@ class HermiteExpansion(SparseVector):
         terms = ((c, _hermite_monomial(key)) for key, c in self.coeffs.items())
         return Poly._trusted((self.dim,), lincomb(terms))
 
-    def total_degrees(self) -> set[int]:
-        return {sum(key) for key in self.coeffs}
-
 
 class FormField(SparseVector):
     """Polynomial q-form on R^d, sparse over (wedge key, exponent tuple).
@@ -252,11 +256,29 @@ class FormField(SparseVector):
             comps.setdefault(key, {})[e] = c
         return sorted((key, Poly._trusted((self.dim,), mono)) for key, mono in comps.items())
 
+    @classmethod
+    def from_hermite(cls, dim: int, q: int, coords: Mapping) -> "FormField":
+        """The q-form sum c He_m dx_J over its Hermite coordinates
+        {(J, m): c}, each product multiplied out by _hermite_monomial.
+        The keys are not checked: J must be a wedge key of a q-form on
+        R^dim and m a multi-degree of length dim."""
+        out: dict[tuple, object] = {}
+        for (key, mult), c in coords.items():
+            for e, w in _hermite_monomial(mult).items():
+                out[(key, e)] = out.get((key, e), 0) + c * w
+        return cls._trusted((dim, q), out)
+
+    def hermite_coords(self) -> dict:
+        """The inverse of from_hermite: {(J, m): c}, each component read
+        through HermiteExpansion.from_poly."""
+        return {
+            (key, mult): c
+            for key, p in self.items()
+            for mult, c in HermiteExpansion.from_poly(p).coeffs.items()
+        }
+
     def hermite_degrees(self) -> set[int]:
-        out: set[int] = set()
-        for _, p in self.items():
-            out |= HermiteExpansion.from_poly(p).total_degrees()
-        return out
+        return {sum(mult) for _, mult in self.hermite_coords()}
 
 
 @dataclass(frozen=True)
@@ -298,12 +320,8 @@ def chaos_field(t: FockTensor) -> FormField:
 
     A degenerate block (k < 0, q < 0 or q > d) holds only zero, which goes
     to the zero form of the same degree q."""
-    out: dict[tuple, object] = {}
-    for label, c in t.coeffs.items():
-        wedge, mult = hermite_key(label, t.dim)
-        for e, w in _hermite_monomial(mult).items():
-            out[(wedge, e)] = out.get((wedge, e), 0) + c * w
-    return FormField._trusted((t.dim, t.q), out)
+    coords = {hermite_key(label, t.dim): c for label, c in t.coeffs.items()}
+    return FormField.from_hermite(t.dim, t.q, coords)
 
 
 def exp_vector(h: Iterable, order: int) -> GradedFock:
@@ -366,7 +384,7 @@ def codifferential(u: FormField) -> FormField:
 
 def _hermite_image(which: str, key: tuple[int, ...], m: tuple[int, ...]):
     """d ("lower") or δ ("raise") of He_m dx_key in Hermite coordinates,
-    as (coeff, (wedge key, multi-degree)) terms:
+    as ((wedge key, multi-degree), coeff) pairs with distinct keys:
 
         d: He_m dx_J -> sum_i m_i He_{m-e_i} dx_i ^ dx_J,
         δ: He_m dx_J -> sum_pos (-1)^pos He_{m+e_j} dx_{J without j},  j = J[pos].
@@ -380,11 +398,11 @@ def _hermite_image(which: str, key: tuple[int, ...], m: tuple[int, ...]):
             ins = _wedge_insert(i, key) if a else None
             if ins is not None:
                 sign, new = ins
-                yield sign * a, (new, m[: i - 1] + (a - 1,) + m[i:])
+                yield (new, m[: i - 1] + (a - 1,) + m[i:]), sign * a
     else:
         for pos, j in enumerate(key):
             up = m[: j - 1] + (m[j - 1] + 1,) + m[j:]
-            yield (-1) ** pos, (key[:pos] + key[pos + 1 :], up)
+            yield (key[:pos] + key[pos + 1 :], up), (-1) ** pos
 
 
 def hermite_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
@@ -402,7 +420,7 @@ def hermite_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
     index = {hermite_key(b, d): r for r, b in enumerate(enum_basis(*cod_sig))}
     entries: dict[tuple[int, int], object] = {}
     for c, b in enumerate(enum_basis(d, k, q)):
-        for v, key in _hermite_image(which, *hermite_key(b, d)):
+        for key, v in _hermite_image(which, *hermite_key(b, d)):
             entries[(index[key], c)] = v
     return LinearMap._trusted(((d, k, q), cod_sig), entries)
 
@@ -438,15 +456,7 @@ def gaussian_inner(u, v):
     u = _as_form(u)
     v = _as_form(v)
     u._check_same(v)
-    v_comps = dict(v.items())
-    total = Fraction(0)
-    for key, f in u.items():
-        g = v_comps.get(key)
-        if g is not None:
-            fe = HermiteExpansion.from_poly(f).coeffs
-            ge = HermiteExpansion.from_poly(g).coeffs
-            total += dot(fe, ge, lambda a: prod(map(factorial, a)))
-    return total
+    return dot(u.hermite_coords(), v.hermite_coords(), lambda key: prod(map(factorial, key[1])))
 
 
 def expectation(f: Poly):
@@ -477,15 +487,12 @@ def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField
     graded = exp_vector(hs, order)
 
     def tensor_with(key: tuple[int, ...]) -> FormField:
-        relabelled = (
-            FockTensor._trusted(
-                (d, k, len(key)), {MixedIndex(b.sym, key): c for b, c in part.coeffs.items()}
-            )
-            for k, part in graded.parts.items()
-        )
-        return FormField._trusted(
-            (d, len(key)), lincomb((1, chaos_field(t).coeffs) for t in relabelled)
-        )
+        coords = {
+            (key, _label_multiplicities(b, d)): c
+            for part in graded.parts.values()
+            for b, c in part.coeffs.items()
+        }
+        return FormField.from_hermite(d, len(key), coords)
 
     left = exterior_derivative(tensor_with(x))
     right = FormField.zero(d, q + 1)

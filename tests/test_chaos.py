@@ -1,6 +1,8 @@
 """Gaussian polynomial model: Hermite dictionary, derivatives, pairings."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -36,7 +38,7 @@ from hodgefock.chaos import (
     hermite_matrix,
 )
 
-from conftest import mixed_tensor_pairs, mixed_tensors
+from conftest import coefficients, mixed_tensor_pairs, mixed_tensors
 
 
 HE_TABLE = {
@@ -209,6 +211,90 @@ def _hermite_coords(form):
         for key, p in form.items()
         for mult, c in HermiteExpansion.from_poly(p).coeffs.items()
     }
+
+
+@st.composite
+def coordinates(draw, dim, q):
+    """A few nonzero coefficients keyed (wedge key, multi-degree) for a
+    q-form on R^dim; used both as Hermite and as monomial coordinates."""
+    keys = st.sampled_from(list(combinations(range(1, dim + 1), q)))
+    degrees = st.tuples(*[st.integers(0, 3)] * dim)
+    return draw(st.dictionaries(st.tuples(keys, degrees), coefficients, max_size=5))
+
+
+def _by_component(coords) -> dict:
+    comps: dict = {}
+    for (key, m), c in coords.items():
+        comps.setdefault(key, {})[m] = c
+    return comps
+
+
+@st.composite
+def form_pairs(draw):
+    """Two forms of one (dim, q), built component by component, whose wedge
+    keys differ in general."""
+    dim = draw(st.integers(1, 3))
+    q = draw(st.integers(0, dim))
+    return tuple(
+        FormField(dim, q, {key: Poly(dim, p) for key, p in _by_component(coords).items()})
+        for coords in (draw(coordinates(dim, q)), draw(coordinates(dim, q)))
+    )
+
+
+@st.composite
+def hermite_forms(draw):
+    dim = draw(st.integers(1, 3))
+    q = draw(st.integers(0, dim))
+    return dim, q, draw(coordinates(dim, q))
+
+
+@given(form_pairs())
+def test_hermite_coords_reads_each_component_through_from_poly(pair):
+    for f in pair:
+        assert f.hermite_coords() == _hermite_coords(f)
+
+
+@given(hermite_forms())
+def test_from_hermite_is_to_poly_on_each_component(case):
+    dim, q, coords = case
+    comps = {
+        key: HermiteExpansion(dim, he).to_poly() for key, he in _by_component(coords).items()
+    }
+    assert FormField.from_hermite(dim, q, coords) == FormField(dim, q, comps)
+
+
+@given(hermite_forms(), form_pairs())
+def test_from_hermite_and_hermite_coords_are_inverse(case, pair):
+    dim, q, coords = case
+    assert FormField.from_hermite(dim, q, coords).hermite_coords() == coords
+    for f in pair:
+        assert FormField.from_hermite(f.dim, f.q, f.hermite_coords()) == f
+
+
+def _gaussian_inner_per_component(u, v):
+    """The component-by-component pairing: E[f_J g_J] from the Hermite
+    expansions of the two J components, summed over the keys of u."""
+    u, v = (FormField(f.dim, 0, {(): f}) if isinstance(f, Poly) else f for f in (u, v))
+    v_comps = dict(v.items())
+    total = Fraction(0)
+    for key, f in u.items():
+        g = v_comps.get(key)
+        if g is not None:
+            fe = HermiteExpansion.from_poly(f).coeffs
+            ge = HermiteExpansion.from_poly(g).coeffs
+            total += sum(c * ge.get(a, 0) * prod(map(factorial, a)) for a, c in fe.items())
+    return total
+
+
+@given(form_pairs())
+def test_gaussian_inner_agrees_with_the_per_component_pairing(pair):
+    u, v = pair
+    got = gaussian_inner(u, v)
+    assert isinstance(got, Fraction)
+    assert got == _gaussian_inner_per_component(u, v)
+    if u.q == 0:
+        p, r = u.component(()), v.component(())
+        assert gaussian_inner(p, r) == _gaussian_inner_per_component(p, r)
 
 
 @pytest.mark.parametrize("which, op", [("lower", exterior_derivative), ("raise", codifferential)])

@@ -1,8 +1,11 @@
 """Driver behavior: determinism, report schema, exit codes, filters."""
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -457,3 +460,76 @@ def test_main_unwritable_out_exits_two_before_any_case(tmp_path, monkeypatch, ca
     assert "error:" in capsys.readouterr().err
     assert ran == []
     assert not target.parent.exists()
+
+
+def test_main_empty_out_exits_two_before_any_case(monkeypatch, capsys):
+    # open("", "w") fails, so an empty path is refused like any other
+    # unwritable one instead of sending the report to stdout.
+    ran = []
+    monkeypatch.setattr(cli, "_run_case", lambda spec: ran.append(spec))
+    assert main(["verify", "weitzenboeck", "--dim", "1", "--n", "1", "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+    assert ran == []
+
+
+# Listed in the benchmark's LAYERS but not called by any verify suite.
+OFF_THE_VERIFY_PATH = {
+    "hodge.random_tensor",
+    "rep_theory.embedded_subspace",
+    "rep_theory.span_all_positions",
+}
+
+
+def _traced_layers() -> dict:
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.LAYERS
+
+
+def test_every_traced_layer_resolves_and_runs_on_the_verify_path(monkeypatch, capsys):
+    # The benchmark's tracer times the functions named in LAYERS; a name
+    # that no longer resolves, or that verify never calls, gives metrics
+    # that read nothing.  Counting wrappers go into every hodgefock
+    # namespace that binds a name, as the tracer's do.
+    modules = [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
+    for mod in modules:
+        for value in list(vars(mod).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for modname, names in _traced_layers().items():
+        mod = importlib.import_module(f"hodgefock.{modname}")
+        for name in names:
+            key = f"{modname}.{name}"
+            calls[key] = 0
+            if "." in name:
+                cls_name, meth = name.split(".")
+                cls = getattr(mod, cls_name, None)
+                raw = vars(cls).get(meth) if cls is not None else None
+                assert raw is not None, key
+                if isinstance(raw, classmethod):
+                    monkeypatch.setattr(cls, meth, classmethod(counting(key, raw.__func__)))
+                else:
+                    monkeypatch.setattr(cls, meth, counting(key, raw))
+                continue
+            orig = getattr(mod, name, None)
+            assert orig is not None, key
+            for other in modules:
+                for attr, value in list(vars(other).items()):
+                    if value is orig:
+                        monkeypatch.setattr(other, attr, counting(key, orig))
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    assert main(["verify", "all", "--max-dim", "2", "--max-n", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert {key for key, n in calls.items() if not n} <= OFF_THE_VERIFY_PATH

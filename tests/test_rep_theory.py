@@ -318,3 +318,17 @@ def test_class_representatives_meet_each_cycle_type_once(n, classes):
     }
     assert sum(sizes.values()) == factorial(n)
     assert Counter(cycle_type(p) for p in symmetric_group(n)) == sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_representatives_generate_the_symmetric_group(n):
+    # The rep case proves each piece invariant through action_trace on the
+    # class representatives alone, so they must generate S_n.
+    reps = class_representatives(n)
+    group = {p.images for p in reps}
+    frontier = list(reps)
+    while frontier:
+        products = [p * g for p in frontier for g in reps]
+        frontier = [p for p in products if p.images not in group]
+        group.update(p.images for p in frontier)
+    assert len(group) == factorial(n)
