@@ -39,11 +39,10 @@ integer matrices of lower and raise_ (operator_matrix), with no sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
 from .fock_ops import LinearMap, _wedge_insert
@@ -281,8 +280,7 @@ class FormField(SparseVector):
         return {sum(mult) for _, mult in self.hermite_coords()}
 
 
-@dataclass(frozen=True)
-class GradedFock:
+class GradedFock(NamedTuple):
     """Finite stack of symmetric blocks, graded by degree k."""
 
     dim: int

@@ -7,6 +7,8 @@ timestamps, no timings, rationals rendered as exact "p/q" strings, cases
 sorted by (suite, d, n, k, name).  Cases run on a process pool whose
 size is taken from HODGEFOCK_WORKERS when set; results come back in case
 order either way, so the output does not depend on the worker count.
+With HODGEFOCK_WORKERS=1 the cases run in this process, and the pool's
+modules (multiprocessing and its dependencies) are never imported.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from . import __version__
 from .chaos import (
@@ -29,7 +31,6 @@ from .chaos import (
     chaos_field,
     codifferential,
     commutation_defect,
-    exp_vector,
     exterior_derivative,
     gaussian_inner,
     hermite_key,
@@ -59,8 +60,7 @@ def _writable(path: str) -> bool:
     return os.access(os.path.dirname(path) or ".", os.W_OK)
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple):
     suite: str = "all"
     max_dim: int = 3
     max_n: int = 4
@@ -100,19 +100,18 @@ class VerifyConfig:
             raise ConfigError(f"cannot write the report to {self.out!r}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     tool: str
     version: str
     config: dict
-    cases: list = field(default_factory=list)
+    cases: list
     status: str = "pass"
 
     def as_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
@@ -158,8 +157,19 @@ def _fock_adjoint_residual(d: int, k: int, q: int) -> LinearMap:
     """G' L - (G R')^T, with L = lower on H_{k,q}, R' = raise_ on
     H_{k-1,q+1} and G, G' their gram matrices: zero iff
     inner(lower(u), w) = inner(u, raise_(w)) for all u and w."""
-    return gram_matrix(d, k - 1, q + 1) @ operator_matrix("lower", d, k, q) - (
-        gram_matrix(d, k, q) @ operator_matrix("raise", d, k - 1, q + 1)
+    return _adjoint_residual(gram_matrix, operator_matrix, d, k, q)
+
+
+@lru_cache(maxsize=None)
+def _adjoint_residual(gram, op, d: int, k: int, q: int) -> LinearMap:
+    """_fock_adjoint_residual from the matrices that `gram` and `op` build.
+
+    Computed once per argument tuple and process: the split and chaos
+    cases of a block both ask for it.  `gram` and `op` are part of the
+    key, so a stand-in for either gets its own entry.
+    """
+    return gram(d, k - 1, q + 1) @ op("lower", d, k, q) - (
+        gram(d, k, q) @ op("raise", d, k - 1, q + 1)
     ).transpose()
 
 
@@ -231,6 +241,16 @@ def _repeated_label(d: int, n: int, k: int) -> MixedIndex | None:
     return None
 
 
+def _degenerate_orbit_dim(b: MixedIndex, d: int) -> int:
+    """dim orbit_span(b) predicted from (plus, minus) = hodge_split(e_b):
+    C(n-1, q-1) [plus != 0] + C(n-1, q) [minus != 0], the first term 0 at
+    q = 0."""
+    n, q = len(b.sym) + len(b.alt), len(b.alt)
+    plus, minus = hodge_split(FockTensor.basis(d, b))
+    dim_plus = comb(n - 1, q - 1) if q >= 1 and not plus.is_zero() else 0
+    return dim_plus + (comb(n - 1, q) if not minus.is_zero() else 0)
+
+
 def _slot_symmetric(v: FullTensor, lo: int, hi: int, sign: int) -> bool:
     """Whether each (i i+1), lo <= i < hi, maps v to sign * v: these generate
     the permutations of slots lo..hi, so v is symmetric (sign 1) or
@@ -285,11 +305,16 @@ def _case_rep(d: int, n: int, k: int, seed: int):
         ok = ok and char_ok
     rep_label = _repeated_label(d, n, k)
     if rep_label is not None:
+        orbit_dim = orbit_span(rep_label, d).dim
+        expected = _degenerate_orbit_dim(rep_label, d)
         details["degenerate"] = {
             "label": rep_label.render(),
-            "orbit_dim": orbit_span(rep_label, d).dim,
+            "orbit_dim": orbit_dim,
             "note": "degenerate-orbit",
         }
+        if orbit_dim != expected:
+            details["degenerate"]["expected"] = expected
+            ok = False
     return ("pass" if ok else "fail"), details
 
 
@@ -433,10 +458,16 @@ def _case_chaos_truncation(d: int, n: int, k: int, seed: int):
     h = [rng.randint(-3, 3) for _ in range(d)]
     x = (1,)
     defect = commutation_defect(h, x, n)
-    top = exp_vector(h, n).part(n)
+    # Expected: the degree-n part of exp(h), prod_i h_i^{a_i} / a_i! on the
+    # label of multiplicities a, tensored with h wedge e_1.  It is written
+    # out here, so that commutation_defect builds the only exponential vector.
+    top = {
+        b: prod(Fraction(hi) ** a / factorial(a) for hi, a in zip(h, hermite_key(b, d)[1]))
+        for b in enum_basis(d, n, 0)
+    }
     coeffs = {
         MixedIndex(b.sym, (1, i)): h[i - 1] * c
-        for b, c in top.coeffs.items()
+        for b, c in top.items()
         for i in range(2, d + 1)
     }
     expected = chaos_field(FockTensor(d, n, 2, coeffs))
@@ -520,6 +551,14 @@ def _worker_budget() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+def _process_pool(workers: int):
+    """A pool of `workers` processes.  It is imported here, so that a serial
+    run never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_verify(cfg: VerifyConfig) -> Report:
     cfg.validate()
     specs = _case_specs(cfg)
@@ -531,7 +570,7 @@ def run_verify(cfg: VerifyConfig) -> Report:
         # The pool starts all of its workers at once; never more than cases.
         workers = min(workers, len(specs))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _process_pool(workers) as pool:
                 chunk = max(1, len(specs) // (workers * 4))
                 cases = list(pool.map(_run_case, specs, chunksize=chunk))
         except Exception as e:
@@ -588,7 +627,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run an invariant suite over a parameter grid")
-    verify.set_defaults(**asdict(VerifyConfig()))
+    verify.set_defaults(**VerifyConfig().as_dict())
     verify.add_argument("suite", choices=SUITES + ("all",))
     verify.add_argument("--max-dim", type=int)
     verify.add_argument("--max-n", type=int)
@@ -600,7 +639,7 @@ def main(argv=None) -> int:
     verify.add_argument("--format", choices=("json", "text"))
     verify.add_argument("--out")
     args = parser.parse_args(argv)
-    cfg = VerifyConfig(**{f.name: getattr(args, f.name) for f in fields(VerifyConfig)})
+    cfg = VerifyConfig(**{name: getattr(args, name) for name in VerifyConfig._fields})
     try:
         report = run_verify(cfg)
     except ConfigError as e:

@@ -15,8 +15,9 @@ B B = n B.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DegreeOutOfRange
 from .fock_ops import LinearMap, Permutation, lower, operator_matrix, permute, raise_
@@ -46,7 +47,18 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
     Boundary terms (k = 0 or q = 0) are zero maps, and a block with q > d
     gives 0.  Negative k or q raises DegreeOutOfRange.
     """
-    a, b = split_matrices(d, k, q)
+    return _split_defect(split_matrices, d, k, q)
+
+
+@lru_cache(maxsize=None)
+def _split_defect(split, d: int, k: int, q: int) -> Fraction:
+    """weitzenboeck_defect from the split matrices that `split` builds.
+
+    Computed once per argument tuple and process: the weitzenboeck and
+    chaos cases of a block both ask for it.  `split` is part of the key,
+    so a stand-in for split_matrices gets its own entry.
+    """
+    a, b = split(d, k, q)
     return (a + b - LinearMap.identity((d, k, q)).scale(k + q)).max_abs_entry()
 
 
@@ -63,8 +75,7 @@ def hodge_split(t: FockTensor) -> tuple[FockTensor, FockTensor]:
     return lower(raise_(t)) / n, raise_(lower(t)) / n
 
 
-@dataclass(frozen=True)
-class ExactnessRow:
+class ExactnessRow(NamedTuple):
     """Exact rank data of one block H_{k,q} inside the degree-n complex."""
 
     k: int
@@ -80,11 +91,10 @@ class ExactnessRow:
         return self.rank_lower + self.ker_lower == self.dim == self.rank_raise + self.ker_raise
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     """Rank bookkeeping for both degree-n sequences over R^d.
 
     Rows run k = n down to 0.  The lower maps form

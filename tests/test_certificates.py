@@ -55,6 +55,8 @@ CACHES = (
     cli._ladder_tables_hold,
     cli._hermite_matches,
     cli._chaos_block_holds,
+    hodge._split_defect,
+    cli._adjoint_residual,
 )
 
 
@@ -556,3 +558,44 @@ def test_rep_case_and_oracle_fail_with_each_stand_in(name, stand_in, check, monk
         status, details = _reported(case, d, n, k)
         assert status == "fail"
         assert check(details)
+
+
+def _shrunk_on_repeated_labels(b, d, real=cli.orbit_span):
+    """orbit_span with one basis vector fewer when b repeats an index."""
+    orbit = real(b, d)
+    if len(set(b.sym + b.alt)) == len(b.sym + b.alt):
+        return orbit
+    return Subspace.spanned_by(d, orbit.degree, orbit.basis()[1:])
+
+
+@pytest.mark.parametrize("d, n, k", [(3, 3, 2), (3, 3, 1), (4, 4, 3), (2, 2, 2)])
+def test_rep_case_checks_the_degenerate_orbit(d, n, k, monkeypatch):
+    # dim orbit_span of the repeated label is C(n-1,q-1) [plus != 0] +
+    # C(n-1,q) [minus != 0]; an orbit one vector short fails the case and
+    # reports the predicted dimension.
+    status, details = cli._case_rep(d, n, k, 0)
+    assert status == "pass" and "expected" not in details["degenerate"]
+    true_dim = details["degenerate"]["orbit_dim"]
+    assert true_dim == cli._degenerate_orbit_dim(cli._repeated_label(d, n, k), d) > 0
+    monkeypatch.setattr(cli, "orbit_span", _shrunk_on_repeated_labels)
+    status, details = cli._case_rep(d, n, k, 0)
+    assert status == "fail"
+    assert details["degenerate"]["orbit_dim"] == true_dim - 1
+    assert details["degenerate"]["expected"] == true_dim
+
+
+def test_block_products_are_built_once_per_block(monkeypatch, capsys):
+    # The weitzenboeck and chaos cases of a block share one
+    # weitzenboeck_defect, so one pair of split matrices, and its split and
+    # chaos cases one adjoint residual, which calls gram_matrix twice.
+    splits, grams = [], []
+    real_split, real_gram = hodge.split_matrices, cli.gram_matrix
+    monkeypatch.setattr(hodge, "split_matrices", lambda *sig: splits.append(sig) or real_split(*sig))
+    monkeypatch.setattr(cli, "gram_matrix", lambda *sig: grams.append(sig) or real_gram(*sig))
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    assert cli.main(["verify", "all", "--max-dim", "3", "--max-n", "3", "--format", "json"]) == 0
+    capsys.readouterr()
+    residual_cache = cli._adjoint_residual.cache_info()
+    assert splits and len(splits) == len(set(splits))
+    assert len(grams) == 2 * residual_cache.currsize
+    assert hodge._split_defect.cache_info().hits > 0 and residual_cache.hits > 0

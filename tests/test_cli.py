@@ -4,6 +4,8 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +44,23 @@ def test_json_roundtrip():
     report = run_verify(small(suite="weitzenboeck"))
     again = parse_report(render_report(report, "json"))
     assert again.as_dict() == report.as_dict()
+
+
+def test_default_config_keys_and_values_in_report_order():
+    # config is written into every report, so its keys keep this order.
+    assert list(VerifyConfig().as_dict().items()) == [
+        ("suite", "all"), ("max_dim", 3), ("max_n", 4), ("seed", 0), ("dim", None),
+        ("n", None), ("k", None), ("q", None), ("format", "text"), ("out", None),
+    ]
+
+
+def test_parsed_report_renders_the_same_bytes():
+    report = run_verify(small(suite="chaos", max_dim=2, max_n=2))
+    text = render_report(report, "json")
+    again = parse_report(text)
+    assert again.as_dict() == report.as_dict()
+    assert list(again.as_dict()) == ["tool", "version", "config", "cases", "status"]
+    assert render_report(again, "json") == text
 
 
 def test_report_schema():
@@ -174,7 +193,7 @@ def test_pool_failure_is_reported_and_falls_back_to_serial(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise OSError("no semaphores")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_process_pool", no_pool)
     monkeypatch.setenv("HODGEFOCK_WORKERS", "2")
     assert main(argv) == 0
     captured = capsys.readouterr()
@@ -202,12 +221,36 @@ def test_pool_is_never_larger_than_the_case_list(monkeypatch):
         def map(self, fn, specs, chunksize=1):
             return map(fn, specs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_process_pool", RecordingPool)
     monkeypatch.setenv("HODGEFOCK_WORKERS", "8")
     report = run_verify(small(suite="weitzenboeck", max_dim=1, max_n=1))
     assert len(report.cases) == 2 and report.status == "pass"
     run_verify(small(suite="weitzenboeck", max_dim=3, max_n=3))
     assert sizes == [2, 8]
+
+
+def test_serial_run_imports_no_pool_and_no_dataclasses(tmp_path):
+    # The modules a serial verify adds to a fresh interpreter, hodgefock's
+    # own import included; the before set comes from the same process, so
+    # what site loads at start-up cancels out.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from hodgefock.cli import main\n"
+        f"rc = main(['verify', 'weitzenboeck', '--dim', '1', '--n', '1', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(rc, *sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {**os.environ, "HODGEFOCK_WORKERS": "1", "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, *added = proc.stdout.split()
+    assert rc == "0" and "hodgefock.cli" in added
+    for name in ("multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"):
+        assert name not in added, name
 
 
 RECORDED_DIGESTS = [
