@@ -300,9 +300,10 @@ def _label_multiplicities(label: MixedIndex, dim: int) -> tuple[int, ...]:
     return tuple(mult)
 
 
-def hermite_key(label: MixedIndex, dim: int) -> tuple:
+def hermite_key(label: MixedIndex, ground) -> tuple:
     """The dictionary on one label: e_b goes to He_{mult(b)} dx_{b.alt},
-    the Hermite coordinate keyed (b.alt, mult(b))."""
+    the Hermite coordinate keyed (b.alt, mult(b)), over R^d or R^len(mu)."""
+    dim = len(ground) if isinstance(ground, tuple) else ground
     return label.alt, _label_multiplicities(label, dim)
 
 
@@ -403,24 +404,24 @@ def _hermite_image(which: str, key: tuple[int, ...], m: tuple[int, ...]):
             yield (key[:pos] + key[pos + 1 :], up), (-1) ** pos
 
 
-def hermite_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
-    """Matrix of d ("lower") or δ ("raise") on the chaos of H_{k,q}.
+def hermite_matrix(which: str, ground, k: int, q: int) -> LinearMap:
+    """Matrix of d ("lower") or δ ("raise") on the chaos of a block.
 
     Column b is _hermite_image of He_{mult(b)} dx_{b.alt}, and each image
     key is read back as the label of the neighbouring block with that
     hermite_key.  Under the dictionary this must equal
-    operator_matrix(which, d, k, q), entry for entry; off the end of the
-    complex both are zero maps into the empty block.
+    operator_matrix(which, ground, k, q), entry for entry; off the end of
+    the complex both are zero maps into the empty block.
     """
     if which not in ("lower", "raise"):
         raise InvalidIndex(f"unknown operator {which!r}")
-    cod_sig = (d, k - 1, q + 1) if which == "lower" else (d, k + 1, q - 1)
-    index = {hermite_key(b, d): r for r, b in enumerate(enum_basis(*cod_sig))}
+    cod_sig = (ground, k - 1, q + 1) if which == "lower" else (ground, k + 1, q - 1)
+    index = {hermite_key(b, ground): r for r, b in enumerate(enum_basis(*cod_sig))}
     entries: dict[tuple[int, int], object] = {}
-    for c, b in enumerate(enum_basis(d, k, q)):
-        for key, v in _hermite_image(which, *hermite_key(b, d)):
+    for c, b in enumerate(enum_basis(ground, k, q)):
+        for key, v in _hermite_image(which, *hermite_key(b, ground)):
             entries[(index[key], c)] = v
-    return LinearMap._trusted(((d, k, q), cod_sig), entries)
+    return LinearMap._trusted(((ground, k, q), cod_sig), entries)
 
 
 def _as_form(f) -> FormField:

@@ -46,7 +46,7 @@ from .hodge import weitzenboeck_defect, witnesses
 from .rep_theory import action_trace, class_representatives, decomposition_dims, orbit_span
 from .rep_theory import orbit_split_spaces
 from .tensor_core import FockTensor, FullTensor, MixedIndex, _gram_factor, block_dim, enum_basis
-from .tensor_core import inner
+from .tensor_core import inner, weight_patterns
 
 SUITES = ("weitzenboeck", "exactness", "split", "decomposition", "rep", "chaos")
 
@@ -139,78 +139,72 @@ def _case_exactness(d: int, n: int, k: int, seed: int):
     rep = _exactness_report(d, n)
     row = rep.row(k)
     lower_ok, raise_ok = rep.exact_at(k)
-    details = {
-        "dim": row.dim,
-        "rank_lower": row.rank_lower,
-        "ker_lower": row.ker_lower,
-        "rank_raise": row.rank_raise,
-        "ker_raise": row.ker_raise,
-        "harmonic_dim": row.harmonic_dim,
-        "lower_exact": lower_ok,
-        "raise_exact": raise_ok,
-    }
+    # dim, rank_lower, ker_lower, rank_raise, ker_raise and harmonic_dim, in order
+    details = dict(zip(row._fields[2:], row[2:]), lower_exact=lower_ok, raise_exact=raise_ok)
     ok = lower_ok and raise_ok and row.rank_nullity_ok() and row.harmonic_dim == 0
     return ("pass" if ok else "fail"), details
 
 
-def _fock_adjoint_residual(d: int, k: int, q: int) -> LinearMap:
-    """G' L - (G R')^T, with L = lower on H_{k,q}, R' = raise_ on
-    H_{k-1,q+1} and G, G' their gram matrices: zero iff
-    inner(lower(u), w) = inner(u, raise_(w)) for all u and w."""
-    return _adjoint_residual(gram_matrix, operator_matrix, d, k, q)
-
-
 @lru_cache(maxsize=None)
-def _adjoint_residual(gram, op, d: int, k: int, q: int) -> LinearMap:
-    """_fock_adjoint_residual from the matrices that `gram` and `op` build.
+def _adjoint_residual(gram, op, ground, k: int, q: int) -> LinearMap:
+    """G' L - (G R')^T, with L = lower on H_{k,q}, R' = raise_ on
+    H_{k-1,q+1} and G, G' their gram matrices from `gram` and `op`: zero
+    iff inner(lower(u), w) = inner(u, raise_(w)) for all u and w.
 
     Computed once per argument tuple and process: the split and chaos
     cases of a block both ask for it.  `gram` and `op` are part of the
     key, so a stand-in for either gets its own entry.
     """
-    return gram(d, k - 1, q + 1) @ op("lower", d, k, q) - (
-        gram(d, k, q) @ op("raise", d, k - 1, q + 1)
+    return gram(ground, k - 1, q + 1) @ op("lower", ground, k, q) - (
+        gram(ground, k, q) @ op("raise", ground, k - 1, q + 1)
     ).transpose()
 
 
-def _split_residuals(d: int, k: int, q: int, labels: list):
-    """(identity, residuals) pairs of the split on H_{k,q}, lazily.
-
-    With A, B = split_matrices(d, k, q) and n = k + q, each split claim
-    is an integer identity of whole-block matrices, which holds iff its
-    residuals are zero.  hodge_split itself is checked once, on
-    t = sum_i (i+1) e_i, against (A t / n, B t / n).
-    """
+@lru_cache(maxsize=None)
+def _split_failures(split, op, gram, hsplit, ground, k: int, q: int) -> tuple:
+    """(identity, first failing label or None) for each split claim on one
+    block: integer identities of A, B = split(ground, k, q), and hodge_split
+    on t = sum_i (i+1) e_i.  The ingredients are keys, as in _adjoint_residual."""
     n = k + q
-    a, b = split_matrices(d, k, q)
-    yield "plus + minus = t", [a + b - LinearMap.identity((d, k, q)).scale(n)]
-    yield "lower(plus) = 0", [operator_matrix("lower", d, k, q) @ a]
-    yield "raise_(minus) = 0", [operator_matrix("raise", d, k, q) @ b]
-    yield "split(plus) = (plus, 0)", [a @ a - a.scale(n), b @ a]
-    yield "split(minus) = (0, minus)", [a @ b, b @ b - b.scale(n)]
-    # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
-    yield "adjoint", [_fock_adjoint_residual(d, k, q)]
-    if labels:
-        t = FockTensor(d, k, q, {label: i + 1 for i, label in enumerate(labels)})
-        plus, minus = hodge_split(t)
-        yield "hodge_split", [plus - a.apply(t) / n, minus - b.apply(t) / n]
-
-
-def _case_split(d: int, n: int, k: int, seed: int):
-    q = n - k
-    labels = enum_basis(d, k, q)
-    details = {"dim": len(labels)}
+    labels = enum_basis(ground, k, q)
+    a, b = split(ground, k, q)
+    t = FockTensor._trusted((ground, k, q), {label: i + 1 for i, label in enumerate(labels)})
+    plus, minus = hsplit(t)
+    checks = {
+        "plus + minus = t": [a + b - LinearMap.identity((ground, k, q)).scale(n)],
+        "lower(plus) = 0": [op("lower", ground, k, q) @ a],
+        "raise_(minus) = 0": [op("raise", ground, k, q) @ b],
+        "split(plus) = (plus, 0)": [a @ a - a.scale(n), b @ a],
+        "split(minus) = (0, minus)": [a @ b, b @ b - b.scale(n)],
+        # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
+        "adjoint": [_adjoint_residual(gram, op, ground, k, q)],
+        "hodge_split": [plus - a.apply(t) / n, minus - b.apply(t) / n],
+    }
     index = {label: i for i, label in enumerate(labels)}
-    for name, residuals in _split_residuals(d, k, q, labels):
+    out = []
+    for name, residuals in checks.items():
         # Matrix residuals are keyed (row, column), tensor residuals by label.
         bad = [
             key[1] if isinstance(res, LinearMap) else index[key]
             for res in residuals
             for key in res.coeffs
         ]
-        if bad:
-            details.update(failed=name, label=labels[min(bad)].render())
-            return "fail", details
+        out.append((name, labels[min(bad)] if bad else None))
+    return tuple(out)
+
+
+def _case_split(d: int, n: int, k: int, seed: int):
+    """The split on every pattern block.  A failure names the first identity
+    that fails and its first failing label in the first block where it does."""
+    q = n - k
+    ingredients = (split_matrices, operator_matrix, gram_matrix, hodge_split)
+    blocks = [_split_failures(*ingredients, mu, k, q) for mu, _ in weight_patterns(d, n)]
+    details = {"dim": block_dim(d, k, q)}
+    for step in zip(*blocks):
+        for name, label in step:
+            if label is not None:
+                details.update(failed=name, label=label.render())
+                return "fail", details
     return "pass", details
 
 
@@ -218,13 +212,9 @@ def _case_decomposition(d: int, n: int, k: int, seed: int):
     q = n - k
     dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
     block = block_dim(d, k, q)
-    ker_lower = block - operator_matrix("lower", d, k, q).rank()
-    details = {
-        "dim": dim,
-        "dim_plus": dim_plus,
-        "dim_minus": dim_minus,
-        "ker_lower": ker_lower,
-    }
+    patterns = weight_patterns(d, n)
+    ker_lower = block - sum(c * operator_matrix("lower", mu, k, q).rank() for mu, c in patterns)
+    details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
     # With direct, the embedded dimension ties dim_minus to rank(lower).
     ok = direct and dim == block and dim_plus == ker_lower
     return ("pass" if ok else "fail"), details
@@ -366,8 +356,11 @@ def _ladder_tables_hold(n: int) -> tuple[bool, bool, bool]:
 
 @lru_cache(maxsize=None)
 def _hermite_matches(which: str, d: int, k: int, q: int) -> bool:
-    """The shift matrix of d or δ equals the matrix of lower or raise_."""
-    return hermite_matrix(which, d, k, q) == operator_matrix(which, d, k, q)
+    """The shift matrix of d or δ equals lower or raise_ on each pattern block."""
+    return all(
+        hermite_matrix(which, mu, k, q) == operator_matrix(which, mu, k, q)
+        for mu, _ in weight_patterns(d, k + q)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -401,12 +394,13 @@ def _chaos_block_holds(d: int, k: int, q: int) -> tuple[bool, bool]:
 
 
 def _case_chaos(d: int, n: int, k: int, seed: int):
-    """The Gaussian model of H_{k,q}, proved on whole blocks; seed is unused.
+    """The Gaussian model of H_{k,q}, proved exactly; seed is unused.
 
     Premise: exterior_derivative and codifferential act one coordinate at
     a time, with the shared wedge sign rule.  The ladder tables then make
     them the integer shift matrices of hermite_matrix in Hermite
-    coordinates, and under the dictionary each key is a matrix identity:
+    coordinates, and under the dictionary each key is a matrix identity,
+    compared on every pattern block:
 
     * diagram: d = lower on H_{k,q};
     * dual_diagram: δ = raise_ on H_{k,q};
@@ -429,12 +423,8 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
         and weitzenboeck_defect(d, k, q) == 0
     )
     dim = block_dim(d, k, q)
-    details = {
-        "dim": dim,
-        "diagram": diagram,
-        "dual_diagram": dual,
-        "laplacian_eigenvalue": str(n) if dim else "0",
-    }
+    details = {"dim": dim, "diagram": diagram, "dual_diagram": dual}
+    details["laplacian_eigenvalue"] = str(n) if dim else "0"
     ok = diagram and dual and eigen
     if q == 0:
         details["isometry"] = iso
@@ -446,7 +436,10 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
             and iso_below
             and ladder_delta
             and _hermite_matches("raise", d, k - 1, q + 1)
-            and _fock_adjoint_residual(d, k, q).is_zero()
+            and all(
+                _adjoint_residual(gram_matrix, operator_matrix, mu, k, q).is_zero()
+                for mu, _ in weight_patterns(d, n)
+            )
         )
         details["adjoint"] = adj
         ok = ok and adj

@@ -8,9 +8,9 @@ maps square to zero and satisfy the degree-n commutation identity
 
 Also here: the slot action of the symmetric group on full tensors, the
 averaging (anti)symmetrizers over a chosen position set, and exact
-integer matrices of the operators in the canonical bases.  The m!-term
-averagers and the n!-element symmetric_group are public helpers and test
-oracles; no verify case calls them.
+integer matrices of the operators on a whole block or on the weight
+block of a pattern (tensor_core).  The m!-term averagers and the
+n!-element symmetric_group are public oracles; no verify case calls them.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ class LinearMap(SparseVector):
 
 
 @lru_cache(maxsize=None)
-def operator_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
-    """Matrix of lower or raise_ on H_{k,q} in the canonical bases.
+def operator_matrix(which: str, ground, k: int, q: int) -> LinearMap:
+    """Matrix of lower or raise_ on a block (ground d or a pattern mu).
 
     Entries are integers under the package conventions.  lower at k = 0
     and raise_ at q = 0 give zero-row matrices: the codomain is a
@@ -267,22 +267,22 @@ def operator_matrix(which: str, d: int, k: int, q: int) -> LinearMap:
     """
     if which == "lower":
         op = lower
-        cod_sig = (d, k - 1, q + 1)
+        cod_sig = (ground, k - 1, q + 1)
     elif which == "raise":
         op = raise_
-        cod_sig = (d, k + 1, q - 1)
+        cod_sig = (ground, k + 1, q - 1)
     else:
         raise InvalidIndex(f"unknown operator {which!r}")
     index = {label: i for i, label in enumerate(enum_basis(*cod_sig))}
     entries: dict[tuple[int, int], object] = {}
-    for c, label in enumerate(enum_basis(d, k, q)):
-        image = op(FockTensor._trusted((d, k, q), {label: 1}))
+    for c, label in enumerate(enum_basis(ground, k, q)):
+        image = op(FockTensor._trusted((ground, k, q), {label: 1}))
         for lab, v in image.coeffs.items():
             entries[(index[lab], c)] = v
-    return LinearMap._trusted(((d, k, q), cod_sig), entries)
+    return LinearMap._trusted(((ground, k, q), cod_sig), entries)
 
 
-def gram_matrix(d: int, k: int, q: int) -> LinearMap:
-    """Diagonal pairing matrix of H_{k,q}: multiplicity factorials."""
-    ent = {(i, i): _gram_factor(label) for i, label in enumerate(enum_basis(d, k, q))}
-    return LinearMap._trusted(((d, k, q), (d, k, q)), ent)
+def gram_matrix(ground, k: int, q: int) -> LinearMap:
+    """Diagonal pairing matrix of a block: multiplicity factorials."""
+    ent = {(i, i): _gram_factor(label) for i, label in enumerate(enum_basis(ground, k, q))}
+    return LinearMap._trusted(((ground, k, q), (ground, k, q)), ent)

@@ -6,10 +6,14 @@ zero map into an empty block, so A = 0 when q = 0 and B = 0 when k = 0.
 Then A + B = n times the identity, and dividing by n yields two
 complementary idempotents: the image of A is killed by lower, the image
 of B is killed by raise_, and the two pieces are orthogonal.
-split_matrices gives A and B as exact integer matrices, so on a whole
-block the split claims are integer identities with no division:
+split_matrices gives A and B as exact integer matrices, so on a block
+the split claims are integer identities with no division:
 A + B = n I, lower A = 0, raise_ B = 0, A A = n A, B A = 0, A B = 0 and
 B B = n B.
+
+H_{k,q} over R^d is a sum of relabelled pattern blocks (tensor_core), so
+ranks and kernels are count-weighted sums over the patterns, a defect is
+the largest over them, and an identity holds iff it holds on each.
 """
 
 from __future__ import annotations
@@ -23,43 +27,47 @@ from .errors import DegreeOutOfRange
 from .fock_ops import LinearMap, Permutation, lower, operator_matrix, permute, raise_
 from .linalg import kernel_basis, matrix_rank
 from .tensor_core import FockTensor, FullTensor, MixedIndex, block_dim, embed, enum_basis
+from .tensor_core import weight_patterns
 
 
-def split_matrices(d: int, k: int, q: int) -> tuple[LinearMap, LinearMap]:
-    """A = lower . raise_ and B = raise_ . lower on H_{k,q}, as integer matrices.
+@lru_cache(maxsize=None)
+def split_matrices(ground, k: int, q: int) -> tuple[LinearMap, LinearMap]:
+    """A = lower . raise_ and B = raise_ . lower on a block, as integer matrices.
 
-    Column b of each is the image of the basis label b.  Each composite
-    runs through the empty block off the end of the complex when q = 0
-    (for A) or k = 0 (for B), and so is the zero map there.  The split of
-    t is (A t / n, B t / n).  Negative k or q raises DegreeOutOfRange.
+    Column b of each is the image of the label b; A = 0 when q = 0 and
+    B = 0 when k = 0.  The split of t is (A t / n, B t / n).  Built once
+    per argument tuple and process.  Negative k or q raises
+    DegreeOutOfRange.
     """
     if k < 0 or q < 0:
         raise DegreeOutOfRange(f"the split matrices need k, q >= 0, got ({k},{q})")
-    a = operator_matrix("lower", d, k + 1, q - 1) @ operator_matrix("raise", d, k, q)
-    b = operator_matrix("raise", d, k - 1, q + 1) @ operator_matrix("lower", d, k, q)
+    a = operator_matrix("lower", ground, k + 1, q - 1) @ operator_matrix("raise", ground, k, q)
+    b = operator_matrix("raise", ground, k - 1, q + 1) @ operator_matrix("lower", ground, k, q)
     return a, b
 
 
 def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
     """Largest |entry| of raise_ . lower + lower . raise_ - (k+q) * id.
 
-    Computed on exact integer matrices; the identity holds iff this is 0.
-    Boundary terms (k = 0 or q = 0) are zero maps, and a block with q > d
-    gives 0.  Negative k or q raises DegreeOutOfRange.
+    Exact, over the pattern blocks; the identity holds iff this is 0.  A
+    block with q > d gives 0.  Negative k or q raises DegreeOutOfRange.
     """
-    return _split_defect(split_matrices, d, k, q)
+    if k < 0 or q < 0:
+        raise DegreeOutOfRange(f"the defect needs k, q >= 0, got ({k},{q})")
+    defects = (_split_defect(split_matrices, mu, k, q) for mu, _ in weight_patterns(d, k + q))
+    return max(defects, default=Fraction(0))
 
 
 @lru_cache(maxsize=None)
-def _split_defect(split, d: int, k: int, q: int) -> Fraction:
-    """weitzenboeck_defect from the split matrices that `split` builds.
+def _split_defect(split, ground, k: int, q: int) -> Fraction:
+    """The defect of one block from the split matrices that `split` builds.
 
     Computed once per argument tuple and process: the weitzenboeck and
     chaos cases of a block both ask for it.  `split` is part of the key,
     so a stand-in for split_matrices gets its own entry.
     """
-    a, b = split(d, k, q)
-    return (a + b - LinearMap.identity((d, k, q)).scale(k + q)).max_abs_entry()
+    a, b = split(ground, k, q)
+    return (a + b - LinearMap.identity((ground, k, q)).scale(k + q)).max_abs_entry()
 
 
 def hodge_split(t: FockTensor) -> tuple[FockTensor, FockTensor]:
@@ -162,20 +170,20 @@ def exactness_report(d: int, n: int) -> ExactnessReport:
         raise DegreeOutOfRange("the report needs total degree n >= 1")
     rows = []
     for k in range(n, -1, -1):
-        q = n - k
-        maps = [operator_matrix("lower", d, k, q), operator_matrix("raise", d, k, q)]
-        (rank_lower, ker_lower), (rank_raise, ker_raise) = map(_rank_and_kernel, maps)
-        dim = block_dim(d, k, q)
-        harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
-        rows.append(
-            ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)
-        )
+        blocks = [(count, _block_row(mu, k, n - k)) for mu, count in weight_patterns(d, n)]
+        sums = (sum(count * row[i] for count, row in blocks) for i in range(2, 8))
+        rows.append(ExactnessRow(k, n - k, *sums))
     return ExactnessReport(d, n, tuple(rows))
 
 
-def _rank_and_kernel(m: LinearMap) -> tuple[int, int]:
-    """Rank and kernel dimension, each from its own elimination."""
-    return m.rank(), len(kernel_basis(m.columns()))
+def _block_row(ground, k: int, q: int) -> ExactnessRow:
+    maps = [operator_matrix("lower", ground, k, q), operator_matrix("raise", ground, k, q)]
+    (rank_lower, ker_lower), (rank_raise, ker_raise) = (
+        (m.rank(), len(kernel_basis(m.columns()))) for m in maps
+    )
+    dim = block_dim(ground, k, q)
+    harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
+    return ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)
 
 
 def witnesses(b: MixedIndex, d: int) -> tuple[FullTensor, FullTensor]:
@@ -208,8 +216,8 @@ def witnesses(b: MixedIndex, d: int) -> tuple[FullTensor, FullTensor]:
 def random_tensor(d: int, k: int, q: int, rng: random.Random) -> FockTensor:
     """Deterministic pseudo-random element: coefficients uniform in -9..9.
 
-    No verify case draws one: every suite is proved on the whole block.
-    It serves property tests and sampled cross-checks.
+    No verify case draws one; it serves property tests and sampled
+    cross-checks.
     """
     coeffs = {}
     for label in enum_basis(d, k, q):

@@ -10,17 +10,10 @@ matrix form of the two composites lower . raise_ and raise_ . lower read
 through embed, so the subspace split here and the tensor split in the
 hodge module are the same decomposition in two coordinate systems.
 
-The decomposition check works one weight block at a time.  A weight is
-the multiset of indices of a slot key; embed of a label and every slot
-permutation of it stay inside one weight, so the embedded block, both
-position families and their intersections are direct sums over weights.
-Relabelling the ground basis by some sigma in S_d acts on each index,
-commutes with slot permutations and maps embed of a label to plus or
-minus embed of the relabelled label, so it carries the whole picture of
-one weight onto the picture of the relabelled weight.  All weights with
-the same multiplicity pattern mu therefore give the same dimensions, and
-decomposition_dims solves the representative weight 1^mu_1 2^mu_2 ...
-once per pattern and multiplies by the number of weights sharing it.
+The decomposition check works one weight block at a time (tensor_core
+docstring): embed and the slot permutations keep the weight of a key and
+commute with relabelling the ground basis, so decomposition_dims solves
+the block of each pattern mu once and multiplies by its count.
 embedded_subspace and span_all_positions stay as the full-power oracle.
 
 Characters are class functions: class_representatives gives one
@@ -29,16 +22,15 @@ permutation per cycle type of S_n, built from the partitions of n.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, perm, prod
 
 from .errors import DimensionMismatch, InvalidIndex, NotInvariant
 from .fock_ops import Permutation, permute
 from .linalg import EchelonBasis, kernel_basis, lincomb
-from .tensor_core import FockTensor, FullTensor, MixedIndex, embed, enum_basis
+from .tensor_core import FockTensor, FullTensor, MixedIndex, _partitions, embed, enum_basis
+from .tensor_core import weight_patterns
 
 
 class Subspace:
@@ -176,58 +168,14 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
-def _partitions(n: int, max_parts: int, largest: int) -> list[tuple[int, ...]]:
-    """Partitions of n into at most max_parts parts, each at most largest."""
-    if n == 0:
-        return [()]
-    if max_parts == 0:
-        return []
-    return [
-        (first,) + rest
-        for first in range(min(n, largest), 0, -1)
-        for rest in _partitions(n - first, max_parts - 1, first)
-    ]
-
-
-def weight_patterns(d: int, n: int) -> list[tuple[tuple[int, ...], int]]:
-    """Multiplicity patterns of the degree-n weights over R^d, with counts.
-
-    A weight is a multiset of n indices from 1..d; its pattern mu lists
-    the multiplicities in decreasing order, a partition of n with at most
-    d parts.  The count of weights sharing mu is
-    d! / ((d - r)! * prod_v m_v!), with r = len(mu) and m_v the number of
-    parts equal to v.
-    """
-    return [
-        (mu, perm(d, len(mu)) // prod(map(factorial, Counter(mu).values())))
-        for mu in _partitions(n, d, n)
-    ]
-
-
-def _weight_labels(mu: tuple[int, ...], k: int, q: int) -> list[MixedIndex]:
-    """Canonical labels of H_{k,q} (k + q = sum(mu)) of weight 1^mu_1 2^mu_2 ..."""
-    if k < 0 or q < 0:
-        return []
-    out = []
-    for alt in combinations(range(1, len(mu) + 1), q):
-        sym: list[int] = []
-        for v, m in enumerate(mu, 1):
-            sym += [v] * (m - (v in alt))
-        out.append(MixedIndex(tuple(sym), alt))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pattern_block(mu: tuple[int, ...], k: int, q: int) -> tuple[int, int, int, bool]:
-    """(dim, dim_plus, dim_minus, direct) of the representative weight block.
-
-    The labels of 1^mu_1 2^mu_2 ... use the indices 1..len(mu) only, so the
-    block is built over R^len(mu) and serves every d >= len(mu).
-    """
+    """(dim, dim_plus, dim_minus, direct) of the weight block of mu, built
+    over R^len(mu): it serves every d >= len(mu)."""
     r, n = len(mu), k + q
-    space = _embedded_span(r, n, _weight_labels(mu, k, q))
-    plus = intersect(space, _position_span(r, n, k + 1, _weight_labels(mu, k + 1, q - 1)))
-    minus = intersect(space, _position_span(r, n, k - 1, _weight_labels(mu, k - 1, q + 1)))
+    space = _embedded_span(r, n, enum_basis(mu, k, q))
+    plus = intersect(space, _position_span(r, n, k + 1, enum_basis(mu, k + 1, q - 1)))
+    minus = intersect(space, _position_span(r, n, k - 1, enum_basis(mu, k - 1, q + 1)))
     direct = plus.dim + minus.dim == space.dim and intersect(plus, minus).dim == 0
     return space.dim, plus.dim, minus.dim, direct
 

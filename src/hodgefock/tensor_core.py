@@ -29,13 +29,19 @@ format and its arithmetic live in linalg.  Their constructors are the
 public edge and validate every label or key; embed, project_mixed and the
 operators in fock_ops build their (already canonical) output through the
 unchecked SparseVector._trusted instead.
+
+A block's ground is d, or a multiplicity pattern mu: the weight block of
+1^mu_1 2^mu_2 ..., with labels in 1..len(mu), valid over every R^d with
+d >= len(mu).  The operators keep weights and commute with relabelling the
+ground basis up to the wedge sort sign: H_{k,q} is a sum of pattern blocks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, factorial, perm, prod
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
@@ -84,21 +90,62 @@ class MixedIndex(NamedTuple):
         return ok_range and ok_sym and ok_alt
 
 
-def enum_basis(d: int, k: int, q: int) -> list[MixedIndex]:
-    """Canonical labels of H_{k,q} over R^d, sorted lexicographically.
+def enum_basis(ground, k: int, q: int) -> list[MixedIndex]:
+    """Canonical labels of a block, sorted lexicographically.
 
-    Degenerate degrees (negative k or q, or q > d) give the empty list:
-    those blocks are honest zero-dimensional spaces.
+    The ground is d or a pattern mu (module docstring).  Degenerate degrees
+    (negative k or q, or q > d) give the empty list: honest zero blocks.
     """
-    if d < 1:
-        raise DimensionMismatch(f"ground dimension must be >= 1, got {d}")
-    if k < 0 or q < 0 or q > d:
+    if isinstance(ground, tuple):
+        return _weight_labels(ground, k, q)
+    if ground < 1:
+        raise DimensionMismatch(f"ground dimension must be >= 1, got {ground}")
+    if k < 0 or q < 0 or q > ground:
         return []
     out = []
-    for sym in combinations_with_replacement(range(1, d + 1), k):
-        for alt in combinations(range(1, d + 1), q):
+    for sym in combinations_with_replacement(range(1, ground + 1), k):
+        for alt in combinations(range(1, ground + 1), q):
             out.append(MixedIndex(sym, alt))
     return out
+
+
+def _partitions(n: int, max_parts: int, largest: int) -> list[tuple[int, ...]]:
+    """Partitions of n into at most max_parts parts, each at most largest."""
+    if n == 0:
+        return [()]
+    if max_parts == 0:
+        return []
+    return [
+        (first,) + rest
+        for first in range(min(n, largest), 0, -1)
+        for rest in _partitions(n - first, max_parts - 1, first)
+    ]
+
+
+@lru_cache(maxsize=None)
+def weight_patterns(d: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Multiplicity patterns of the degree-n weights over R^d, with counts.
+
+    A weight is a multiset of n indices from 1..d; its pattern mu lists
+    the multiplicities in decreasing order, a partition of n with at most
+    d parts.  The count of weights sharing mu is
+    d! / ((d - r)! * prod_v m_v!), with r = len(mu) and m_v the number of
+    parts equal to v.  Cached per (d, n) and process.
+    """
+    return tuple(
+        (mu, perm(d, len(mu)) // prod(map(factorial, Counter(mu).values())))
+        for mu in _partitions(n, d, n)
+    )
+
+
+def _weight_labels(mu: tuple[int, ...], k: int, q: int) -> list[MixedIndex]:
+    """Sorted labels of H_{k,q} of weight 1^mu_1 2^mu_2 ...; none unless k + q = sum(mu)."""
+    if k < 0 or q < 0 or k + q != sum(mu):
+        return []
+    return sorted(
+        MixedIndex(tuple(v for v, m in enumerate(mu, 1) for _ in range(m - (v in alt))), alt)
+        for alt in combinations(range(1, len(mu) + 1), q)
+    )
 
 
 def _gram_factor(label: MixedIndex) -> int:
@@ -254,8 +301,11 @@ def inner_full(t: FullTensor, u: FullTensor):
     return dot(t.coeffs, u.coeffs)
 
 
-def block_dim(d: int, k: int, q: int) -> int:
-    """dim H_{k,q} = C(d+k-1, k) * C(d, q); zero for degenerate degrees."""
-    if k < 0 or q < 0 or q > d:
+def block_dim(ground, k: int, q: int) -> int:
+    """Size of enum_basis(ground, k, q): C(d+k-1, k) * C(d, q) over R^d,
+    C(len(mu), q) on the weight block of mu; zero for degenerate degrees."""
+    if isinstance(ground, tuple):
+        return comb(len(ground), q) if k >= 0 and q >= 0 and k + q == sum(ground) else 0
+    if k < 0 or q < 0 or q > ground:
         return 0
-    return comb(d + k - 1, k) * comb(d, q)
+    return comb(ground + k - 1, k) * comb(ground, q)

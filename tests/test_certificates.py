@@ -26,6 +26,7 @@ from hodgefock import (
     Subspace,
     action_trace,
     alt_subset,
+    block_dim,
     chaos_field,
     codifferential,
     embed,
@@ -181,23 +182,32 @@ def _perturbed_a(d, k, q, real):
 
 
 def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
-    # One entry of A, in column 2, changed through the shared helper:
-    # both the split and the weitzenboeck case fail, and the split case
-    # names the first identity and the label of the broken column.
+    # One entry of A, in column 2, changed through the shared helper on
+    # every block that has a column 2: both the split and the weitzenboeck
+    # case fail, and the split case names the first identity and the label
+    # of the broken column.  On d = n = 3, k = 1 only the weight block of
+    # the pattern 1^3 has three labels, so the label is its third one,
+    # e_3 tensor e_1 ^ e_2, a label over R^3 as well.
     d, n, k = 3, 3, 1
-    labels = enum_basis(d, k, n - k)
-    assert cli._case_split(d, n, k, 0) == ("pass", {"dim": len(labels)})
+    labels = enum_basis((1, 1, 1), k, n - k)
+    assert [b.render() for b in labels] == ["(1;2,3)", "(2;1,3)", "(3;1,2)"]
+    assert cli._case_split(d, n, k, 0) == ("pass", {"dim": len(enum_basis(d, k, n - k))})
     assert cli._case_weitzenboeck(d, n, k, 0)[0] == "pass"
     real = hodge.split_matrices
-    stand_in = lambda d, k, q: _perturbed_a(d, k, q, real)  # noqa: E731
+
+    def stand_in(ground, k, q):
+        if block_dim(ground, k, q) > 2:
+            return _perturbed_a(ground, k, q, real)
+        return real(ground, k, q)
+
     monkeypatch.setattr(hodge, "split_matrices", stand_in)
     monkeypatch.setattr(cli, "split_matrices", stand_in)
     status, details = cli._case_split(d, n, k, 0)
     assert status == "fail"
     assert details == {
-        "dim": len(labels),
+        "dim": len(enum_basis(d, k, n - k)),
         "failed": "plus + minus = t",
-        "label": labels[2].render(),
+        "label": "(3;1,2)",
     }
     status, details = cli._case_weitzenboeck(d, n, k, 0)
     assert status == "fail" and details["defect"] == "1"

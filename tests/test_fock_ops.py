@@ -22,6 +22,8 @@ from hodgefock import (
     sym_subset,
     symmetric_group,
 )
+from hodgefock.chaos import hermite_matrix
+from hodgefock.tensor_core import _gram_factor, sort_sign, weight_patterns
 
 from conftest import full_tensors, mixed_tensors
 
@@ -234,3 +236,73 @@ def test_linear_map_algebra():
     assert (m - m).max_abs_entry() == 0
     assert m.max_abs_entry() == 1
     assert m.rank() == 1
+
+
+# The premise of the per-pattern suites: relabelling the ground basis
+# by an injective map f of indices commutes with lower, raise_, the gram
+# factors and the Hermite shifts, up to the sign that sorts the wedge
+# part.  H_{k,q} over R^d is then the direct sum of its weight blocks, and
+# each is a signed relabelling of the block of its pattern mu over
+# R^len(mu): the adjacent transpositions carry weights onto each other,
+# and the order-preserving injections carry the pattern block into R^d.
+
+
+def _relabel(t, f, d):
+    """The tensor t with every index i replaced by f(i), over R^d."""
+    coeffs = {}
+    for label, c in t.coeffs.items():
+        sign, alt = sort_sign(tuple(f(j) for j in label.alt))
+        coeffs[MixedIndex(tuple(sorted(f(i) for i in label.sym)), alt)] = sign * c
+    return FockTensor(d, t.k, t.q, coeffs)
+
+
+def _commutes(t, f, d):
+    """Every premise operator commutes with the relabelling of t by f."""
+    for op in (lower, raise_):
+        assert op(_relabel(t, f, d)) == _relabel(op(t), f, d), op.__name__
+    for label in t.coeffs:
+        image = _relabel(FockTensor._trusted(t.shape(), {label: 1}), f, d)
+        assert [_gram_factor(b) for b in image.coeffs] == [_gram_factor(label)]
+    for which in ("lower", "raise"):
+        shifted = hermite_matrix(which, t.dim, t.k, t.q).apply(t)
+        image = hermite_matrix(which, d, t.k, t.q).apply(_relabel(t, f, d))
+        assert image == _relabel(shifted, f, d), which
+
+
+@st.composite
+def pattern_tensors(draw, max_dim=5, max_n=4):
+    """(t, d): a tensor on the block of a pattern mu, and a ground R^d
+    with d >= len(mu)."""
+    d = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_n))
+    mu = draw(st.sampled_from([mu for mu, _ in weight_patterns(d, n)]))
+    k = draw(st.integers(0, n))
+    labels = hf.enum_basis(mu, k, n - k)
+    chosen = draw(st.lists(st.sampled_from(labels), max_size=4)) if labels else []
+    coeffs = {b: draw(st.integers(-6, 6).filter(bool)) for b in chosen}
+    return FockTensor._trusted((mu, k, n - k), coeffs), d
+
+
+@given(mixed_tensors(max_dim=4))
+def test_adjacent_transpositions_commute_with_the_operators(t):
+    for i in range(1, t.dim):
+        swap = {i: i + 1, i + 1: i}
+        _commutes(t, lambda j: swap.get(j, j), t.dim)
+
+
+@given(pattern_tensors(), st.data())
+def test_pattern_blocks_embed_into_every_ground(pair, data):
+    t, d = pair
+    r = len(t.dim)
+    image = sorted(data.draw(st.lists(st.integers(1, d), min_size=r, max_size=r, unique=True)))
+    _commutes(t, lambda j: image[j - 1], d)
+
+
+def test_pattern_blocks_count_the_whole_block():
+    for d in range(1, 7):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                q = n - k
+                parts = [(mu, count, hf.block_dim(mu, k, q)) for mu, count in weight_patterns(d, n)]
+                assert all(len(hf.enum_basis(mu, k, q)) == dim for mu, _, dim in parts)
+                assert sum(count * dim for _, count, dim in parts) == hf.block_dim(d, k, q)

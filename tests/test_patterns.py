@@ -1,0 +1,104 @@
+"""The Fock-matrix checks run per weight pattern.
+
+split, exactness, weitzenboeck, chaos and the decomposition's ker_lower
+read one representative weight block per multiplicity pattern and sum,
+take the maximum of, or and their results over the patterns.  Here they
+are compared with the whole-block oracles of tests/oracles.py, and the
+verify path is shown to build no whole-block Fock matrix.
+"""
+
+import sys
+
+import pytest
+
+import hodgefock.hodge as hodge
+from hodgefock.cli import VerifyConfig, run_verify
+from hodgefock.fock_ops import operator_matrix
+from hodgefock.hodge import exactness_report, split_matrices, weitzenboeck_defect
+from hodgefock.tensor_core import weight_patterns
+
+import oracles
+
+
+def _hodgefock_modules():
+    return [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
+
+
+def _clear_every_cache():
+    for mod in _hodgefock_modules():
+        for value in list(vars(mod).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+@pytest.fixture
+def serial_fresh(monkeypatch):
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    _clear_every_cache()
+    yield
+    _clear_every_cache()
+
+
+def test_cases_equal_the_whole_block_oracles(serial_fresh):
+    report = run_verify(VerifyConfig(suite="all", max_dim=5, max_n=6))
+    assert report.status == "pass"
+    compared = 0
+    for case in report.cases:
+        suite = case["name"].split()[0]
+        if suite in oracles.CASES:
+            d, n, k = (case["params"][key] for key in ("d", "n", "k"))
+            assert (case["status"], case["details"]) == oracles.CASES[suite](d, n, k), case["name"]
+            compared += 1
+    assert compared == 5 * sum(n + 1 for n in range(1, 7)) * 5
+    for d in range(1, 6):
+        for n in range(1, 7):
+            assert exactness_report(d, n) == oracles.exactness_report(d, n), (d, n)
+            for k in range(n + 1):
+                assert weitzenboeck_defect(d, k, n - k) == oracles.weitzenboeck_defect(d, k, n - k)
+
+
+def test_split_products_are_built_once_per_pattern_block(serial_fresh):
+    # split, weitzenboeck and chaos all read split_matrices; on the desk
+    # grid it is built once for each (mu, k, q) and never for a whole block.
+    report = run_verify(VerifyConfig(suite="all", max_dim=4, max_n=4))
+    assert report.status == "pass"
+    blocks = {
+        (mu, k, n - k)
+        for d in range(1, 5)
+        for n in range(1, 5)
+        for k in range(n + 1)
+        for mu, _ in weight_patterns(d, n)
+    }
+    info = split_matrices.cache_info()
+    assert info.misses == info.currsize == len(blocks) and info.hits > 0
+
+
+def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
+    # Record every key that reaches the operator_matrix, split_matrices and
+    # _split_defect caches, through every hodgefock module that binds them.
+    # Each cache holds exactly the recorded keys, and every ground is a
+    # pattern: no matrix of a whole block H_{k,q} over R^d is built.
+    cached = {
+        "operator_matrix": (operator_matrix, 1),
+        "split_matrices": (split_matrices, 0),
+        "_split_defect": (hodge._split_defect, 1),
+    }
+    asked = {name: set() for name in cached}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            asked[name].add(args)
+            return fn(*args)
+
+        return wrapper
+
+    for mod in _hodgefock_modules():
+        for name, (fn, _) in cached.items():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, recording(name, fn))
+    assert run_verify(VerifyConfig(suite="all", max_dim=6, max_n=5)).status == "pass"
+    for name, (fn, ground_at) in cached.items():
+        info = fn.cache_info()
+        assert asked[name] and info.misses == info.currsize == len(asked[name]), name
+        grounds = {key[ground_at] for key in asked[name]}
+        assert all(isinstance(ground, tuple) for ground in grounds), name
