@@ -79,62 +79,8 @@ from .tensor_core import (
     weight_patterns,
 )
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "DegreeOutOfRange",
-    "DimensionMismatch",
-    "InvalidIndex",
-    "NotInvariant",
-    "MixedIndex",
-    "FockTensor",
-    "FullTensor",
-    "enum_basis",
-    "block_dim",
-    "embed",
-    "project_mixed",
-    "inner",
-    "inner_full",
-    "Permutation",
-    "symmetric_group",
-    "permute",
-    "sym_subset",
-    "alt_subset",
-    "lower",
-    "raise_",
-    "LinearMap",
-    "operator_matrix",
-    "gram_matrix",
-    "weitzenboeck_defect",
-    "hodge_split",
-    "ExactnessRow",
-    "ExactnessReport",
-    "exactness_report",
-    "witnesses",
-    "random_tensor",
-    "Subspace",
-    "orbit_span",
-    "span_all_positions",
-    "embedded_subspace",
-    "intersect",
-    "weight_patterns",
-    "decomposition_dims",
-    "orbit_split_spaces",
-    "orbit_split_dims",
-    "action_trace",
-    "Poly",
-    "HermiteExpansion",
-    "FormField",
-    "GradedFock",
-    "hermite",
-    "chaos_poly",
-    "chaos_field",
-    "exp_vector",
-    "exterior_derivative",
-    "codifferential",
-    "ornstein_uhlenbeck",
-    "hodge_laplacian",
-    "gaussian_inner",
-    "expectation",
-    "commutation_defect",
+# Every public name is a class or a function imported above; the
+# submodules bound by those imports are not callable.
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items()) if callable(value) and name[0] != "_"
 ]

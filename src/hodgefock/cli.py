@@ -40,11 +40,12 @@ from .chaos import (
 from .errors import ConfigError
 # lower and raise_ are unused here; they stay bound because the
 # benchmark's tracer tests check that its wrappers reach cli.lower.
-from .fock_ops import LinearMap, Permutation, gram_matrix, lower, operator_matrix, permute, raise_
+from .fock_ops import LinearMap, Permutation, gram_matrix, lower, operator_matrix, operator_rank
+from .fock_ops import permute, raise_
 from .hodge import exactness_report, hodge_split, split_matrices
 from .hodge import weitzenboeck_defect, witnesses
-from .rep_theory import action_trace, class_representatives, decomposition_dims, orbit_span
-from .rep_theory import orbit_split_spaces
+from .rep_theory import _pattern_block, action_trace, class_representatives, decomposition_dims
+from .rep_theory import _distinct_label, orbit_span, orbit_split_spaces
 from .tensor_core import FockTensor, FullTensor, MixedIndex, _gram_factor, block_dim, enum_basis
 from .tensor_core import inner, weight_patterns
 
@@ -213,15 +214,19 @@ def _case_decomposition(d: int, n: int, k: int, seed: int):
     dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
     block = block_dim(d, k, q)
     patterns = weight_patterns(d, n)
-    ker_lower = block - sum(c * operator_matrix("lower", mu, k, q).rank() for mu, c in patterns)
+    ranks = (c * operator_rank(operator_matrix, "lower", mu, k, q) for mu, c in patterns)
+    ker_lower = block - sum(ranks)
     details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
     # With direct, the embedded dimension ties dim_minus to rank(lower).
     ok = direct and dim == block and dim_plus == ker_lower
+    # Independent of the certificate: the hook Kostka numbers, r = len(mu).
+    for mu, _ in patterns:
+        r = len(mu)
+        expected = [comb(r, q), comb(r - 1, q - 1) if q else 0, comb(r - 1, q)]
+        if list(_pattern_block(mu, k, q)[:3]) != expected:
+            details.update(pattern=list(mu), expected=expected)
+            return "fail", details
     return ("pass" if ok else "fail"), details
-
-
-def _distinct_label(n: int, k: int) -> MixedIndex:
-    return MixedIndex(tuple(range(1, k + 1)), tuple(range(k + 1, n + 1)))
 
 
 def _repeated_label(d: int, n: int, k: int) -> MixedIndex | None:

@@ -282,6 +282,13 @@ def operator_matrix(which: str, ground, k: int, q: int) -> LinearMap:
     return LinearMap._trusted(((ground, k, q), cod_sig), entries)
 
 
+@lru_cache(maxsize=None)
+def operator_rank(matrix, which: str, ground, k: int, q: int) -> int:
+    """Rank of matrix(which, ground, k, q), once per argument tuple and process.
+    `matrix` is operator_matrix or a stand-in, and part of the key."""
+    return matrix(which, ground, k, q).rank()
+
+
 def gram_matrix(ground, k: int, q: int) -> LinearMap:
     """Diagonal pairing matrix of a block: multiplicity factorials."""
     ent = {(i, i): _gram_factor(label) for i, label in enumerate(enum_basis(ground, k, q))}

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegreeOutOfRange
-from .fock_ops import LinearMap, Permutation, lower, operator_matrix, permute, raise_
+from .fock_ops import LinearMap, Permutation, lower, operator_matrix, operator_rank, permute, raise_
 from .linalg import kernel_basis, matrix_rank
 from .tensor_core import FockTensor, FullTensor, MixedIndex, block_dim, embed, enum_basis
 from .tensor_core import weight_patterns
@@ -177,10 +177,10 @@ def exactness_report(d: int, n: int) -> ExactnessReport:
 
 
 def _block_row(ground, k: int, q: int) -> ExactnessRow:
-    maps = [operator_matrix("lower", ground, k, q), operator_matrix("raise", ground, k, q)]
-    (rank_lower, ker_lower), (rank_raise, ker_raise) = (
-        (m.rank(), len(kernel_basis(m.columns()))) for m in maps
-    )
+    ops = ("lower", "raise")
+    maps = [operator_matrix(which, ground, k, q) for which in ops]
+    rank_lower, rank_raise = (operator_rank(operator_matrix, which, ground, k, q) for which in ops)
+    ker_lower, ker_raise = (len(kernel_basis(m.columns())) for m in maps)
     dim = block_dim(ground, k, q)
     harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
     return ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)

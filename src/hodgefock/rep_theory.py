@@ -2,21 +2,29 @@
 
 Inside the full tensor power, each choice of k slot positions carries a
 copy of "symmetric there, alternating elsewhere".  The span of one label
-over all slot permutations decomposes into at most two irreducible
-pieces, the two hook shapes (k+1, 1^{q-1}) and (k, 1^q); the split is cut
-out by the sum of all slot transpositions, which acts on the two pieces
-with eigenvalues differing by exactly n = k + q. That operator is the
-matrix form of the two composites lower . raise_ and raise_ . lower read
-through embed, so the subspace split here and the tensor split in the
-hodge module are the same decomposition in two coordinate systems.
+over all slot permutations has at most two irreducible pieces, the hooks
+(k+1, 1^{q-1}) and (k, 1^q).  The sum T of all slot transpositions is
+central in Q[S_n] and acts on the hook (a, 1^b) by its content sum
+c(a, b) (Okounkov & Vershik 1996).  Read through embed, lower . raise_
+is T - c(k, q) and raise_ . lower is c(k+1, q-1) - T, so this split and
+the hodge split are one decomposition in two coordinate systems.
 
-The decomposition check works one weight block at a time (tensor_core
-docstring): embed and the slot permutations keep the weight of a key and
-commute with relabelling the ground basis, so decomposition_dims solves
-the block of each pattern mu once and multiplies by its count.
-embedded_subspace and span_all_positions stay as the full-power oracle.
-
-Characters are class functions: class_representatives gives one
+decomposition_dims proves the split per weight block (tensor_core) by a
+certificate with no rank in the tensor power.  Let U be the embedded
+block of mu in H_{k,q}, and P+ (P-) the span of the embedded labels of
+H_{k+1,q-1} (H_{k-1,q+1}) at every choice of slot positions.
+1. Z+ = (T - c(k+1,q-1)) (T - c(k+2,q-2)) kills P+, and
+   Z- = (T - c(k-1,q+1)) (T - c(k,q)) kills P-.  T commutes with slot
+   permutations and with index maps e_i -> e_f(i) in every slot, so one
+   generator covers every label, pattern and d (_family_holds).
+2. c(a, n-a) = a n - n(n+1)/2, so Z+ and Z- are coprime in T.  By Bezout
+   dim(U & P+) + dim(U & P-) <= dim U <= block_dim(mu, k, q).
+3. The witnesses embed(lower s) = e - sum_{m>k+1} (k+1 m) e and
+   embed(raise_ s) = e + sum_{m<k} (m k) e, e = embed(s), bound the two
+   below by the ranks of lower and raise_.  When these fill the block,
+   every inequality is an equality.
+embedded_subspace, span_all_positions and intersect are the full-power
+oracle.  Characters are class functions: class_representatives gives one
 permutation per cycle type of S_n, built from the partitions of n.
 """
 
@@ -25,12 +33,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .errors import DimensionMismatch, InvalidIndex, NotInvariant
-from .fock_ops import Permutation, permute
+from .fock_ops import Permutation, lower, operator_matrix, operator_rank, permute, raise_
 from .linalg import EchelonBasis, kernel_basis, lincomb
-from .tensor_core import FockTensor, FullTensor, MixedIndex, _partitions, embed, enum_basis
-from .tensor_core import weight_patterns
+from .tensor_core import FockTensor, FullTensor, MixedIndex, _partitions, block_dim, embed
+from .tensor_core import enum_basis, weight_patterns
 
 
 class Subspace:
@@ -126,13 +135,6 @@ def orbit_span(b: MixedIndex, d: int) -> Subspace:
     return _position_span(d, k + len(b.alt), k, [b])
 
 
-def _embedded_span(d: int, n: int, labels) -> Subspace:
-    out = Subspace(d, n)
-    for b in labels:
-        out.add(embed(FockTensor.basis(d, b)))
-    return out
-
-
 def _position_span(d: int, n: int, k: int, labels) -> Subspace:
     """Span of embed(b) for each label b, placed at every k-subset of positions."""
     out = Subspace(d, n)
@@ -153,7 +155,8 @@ def span_all_positions(d: int, k: int, q: int) -> Subspace:
 
 def embedded_subspace(d: int, k: int, q: int) -> Subspace:
     """embed-image of the canonical block H_{k,q} (positions 1..k fixed)."""
-    return _embedded_span(d, k + q, enum_basis(d, k, q))
+    labels = enum_basis(d, k, q)
+    return Subspace.spanned_by(d, k + q, (embed(FockTensor.basis(d, b)) for b in labels))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -168,16 +171,65 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
+def _distinct_label(n: int, k: int) -> MixedIndex:
+    return MixedIndex(tuple(range(1, k + 1)), tuple(range(k + 1, n + 1)))
+
+
+def _hook_content(a: int, b: int) -> int:
+    """c(a, b), the content sum of the hook (a, 1^b): T acts on it by this."""
+    return a * (a - 1) // 2 - b * (b + 1) // 2
+
+
+def _set_transposition_sum(n: int, vec: dict) -> dict:
+    """T on the orbit of embed(e_(1..j; j+1..n)) in position-set coordinates:
+    S, a j-set of slots, is that vector moved onto S by position_permutation.
+    (i m) fixes it for i, m in S, negates it for i, m outside S, and for i in
+    S, m outside S gives S - i + m times (-1)^(slots outside S between i, m)."""
+    out: dict = {}
+    for s, c in vec.items():
+        rest = [p for p in range(1, n + 1) if p not in s]
+        out[s] = out.get(s, 0) + (comb(len(s), 2) - comb(len(rest), 2)) * c
+        for i in s:
+            for m in rest:
+                sign = (-1) ** sum(min(i, m) < p < max(i, m) for p in rest)
+                out[s - {i} | {m}] = out.get(s - {i} | {m}, 0) + sign * c
+    return out
+
+
 @lru_cache(maxsize=None)
+def _family_holds(n: int, j: int) -> bool:
+    """Steps 1 and 3 of the certificate on s = e_(1..j; j+1..n) over R^n:
+    (T - c(j, n-j)) (T - c(j+1, n-j-1)) kills e = embed(s), and the P+
+    witness at k = j - 1 and the P- witness at k = j + 1 hold.  Cached per
+    (n, j) and process: the two blocks share it."""
+    vec = {frozenset(range(1, j + 1)): 1}
+    for c in (_hook_content(j, n - j), _hook_content(j + 1, n - j - 1)):
+        vec = lincomb(((1, _set_transposition_sum(n, vec)), (-c, vec)))
+    s = FockTensor.basis(n, _distinct_label(n, j))
+    e = embed(s)
+    after, before = [(j, m) for m in range(j + 1, n + 1)], [(m, j + 1) for m in range(1, j + 1)]
+    return (
+        not vec
+        and (j == 0 or embed(lower(s)) == e - _transposition_sum(e, after))
+        and (j == n or embed(raise_(s)) == e + _transposition_sum(e, before))
+    )
+
+
 def _pattern_block(mu: tuple[int, ...], k: int, q: int) -> tuple[int, int, int, bool]:
-    """(dim, dim_plus, dim_minus, direct) of the weight block of mu, built
-    over R^len(mu): it serves every d >= len(mu)."""
-    r, n = len(mu), k + q
-    space = _embedded_span(r, n, enum_basis(mu, k, q))
-    plus = intersect(space, _position_span(r, n, k + 1, enum_basis(mu, k + 1, q - 1)))
-    minus = intersect(space, _position_span(r, n, k - 1, enum_basis(mu, k - 1, q + 1)))
-    direct = plus.dim + minus.dim == space.dim and intersect(plus, minus).dim == 0
-    return space.dim, plus.dim, minus.dim, direct
+    """(dim, dim_plus, dim_minus, direct) of the weight block of mu: the ranks
+    of lower from H_{k+1,q-1} and raise_ from H_{k-1,q+1} (0 off the end of
+    the complex), and whether the certificate of the module docstring holds."""
+    n, dim = k + q, block_dim(mu, k, q)
+    plus = operator_rank(operator_matrix, "lower", mu, k + 1, q - 1)
+    minus = operator_rank(operator_matrix, "raise", mu, k - 1, q + 1)
+    roots_plus = {_hook_content(k + 1, q - 1), _hook_content(k + 2, q - 2)}
+    direct = (
+        (q == 0 or _family_holds(n, k + 1))
+        and (k == 0 or _family_holds(n, k - 1))
+        and roots_plus.isdisjoint({_hook_content(k, q), _hook_content(k - 1, q + 1)})
+        and plus + minus == dim
+    )
+    return dim, plus, minus, direct
 
 
 def decomposition_dims(d: int, k: int, q: int) -> tuple[int, int, int, bool]:
@@ -186,30 +238,22 @@ def decomposition_dims(d: int, k: int, q: int) -> tuple[int, int, int, bool]:
     Returns (dim, dim_plus, dim_minus, direct): dim_plus and dim_minus are
     the dimensions of the intersections of embedded_subspace(d, k, q) with
     span_all_positions(d, k + 1, q - 1) and span_all_positions(d, k - 1, q + 1),
-    and direct says that on every weight block the two intersections meet
-    only in zero and their dimensions add up to the block's.  Computed per
-    weight block, one representative per multiplicity pattern (see the
-    module docstring).
+    and direct says that on every weight block the two meet only in zero
+    and add up to the block.  Proved per multiplicity pattern by the
+    certificate of the module docstring: Bezout bounds the pieces above,
+    the ranks of lower and raise_ below, and these ranks fill the block.
     """
-    dim = dim_plus = dim_minus = 0
-    direct = True
-    for mu, count in weight_patterns(d, k + q):
-        b_dim, b_plus, b_minus, b_direct = _pattern_block(mu, k, q)
-        dim += count * b_dim
-        dim_plus += count * b_plus
-        dim_minus += count * b_minus
-        direct = direct and b_direct
-    return dim, dim_plus, dim_minus, direct
+    blocks = [(count, _pattern_block(mu, k, q)) for mu, count in weight_patterns(d, k + q)]
+    dims = (sum(count * block[i] for count, block in blocks) for i in range(3))
+    return (*dims, all(block[3] for _, block in blocks))
 
 
-def _transposition_sum(v: FullTensor) -> FullTensor:
-    """Sum over all slot transpositions (i j), i < j, of the permuted v."""
+def _transposition_sum(v: FullTensor, pairs=None) -> FullTensor:
+    """Sum over the slot transpositions (i j) of the given pairs of the
+    permuted v; over all pairs i < j (the central T) by default."""
     n = v.n
-    images = (
-        permute(v, Permutation.transposition(n, i, j)).coeffs
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    )
+    pairs = combinations(range(1, n + 1), 2) if pairs is None else pairs
+    images = (permute(v, Permutation.transposition(n, i, j)).coeffs for i, j in pairs)
     return FullTensor._trusted((v.dim, n), lincomb((1, image) for image in images))
 
 
@@ -226,19 +270,17 @@ def transposition_sum_matrix(space: Subspace) -> list[list]:
 def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspace]:
     """The two invariant pieces of orbit = orbit_span(b, d).
 
-    The transposition sum acts on the orbit span with the two hook
-    eigenvalues c+ = k(k+1)/2 - q(q-1)/2 and c- = c+ - n.  Shifting by one
-    eigenvalue and taking the image yields the other eigenspace: these are
-    n times the two idempotents of the hodge split, read through embed.
+    T acts on the orbit span with the two hook eigenvalues
+    c+ = c(k+1, q-1) and c- = c(k, q) = c+ - n.  Shifting by one eigenvalue
+    and taking the image yields the other eigenspace: these are n times
+    the two idempotents of the hodge split, read through embed.
     """
     k, q = len(b.sym), len(b.alt)
     n = k + q
     if n < 1:
         raise InvalidIndex("the split needs total degree k + q >= 1")
-    c_plus = Fraction(k * (k + 1), 2) - Fraction(q * (q - 1), 2)
-    c_minus = c_plus - n
-    plus = Subspace(orbit.dim_ground, n)
-    minus = Subspace(orbit.dim_ground, n)
+    c_plus, c_minus = _hook_content(k + 1, q - 1), _hook_content(k, q)
+    plus, minus = Subspace(orbit.dim_ground, n), Subspace(orbit.dim_ground, n)
     for v in orbit.basis():
         tv = _transposition_sum(v)
         plus.add(tv - v.scale(c_minus))

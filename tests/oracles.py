@@ -7,14 +7,23 @@ blocks H_{k,q} over R^d: the split identities, the exactness rows, the
 Weitzenböck defect, the Hermite shift matches, the Fock adjoint residual
 and the decomposition's ker_lower.  Each case function returns the
 (status, details) pair of the verify case of the same suite.
+
+The decomposition's certificate has its oracles here too: pattern_block
+is the elimination it replaced, intersections of position families in
+the full tensor power, and family_holds runs the certificate's family
+check on full tensors instead of position-set coordinates.
 """
 
 from functools import lru_cache
 
-from hodgefock import FockTensor, LinearMap, block_dim, enum_basis, gram_matrix, operator_matrix
+from hodgefock import FockTensor, LinearMap, Subspace, block_dim, embed, enum_basis
+from hodgefock import gram_matrix, lower, operator_matrix, permute, raise_
 from hodgefock.chaos import hermite_matrix
+from hodgefock.fock_ops import Permutation
 from hodgefock.hodge import ExactnessReport, ExactnessRow, hodge_split
 from hodgefock.linalg import kernel_basis, matrix_rank
+from hodgefock.rep_theory import _distinct_label, _hook_content, _position_span
+from hodgefock.rep_theory import _transposition_sum, intersect
 
 import hodgefock.cli as cli
 
@@ -175,3 +184,39 @@ CASES = {
     "decomposition": decomposition_case,
     "chaos": chaos_case,
 }
+
+
+def pattern_block(mu, k, q):
+    """(dim, dim_plus, dim_minus, direct) of the weight block of mu by
+    elimination in the tensor power over R^len(mu): the embedded block, its
+    intersections with the two neighbouring position families, and the
+    intersection of those."""
+    r, n = len(mu), k + q
+    space = Subspace.spanned_by(r, n, [embed(FockTensor.basis(r, b)) for b in enum_basis(mu, k, q)])
+    plus = intersect(space, _position_span(r, n, k + 1, enum_basis(mu, k + 1, q - 1)))
+    minus = intersect(space, _position_span(r, n, k - 1, enum_basis(mu, k - 1, q + 1)))
+    direct = plus.dim + minus.dim == space.dim and intersect(plus, minus).dim == 0
+    return space.dim, plus.dim, minus.dim, direct
+
+
+def family_holds(n, j):
+    """The family check of the certificate on full tensors over R^n: T
+    applied by permuting slots, and each witness sum written out with
+    Permutation.transposition."""
+    s = FockTensor.basis(n, _distinct_label(n, j))
+    e = embed(s)
+    z = e
+    for c in (_hook_content(j, n - j), _hook_content(j + 1, n - j - 1)):
+        z = _transposition_sum(z) - z.scale(c)
+    ok = z.is_zero()
+    if j >= 1:
+        rhs = e
+        for m in range(j + 1, n + 1):
+            rhs = rhs - permute(e, Permutation.transposition(n, j, m))
+        ok = ok and embed(lower(s)) == rhs
+    if j < n:
+        rhs = e
+        for m in range(1, j + 1):
+            rhs = rhs + permute(e, Permutation.transposition(n, m, j + 1))
+        ok = ok and embed(raise_(s)) == rhs
+    return ok

@@ -1,18 +1,22 @@
-"""Whole-block certificates of the split and chaos suites, and the
-group checks of the rep suite.
+"""Whole-block certificates of the split and chaos suites, the
+decomposition's central-element certificate, and the group checks of
+the rep suite.
 
 The split is proved by integer identities of the matrices of
 split_matrices.  The chaos suite is proved in Hermite coordinates: the
 dictionary on one field per block, the shift matrices of hermite_matrix
 against operator_matrix, one-variable ladder and moment tables, and the
-Fock adjointness.  The rep suite reads S_n through its adjacent
-transpositions and one permutation per cycle type.  The slow checks they
+Fock adjointness.  The decomposition is proved per pattern block by the
+transposition sum, witness identities and Fock ranks.  The rep suite
+reads S_n through its adjacent transpositions and one permutation per
+cycle type.  The slow checks they
 replaced stay here as oracles, and a stand-in for each ingredient shows
 that the case fails without it.
 """
 
 import inspect
 import sys
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -21,8 +25,10 @@ from hypothesis import given
 import hodgefock.chaos as chaos
 import hodgefock.cli as cli
 import hodgefock.hodge as hodge
+import hodgefock.rep_theory as rep_theory
 from hodgefock import (
     FockTensor,
+    FullTensor,
     Subspace,
     action_trace,
     alt_subset,
@@ -36,6 +42,7 @@ from hodgefock import (
     hodge_laplacian,
     inner,
     lower,
+    permute,
     raise_,
     random_tensor,
     sym_subset,
@@ -43,15 +50,19 @@ from hodgefock import (
 )
 from hodgefock.chaos import FormField, HermiteExpansion
 from hodgefock.cli import VerifyConfig, run_verify
-from hodgefock.fock_ops import _wedge_insert, gram_matrix, operator_matrix
+from hodgefock.fock_ops import _wedge_insert, gram_matrix, operator_matrix, operator_rank
 from hodgefock.hodge import hodge_split
+from hodgefock.tensor_core import weight_patterns
 
+import oracles
 from conftest import full_tensors
 
 GRID = [(d, n, k) for d in (1, 2, 3) for n in range(1, 5) for k in range(n + 1)]
 
 CACHES = (
     operator_matrix,
+    operator_rank,
+    rep_theory._family_holds,
     cli._hermite_table_holds,
     cli._ladder_tables_hold,
     cli._hermite_matches,
@@ -177,8 +188,11 @@ def _bumped(m, key=(0, 0)):
 
 
 def _perturbed_a(d, k, q, real):
+    """A with its entry in row 0 and the last column raised by 1, on a
+    non-empty block; an empty block is left as it is."""
     a, b = real(d, k, q)
-    return _bumped(a, (0, 2)), b
+    size = block_dim(d, k, q)
+    return (_bumped(a, (0, size - 1)) if size else a), b
 
 
 def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
@@ -426,6 +440,104 @@ def test_chaos_certificate_fails_without_each_ingredient(stand_in, monkeypatch):
         assert details[key] is False
     else:
         assert details["diagram"] and details["dual_diagram"] and details["adjoint"]
+
+
+# The decomposition certificate (rep_theory module docstring), on each
+# pattern block of every n <= 6: 164 blocks.
+
+
+def _hook_kostka(r, q):
+    """(C(r, q), C(r-1, q-1), C(r-1, q)): the block of a pattern with r
+    parts and its two pieces."""
+    return comb(r, q), comb(r - 1, q - 1) if q else 0, comb(r - 1, q)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_certificate_equals_the_elimination_oracle(n):
+    blocks = [(mu, k, n - k) for mu, _ in weight_patterns(n, n) for k in range(n + 1)]
+    for mu, k, q in blocks:
+        certified = rep_theory._pattern_block(mu, k, q)
+        assert certified == oracles.pattern_block(mu, k, q), (mu, k)
+        assert certified == (*_hook_kostka(len(mu), q), True), (mu, k)
+    assert len(blocks) == [2, 6, 12, 25, 42, 77][n - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_family_check_in_position_sets_equals_the_full_tensor_oracle(n):
+    # The position-set model of T agrees with T on the moved generator
+    # for every j-set S of slots, and both family checks hold.
+    for j in range(n + 1):
+        g = embed(FockTensor.basis(n, rep_theory._distinct_label(n, j)))
+        moved = {
+            frozenset(s): permute(g, rep_theory.position_permutation(n, j, s))
+            for s in combinations(range(1, n + 1), j)
+        }
+        for s, v in moved.items():
+            image = rep_theory._set_transposition_sum(n, {s: 1})
+            terms = [moved[key].scale(c) for key, c in image.items() if c]
+            assert sum(terms, FullTensor.zero(n, n)) == rep_theory._transposition_sum(v), (j, s)
+        assert rep_theory._family_holds(n, j) and oracles.family_holds(n, j), j
+
+
+def _content_off_at(sig, real=rep_theory._hook_content):
+    return lambda a, b: real(a, b) + ((a, b) == sig)
+
+
+def _content_as_at(sig, other, real=rep_theory._hook_content):
+    return lambda a, b: real(*other) if (a, b) == sig else real(a, b)
+
+
+def _drops_last_pair(v, pairs=None, real=rep_theory._transposition_sum):
+    return real(v, pairs if pairs is None else list(pairs)[:-1])
+
+
+def _lower_rank_one_short(matrix, which, *sig, real=operator_rank):
+    rank = real(matrix, which, *sig)
+    return rank - 1 if which == "lower" and rank else rank
+
+
+# (patch, k) on d = n = 3.  At k = 1 (q = 2): Z+ = (T - c(2, 1)) (T - c(3, 0)),
+# the lower witness at j = 2 is e - (2 3) e, and lower from H_{2,1} has
+# rank 1 on the block of (2, 1), where the Kostka numbers are (1, 1, 0).
+# At k = 2 (q = 1) the family of j = 3 is the trivial module, so the
+# second root c(4, -1) of Z+ kills nothing: set to the root c(2, 1) of Z-,
+# only the coprimality check of step 2 sees it.
+DECOMPOSITION_STAND_INS = {
+    "wrong content in Z+": (
+        lambda mp: mp.setattr(rep_theory, "_hook_content", _content_off_at((3, 0))),
+        1,
+    ),
+    "witness with a term dropped": (
+        lambda mp: mp.setattr(rep_theory, "_transposition_sum", _drops_last_pair),
+        1,
+    ),
+    "rank one short": (
+        lambda mp: mp.setattr(rep_theory, "operator_rank", _lower_rank_one_short),
+        1,
+    ),
+    "Z+ and Z- share a root": (
+        lambda mp: mp.setattr(rep_theory, "_hook_content", _content_as_at((4, -1), (2, 1))),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("stand_in", sorted(DECOMPOSITION_STAND_INS))
+def test_decomposition_certificate_fails_without_each_step(stand_in, monkeypatch):
+    patch, k = DECOMPOSITION_STAND_INS[stand_in]
+    d = n = 3
+    r, q = 3, n - k
+    assert rep_theory._pattern_block((1, 1, 1), k, q) == (*_hook_kostka(r, q), True)
+    assert cli._case_decomposition(d, n, k, 0)[0] == "pass"
+    clear_caches()
+    patch(monkeypatch)
+    assert rep_theory._pattern_block((1, 1, 1), k, q)[3] is False
+    status, details = cli._case_decomposition(d, n, k, 0)
+    assert status == "fail"
+    if stand_in == "rank one short":
+        assert (details["pattern"], details["expected"]) == ([2, 1], [1, 1, 0])
+    else:
+        assert "pattern" not in details
 
 
 def test_operator_matrix_is_built_once_and_never_mutated(monkeypatch):

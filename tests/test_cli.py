@@ -14,6 +14,7 @@ import pytest
 import hodgefock.cli as cli
 import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
+import hodgefock.rep_theory as rep_theory
 from hodgefock import ConfigError, block_dim, exactness_report
 from hodgefock.cli import VerifyConfig, main, parse_report, render_report, run_verify
 
@@ -517,9 +518,11 @@ def test_main_empty_out_exits_two_before_any_case(monkeypatch, capsys):
 
 
 # Listed in the benchmark's LAYERS but not called by any verify suite.
+# intersect is the decomposition's old route, now its test oracle.
 OFF_THE_VERIFY_PATH = {
     "hodge.random_tensor",
     "rep_theory.embedded_subspace",
+    "rep_theory.intersect",
     "rep_theory.span_all_positions",
 }
 
@@ -576,3 +579,23 @@ def test_every_traced_layer_resolves_and_runs_on_the_verify_path(monkeypatch, ca
     assert main(["verify", "all", "--max-dim", "2", "--max-n", "3", "--format", "json"]) == 0
     capsys.readouterr()
     assert {key for key, n in calls.items() if not n} <= OFF_THE_VERIFY_PATH
+
+
+def test_decomposition_computes_no_elimination_in_the_tensor_power(monkeypatch):
+    # The certificate reads Fock ranks only: with the intersections and the
+    # position families of the tensor power refused, and every cache
+    # emptied first, a serial decomposition run still passes.
+    modules = [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
+    for mod in modules:
+        for value in list(vars(mod).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("elimination in the tensor power")
+
+    monkeypatch.setattr(rep_theory, "intersect", refused)
+    monkeypatch.setattr(rep_theory, "_position_span", refused)
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    report = run_verify(VerifyConfig(suite="decomposition", max_dim=5, max_n=6))
+    assert report.status == "pass" and len(report.cases) == 5 * sum(n + 1 for n in range(1, 7))

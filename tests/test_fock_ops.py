@@ -14,6 +14,7 @@ from hodgefock import (
     MixedIndex,
     Permutation,
     alt_subset,
+    embed,
     gram_matrix,
     lower,
     operator_matrix,
@@ -23,6 +24,7 @@ from hodgefock import (
     symmetric_group,
 )
 from hodgefock.chaos import hermite_matrix
+from hodgefock.rep_theory import _transposition_sum
 from hodgefock.tensor_core import _gram_factor, sort_sign, weight_patterns
 
 from conftest import full_tensors, mixed_tensors
@@ -248,12 +250,25 @@ def test_linear_map_algebra():
 
 
 def _relabel(t, f, d):
-    """The tensor t with every index i replaced by f(i), over R^d."""
+    """The tensor t with every index i replaced by f(i), over R^d: a label
+    whose wedge part f repeats goes to 0, the others take the sign that
+    sorts their wedge part."""
     coeffs = {}
     for label, c in t.coeffs.items():
-        sign, alt = sort_sign(tuple(f(j) for j in label.alt))
-        coeffs[MixedIndex(tuple(sorted(f(i) for i in label.sym)), alt)] = sign * c
+        res = sort_sign(tuple(f(j) for j in label.alt))
+        if res is not None:
+            key = MixedIndex(tuple(sorted(f(i) for i in label.sym)), res[1])
+            coeffs[key] = coeffs.get(key, 0) + res[0] * c
     return FockTensor(d, t.k, t.q, coeffs)
+
+
+def _relabel_full(v, f, d):
+    """The full tensor v with f applied to the index in every slot, over R^d."""
+    coeffs = {}
+    for key, c in v.coeffs.items():
+        image = tuple(f(i) for i in key)
+        coeffs[image] = coeffs.get(image, 0) + c
+    return FullTensor(d, v.n, coeffs)
 
 
 def _commutes(t, f, d):
@@ -306,3 +321,26 @@ def test_pattern_blocks_count_the_whole_block():
                 parts = [(mu, count, hf.block_dim(mu, k, q)) for mu, count in weight_patterns(d, n)]
                 assert all(len(hf.enum_basis(mu, k, q)) == dim for mu, _, dim in parts)
                 assert sum(count * dim for _, count, dim in parts) == hf.block_dim(d, k, q)
+
+
+# The premise of the decomposition certificate: one distinct-index
+# generator over R^n covers every label, because every map f: [n] -> [r]
+# of indices, injective or not, applied in every slot commutes with embed,
+# lower, raise_, the slot permutations and the transposition sum T, up to
+# the wedge sort sign, or 0 where f repeats a wedge index.
+
+
+@given(mixed_tensors(max_dim=5, max_n=5), st.data())
+def test_merging_maps_commute_with_embed_the_operators_and_t(t, data):
+    r = data.draw(st.integers(1, t.dim))
+    images = data.draw(st.lists(st.integers(1, r), min_size=t.dim, max_size=t.dim))
+    f = lambda i: images[i - 1]  # noqa: E731
+    n = t.k + t.q
+    relabelled = _relabel(t, f, r)
+    assert embed(relabelled) == _relabel_full(embed(t), f, r)
+    for op in (lower, raise_):
+        assert op(relabelled) == _relabel(op(t), f, r), op.__name__
+    v = embed(t)
+    p = Permutation(data.draw(st.permutations(range(1, n + 1))))
+    assert permute(_relabel_full(v, f, r), p) == _relabel_full(permute(v, p), f, r)
+    assert _transposition_sum(_relabel_full(v, f, r)) == _relabel_full(_transposition_sum(v), f, r)
