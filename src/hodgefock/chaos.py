@@ -25,8 +25,8 @@ A form's Hermite coordinates {(wedge key, multi-degree): c} are its
 coefficients on He_m dx_J.  Forms change basis in two places only:
 FormField.from_hermite multiplies the products out into monomials, and
 FormField.hermite_coords reads each wedge component back through
-HermiteExpansion.from_poly.  chaos_field, gaussian_inner and the
-`verify chaos` checks all go through these two.
+HermiteExpansion.from_poly.  chaos_field, gaussian_inner,
+commutation_defect and the `verify chaos` checks all go through these two.
 
 In these coordinates, where hermite_key gives a label's key, both
 operators are integer shifts, one coordinate at a time: He_a' =
@@ -35,6 +35,8 @@ creation part of the divergence.  hermite_matrix writes them as
 matrices indexed by the labels of the neighbouring blocks, so the
 `verify chaos` suite proves the dictionary by comparing them with the
 integer matrices of lower and raise_ (operator_matrix), with no sampling.
+Relabelling the ground basis commutes with all of this, so the suite
+runs on one weight block per pattern mu, with forms on R^len(mu).
 """
 
 from __future__ import annotations
@@ -166,11 +168,6 @@ def _monomial_in_he(exps: tuple[int, ...]) -> tuple:
     return tuple(_expand_product(_x_power_in_he, exps).items())
 
 
-def _hermite_monomial(mult: tuple[int, ...]) -> dict:
-    """prod_i He_{mult_i}(x_i), as monomial coefficients."""
-    return _expand_product(_he_coeffs, mult)
-
-
 def hermite(a: int) -> Poly:
     """Monic Hermite polynomial He_a in one variable."""
     if a < 0:
@@ -200,7 +197,7 @@ class HermiteExpansion(SparseVector):
         return cls._trusted((p.dim,), out)
 
     def to_poly(self) -> Poly:
-        terms = ((c, _hermite_monomial(key)) for key, c in self.coeffs.items())
+        terms = ((c, _expand_product(_he_coeffs, key)) for key, c in self.coeffs.items())
         return Poly._trusted((self.dim,), lincomb(terms))
 
 
@@ -258,12 +255,15 @@ class FormField(SparseVector):
     @classmethod
     def from_hermite(cls, dim: int, q: int, coords: Mapping) -> "FormField":
         """The q-form sum c He_m dx_J over its Hermite coordinates
-        {(J, m): c}, each product multiplied out by _hermite_monomial.
+        {(J, m): c}, each product He_m multiplied out once per call.
         The keys are not checked: J must be a wedge key of a q-form on
         R^dim and m a multi-degree of length dim."""
         out: dict[tuple, object] = {}
+        expanded: dict[tuple[int, ...], dict] = {}
         for (key, mult), c in coords.items():
-            for e, w in _hermite_monomial(mult).items():
+            if mult not in expanded:
+                expanded[mult] = _expand_product(_he_coeffs, mult)
+            for e, w in expanded[mult].items():
                 out[(key, e)] = out.get((key, e), 0) + c * w
         return cls._trusted((dim, q), out)
 
@@ -315,12 +315,13 @@ def chaos_poly(t: FockTensor) -> Poly:
 
 
 def chaos_field(t: FockTensor) -> FormField:
-    """Polynomial q-form of a mixed tensor: wedge part becomes the key.
-
-    A degenerate block (k < 0, q < 0 or q > d) holds only zero, which goes
-    to the zero form of the same degree q."""
+    """Polynomial q-form of a mixed tensor, on R^d or on R^len(mu) for a
+    pattern ground mu: wedge part becomes the key.  A degenerate block
+    (k < 0, q < 0 or q > d) holds only zero, which goes to the zero form of
+    the same degree q."""
     coords = {hermite_key(label, t.dim): c for label, c in t.coeffs.items()}
-    return FormField.from_hermite(t.dim, t.q, coords)
+    dim = len(t.dim) if isinstance(t.dim, tuple) else t.dim
+    return FormField.from_hermite(dim, t.q, coords)
 
 
 def exp_vector(h: Iterable, order: int) -> GradedFock:
@@ -337,10 +338,9 @@ def exp_vector(h: Iterable, order: int) -> GradedFock:
     if order < 0:
         raise DegreeOutOfRange(f"truncation order must be >= 0, got {order}")
 
-    def coeff(label: MixedIndex):
-        return prod(
-            Fraction(hi) ** a / factorial(a) for hi, a in zip(hs, _label_multiplicities(label, d))
-        )
+    def coeff(label: MixedIndex) -> Fraction:
+        mult = _label_multiplicities(label, d)
+        return Fraction(prod(hi**a for hi, a in zip(hs, mult)), prod(map(factorial, mult)))
 
     parts = {
         k: FockTensor._trusted((d, k, 0), {b: coeff(b) for b in enum_basis(d, k, 0)})
@@ -473,7 +473,9 @@ def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField
     chaos field of (same truncation) tensor (h wedge x).  Without
     truncation the two agree; truncating at `order` leaves a defect
     supported purely in Hermite degree `order`, the top chunk that route
-    one differentiates away but route two keeps.
+    one differentiates away but route two keeps.  Both routes run in
+    Hermite coordinates, times order! (integers when h is), route one as
+    _hermite_image("lower", ...); only their difference is multiplied out.
     """
     if order < 1:
         raise DegreeOutOfRange(f"truncation order must be >= 1, got {order}")
@@ -482,25 +484,16 @@ def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField
     x = tuple(x)
     if any(not 1 <= i <= d for i in x) or any(a >= b for a, b in zip(x, x[1:])):
         raise InvalidIndex(f"x must be a strictly increasing tuple in 1..{d}")
-    q = len(x)
-    graded = exp_vector(hs, order)
-
-    def tensor_with(key: tuple[int, ...]) -> FormField:
-        coords = {
-            (key, _label_multiplicities(b, d)): c
-            for part in graded.parts.values()
-            for b, c in part.coeffs.items()
-        }
-        return FormField.from_hermite(d, len(key), coords)
-
-    left = exterior_derivative(tensor_with(x))
-    right = FormField.zero(d, q + 1)
-    for i in range(1, d + 1):
-        if not hs[i - 1]:
-            continue
-        ins = _wedge_insert(i, x)
-        if ins is None:
-            continue
-        sign, new = ins
-        right = right + tensor_with(new).scale(sign * hs[i - 1])
-    return left - right
+    scale = factorial(order)
+    wedges = [(ins, hi) for i, hi in enumerate(hs, start=1) if hi and (ins := _wedge_insert(i, x))]
+    out: dict[tuple, object] = {}
+    for part in exp_vector(hs, order).parts.values():
+        for b, c in part.coeffs.items():
+            c *= scale  # an int when h is, which keeps the sums below in ints
+            c = c.numerator if c.denominator == 1 else c
+            m = _label_multiplicities(b, d)
+            for key, v in _hermite_image("lower", x, m):
+                out[key] = out.get(key, 0) + v * c
+            for (sign, new), hi in wedges:
+                out[(new, m)] = out.get((new, m), 0) - sign * hi * c
+    return FormField.from_hermite(d, len(x) + 1, out) / scale

@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import NamedTuple
@@ -137,12 +136,19 @@ def _exactness_report(d: int, n: int):
 
 
 def _case_exactness(d: int, n: int, k: int, seed: int):
+    q = n - k
     rep = _exactness_report(d, n)
     row = rep.row(k)
     lower_ok, raise_ok = rep.exact_at(k)
     # dim, rank_lower, ker_lower, rank_raise, ker_raise and harmonic_dim, in order
     details = dict(zip(row._fields[2:], row[2:]), lower_exact=lower_ok, raise_exact=raise_ok)
     ok = lower_ok and raise_ok and row.rank_nullity_ok() and row.harmonic_dim == 0
+    # Independent of the eliminations: the hook Kostka numbers of each pattern.
+    for mu, _ in weight_patterns(d, n):
+        expected = [comb(len(mu) - 1, q), comb(len(mu) - 1, q - 1) if q else 0]
+        if [operator_rank(operator_matrix, w, mu, k, q) for w in ("lower", "raise")] != expected:
+            details.update(pattern=list(mu), expected=expected)
+            return "fail", details
     return ("pass" if ok else "fail"), details
 
 
@@ -343,34 +349,30 @@ def _ladder_tables_hold(n: int) -> tuple[bool, bool, bool]:
     form is multiplied out by FormField.from_hermite, never read through
     from_poly.
     """
-    d_ok = delta_ok = lap_ok = True
+    d_ok, delta_ok, lap_ok = _ladder_tables_hold(n - 1) if n else (True, True, True)
     for a in range(n + 1):
-        for b in range(n + 1 - a):
-            for key in ((), (1,), (2,), (1, 2)):
-                q = len(key)
-                f = FormField.from_hermite(2, q, {(key, (a, b)): 1})
-                d_ok = d_ok and exterior_derivative(f) == FormField.from_hermite(
-                    2, q + 1, dict(_hermite_image("lower", key, (a, b)))
-                )
-                delta_ok = delta_ok and codifferential(f) == FormField.from_hermite(
-                    2, q - 1, dict(_hermite_image("raise", key, (a, b)))
-                )
-                lap_ok = lap_ok and hodge_laplacian(f) == f.scale(a + b + q)
+        for key in ((), (1,), (2,), (1, 2)):
+            q = len(key)
+            f = FormField.from_hermite(2, q, {(key, (a, n - a)): 1})
+            d_ok = d_ok and exterior_derivative(f) == FormField.from_hermite(
+                2, q + 1, dict(_hermite_image("lower", key, (a, n - a)))
+            )
+            delta_ok = delta_ok and codifferential(f) == FormField.from_hermite(
+                2, q - 1, dict(_hermite_image("raise", key, (a, n - a)))
+            )
+            lap_ok = lap_ok and hodge_laplacian(f) == f.scale(n + q)
     return d_ok, delta_ok, lap_ok
 
 
 @lru_cache(maxsize=None)
-def _hermite_matches(which: str, d: int, k: int, q: int) -> bool:
-    """The shift matrix of d or δ equals lower or raise_ on each pattern block."""
-    return all(
-        hermite_matrix(which, mu, k, q) == operator_matrix(which, mu, k, q)
-        for mu, _ in weight_patterns(d, k + q)
-    )
+def _hermite_matches(which: str, mu: tuple, k: int, q: int) -> bool:
+    """The shift matrix of d or δ equals lower or raise_ on the block of mu."""
+    return hermite_matrix(which, mu, k, q) == operator_matrix(which, mu, k, q)
 
 
 @lru_cache(maxsize=None)
-def _chaos_block_holds(d: int, k: int, q: int) -> tuple[bool, bool]:
-    """(dictionary, isometry) of the Gaussian model on H_{k,q}, from one field.
+def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool]:
+    """(dictionary, isometry) of the Gaussian model on the block of mu, from one field.
 
     With t = sum_i (i+1) e_{b_i} over the labels and f = chaos_field(t),
     the dictionary holds when the Hermite coordinates of f are exactly
@@ -383,16 +385,16 @@ def _chaos_block_holds(d: int, k: int, q: int) -> tuple[bool, bool]:
     on the whole block.  gaussian_inner itself is run once, on f.  An
     empty block builds no field.
     """
-    labels = enum_basis(d, k, q)
+    labels = enum_basis(mu, k, q)
     if not labels:
         return True, True
-    t = FockTensor._trusted((d, k, q), {b: i + 1 for i, b in enumerate(labels)})
+    t = FockTensor._trusted((mu, k, q), {b: i + 1 for i, b in enumerate(labels)})
     f = chaos_field(t)
-    dictionary = f.hermite_coords() == {hermite_key(b, d): c for b, c in t.coeffs.items()}
+    dictionary = f.hermite_coords() == {hermite_key(b, mu): c for b, c in t.coeffs.items()}
     isometry = (
         dictionary
         and _hermite_table_holds(k)
-        and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, d)[1])) for b in labels)
+        and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, mu)[1])) for b in labels)
         and gaussian_inner(f, f) == inner(t, t)
     )
     return dictionary, isometry
@@ -404,8 +406,9 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
     Premise: exterior_derivative and codifferential act one coordinate at
     a time, with the shared wedge sign rule.  The ladder tables then make
     them the integer shift matrices of hermite_matrix in Hermite
-    coordinates, and under the dictionary each key is a matrix identity,
-    compared on every pattern block:
+    coordinates, and under the dictionary each key is a matrix identity.
+    Relabelling the ground commutes with all of it, so the dictionary,
+    the isometry and each identity are and-ed over the pattern blocks:
 
     * diagram: d = lower on H_{k,q};
     * dual_diagram: δ = raise_ on H_{k,q};
@@ -415,16 +418,25 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
       H_{k,q} and H_{k-1,q+1}, and the Fock adjointness G' L = (G R')^T.
     """
     q = n - k
-    here, iso = _chaos_block_holds(d, k, q)
-    below, iso_below = _chaos_block_holds(d, k - 1, q + 1)
-    above = _chaos_block_holds(d, k + 1, q - 1)[0]
+    patterns = weight_patterns(d, n)
+
+    def holds(k: int, q: int) -> tuple[bool, bool]:
+        pairs = [_chaos_pattern_holds(mu, k, q) for mu, _ in patterns]
+        return all(dictionary for dictionary, _ in pairs), all(iso for _, iso in pairs)
+
+    def matches(which: str, k: int, q: int) -> bool:
+        return all(_hermite_matches(which, mu, k, q) for mu, _ in patterns)
+
+    here, iso = holds(k, q)
+    below, iso_below = holds(k - 1, q + 1)
+    above = holds(k + 1, q - 1)[0]
     ladder_d, ladder_delta, ladder_lap = _ladder_tables_hold(n)
-    diagram = here and below and ladder_d and _hermite_matches("lower", d, k, q)
-    dual = here and above and ladder_delta and _hermite_matches("raise", d, k, q)
+    diagram = here and below and ladder_d and matches("lower", k, q)
+    dual = here and above and ladder_delta and matches("raise", k, q)
     eigen = (
         ladder_lap
-        and _hermite_matches("lower", d, k + 1, q - 1)
-        and _hermite_matches("raise", d, k - 1, q + 1)
+        and matches("lower", k + 1, q - 1)
+        and matches("raise", k - 1, q + 1)
         and weitzenboeck_defect(d, k, q) == 0
     )
     dim = block_dim(d, k, q)
@@ -440,10 +452,10 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
             and iso
             and iso_below
             and ladder_delta
-            and _hermite_matches("raise", d, k - 1, q + 1)
+            and matches("raise", k - 1, q + 1)
             and all(
                 _adjoint_residual(gram_matrix, operator_matrix, mu, k, q).is_zero()
-                for mu, _ in weight_patterns(d, n)
+                for mu, _ in patterns
             )
         )
         details["adjoint"] = adj
@@ -454,28 +466,20 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
 def _case_chaos_truncation(d: int, n: int, k: int, seed: int):
     rng = _rng(seed, "trunc", d, n)
     h = [rng.randint(-3, 3) for _ in range(d)]
-    x = (1,)
-    defect = commutation_defect(h, x, n)
-    # Expected: the degree-n part of exp(h), prod_i h_i^{a_i} / a_i! on the
-    # label of multiplicities a, tensored with h wedge e_1.  It is written
-    # out here, so that commutation_defect builds the only exponential vector.
-    top = {
-        b: prod(Fraction(hi) ** a / factorial(a) for hi, a in zip(h, hermite_key(b, d)[1]))
-        for b in enum_basis(d, n, 0)
-    }
-    coeffs = {
-        MixedIndex(b.sym, (1, i)): h[i - 1] * c
-        for b, c in top.items()
+    defect = commutation_defect(h, (1,), n)
+    # n! times the expected defect, in Hermite coordinates: the degree-n part
+    # of exp(h), prod_i h_i^{a_i} / a_i! on He_a, tensored with h wedge e_1,
+    # written out so that commutation_defect builds the only exponential vector.
+    expected = {
+        ((1, i), a): factorial(n) // prod(map(factorial, a)) * prod(map(pow, h, a)) * h[i - 1]
+        for a in (hermite_key(b, d)[1] for b in enum_basis(d, n, 0))
         for i in range(2, d + 1)
     }
-    expected = chaos_field(FockTensor(d, n, 2, coeffs))
-    degrees = defect.hermite_degrees()
-    details = {
-        "h": [str(c) for c in h],
-        "order": n,
-        "defect_degrees": sorted(degrees),
-    }
-    ok = defect == expected and degrees <= {n}
+    ok = defect.scale(factorial(n)) == FormField.from_hermite(d, 2, expected)
+    # Equal forms have equal Hermite coordinates, all of degree n here: a
+    # passing case reads the degrees off the expected keys.
+    degrees = {sum(a) for (_, a), c in expected.items() if c} if ok else defect.hermite_degrees()
+    details = {"h": [str(c) for c in h], "order": n, "defect_degrees": sorted(degrees)}
     return ("pass" if ok else "fail"), details
 
 

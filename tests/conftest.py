@@ -1,6 +1,7 @@
 from hypothesis import settings, strategies as st
 
 import hodgefock as hf
+from hodgefock.tensor_core import sort_sign
 
 settings.register_profile("exact", deadline=None, max_examples=30)
 settings.load_profile("exact")
@@ -54,3 +55,30 @@ def full_tensors(draw, max_dim=3, max_n=4):
     for key in draw(st.lists(keys, max_size=5)):
         coeffs[key] = draw(coefficients)
     return hf.FullTensor(d, n, coeffs)
+
+
+@st.composite
+def pattern_tensors(draw, max_dim=5, max_n=4):
+    """(t, d): a tensor on the block of a pattern mu, and a ground R^d
+    with d >= len(mu)."""
+    d = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_n))
+    mu = draw(st.sampled_from([mu for mu, _ in hf.weight_patterns(d, n)]))
+    k = draw(st.integers(0, n))
+    labels = hf.enum_basis(mu, k, n - k)
+    chosen = draw(st.lists(st.sampled_from(labels), max_size=4)) if labels else []
+    coeffs = {b: draw(st.integers(-6, 6).filter(bool)) for b in chosen}
+    return hf.FockTensor._trusted((mu, k, n - k), coeffs), d
+
+
+def relabel(t, f, d):
+    """The tensor t with every index i replaced by f(i), over R^d: a label
+    whose wedge part f repeats goes to 0, the others take the sign that
+    sorts their wedge part."""
+    coeffs = {}
+    for label, c in t.coeffs.items():
+        res = sort_sign(tuple(f(j) for j in label.alt))
+        if res is not None:
+            key = hf.MixedIndex(tuple(sorted(f(i) for i in label.sym)), res[1])
+            coeffs[key] = coeffs.get(key, 0) + res[0] * c
+    return hf.FockTensor(d, t.k, t.q, coeffs)

@@ -8,22 +8,31 @@ Weitzenböck defect, the Hermite shift matches, the Fock adjoint residual
 and the decomposition's ker_lower.  Each case function returns the
 (status, details) pair of the verify case of the same suite.
 
+The Gaussian model has its whole-block oracles here too:
+chaos_block_holds reads the dictionary and the isometry off one field
+per block H_{k,q} over R^d, and commutation_defect computes both routes
+of the truncation square on monomials, route one by exterior_derivative.
+
 The decomposition's certificate has its oracles here too: pattern_block
 is the elimination it replaced, intersections of position families in
 the full tensor power, and family_holds runs the certificate's family
 check on full tensors instead of position-set coordinates.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
-from hodgefock import FockTensor, LinearMap, Subspace, block_dim, embed, enum_basis
-from hodgefock import gram_matrix, lower, operator_matrix, permute, raise_
-from hodgefock.chaos import hermite_matrix
-from hodgefock.fock_ops import Permutation
+from hodgefock import FockTensor, FormField, LinearMap, MixedIndex, Subspace, block_dim, embed
+from hodgefock import chaos_field, enum_basis, exterior_derivative, gaussian_inner, gram_matrix
+from hodgefock import inner, lower, operator_matrix, permute, raise_
+from hodgefock.chaos import hermite_key, hermite_matrix
+from hodgefock.fock_ops import Permutation, _wedge_insert
 from hodgefock.hodge import ExactnessReport, ExactnessRow, hodge_split
 from hodgefock.linalg import kernel_basis, matrix_rank
 from hodgefock.rep_theory import _distinct_label, _hook_content, _position_span
 from hodgefock.rep_theory import _transposition_sum, intersect
+from hodgefock.tensor_core import _gram_factor
 
 import hodgefock.cli as cli
 
@@ -136,13 +145,31 @@ def decomposition_case(d, n, k):
     return ("pass" if ok else "fail"), details
 
 
+@lru_cache(maxsize=None)
+def chaos_block_holds(d, k, q):
+    """(dictionary, isometry) on the whole block H_{k,q} over R^d, from the
+    one field f = chaos_field(t), t = sum_i (i+1) e_{b_i}."""
+    labels = enum_basis(d, k, q)
+    if not labels:
+        return True, True
+    t = FockTensor(d, k, q, {b: i + 1 for i, b in enumerate(labels)})
+    f = chaos_field(t)
+    dictionary = f.hermite_coords() == {hermite_key(b, d): c for b, c in t.coeffs.items()}
+    isometry = (
+        dictionary
+        and cli._hermite_table_holds(k)
+        and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, d)[1])) for b in labels)
+        and gaussian_inner(f, f) == inner(t, t)
+    )
+    return dictionary, isometry
+
+
 def chaos_case(d, n, k):
-    """The chaos case with its matrix identities on whole blocks; the
-    dictionary, the isometry and the ladder tables are the suite's own."""
+    """The chaos case on whole blocks; the ladder tables are the suite's own."""
     q = n - k
-    here, iso = cli._chaos_block_holds(d, k, q)
-    below, iso_below = cli._chaos_block_holds(d, k - 1, q + 1)
-    above = cli._chaos_block_holds(d, k + 1, q - 1)[0]
+    here, iso = chaos_block_holds(d, k, q)
+    below, iso_below = chaos_block_holds(d, k - 1, q + 1)
+    above = chaos_block_holds(d, k + 1, q - 1)[0]
     ladder_d, ladder_delta, ladder_lap = cli._ladder_tables_hold(n)
     diagram = here and below and ladder_d and hermite_matches("lower", d, k, q)
     dual = here and above and ladder_delta and hermite_matches("raise", d, k, q)
@@ -177,12 +204,55 @@ def chaos_case(d, n, k):
     return ("pass" if ok else "fail"), details
 
 
+def commutation_defect(h, x, order):
+    """The truncation defect on monomials: the chaos fields of the
+    truncated exponential vector of h tensor wedge x and tensor h wedge x,
+    each multiplied out, and route one through exterior_derivative."""
+    d, x = len(h), tuple(x)
+    exp_h = {
+        mult: prod(Fraction(hi) ** a / factorial(a) for hi, a in zip(h, mult))
+        for k in range(order + 1)
+        for mult in (hermite_key(b, d)[1] for b in enum_basis(d, k, 0))
+    }
+
+    def tensor_with(key):
+        return FormField.from_hermite(d, len(key), {(key, m): c for m, c in exp_h.items()})
+
+    defect = exterior_derivative(tensor_with(x))
+    for i in range(1, d + 1):
+        ins = _wedge_insert(i, x)
+        if h[i - 1] and ins is not None:
+            sign, new = ins
+            defect = defect - tensor_with(new).scale(sign * h[i - 1])
+    return defect
+
+
+def truncation_case(d, n, k, seed=0):
+    """The chaos-truncation case through the monomial route, with the
+    expected defect built as a chaos field."""
+    rng = cli._rng(seed, "trunc", d, n)
+    h = [rng.randint(-3, 3) for _ in range(d)]
+    defect = commutation_defect(h, (1,), n)
+    coeffs = {
+        MixedIndex(b.sym, (1, i)): h[i - 1]
+        * prod(Fraction(hi) ** a / factorial(a) for hi, a in zip(h, hermite_key(b, d)[1]))
+        for b in enum_basis(d, n, 0)
+        for i in range(2, d + 1)
+    }
+    expected = chaos_field(FockTensor(d, n, 2, coeffs))
+    degrees = defect.hermite_degrees()
+    details = {"h": [str(c) for c in h], "order": n, "defect_degrees": sorted(degrees)}
+    ok = defect == expected and degrees <= {n}
+    return ("pass" if ok else "fail"), details
+
+
 CASES = {
     "weitzenboeck": weitzenboeck_case,
     "exactness": exactness_case,
     "split": split_case,
     "decomposition": decomposition_case,
     "chaos": chaos_case,
+    "chaos-truncation": truncation_case,
 }
 
 

@@ -66,7 +66,7 @@ CACHES = (
     cli._hermite_table_holds,
     cli._ladder_tables_hold,
     cli._hermite_matches,
-    cli._chaos_block_holds,
+    cli._chaos_pattern_holds,
     hodge._split_defect,
     cli._adjoint_residual,
 )

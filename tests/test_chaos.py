@@ -5,7 +5,7 @@ from itertools import combinations
 from math import factorial, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from hodgefock import (
@@ -37,8 +37,10 @@ from hodgefock.chaos import (
     hermite_key,
     hermite_matrix,
 )
+from hodgefock.tensor_core import _gram_factor, sort_sign
 
-from conftest import coefficients, mixed_tensor_pairs, mixed_tensors
+import oracles
+from conftest import coefficients, mixed_tensor_pairs, mixed_tensors, pattern_tensors, relabel
 
 
 HE_TABLE = {
@@ -423,3 +425,74 @@ def test_commutation_defect_edge_cases():
 def test_commutation_defect_lives_at_the_truncation_order(h, order):
     cd = commutation_defect(h, (1,), order)
     assert cd.hermite_degrees() <= {order}
+
+
+@st.composite
+def truncations(draw):
+    """(h, x, order): h on R^d, d <= 4, zeros and fractions included; x a
+    wedge key of length 1 or 2; order <= 4."""
+    d = draw(st.integers(1, 4))
+    h = draw(st.lists(st.one_of(st.integers(-3, 3), coefficients), min_size=d, max_size=d))
+    x = draw(st.lists(st.integers(1, d), min_size=1, max_size=min(2, d), unique=True))
+    return h, tuple(sorted(x)), draw(st.integers(1, 4))
+
+
+@given(truncations())
+@example(([0], (1,), 3))
+@example(([2], (1,), 4))
+@example(([0, 0, 1], (1, 3), 4))
+def test_commutation_defect_equals_the_monomial_route(case):
+    h, x, order = case
+    assert commutation_defect(h, x, order) == oracles.commutation_defect(h, x, order)
+
+
+# The premise of the per-pattern Gaussian model: relabelling the ground
+# basis by an injective map f of indices commutes with chaos_field,
+# FormField.hermite_coords, gaussian_inner and _gram_factor, up to the sign
+# that sorts the wedge key.  A form's monomial and Hermite coordinates are
+# both keyed (wedge key, exponent tuple), and f moves the two alike.  So
+# the dictionary and the isometry on the block of each pattern mu over
+# R^len(mu) give them on every weight block of H_{k,q} over R^d.
+
+
+def _relabel_coords(coords, f, d):
+    """{(J, e): c} with J relabelled by f and sorted with its sign, and the
+    exponent of x_i moved to x_f(i), over R^d."""
+    out = {}
+    for (key, e), c in coords.items():
+        sign, image = sort_sign(tuple(f(j) for j in key))
+        moved = [0] * d
+        for i, m in enumerate(e, start=1):
+            moved[f(i) - 1] = m
+        out[(image, tuple(moved))] = sign * c
+    return out
+
+
+def _gaussian_model_commutes(t, s, f, d):
+    u, v = chaos_field(t), chaos_field(s)
+    u_f = FormField._trusted((d, t.q), _relabel_coords(u.coeffs, f, d))
+    assert chaos_field(relabel(t, f, d)) == u_f
+    assert u_f.hermite_coords() == _relabel_coords(u.hermite_coords(), f, d)
+    assert gaussian_inner(u_f, chaos_field(relabel(s, f, d))) == gaussian_inner(u, v)
+    for label in t.coeffs:
+        image = relabel(FockTensor._trusted(t.shape(), {label: 1}), f, d)
+        assert [_gram_factor(b) for b in image.coeffs] == [_gram_factor(label)]
+
+
+@given(mixed_tensor_pairs(max_dim=4))
+def test_adjacent_transpositions_commute_with_the_gaussian_model(pair):
+    t, s = pair
+    for i in range(1, t.dim):
+        swap = {i: i + 1, i + 1: i}
+        _gaussian_model_commutes(t, s, lambda j: swap.get(j, j), t.dim)
+
+
+@given(pattern_tensors(max_dim=4), st.data())
+def test_pattern_blocks_of_the_gaussian_model_embed_into_every_ground(pair, data):
+    t, d = pair
+    labels = enum_basis(*t.shape())
+    chosen = data.draw(st.lists(st.sampled_from(labels), max_size=4)) if labels else []
+    s = FockTensor._trusted(t.shape(), {b: data.draw(coefficients) for b in chosen})
+    r = len(t.dim)
+    image = sorted(data.draw(st.lists(st.integers(1, d), min_size=r, max_size=r, unique=True)))
+    _gaussian_model_commutes(t, s, lambda j: image[j - 1], d)

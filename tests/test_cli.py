@@ -17,6 +17,7 @@ import hodgefock.hodge as hodge
 import hodgefock.rep_theory as rep_theory
 from hodgefock import ConfigError, block_dim, exactness_report
 from hodgefock.cli import VerifyConfig, main, parse_report, render_report, run_verify
+from hodgefock.tensor_core import weight_patterns
 
 
 def small(**kwargs):
@@ -377,13 +378,30 @@ def test_decomposition_case_checks_the_embedded_dimension(monkeypatch):
     assert status == "fail" and details["dim"] == 8
 
 
+def test_exactness_case_checks_the_hook_kostka_ranks(monkeypatch):
+    # The ranks of lower and raise_ on each pattern block with r parts are
+    # C(r-1, q) and C(r-1, q-1).  The check reads cli's operator_rank, and
+    # the report's eliminations do not, so one rank short on the pattern
+    # (2, 1) fails only it, and the case names that pattern.
+    assert cli._case_exactness(3, 3, 2, 0)[0] == "pass"
+    real = cli.operator_rank
+
+    def short(matrix, which, mu, k, q):
+        return real(matrix, which, mu, k, q) - (which == "lower" and mu == (2, 1))
+
+    monkeypatch.setattr(cli, "operator_rank", short)
+    status, details = cli._case_exactness(3, 3, 2, 0)
+    assert status == "fail" and details["pattern"] == [2, 1] and details["expected"] == [1, 1]
+    assert details["lower_exact"] and details["raise_exact"] and details["harmonic_dim"] == 0
+
+
 @pytest.mark.parametrize("d, n, k", [(3, 3, 1), (3, 3, 3), (2, 2, 0)])
 def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
     # The certificate reads the dictionary off one field for each
-    # non-empty block among H_{k,q} and its neighbours H_{k-1,q+1} and
-    # H_{k+1,q-1}; there is no per-label field and no random field.
+    # non-empty pattern block of H_{k,q} and of its neighbours H_{k-1,q+1}
+    # and H_{k+1,q-1}; there is no whole-block, per-label or random field.
     q = n - k
-    for cache in (cli._chaos_block_holds, cli._hermite_table_holds):
+    for cache in (cli._chaos_pattern_holds, cli._hermite_table_holds):
         cache.cache_clear()
     built = []
     original = cli.chaos_field
@@ -395,7 +413,7 @@ def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
     monkeypatch.setattr(cli, "chaos_field", counted)
     status, _ = cli._case_chaos(d, n, k, 0)
     assert status == "pass"
-    blocks = [(d, k + i, q - i) for i in (0, -1, 1)]
+    blocks = [(mu, k + i, q - i) for i in (0, -1, 1) for mu, _ in weight_patterns(d, n)]
     assert built == [sig for sig in blocks if block_dim(*sig)]
 
 

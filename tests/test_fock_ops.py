@@ -25,9 +25,9 @@ from hodgefock import (
 )
 from hodgefock.chaos import hermite_matrix
 from hodgefock.rep_theory import _transposition_sum
-from hodgefock.tensor_core import _gram_factor, sort_sign, weight_patterns
+from hodgefock.tensor_core import _gram_factor, weight_patterns
 
-from conftest import full_tensors, mixed_tensors
+from conftest import full_tensors, mixed_tensors, pattern_tensors, relabel
 
 
 def test_permutation_basics():
@@ -249,19 +249,6 @@ def test_linear_map_algebra():
 # and the order-preserving injections carry the pattern block into R^d.
 
 
-def _relabel(t, f, d):
-    """The tensor t with every index i replaced by f(i), over R^d: a label
-    whose wedge part f repeats goes to 0, the others take the sign that
-    sorts their wedge part."""
-    coeffs = {}
-    for label, c in t.coeffs.items():
-        res = sort_sign(tuple(f(j) for j in label.alt))
-        if res is not None:
-            key = MixedIndex(tuple(sorted(f(i) for i in label.sym)), res[1])
-            coeffs[key] = coeffs.get(key, 0) + res[0] * c
-    return FockTensor(d, t.k, t.q, coeffs)
-
-
 def _relabel_full(v, f, d):
     """The full tensor v with f applied to the index in every slot, over R^d."""
     coeffs = {}
@@ -274,28 +261,14 @@ def _relabel_full(v, f, d):
 def _commutes(t, f, d):
     """Every premise operator commutes with the relabelling of t by f."""
     for op in (lower, raise_):
-        assert op(_relabel(t, f, d)) == _relabel(op(t), f, d), op.__name__
+        assert op(relabel(t, f, d)) == relabel(op(t), f, d), op.__name__
     for label in t.coeffs:
-        image = _relabel(FockTensor._trusted(t.shape(), {label: 1}), f, d)
+        image = relabel(FockTensor._trusted(t.shape(), {label: 1}), f, d)
         assert [_gram_factor(b) for b in image.coeffs] == [_gram_factor(label)]
     for which in ("lower", "raise"):
         shifted = hermite_matrix(which, t.dim, t.k, t.q).apply(t)
-        image = hermite_matrix(which, d, t.k, t.q).apply(_relabel(t, f, d))
-        assert image == _relabel(shifted, f, d), which
-
-
-@st.composite
-def pattern_tensors(draw, max_dim=5, max_n=4):
-    """(t, d): a tensor on the block of a pattern mu, and a ground R^d
-    with d >= len(mu)."""
-    d = draw(st.integers(1, max_dim))
-    n = draw(st.integers(1, max_n))
-    mu = draw(st.sampled_from([mu for mu, _ in weight_patterns(d, n)]))
-    k = draw(st.integers(0, n))
-    labels = hf.enum_basis(mu, k, n - k)
-    chosen = draw(st.lists(st.sampled_from(labels), max_size=4)) if labels else []
-    coeffs = {b: draw(st.integers(-6, 6).filter(bool)) for b in chosen}
-    return FockTensor._trusted((mu, k, n - k), coeffs), d
+        image = hermite_matrix(which, d, t.k, t.q).apply(relabel(t, f, d))
+        assert image == relabel(shifted, f, d), which
 
 
 @given(mixed_tensors(max_dim=4))
@@ -336,10 +309,10 @@ def test_merging_maps_commute_with_embed_the_operators_and_t(t, data):
     images = data.draw(st.lists(st.integers(1, r), min_size=t.dim, max_size=t.dim))
     f = lambda i: images[i - 1]  # noqa: E731
     n = t.k + t.q
-    relabelled = _relabel(t, f, r)
+    relabelled = relabel(t, f, r)
     assert embed(relabelled) == _relabel_full(embed(t), f, r)
     for op in (lower, raise_):
-        assert op(relabelled) == _relabel(op(t), f, r), op.__name__
+        assert op(relabelled) == relabel(op(t), f, r), op.__name__
     v = embed(t)
     p = Permutation(data.draw(st.permutations(range(1, n + 1))))
     assert permute(_relabel_full(v, f, r), p) == _relabel_full(permute(v, p), f, r)

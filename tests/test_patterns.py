@@ -1,16 +1,20 @@
-"""The Fock-matrix checks run per weight pattern.
+"""The Fock-matrix checks and the Gaussian model run per weight pattern.
 
 split, exactness, weitzenboeck, chaos and the decomposition's ker_lower
 read one representative weight block per multiplicity pattern and sum,
-take the maximum of, or and their results over the patterns.  Here they
-are compared with the whole-block oracles of tests/oracles.py, and the
-verify path is shown to build no whole-block Fock matrix.
+take the maximum of, or and their results over the patterns; the
+chaos-truncation defect runs in Hermite coordinates.  Here they are
+compared with the whole-block and monomial oracles of tests/oracles.py,
+and the verify path is shown to build no whole-block Fock matrix, no
+whole-block chaos field and no monomial route of the defect.
 """
 
 import sys
 
 import pytest
 
+import hodgefock.chaos as chaos
+import hodgefock.cli as cli
 import hodgefock.hodge as hodge
 from hodgefock.cli import VerifyConfig, run_verify
 from hodgefock.fock_ops import operator_matrix
@@ -49,12 +53,19 @@ def test_cases_equal_the_whole_block_oracles(serial_fresh):
             d, n, k = (case["params"][key] for key in ("d", "n", "k"))
             assert (case["status"], case["details"]) == oracles.CASES[suite](d, n, k), case["name"]
             compared += 1
-    assert compared == 5 * sum(n + 1 for n in range(1, 7)) * 5
+        if suite == "chaos-truncation":
+            h = [int(c) for c in case["details"]["h"]]
+            assert chaos.commutation_defect(h, (1,), n) == oracles.commutation_defect(h, (1,), n)
+    assert compared == 5 * sum(n + 1 for n in range(1, 7)) * 5 + 5 * 6
     for d in range(1, 6):
         for n in range(1, 7):
             assert exactness_report(d, n) == oracles.exactness_report(d, n), (d, n)
             for k in range(n + 1):
-                assert weitzenboeck_defect(d, k, n - k) == oracles.weitzenboeck_defect(d, k, n - k)
+                q = n - k
+                assert weitzenboeck_defect(d, k, q) == oracles.weitzenboeck_defect(d, k, q)
+                pairs = [cli._chaos_pattern_holds(mu, k, q) for mu, _ in weight_patterns(d, n)]
+                holds = tuple(all(pair[i] for pair in pairs) for i in (0, 1))
+                assert holds == oracles.chaos_block_holds(d, k, q) == (True, True), (d, k)
 
 
 def test_split_products_are_built_once_per_pattern_block(serial_fresh):
@@ -102,3 +113,37 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
         assert asked[name] and info.misses == info.currsize == len(asked[name]), name
         grounds = {key[ground_at] for key in asked[name]}
         assert all(isinstance(ground, tuple) for ground in grounds), name
+
+
+def test_gaussian_model_builds_pattern_fields_and_no_monomial_defect(serial_fresh, monkeypatch):
+    # Every chaos field of a serial chaos run is built on a pattern ground,
+    # and commutation_defect runs route one as a Hermite shift: it calls
+    # exterior_derivative (which the ladder tables still run) not once.
+    grounds, inside, derived = [], [], []
+    real_field, real_defect, real_d = cli.chaos_field, cli.commutation_defect, chaos.exterior_derivative
+
+    def field(t):
+        grounds.append(t.dim)
+        return real_field(t)
+
+    def defect(*args):
+        inside.append(args)
+        try:
+            return real_defect(*args)
+        finally:
+            inside.pop()
+
+    def derivative(u):
+        if inside:
+            derived.append(inside[-1])
+        return real_d(u)
+
+    monkeypatch.setattr(cli, "chaos_field", field)
+    monkeypatch.setattr(cli, "commutation_defect", defect)
+    for mod in _hodgefock_modules():
+        if getattr(mod, "exterior_derivative", None) is real_d:
+            monkeypatch.setattr(mod, "exterior_derivative", derivative)
+    report = run_verify(VerifyConfig(suite="chaos", max_dim=6, max_n=4))
+    assert report.status == "pass" and len(report.cases) == 6 * (2 + 3 + 4 + 5 + 4)
+    assert grounds and all(isinstance(ground, tuple) for ground in grounds)
+    assert not derived
