@@ -16,11 +16,9 @@ from .chaos import (
     HermiteExpansion,
     Poly,
     chaos_field,
-    chaos_poly,
     codifferential,
     commutation_defect,
     exp_vector,
-    expectation,
     exterior_derivative,
     gaussian_inner,
     hermite,
@@ -37,14 +35,11 @@ from .errors import (
 from .fock_ops import (
     LinearMap,
     Permutation,
-    alt_subset,
     gram_matrix,
     lower,
     operator_matrix,
     permute,
     raise_,
-    sym_subset,
-    symmetric_group,
 )
 from .hodge import (
     ExactnessReport,
@@ -62,7 +57,6 @@ from .rep_theory import (
     embedded_subspace,
     intersect,
     orbit_span,
-    orbit_split_dims,
     orbit_split_spaces,
     span_all_positions,
 )
@@ -74,8 +68,6 @@ from .tensor_core import (
     embed,
     enum_basis,
     inner,
-    inner_full,
-    project_mixed,
     weight_patterns,
 )
 

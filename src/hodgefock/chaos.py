@@ -94,11 +94,6 @@ class Poly(SparseVector):
         exps = tuple(1 if j == i else 0 for j in range(1, dim + 1))
         return cls(dim, {exps: 1})
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
@@ -108,17 +103,6 @@ class Poly(SparseVector):
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return Poly._trusted((self.dim,), out)
-
-    def diff(self, i: int) -> "Poly":
-        """Partial derivative in x_i."""
-        if not 1 <= i <= self.dim:
-            raise InvalidIndex(f"variable index {i} outside 1..{self.dim}")
-        out = {
-            e[: i - 1] + (e[i - 1] - 1,) + e[i:]: e[i - 1] * c
-            for e, c in self.coeffs.items()
-            if e[i - 1]
-        }
         return Poly._trusted((self.dim,), out)
 
 
@@ -286,12 +270,6 @@ class GradedFock(NamedTuple):
     dim: int
     parts: dict
 
-    def part(self, k: int) -> FockTensor:
-        return self.parts.get(k, FockTensor.zero(self.dim, k, 0))
-
-    def order(self) -> int:
-        return max(self.parts, default=0)
-
 
 def _label_multiplicities(label: MixedIndex, dim: int) -> tuple[int, ...]:
     mult = [0] * dim
@@ -305,13 +283,6 @@ def hermite_key(label: MixedIndex, ground) -> tuple:
     the Hermite coordinate keyed (b.alt, mult(b)), over R^d or R^len(mu)."""
     dim = len(ground) if isinstance(ground, tuple) else ground
     return label.alt, _label_multiplicities(label, dim)
-
-
-def chaos_poly(t: FockTensor) -> Poly:
-    """Polynomial of a purely symmetric tensor (q = 0) in the Gaussian model."""
-    if t.q != 0:
-        raise DegreeOutOfRange(f"chaos_poly needs q = 0, got q = {t.q}")
-    return chaos_field(t).component(())
 
 
 def chaos_field(t: FockTensor) -> FormField:
@@ -456,13 +427,6 @@ def gaussian_inner(u, v):
     v = _as_form(v)
     u._check_same(v)
     return dot(u.hermite_coords(), v.hermite_coords(), lambda key: prod(map(factorial, key[1])))
-
-
-def expectation(f: Poly):
-    """Exact Gaussian mean: the degree-zero Hermite coefficient."""
-    return Fraction(
-        HermiteExpansion.from_poly(f).coeffs.get((0,) * f.dim, 0)
-    )
 
 
 def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField:

@@ -41,7 +41,7 @@ from .errors import ConfigError
 # benchmark's tracer tests check that its wrappers reach cli.lower.
 from .fock_ops import LinearMap, Permutation, gram_matrix, lower, operator_matrix, operator_rank
 from .fock_ops import permute, raise_
-from .hodge import exactness_report, hodge_split, split_matrices
+from .hodge import _sum_residual, exactness_report, hodge_split, split_matrices
 from .hodge import weitzenboeck_defect, witnesses
 from .rep_theory import _pattern_block, action_trace, class_representatives, decomposition_dims
 from .rep_theory import _distinct_label, orbit_span, orbit_split_spaces
@@ -113,10 +113,6 @@ class Report(NamedTuple):
     def as_dict(self) -> dict:
         return self._asdict()
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        return cls(**data)
-
 
 def _rng(seed: int, *tags) -> random.Random:
     return random.Random(":".join([str(seed), *map(str, tags)]))
@@ -146,45 +142,44 @@ def _case_exactness(d: int, n: int, k: int, seed: int):
     # Independent of the eliminations: the hook Kostka numbers of each pattern.
     for mu, _ in weight_patterns(d, n):
         expected = [comb(len(mu) - 1, q), comb(len(mu) - 1, q - 1) if q else 0]
-        if [operator_rank(operator_matrix, w, mu, k, q) for w in ("lower", "raise")] != expected:
+        if [operator_rank(w, mu, k, q) for w in ("lower", "raise")] != expected:
             details.update(pattern=list(mu), expected=expected)
             return "fail", details
     return ("pass" if ok else "fail"), details
 
 
 @lru_cache(maxsize=None)
-def _adjoint_residual(gram, op, ground, k: int, q: int) -> LinearMap:
+def _adjoint_residual(ground, k: int, q: int) -> LinearMap:
     """G' L - (G R')^T, with L = lower on H_{k,q}, R' = raise_ on
-    H_{k-1,q+1} and G, G' their gram matrices from `gram` and `op`: zero
-    iff inner(lower(u), w) = inner(u, raise_(w)) for all u and w.
+    H_{k-1,q+1} and G, G' their gram matrices: zero iff
+    inner(lower(u), w) = inner(u, raise_(w)) for all u and w.
 
     Computed once per argument tuple and process: the split and chaos
-    cases of a block both ask for it.  `gram` and `op` are part of the
-    key, so a stand-in for either gets its own entry.
+    cases of a block both ask for it.
     """
-    return gram(ground, k - 1, q + 1) @ op("lower", ground, k, q) - (
-        gram(ground, k, q) @ op("raise", ground, k - 1, q + 1)
+    return gram_matrix(ground, k - 1, q + 1) @ operator_matrix("lower", ground, k, q) - (
+        gram_matrix(ground, k, q) @ operator_matrix("raise", ground, k - 1, q + 1)
     ).transpose()
 
 
 @lru_cache(maxsize=None)
-def _split_failures(split, op, gram, hsplit, ground, k: int, q: int) -> tuple:
+def _split_failures(ground, k: int, q: int) -> tuple:
     """(identity, first failing label or None) for each split claim on one
-    block: integer identities of A, B = split(ground, k, q), and hodge_split
-    on t = sum_i (i+1) e_i.  The ingredients are keys, as in _adjoint_residual."""
+    block: integer identities of A, B = split_matrices(ground, k, q), and
+    hodge_split on t = sum_i (i+1) e_i.  Cached as _adjoint_residual is."""
     n = k + q
     labels = enum_basis(ground, k, q)
-    a, b = split(ground, k, q)
+    a, b = split_matrices(ground, k, q)
     t = FockTensor._trusted((ground, k, q), {label: i + 1 for i, label in enumerate(labels)})
-    plus, minus = hsplit(t)
+    plus, minus = hodge_split(t)
     checks = {
-        "plus + minus = t": [a + b - LinearMap.identity((ground, k, q)).scale(n)],
-        "lower(plus) = 0": [op("lower", ground, k, q) @ a],
-        "raise_(minus) = 0": [op("raise", ground, k, q) @ b],
+        "plus + minus = t": [_sum_residual(ground, k, q)],
+        "lower(plus) = 0": [operator_matrix("lower", ground, k, q) @ a],
+        "raise_(minus) = 0": [operator_matrix("raise", ground, k, q) @ b],
         "split(plus) = (plus, 0)": [a @ a - a.scale(n), b @ a],
         "split(minus) = (0, minus)": [a @ b, b @ b - b.scale(n)],
         # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
-        "adjoint": [_adjoint_residual(gram, op, ground, k, q)],
+        "adjoint": [_adjoint_residual(ground, k, q)],
         "hodge_split": [plus - a.apply(t) / n, minus - b.apply(t) / n],
     }
     index = {label: i for i, label in enumerate(labels)}
@@ -204,8 +199,7 @@ def _case_split(d: int, n: int, k: int, seed: int):
     """The split on every pattern block.  A failure names the first identity
     that fails and its first failing label in the first block where it does."""
     q = n - k
-    ingredients = (split_matrices, operator_matrix, gram_matrix, hodge_split)
-    blocks = [_split_failures(*ingredients, mu, k, q) for mu, _ in weight_patterns(d, n)]
+    blocks = [_split_failures(mu, k, q) for mu, _ in weight_patterns(d, n)]
     details = {"dim": block_dim(d, k, q)}
     for step in zip(*blocks):
         for name, label in step:
@@ -220,7 +214,7 @@ def _case_decomposition(d: int, n: int, k: int, seed: int):
     dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
     block = block_dim(d, k, q)
     patterns = weight_patterns(d, n)
-    ranks = (c * operator_rank(operator_matrix, "lower", mu, k, q) for mu, c in patterns)
+    ranks = (c * operator_rank("lower", mu, k, q) for mu, c in patterns)
     ker_lower = block - sum(ranks)
     details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
     # With direct, the embedded dimension ties dim_minus to rank(lower).
@@ -453,10 +447,7 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
             and iso_below
             and ladder_delta
             and matches("raise", k - 1, q + 1)
-            and all(
-                _adjoint_residual(gram_matrix, operator_matrix, mu, k, q).is_zero()
-                for mu, _ in patterns
-            )
+            and all(_adjoint_residual(mu, k, q).is_zero() for mu, _ in patterns)
         )
         details["adjoint"] = adj
         ok = ok and adj
@@ -619,7 +610,7 @@ def render_report(report: Report, fmt: str = "json") -> str:
 
 
 def parse_report(text: str) -> Report:
-    return Report.from_dict(json.loads(text))
+    return Report(**json.loads(text))
 
 
 def main(argv=None) -> int:

@@ -6,20 +6,16 @@ maps square to zero and satisfy the degree-n commutation identity
 
     raise_ . lower + lower . raise_ = (k + q) * id   on H_{k,q}.
 
-Also here: the slot action of the symmetric group on full tensors, the
-averaging (anti)symmetrizers over a chosen position set, and exact
+Also here: the slot action of permutations on full tensors, and exact
 integer matrices of the operators on a whole block or on the weight
-block of a pattern (tensor_core).  The m!-term averagers and the
-n!-element symmetric_group are public oracles; no verify case calls them.
+block of a pattern (tensor_core).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _itpermutations
-from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidIndex
 from .linalg import SparseVector, as_coeff, lincomb, matrix_rank
@@ -28,7 +24,6 @@ from .tensor_core import (
     FullTensor,
     MixedIndex,
     _gram_factor,
-    _signed_arrangements,
     block_dim,
     enum_basis,
     perm_sign,
@@ -91,12 +86,6 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
-def symmetric_group(n: int) -> Iterator[Permutation]:
-    """All n! slot permutations, in lexicographic image order."""
-    for images in _itpermutations(range(1, n + 1)):
-        yield Permutation(images)
-
-
 def permute(t: FullTensor, p: Permutation) -> FullTensor:
     """Relocate slots: the factor in slot i moves to slot p(i)."""
     if p.degree != t.n:
@@ -104,43 +93,6 @@ def permute(t: FullTensor, p: Permutation) -> FullTensor:
     inv = p.inverse().images
     out = {tuple(key[inv[j] - 1] for j in range(t.n)): c for key, c in t.coeffs.items()}
     return FullTensor._trusted((t.dim, t.n), out)
-
-
-def _check_positions(t: FullTensor, positions: Iterable[int]) -> tuple[int, ...]:
-    pos = tuple(sorted(positions))
-    if len(set(pos)) != len(pos) or any(not 1 <= p <= t.n for p in pos):
-        raise InvalidIndex(f"positions {pos!r} invalid for degree {t.n}")
-    return pos
-
-
-def _average(t: FullTensor, positions: Iterable[int], signed: bool) -> FullTensor:
-    """(Signed) average of the slot permutations moving only `positions`."""
-    pos = _check_positions(t, positions)
-    m = len(pos)
-    if m <= 1:
-        return t
-    inv_m = Fraction(1, factorial(m))
-    out: dict[tuple[int, ...], object] = {}
-    for key, c in t.coeffs.items():
-        c = c * inv_m
-        sub = [key[p - 1] for p in pos]
-        for sign, sigma in _signed_arrangements(m):
-            new = list(key)
-            for p, s in zip(pos, sigma):
-                new[p - 1] = sub[s]
-            new = tuple(new)
-            out[new] = out.get(new, 0) + (sign * c if signed else c)
-    return FullTensor._trusted((t.dim, t.n), out)
-
-
-def sym_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
-    """Average of the slot permutations fixing everything off `positions`."""
-    return _average(t, positions, signed=False)
-
-
-def alt_subset(t: FullTensor, positions: Iterable[int]) -> FullTensor:
-    """Signed average of the slot permutations moving only `positions`."""
-    return _average(t, positions, signed=True)
 
 
 def _wedge_insert(i: int, alt: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -283,10 +235,10 @@ def operator_matrix(which: str, ground, k: int, q: int) -> LinearMap:
 
 
 @lru_cache(maxsize=None)
-def operator_rank(matrix, which: str, ground, k: int, q: int) -> int:
-    """Rank of matrix(which, ground, k, q), once per argument tuple and process.
-    `matrix` is operator_matrix or a stand-in, and part of the key."""
-    return matrix(which, ground, k, q).rank()
+def operator_rank(which: str, ground, k: int, q: int) -> int:
+    """Rank of operator_matrix(which, ground, k, q), once per argument tuple
+    and process."""
+    return operator_matrix(which, ground, k, q).rank()
 
 
 def gram_matrix(ground, k: int, q: int) -> LinearMap:

@@ -18,7 +18,6 @@ the largest over them, and an identity holds iff it holds on each.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -54,20 +53,19 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
     """
     if k < 0 or q < 0:
         raise DegreeOutOfRange(f"the defect needs k, q >= 0, got ({k},{q})")
-    defects = (_split_defect(split_matrices, mu, k, q) for mu, _ in weight_patterns(d, k + q))
-    return max(defects, default=Fraction(0))
+    residuals = (_sum_residual(mu, k, q) for mu, _ in weight_patterns(d, k + q))
+    return max((r.max_abs_entry() for r in residuals), default=Fraction(0))
 
 
 @lru_cache(maxsize=None)
-def _split_defect(split, ground, k: int, q: int) -> Fraction:
-    """The defect of one block from the split matrices that `split` builds.
+def _sum_residual(ground, k: int, q: int) -> LinearMap:
+    """A + B - n I on one block, from split_matrices.
 
-    Computed once per argument tuple and process: the weitzenboeck and
-    chaos cases of a block both ask for it.  `split` is part of the key,
-    so a stand-in for split_matrices gets its own entry.
+    Computed once per argument tuple and process: the weitzenboeck, split
+    and chaos cases of a block all read it.
     """
-    a, b = split(ground, k, q)
-    return (a + b - LinearMap.identity((ground, k, q)).scale(k + q)).max_abs_entry()
+    a, b = split_matrices(ground, k, q)
+    return a + b - LinearMap.identity((ground, k, q)).scale(k + q)
 
 
 def hodge_split(t: FockTensor) -> tuple[FockTensor, FockTensor]:
@@ -98,9 +96,6 @@ class ExactnessRow(NamedTuple):
     def rank_nullity_ok(self) -> bool:
         return self.rank_lower + self.ker_lower == self.dim == self.rank_raise + self.ker_raise
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 class ExactnessReport(NamedTuple):
     """Rank bookkeeping for both degree-n sequences over R^d.
@@ -129,32 +124,9 @@ class ExactnessReport(NamedTuple):
         raise_ok = r.ker_raise == (self.row(k - 1).rank_raise if k > 0 else 0)
         return lower_ok, raise_ok
 
-    def lower_exact(self) -> bool:
-        """Ker(lower on H_{k,q}) = Im(lower from H_{k+1,q-1}) at every k."""
-        return all(self.exact_at(r.k)[0] for r in self.rows)
-
-    def raise_exact(self) -> bool:
-        """Ker(raise_ on H_{k,q}) = Im(raise_ from H_{k-1,q+1}) at every k."""
-        return all(self.exact_at(r.k)[1] for r in self.rows)
-
-    def harmonic_trivial(self) -> bool:
-        return all(r.harmonic_dim == 0 for r in self.rows)
-
-    def rank_nullity_ok(self) -> bool:
-        return all(r.rank_nullity_ok() for r in self.rows)
-
     def is_exact(self) -> bool:
-        return self.lower_exact() and self.raise_exact() and self.harmonic_trivial()
-
-    def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "rows": [r.as_dict() for r in self.rows],
-            "lower_exact": self.lower_exact(),
-            "raise_exact": self.raise_exact(),
-            "harmonic_trivial": self.harmonic_trivial(),
-        }
+        """Both sequences exact at every block, and no harmonic part."""
+        return all(all(self.exact_at(r.k)) and r.harmonic_dim == 0 for r in self.rows)
 
 
 def exactness_report(d: int, n: int) -> ExactnessReport:
@@ -179,7 +151,7 @@ def exactness_report(d: int, n: int) -> ExactnessReport:
 def _block_row(ground, k: int, q: int) -> ExactnessRow:
     ops = ("lower", "raise")
     maps = [operator_matrix(which, ground, k, q) for which in ops]
-    rank_lower, rank_raise = (operator_rank(operator_matrix, which, ground, k, q) for which in ops)
+    rank_lower, rank_raise = (operator_rank(which, ground, k, q) for which in ops)
     ker_lower, ker_raise = (len(kernel_basis(m.columns())) for m in maps)
     dim = block_dim(ground, k, q)
     harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
@@ -213,11 +185,12 @@ def witnesses(b: MixedIndex, d: int) -> tuple[FullTensor, FullTensor]:
     return vplus, vminus
 
 
-def random_tensor(d: int, k: int, q: int, rng: random.Random) -> FockTensor:
-    """Deterministic pseudo-random element: coefficients uniform in -9..9.
+def random_tensor(d: int, k: int, q: int, rng) -> FockTensor:
+    """Pseudo-random element, coefficients rng.randint(-9, 9), for a
+    random.Random rng: deterministic given its seed.
 
-    No verify case draws one; it serves property tests and sampled
-    cross-checks.
+    No verify case draws one; it serves property tests, and the
+    benchmark's tracer names it as a layer.
     """
     coeffs = {}
     for label in enum_basis(d, k, q):

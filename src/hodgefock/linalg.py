@@ -92,9 +92,6 @@ class SparseVector:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def items(self) -> list:
-        return sorted(self.coeffs.items())
-
     def _check_same(self, other) -> None:
         if not isinstance(other, type(self)):
             raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")

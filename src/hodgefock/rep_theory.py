@@ -23,8 +23,8 @@ H_{k+1,q-1} (H_{k-1,q+1}) at every choice of slot positions.
    embed(raise_ s) = e + sum_{m<k} (m k) e, e = embed(s), bound the two
    below by the ranks of lower and raise_.  When these fill the block,
    every inequality is an equality.
-embedded_subspace, span_all_positions and intersect are the full-power
-oracle.  Characters are class functions: class_representatives gives one
+embedded_subspace, span_all_positions and intersect build those spaces
+by elimination in the tensor power; no verify case calls them.  Characters are class functions: class_representatives gives one
 permutation per cycle type of S_n, built from the partitions of n.
 """
 
@@ -36,7 +36,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DimensionMismatch, InvalidIndex, NotInvariant
-from .fock_ops import Permutation, lower, operator_matrix, operator_rank, permute, raise_
+from .fock_ops import Permutation, lower, operator_rank, permute, raise_
 from .linalg import EchelonBasis, kernel_basis, lincomb
 from .tensor_core import FockTensor, FullTensor, MixedIndex, _partitions, block_dim, embed
 from .tensor_core import enum_basis, weight_patterns
@@ -116,11 +116,6 @@ def position_permutation(n: int, k: int, positions: tuple[int, ...]) -> Permutat
     for s, p in enumerate(rest):
         images[k + s] = p
     return Permutation(images)
-
-
-def has_distinct_indices(b: MixedIndex) -> bool:
-    entries = b.sym + b.alt
-    return len(set(entries)) == len(entries)
 
 
 def orbit_span(b: MixedIndex, d: int) -> Subspace:
@@ -220,8 +215,8 @@ def _pattern_block(mu: tuple[int, ...], k: int, q: int) -> tuple[int, int, int, 
     of lower from H_{k+1,q-1} and raise_ from H_{k-1,q+1} (0 off the end of
     the complex), and whether the certificate of the module docstring holds."""
     n, dim = k + q, block_dim(mu, k, q)
-    plus = operator_rank(operator_matrix, "lower", mu, k + 1, q - 1)
-    minus = operator_rank(operator_matrix, "raise", mu, k - 1, q + 1)
+    plus = operator_rank("lower", mu, k + 1, q - 1)
+    minus = operator_rank("raise", mu, k - 1, q + 1)
     roots_plus = {_hook_content(k + 1, q - 1), _hook_content(k + 2, q - 2)}
     direct = (
         (q == 0 or _family_holds(n, k + 1))
@@ -257,16 +252,6 @@ def _transposition_sum(v: FullTensor, pairs=None) -> FullTensor:
     return FullTensor._trusted((v.dim, n), lincomb((1, image) for image in images))
 
 
-def transposition_sum_matrix(space: Subspace) -> list[list]:
-    """Matrix, in the canonical basis, of the sum of all slot transpositions.
-
-    The subspace must be invariant (NotInvariant otherwise).  Entry [i][j]
-    is the i-th coordinate of the image of the j-th basis vector.
-    """
-    cols = [space.coordinates(_transposition_sum(v)) for v in space.basis()]
-    return [list(row) for row in zip(*cols)]
-
-
 def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspace]:
     """The two invariant pieces of orbit = orbit_span(b, d).
 
@@ -288,16 +273,6 @@ def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspa
     if plus.dim + minus.dim != orbit.dim:
         raise NotInvariant("transposition sum has an unexpected eigenvalue")
     return plus, minus
-
-
-def orbit_split_dims(b: MixedIndex, d: int) -> tuple[int, int]:
-    """Exact ranks of the two split idempotents restricted to orbit_span(b).
-
-    For a label with all indices distinct these are the two hook
-    dimensions (C(n-1, q-1), C(n-1, q)).
-    """
-    plus, minus = orbit_split_spaces(b, orbit_span(b, d))
-    return plus.dim, minus.dim
 
 
 def action_trace(space: Subspace, p: Permutation):

@@ -16,19 +16,21 @@ Normalization conventions, fixed once and used everywhere:
    slot permutations of the tensor product (no 1/k! factor), and the
    wedge of q vectors is the signed sum over all q! permutations;
  * consequently embed() of a canonical label is that double sum, and
-   project_mixed(embed(b), k) = k! * q! * b;
+   rewriting each slot key of embed(b) as its canonical label gives
+   k! * q! * b;
  * the pairing on H_{k,q} is the permanent pairing on the symmetric part
    times the determinant pairing on the wedge part, which makes
-   inner(t, u) = inner_full(embed(t), embed(u)) / (k! * q!).
+   inner(t, u) the slot-wise pairing of embed(t) and embed(u), divided
+   by k! * q!.
 
 With these choices every structural operator in the package has integer
 matrix entries.
 
 FockTensor and FullTensor are linalg.SparseVector subclasses: the sparse
 format and its arithmetic live in linalg.  Their constructors are the
-public edge and validate every label or key; embed, project_mixed and the
-operators in fock_ops build their (already canonical) output through the
-unchecked SparseVector._trusted instead.
+public edge and validate every label or key; embed and the operators in
+fock_ops build their (already canonical) output through the unchecked
+SparseVector._trusted instead.
 
 A block's ground is d, or a multiplicity pattern mu: the weight block of
 1^mu_1 2^mu_2 ..., with labels in 1..len(mu), valid over every R^d with
@@ -227,11 +229,6 @@ class FullTensor(SparseVector):
     def zero(cls, dim: int, n: int) -> "FullTensor":
         return cls(dim, n)
 
-    @classmethod
-    def basis(cls, dim: int, key: tuple[int, ...]) -> "FullTensor":
-        key = tuple(key)
-        return cls(dim, len(key), {key: 1})
-
 
 @lru_cache(maxsize=None)
 def _signed_arrangements(q: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -244,8 +241,9 @@ def embed(t: FockTensor) -> FullTensor:
 
     A label goes to the sum over all k! arrangements of its symmetric
     entries times the signed sum over all q! arrangements of its wedge
-    entries.  No normalizing factor, so this is injective with
-    project_mixed as a k!*q! left inverse.
+    entries.  No normalizing factor; rewriting each slot key as its
+    canonical label, with the sign that sorts its wedge entries, is a
+    k!*q! left inverse.
     """
     if t.k < 0 or t.q < 0:
         raise DegreeOutOfRange(f"cannot embed degenerate signature {t.signature}")
@@ -260,30 +258,6 @@ def embed(t: FockTensor) -> FullTensor:
     return FullTensor._trusted((t.dim, n), out)
 
 
-def project_mixed(t: FullTensor, k: int) -> FockTensor:
-    """Collapse a full tensor onto H_{k,q} coordinates, q = n - k.
-
-    Symmetrizing the first k slots, antisymmetrizing the rest and then
-    rewriting each slot key as a canonical label is the same as rewriting
-    directly: sorting the symmetric part forgets the arrangement and the
-    two signs on the wedge part cancel.  So each key contributes its
-    coefficient, with the sign that sorts its last q entries, to the
-    canonical label; keys with a repeat in the last q slots die.
-    """
-    if not 0 <= k <= t.n:
-        raise InvalidIndex(f"k must be within 0..{t.n}, got {k}")
-    q = t.n - k
-    out: dict[MixedIndex, object] = {}
-    for key, c in t.coeffs.items():
-        res = sort_sign(key[k:])
-        if res is None:
-            continue
-        sign, alt = res
-        label = MixedIndex(tuple(sorted(key[:k])), alt)
-        out[label] = out.get(label, 0) + sign * c
-    return FockTensor._trusted((t.dim, k, q), out)
-
-
 def inner(t: FockTensor, u: FockTensor):
     """Permanent pairing on the symmetric part, determinant on the wedge part.
 
@@ -293,12 +267,6 @@ def inner(t: FockTensor, u: FockTensor):
     """
     t._check_same(u)
     return dot(t.coeffs, u.coeffs, _gram_factor)
-
-
-def inner_full(t: FullTensor, u: FullTensor):
-    """Slot-wise pairing on the full tensor power (basis keys orthonormal)."""
-    t._check_same(u)
-    return dot(t.coeffs, u.coeffs)
 
 
 def block_dim(ground, k: int, q: int) -> int:

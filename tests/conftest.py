@@ -1,3 +1,6 @@
+import sys
+
+import pytest
 from hypothesis import settings, strategies as st
 
 import hodgefock as hf
@@ -5,6 +8,29 @@ from hodgefock.tensor_core import sort_sign
 
 settings.register_profile("exact", deadline=None, max_examples=30)
 settings.load_profile("exact")
+
+
+def clear_caches():
+    """Empty every cache of every hodgefock module.
+
+    The caches are keyed by data only, and each reads its module's
+    bindings when it fills an entry; a test that swaps in a stand-in and
+    expects a different answer calls this after patching.
+    """
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hodgefock":
+            for value in list(vars(mod).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty caches before the test, and after it, so that what a
+    stand-in computed does not outlive its patch."""
+    clear_caches()
+    yield
+    clear_caches()
 
 
 @st.composite

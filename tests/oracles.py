@@ -1,4 +1,6 @@
-"""Whole-block oracles of the Fock-matrix checks.
+"""Reference implementations that the tests compare the package with.
+
+Nothing here is package API: hodgefock neither exports nor calls it.
 
 The verify suites prove their matrix identities on one representative
 weight block per multiplicity pattern and combine the results over the
@@ -17,13 +19,20 @@ The decomposition's certificate has its oracles here too: pattern_block
 is the elimination it replaced, intersections of position families in
 the full tensor power, and family_holds runs the certificate's family
 check on full tensors instead of position-set coordinates.
+
+Last, the slow, obvious constructions on the full tensor power: the n!
+sweep symmetric_group, the m!-term averagers sym_subset and alt_subset
+over a position set, project_mixed back onto canonical labels (a k! q!
+left inverse of embed), and the slot-wise pairing inner_full.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial, prod
 
-from hodgefock import FockTensor, FormField, LinearMap, MixedIndex, Subspace, block_dim, embed
+from hodgefock import FockTensor, FormField, FullTensor, InvalidIndex, LinearMap, MixedIndex
+from hodgefock import Subspace, block_dim, embed
 from hodgefock import chaos_field, enum_basis, exterior_derivative, gaussian_inner, gram_matrix
 from hodgefock import inner, lower, operator_matrix, permute, raise_
 from hodgefock.chaos import hermite_key, hermite_matrix
@@ -32,7 +41,8 @@ from hodgefock.hodge import ExactnessReport, ExactnessRow, hodge_split
 from hodgefock.linalg import kernel_basis, matrix_rank
 from hodgefock.rep_theory import _distinct_label, _hook_content, _position_span
 from hodgefock.rep_theory import _transposition_sum, intersect
-from hodgefock.tensor_core import _gram_factor
+from hodgefock.linalg import dot
+from hodgefock.tensor_core import _gram_factor, _signed_arrangements, sort_sign
 
 import hodgefock.cli as cli
 
@@ -290,3 +300,75 @@ def family_holds(n, j):
             rhs = rhs + permute(e, Permutation.transposition(n, m, j + 1))
         ok = ok and embed(raise_(s)) == rhs
     return ok
+
+
+def symmetric_group(n):
+    """All n! slot permutations, in lexicographic image order."""
+    for images in permutations(range(1, n + 1)):
+        yield Permutation(images)
+
+
+def _check_positions(t, positions):
+    pos = tuple(sorted(positions))
+    if len(set(pos)) != len(pos) or any(not 1 <= p <= t.n for p in pos):
+        raise InvalidIndex(f"positions {pos!r} invalid for degree {t.n}")
+    return pos
+
+
+def _average(t, positions, signed):
+    """(Signed) average of the slot permutations moving only `positions`."""
+    pos = _check_positions(t, positions)
+    m = len(pos)
+    if m <= 1:
+        return t
+    inv_m = Fraction(1, factorial(m))
+    out = {}
+    for key, c in t.coeffs.items():
+        c = c * inv_m
+        sub = [key[p - 1] for p in pos]
+        for sign, sigma in _signed_arrangements(m):
+            new = list(key)
+            for p, s in zip(pos, sigma):
+                new[p - 1] = sub[s]
+            new = tuple(new)
+            out[new] = out.get(new, 0) + (sign * c if signed else c)
+    return FullTensor._trusted((t.dim, t.n), out)
+
+
+def sym_subset(t, positions):
+    """Average of the slot permutations fixing everything off `positions`."""
+    return _average(t, positions, signed=False)
+
+
+def alt_subset(t, positions):
+    """Signed average of the slot permutations moving only `positions`."""
+    return _average(t, positions, signed=True)
+
+
+def project_mixed(t, k):
+    """Collapse a full tensor onto H_{k,q} coordinates, q = n - k.
+
+    Symmetrizing the first k slots, antisymmetrizing the rest and then
+    rewriting each slot key as a canonical label is the same as rewriting
+    directly: sorting the symmetric part forgets the arrangement and the
+    two signs on the wedge part cancel.  So each key contributes its
+    coefficient, with the sign that sorts its last q entries, to the
+    canonical label; keys with a repeat in the last q slots die.
+    """
+    if not 0 <= k <= t.n:
+        raise InvalidIndex(f"k must be within 0..{t.n}, got {k}")
+    out = {}
+    for key, c in t.coeffs.items():
+        res = sort_sign(key[k:])
+        if res is None:
+            continue
+        sign, alt = res
+        label = MixedIndex(tuple(sorted(key[:k])), alt)
+        out[label] = out.get(label, 0) + sign * c
+    return FockTensor._trusted((t.dim, k, t.n - k), out)
+
+
+def inner_full(t, u):
+    """Slot-wise pairing on the full tensor power (basis keys orthonormal)."""
+    t._check_same(u)
+    return dot(t.coeffs, u.coeffs)

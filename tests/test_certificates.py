@@ -31,7 +31,6 @@ from hodgefock import (
     FullTensor,
     Subspace,
     action_trace,
-    alt_subset,
     block_dim,
     chaos_field,
     codifferential,
@@ -45,8 +44,6 @@ from hodgefock import (
     permute,
     raise_,
     random_tensor,
-    sym_subset,
-    symmetric_group,
 )
 from hodgefock.chaos import FormField, HermiteExpansion
 from hodgefock.cli import VerifyConfig, run_verify
@@ -55,33 +52,12 @@ from hodgefock.hodge import hodge_split
 from hodgefock.tensor_core import weight_patterns
 
 import oracles
-from conftest import full_tensors
+from conftest import clear_caches, full_tensors
+from oracles import alt_subset, sym_subset, symmetric_group
 
 GRID = [(d, n, k) for d in (1, 2, 3) for n in range(1, 5) for k in range(n + 1)]
 
-CACHES = (
-    operator_matrix,
-    operator_rank,
-    rep_theory._family_holds,
-    cli._hermite_table_holds,
-    cli._ladder_tables_hold,
-    cli._hermite_matches,
-    cli._chaos_pattern_holds,
-    hodge._split_defect,
-    cli._adjoint_residual,
-)
-
-
-def clear_caches():
-    for cache in CACHES:
-        cache.cache_clear()
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    yield
-    clear_caches()
+pytestmark = pytest.mark.usefixtures("fresh_caches")
 
 
 def split_oracle(d, n, k):
@@ -216,6 +192,7 @@ def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
 
     monkeypatch.setattr(hodge, "split_matrices", stand_in)
     monkeypatch.setattr(cli, "split_matrices", stand_in)
+    clear_caches()
     status, details = cli._case_split(d, n, k, 0)
     assert status == "fail"
     assert details == {
@@ -245,6 +222,7 @@ def test_split_case_checks_hodge_split_itself(monkeypatch):
         return plus.scale(2), minus
 
     monkeypatch.setattr(cli, "hodge_split", doubled_plus)
+    clear_caches()
     status, details = cli._case_split(2, 2, 1, 0)
     assert status == "fail"
     assert details["failed"] == "hodge_split"
@@ -491,8 +469,8 @@ def _drops_last_pair(v, pairs=None, real=rep_theory._transposition_sum):
     return real(v, pairs if pairs is None else list(pairs)[:-1])
 
 
-def _lower_rank_one_short(matrix, which, *sig, real=operator_rank):
-    rank = real(matrix, which, *sig)
+def _lower_rank_one_short(which, *sig, real=operator_rank):
+    rank = real(which, *sig)
     return rank - 1 if which == "lower" and rank else rank
 
 
@@ -720,4 +698,4 @@ def test_block_products_are_built_once_per_block(monkeypatch, capsys):
     residual_cache = cli._adjoint_residual.cache_info()
     assert splits and len(splits) == len(set(splits))
     assert len(grams) == 2 * residual_cache.currsize
-    assert hodge._split_defect.cache_info().hits > 0 and residual_cache.hits > 0
+    assert hodge._sum_residual.cache_info().hits > 0 and residual_cache.hits > 0

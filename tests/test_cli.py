@@ -19,6 +19,8 @@ from hodgefock import ConfigError, block_dim, exactness_report
 from hodgefock.cli import VerifyConfig, main, parse_report, render_report, run_verify
 from hodgefock.tensor_core import weight_patterns
 
+from conftest import clear_caches
+
 
 def small(**kwargs):
     base = dict(suite="all", max_dim=2, max_n=2, seed=7, format="json")
@@ -108,7 +110,7 @@ def test_rank_nullity_check_can_fail(monkeypatch):
     monkeypatch.setattr(hodge, "kernel_basis", lambda cols: real(cols)[:-1])
     cli._exactness_report.cache_clear()
     try:
-        assert not exactness_report(2, 2).rank_nullity_ok()
+        assert not all(row.rank_nullity_ok() for row in exactness_report(2, 2).rows)
         status, _ = cli._case_exactness(2, 2, 1, 0)
     finally:
         cli._exactness_report.cache_clear()
@@ -316,23 +318,15 @@ def test_report_bytes_match_the_recorded_digest(monkeypatch, capsys):
 
 def test_verify_path_runs_no_group_order_loop(monkeypatch, capsys):
     # The rep case reads S_n through its generators and one permutation
-    # per cycle type, so a run in which the m!-term averagers and the n!
-    # permutation sweep raise, in every hodgefock module that binds them,
-    # and every cache starts empty, still passes with the recorded bytes.
-    def refuse(*args, **kwargs):
-        raise AssertionError("m! or n! loop on the verify path")
-
-    originals = {"_average": fock_ops._average, "symmetric_group": fock_ops.symmetric_group}
+    # per cycle type.  The m!-term averagers and the n! permutation sweep
+    # are test oracles (tests/oracles.py) that no hodgefock module binds,
+    # and with every cache empty a serial run still passes with the
+    # recorded bytes.
+    loops = {"_average", "sym_subset", "alt_subset", "symmetric_group"}
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] != "hodgefock":
-            continue
-        for attr, original in originals.items():
-            if getattr(mod, attr, None) is original:
-                monkeypatch.setattr(mod, attr, refuse)
-        for value in list(vars(mod).values()):
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-    assert fock_ops._average is refuse and fock_ops.symmetric_group is refuse
+        if name.split(".")[0] == "hodgefock":
+            assert not loops & set(vars(mod)), name
+    clear_caches()
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
     grid, digest, _ = RECORDED_DIGESTS[2]
     assert grid == ["all", "--max-dim", "4", "--max-n", "4", "--seed", "1"]
@@ -355,11 +349,12 @@ def _swapped_split(t):
     "name, stand_in",
     [("gram_matrix", _doubled_own_gram), ("hodge_split", _swapped_split)],
 )
-def test_split_case_fails_when_its_proof_breaks(name, stand_in, monkeypatch):
+def test_split_case_fails_when_its_proof_breaks(name, stand_in, fresh_caches, monkeypatch):
     # A doubled gram matrix breaks only the adjointness that proves
     # orthogonality; a swapped split breaks the hodge_split check.
     assert cli._case_split(2, 2, 1, 0)[0] == "pass"
     monkeypatch.setattr(cli, name, stand_in)
+    clear_caches()
     assert cli._case_split(2, 2, 1, 0)[0] == "fail"
 
 
@@ -386,8 +381,8 @@ def test_exactness_case_checks_the_hook_kostka_ranks(monkeypatch):
     assert cli._case_exactness(3, 3, 2, 0)[0] == "pass"
     real = cli.operator_rank
 
-    def short(matrix, which, mu, k, q):
-        return real(matrix, which, mu, k, q) - (which == "lower" and mu == (2, 1))
+    def short(which, mu, k, q):
+        return real(which, mu, k, q) - (which == "lower" and mu == (2, 1))
 
     monkeypatch.setattr(cli, "operator_rank", short)
     status, details = cli._case_exactness(3, 3, 2, 0)
@@ -401,8 +396,7 @@ def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
     # non-empty pattern block of H_{k,q} and of its neighbours H_{k-1,q+1}
     # and H_{k+1,q-1}; there is no whole-block, per-label or random field.
     q = n - k
-    for cache in (cli._chaos_pattern_holds, cli._hermite_table_holds):
-        cache.cache_clear()
+    clear_caches()
     built = []
     original = cli.chaos_field
 
@@ -559,10 +553,7 @@ def test_every_traced_layer_resolves_and_runs_on_the_verify_path(monkeypatch, ca
     # that read nothing.  Counting wrappers go into every hodgefock
     # namespace that binds a name, as the tracer's do.
     modules = [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
-    for mod in modules:
-        for value in list(vars(mod).values()):
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    clear_caches()
     calls = {}
 
     def counting(key, fn):
@@ -603,11 +594,7 @@ def test_decomposition_computes_no_elimination_in_the_tensor_power(monkeypatch):
     # The certificate reads Fock ranks only: with the intersections and the
     # position families of the tensor power refused, and every cache
     # emptied first, a serial decomposition run still passes.
-    modules = [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
-    for mod in modules:
-        for value in list(vars(mod).values()):
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    clear_caches()
 
     def refused(*args, **kwargs):
         raise AssertionError("elimination in the tensor power")

@@ -13,21 +13,19 @@ from hodgefock import (
     LinearMap,
     MixedIndex,
     Permutation,
-    alt_subset,
     embed,
     gram_matrix,
     lower,
     operator_matrix,
     permute,
     raise_,
-    sym_subset,
-    symmetric_group,
 )
 from hodgefock.chaos import hermite_matrix
 from hodgefock.rep_theory import _transposition_sum
 from hodgefock.tensor_core import _gram_factor, weight_patterns
 
 from conftest import full_tensors, mixed_tensors, pattern_tensors, relabel
+from oracles import alt_subset, sym_subset, symmetric_group
 
 
 def test_permutation_basics():

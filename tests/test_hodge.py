@@ -1,5 +1,6 @@
 """Weitzenboeck identity, projector split, exactness ranks, witnesses."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,11 +20,11 @@ from hodgefock import (
     weitzenboeck_defect,
     witnesses,
 )
-from hodgefock.fock_ops import alt_subset, sym_subset
-from hodgefock.hodge import ExactnessRow
+from hodgefock.hodge import ExactnessReport, ExactnessRow
 from hodgefock.rep_theory import orbit_span, span_all_positions
 
 from conftest import mixed_tensors
+from oracles import alt_subset, sym_subset
 
 
 def test_weitzenboeck_defect_vanishes_on_small_grid():
@@ -98,7 +99,7 @@ def test_exactness_report_frozen_oracle():
     assert (rows[2].rank_raise, rows[1].rank_raise, rows[0].rank_raise) == (0, 3, 1)
     assert (rows[2].ker_raise, rows[1].ker_raise, rows[0].ker_raise) == (3, 1, 0)
     assert all(r.harmonic_dim == 0 for r in rep.rows)
-    assert rep.is_exact() and rep.rank_nullity_ok()
+    assert rep.is_exact() and all(r.rank_nullity_ok() for r in rep.rows)
 
 
 def test_exactness_report_with_empty_blocks():
@@ -118,16 +119,19 @@ def test_exactness_report_grid():
         for n in range(1, 5):
             rep = exactness_report(d, n)
             assert rep.is_exact(), (d, n)
-            assert rep.rank_nullity_ok()
-            assert rep.harmonic_trivial()
+            assert all(r.rank_nullity_ok() for r in rep.rows)
+            assert all(r.harmonic_dim == 0 for r in rep.rows)
 
 
 def test_exactness_report_serialization():
+    # Both records are NamedTuples: their fields go through JSON and back.
     rep = exactness_report(2, 2)
-    data = rep.as_dict()
+    data = json.loads(json.dumps({**rep._asdict(), "rows": [r._asdict() for r in rep.rows]}))
     assert data["d"] == 2 and data["n"] == 2
-    assert data["lower_exact"] and data["raise_exact"] and data["harmonic_trivial"]
-    assert data["rows"][0] == rep.rows[0].as_dict()
+    assert data["rows"][0] == dict(zip(ExactnessRow._fields, rep.rows[0]))
+    rows = tuple(ExactnessRow(**row) for row in data.pop("rows"))
+    assert ExactnessReport(**data, rows=rows) == rep
+    assert all(all(rep.exact_at(r.k)) for r in rows) and rep.is_exact()
 
 
 def test_exactness_report_needs_positive_degree():

@@ -17,7 +17,7 @@ import hodgefock.chaos as chaos
 import hodgefock.cli as cli
 import hodgefock.hodge as hodge
 from hodgefock.cli import VerifyConfig, run_verify
-from hodgefock.fock_ops import operator_matrix
+from hodgefock.fock_ops import operator_matrix, operator_rank
 from hodgefock.hodge import exactness_report, split_matrices, weitzenboeck_defect
 from hodgefock.tensor_core import weight_patterns
 
@@ -28,19 +28,9 @@ def _hodgefock_modules():
     return [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
 
 
-def _clear_every_cache():
-    for mod in _hodgefock_modules():
-        for value in list(vars(mod).values()):
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-
-
 @pytest.fixture
-def serial_fresh(monkeypatch):
+def serial_fresh(fresh_caches, monkeypatch):
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    _clear_every_cache()
-    yield
-    _clear_every_cache()
 
 
 def test_cases_equal_the_whole_block_oracles(serial_fresh):
@@ -85,14 +75,17 @@ def test_split_products_are_built_once_per_pattern_block(serial_fresh):
 
 
 def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
-    # Record every key that reaches the operator_matrix, split_matrices and
-    # _split_defect caches, through every hodgefock module that binds them.
-    # Each cache holds exactly the recorded keys, and every ground is a
-    # pattern: no matrix of a whole block H_{k,q} over R^d is built.
+    # Record every key that reaches the block caches, through every
+    # hodgefock module that binds them.  Each cache holds exactly the
+    # recorded keys, and every ground is a pattern: no matrix of a whole
+    # block H_{k,q} over R^d is built.
     cached = {
         "operator_matrix": (operator_matrix, 1),
+        "operator_rank": (operator_rank, 1),
         "split_matrices": (split_matrices, 0),
-        "_split_defect": (hodge._split_defect, 1),
+        "_sum_residual": (hodge._sum_residual, 0),
+        "_adjoint_residual": (cli._adjoint_residual, 0),
+        "_split_failures": (cli._split_failures, 0),
     }
     asked = {name: set() for name in cached}
 

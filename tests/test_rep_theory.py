@@ -23,18 +23,16 @@ from hodgefock import (
     intersect,
     lower,
     orbit_span,
-    orbit_split_dims,
     orbit_split_spaces,
     permute,
     raise_,
     span_all_positions,
-    symmetric_group,
     weight_patterns,
 )
-from hodgefock.rep_theory import class_representatives, has_distinct_indices, position_permutation
-from hodgefock.rep_theory import transposition_sum_matrix
+from hodgefock.rep_theory import _transposition_sum, class_representatives, position_permutation
 
 from conftest import mixed_tensors
+from oracles import symmetric_group
 
 
 def _casimir(w: FullTensor) -> FullTensor:
@@ -93,12 +91,6 @@ def test_position_permutation_moves_the_first_block():
     p = position_permutation(4, 2, (2, 4))
     assert p.images == (2, 4, 1, 3)
     assert position_permutation(3, 0, ()).images == (1, 2, 3)
-
-
-def test_has_distinct_indices():
-    assert has_distinct_indices(MixedIndex((1, 2), (3,)))
-    assert not has_distinct_indices(MixedIndex((1, 1), (2,)))
-    assert not has_distinct_indices(MixedIndex((1,), (1, 2)))
 
 
 def test_orbit_span_dims_on_distinct_labels():
@@ -186,6 +178,12 @@ def test_decomposition_dims_match_the_full_power_oracle():
                 assert decomposition_dims(d, k, q) == expected, (d, k, q)
 
 
+def orbit_split_dims(b, d):
+    """Dimensions of the two pieces of the orbit span of embed(b)."""
+    plus, minus = orbit_split_spaces(b, orbit_span(b, d))
+    return plus.dim, minus.dim
+
+
 def test_orbit_split_dims_examples():
     assert orbit_split_dims(MixedIndex((1,), (2,)), 2) == (1, 1)
     assert orbit_split_dims(MixedIndex((1,), (2, 3)), 3) == (2, 1)
@@ -242,6 +240,14 @@ def test_orbit_split_sums_transpositions_once_per_basis_vector(monkeypatch):
     plus, minus = orbit_split_spaces(b, orbit)
     assert (plus.dim, minus.dim) == (2, 1)
     assert len(calls) == orbit.dim == comb(3, 1)
+
+
+def transposition_sum_matrix(space):
+    """Matrix of the sum of all slot transpositions in the canonical basis
+    of an invariant subspace: column j holds the coordinates of the image
+    of the j-th basis vector (NotInvariant if it leaves the subspace)."""
+    cols = [space.coordinates(_transposition_sum(v)) for v in space.basis()]
+    return [list(row) for row in zip(*cols)]
 
 
 def test_transposition_sum_matrix_on_symmetric_block():

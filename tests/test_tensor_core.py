@@ -19,12 +19,10 @@ from hodgefock import (
     embed,
     enum_basis,
     inner,
-    inner_full,
-    project_mixed,
 )
-from hodgefock.fock_ops import alt_subset, sym_subset
 
 from conftest import full_tensors, mixed_tensor_pairs, mixed_tensors
+from oracles import alt_subset, inner_full, project_mixed, sym_subset
 
 
 def test_enum_basis_matches_product_enumeration():
