@@ -36,20 +36,24 @@ matrices indexed by the labels of the neighbouring blocks, so the
 `verify chaos` suite proves the dictionary by comparing them with the
 integer matrices of lower and raise_ (operator_matrix), with no sampling.
 Relabelling the ground basis commutes with all of this, so the suite
-runs on one weight block per pattern mu, with forms on R^len(mu).
+runs on one weight block per pattern mu, with forms on R^len(mu).  The
+chaos and chaos-truncation cases of `hodgefock verify` are here.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
-from .fock_ops import LinearMap, _wedge_insert
+from .fock_ops import LinearMap, _adjoint_residual, _wedge_insert, operator_matrix
+from .hodge import weitzenboeck_defect
 from .linalg import SparseVector, as_coeff, dot, lincomb
-from .tensor_core import FockTensor, MixedIndex, enum_basis
+from .tensor_core import FockTensor, MixedIndex, _gram_factor, block_dim, enum_basis, inner
+from .tensor_core import weight_patterns
 
 
 def _render_monomial(exps: tuple[int, ...]) -> str:
@@ -461,3 +465,168 @@ def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField
             for (sign, new), hi in wedges:
                 out[(new, m)] = out.get((new, m), 0) - sign * hi * c
     return FormField.from_hermite(d, len(x) + 1, out) / scale
+
+
+def _rng(seed: int, *tags) -> random.Random:
+    return random.Random(":".join([str(seed), *map(str, tags)]))
+
+
+@lru_cache(maxsize=None)
+def _hermite_table_holds(n: int) -> bool:
+    """E[He_a He_b] = a! delta_ab for a, b <= n, one variable.
+
+    Computed from the monomial coefficients of He and the Gaussian
+    moments E[x^m] = (m-1)!! (zero for odd m), never through from_poly.
+    """
+
+    def moment(m: int) -> int:
+        return 0 if m % 2 else prod(range(m - 1, 0, -2))
+
+    return all(
+        sum(c * w * moment(e + f) for e, c in _he_coeffs(a) for f, w in _he_coeffs(b))
+        == (factorial(a) if a == b else 0)
+        for a in range(n + 1)
+        for b in range(n + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _ladder_tables_hold(n: int) -> tuple[bool, bool, bool]:
+    """(d, δ, Laplacian) ladders of the monomial-basis operators, on every
+    form He_a(x_1) He_b(x_2) dx_J over R^2, a + b <= n and J a subset of {1, 2}.
+
+    exterior_derivative must give He_a' = a He_{a-1} and codifferential
+    x He_a - He_a' = He_{a+1}, both with the wedge-slot signs of
+    _hermite_image, and hodge_laplacian the eigenvalue a + b + |J|.  Each
+    form is multiplied out by FormField.from_hermite, never read through
+    from_poly.
+    """
+    d_ok, delta_ok, lap_ok = _ladder_tables_hold(n - 1) if n else (True, True, True)
+    for a in range(n + 1):
+        for key in ((), (1,), (2,), (1, 2)):
+            q = len(key)
+            f = FormField.from_hermite(2, q, {(key, (a, n - a)): 1})
+            d_ok = d_ok and exterior_derivative(f) == FormField.from_hermite(
+                2, q + 1, dict(_hermite_image("lower", key, (a, n - a)))
+            )
+            delta_ok = delta_ok and codifferential(f) == FormField.from_hermite(
+                2, q - 1, dict(_hermite_image("raise", key, (a, n - a)))
+            )
+            lap_ok = lap_ok and hodge_laplacian(f) == f.scale(n + q)
+    return d_ok, delta_ok, lap_ok
+
+
+@lru_cache(maxsize=None)
+def _hermite_matches(which: str, mu: tuple, k: int, q: int) -> bool:
+    """The shift matrix of d or δ equals lower or raise_ on the block of mu."""
+    return hermite_matrix(which, mu, k, q) == operator_matrix(which, mu, k, q)
+
+
+@lru_cache(maxsize=None)
+def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool]:
+    """(dictionary, isometry) of the Gaussian model on the block of mu, from one field.
+
+    With t = sum_i (i+1) e_{b_i} over the labels and f = chaos_field(t),
+    the dictionary holds when the Hermite coordinates of f are exactly
+    {hermite_key(b_i): i+1}: chaos_field acts label by label, and the
+    distinct coefficients make a re-keyed or rescaled label show.
+
+    The isometry then holds when each Fock weight _gram_factor(b) is
+    prod mult(b)! and _hermite_table_holds(k) gives that Gaussian norm:
+    both pairings are bilinear and vanish on distinct keys, so they agree
+    on the whole block.  gaussian_inner itself is run once, on f.  An
+    empty block builds no field.
+    """
+    labels = enum_basis(mu, k, q)
+    if not labels:
+        return True, True
+    t = FockTensor._trusted((mu, k, q), {b: i + 1 for i, b in enumerate(labels)})
+    f = chaos_field(t)
+    dictionary = f.hermite_coords() == {hermite_key(b, mu): c for b, c in t.coeffs.items()}
+    isometry = (
+        dictionary
+        and _hermite_table_holds(k)
+        and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, mu)[1])) for b in labels)
+        and gaussian_inner(f, f) == inner(t, t)
+    )
+    return dictionary, isometry
+
+
+def _case_chaos(d: int, n: int, k: int, seed: int):
+    """The Gaussian model of H_{k,q}, proved exactly; seed is unused.
+
+    Premise: exterior_derivative and codifferential act one coordinate at
+    a time, with the shared wedge sign rule.  The ladder tables then make
+    them the integer shift matrices of hermite_matrix in Hermite
+    coordinates, and under the dictionary each key is a matrix identity.
+    Relabelling the ground commutes with all of it, so the dictionary,
+    the isometry and each identity are and-ed over the pattern blocks:
+
+    * diagram: d = lower on H_{k,q};
+    * dual_diagram: δ = raise_ on H_{k,q};
+    * the eigenvalue: δ d + d δ = B + A = n I (weitzenboeck_defect), with
+      d and δ matched on the neighbouring blocks too;
+    * adjoint: the diagram, δ = raise_ on H_{k-1,q+1}, the isometry on
+      H_{k,q} and H_{k-1,q+1}, and the Fock adjointness G' L = (G R')^T.
+    """
+    q = n - k
+    patterns = weight_patterns(d, n)
+
+    def holds(k: int, q: int) -> tuple[bool, bool]:
+        pairs = [_chaos_pattern_holds(mu, k, q) for mu, _ in patterns]
+        return all(dictionary for dictionary, _ in pairs), all(iso for _, iso in pairs)
+
+    def matches(which: str, k: int, q: int) -> bool:
+        return all(_hermite_matches(which, mu, k, q) for mu, _ in patterns)
+
+    here, iso = holds(k, q)
+    below, iso_below = holds(k - 1, q + 1)
+    above = holds(k + 1, q - 1)[0]
+    ladder_d, ladder_delta, ladder_lap = _ladder_tables_hold(n)
+    diagram = here and below and ladder_d and matches("lower", k, q)
+    dual = here and above and ladder_delta and matches("raise", k, q)
+    eigen = (
+        ladder_lap
+        and matches("lower", k + 1, q - 1)
+        and matches("raise", k - 1, q + 1)
+        and weitzenboeck_defect(d, k, q) == 0
+    )
+    dim = block_dim(d, k, q)
+    details = {"dim": dim, "diagram": diagram, "dual_diagram": dual}
+    details["laplacian_eigenvalue"] = str(n) if dim else "0"
+    ok = diagram and dual and eigen
+    if q == 0:
+        details["isometry"] = iso
+        ok = ok and iso
+    if q + 1 <= d:
+        adj = (
+            diagram
+            and iso
+            and iso_below
+            and ladder_delta
+            and matches("raise", k - 1, q + 1)
+            and all(_adjoint_residual(mu, k, q).is_zero() for mu, _ in patterns)
+        )
+        details["adjoint"] = adj
+        ok = ok and adj
+    return ("pass" if ok else "fail"), details
+
+
+def _case_chaos_truncation(d: int, n: int, k: int, seed: int):
+    rng = _rng(seed, "trunc", d, n)
+    h = [rng.randint(-3, 3) for _ in range(d)]
+    defect = commutation_defect(h, (1,), n)
+    # n! times the expected defect, in Hermite coordinates: the degree-n part
+    # of exp(h), prod_i h_i^{a_i} / a_i! on He_a, tensored with h wedge e_1,
+    # written out so that commutation_defect builds the only exponential vector.
+    expected = {
+        ((1, i), a): factorial(n) // prod(map(factorial, a)) * prod(map(pow, h, a)) * h[i - 1]
+        for a in (hermite_key(b, d)[1] for b in enum_basis(d, n, 0))
+        for i in range(2, d + 1)
+    }
+    ok = defect.scale(factorial(n)) == FormField.from_hermite(d, 2, expected)
+    # Equal forms have equal Hermite coordinates, all of degree n here: a
+    # passing case reads the degrees off the expected keys.
+    degrees = {sum(a) for (_, a), c in expected.items() if c} if ok else defect.hermite_degrees()
+    details = {"h": [str(c) for c in h], "order": n, "defect_degrees": sorted(degrees)}
+    return ("pass" if ok else "fail"), details

@@ -245,3 +245,17 @@ def gram_matrix(ground, k: int, q: int) -> LinearMap:
     """Diagonal pairing matrix of a block: multiplicity factorials."""
     ent = {(i, i): _gram_factor(label) for i, label in enumerate(enum_basis(ground, k, q))}
     return LinearMap._trusted(((ground, k, q), (ground, k, q)), ent)
+
+
+@lru_cache(maxsize=None)
+def _adjoint_residual(ground, k: int, q: int) -> LinearMap:
+    """G' L - (G R')^T, with L = lower on H_{k,q}, R' = raise_ on
+    H_{k-1,q+1} and G, G' their gram matrices: zero iff
+    inner(lower(u), w) = inner(u, raise_(w)) for all u and w.
+
+    Computed once per argument tuple and process: the split and chaos
+    cases of a block both ask for it.
+    """
+    return gram_matrix(ground, k - 1, q + 1) @ operator_matrix("lower", ground, k, q) - (
+        gram_matrix(ground, k, q) @ operator_matrix("raise", ground, k - 1, q + 1)
+    ).transpose()

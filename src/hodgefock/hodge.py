@@ -13,17 +13,20 @@ B B = n B.
 
 H_{k,q} over R^d is a sum of relabelled pattern blocks (tensor_core), so
 ranks and kernels are count-weighted sums over the patterns, a defect is
-the largest over them, and an identity holds iff it holds on each.
+the largest over them, and an identity holds iff it holds on each.  The
+weitzenboeck, exactness and split cases of `hodgefock verify` are here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 from .errors import DegreeOutOfRange
-from .fock_ops import LinearMap, Permutation, lower, operator_matrix, operator_rank, permute, raise_
+from .fock_ops import LinearMap, Permutation, _adjoint_residual, lower, operator_matrix
+from .fock_ops import operator_rank, permute, raise_
 from .linalg import kernel_basis, matrix_rank
 from .tensor_core import FockTensor, FullTensor, MixedIndex, block_dim, embed, enum_basis
 from .tensor_core import weight_patterns
@@ -148,7 +151,10 @@ def exactness_report(d: int, n: int) -> ExactnessReport:
     return ExactnessReport(d, n, tuple(rows))
 
 
+@lru_cache(maxsize=None)
 def _block_row(ground, k: int, q: int) -> ExactnessRow:
+    """The row of one pattern block, once per argument tuple and process:
+    the reports of every d >= len(ground) read it."""
     ops = ("lower", "raise")
     maps = [operator_matrix(which, ground, k, q) for which in ops]
     rank_lower, rank_raise = (operator_rank(which, ground, k, q) for which in ops)
@@ -198,3 +204,80 @@ def random_tensor(d: int, k: int, q: int, rng) -> FockTensor:
         if c:
             coeffs[label] = c
     return FockTensor(d, k, q, coeffs)
+
+
+def _case_weitzenboeck(d: int, n: int, k: int, seed: int):
+    q = n - k
+    defect = weitzenboeck_defect(d, k, q)
+    details = {"dim": block_dim(d, k, q), "defect": str(defect)}
+    return ("pass" if defect == 0 else "fail"), details
+
+
+@lru_cache(maxsize=None)
+def _exactness_report(d: int, n: int):
+    """One report per (d, n) and process; each of its n + 1 cases reads a row."""
+    return exactness_report(d, n)
+
+
+def _case_exactness(d: int, n: int, k: int, seed: int):
+    q = n - k
+    rep = _exactness_report(d, n)
+    row = rep.row(k)
+    lower_ok, raise_ok = rep.exact_at(k)
+    # dim, rank_lower, ker_lower, rank_raise, ker_raise and harmonic_dim, in order
+    details = dict(zip(row._fields[2:], row[2:]), lower_exact=lower_ok, raise_exact=raise_ok)
+    ok = lower_ok and raise_ok and row.rank_nullity_ok() and row.harmonic_dim == 0
+    # Independent of the eliminations: the hook Kostka numbers of each pattern.
+    for mu, _ in weight_patterns(d, n):
+        expected = [comb(len(mu) - 1, q), comb(len(mu) - 1, q - 1) if q else 0]
+        if [operator_rank(w, mu, k, q) for w in ("lower", "raise")] != expected:
+            details.update(pattern=list(mu), expected=expected)
+            return "fail", details
+    return ("pass" if ok else "fail"), details
+
+
+@lru_cache(maxsize=None)
+def _split_failures(ground, k: int, q: int) -> tuple:
+    """(identity, first failing label or None) for each split claim on one
+    block: integer identities of A, B = split_matrices(ground, k, q), and
+    hodge_split on t = sum_i (i+1) e_i.  Cached as _adjoint_residual is."""
+    n = k + q
+    labels = enum_basis(ground, k, q)
+    a, b = split_matrices(ground, k, q)
+    t = FockTensor._trusted((ground, k, q), {label: i + 1 for i, label in enumerate(labels)})
+    plus, minus = hodge_split(t)
+    checks = {
+        "plus + minus = t": [_sum_residual(ground, k, q)],
+        "lower(plus) = 0": [operator_matrix("lower", ground, k, q) @ a],
+        "raise_(minus) = 0": [operator_matrix("raise", ground, k, q) @ b],
+        "split(plus) = (plus, 0)": [a @ a - a.scale(n), b @ a],
+        "split(minus) = (0, minus)": [a @ b, b @ b - b.scale(n)],
+        # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
+        "adjoint": [_adjoint_residual(ground, k, q)],
+        "hodge_split": [plus - a.apply(t) / n, minus - b.apply(t) / n],
+    }
+    index = {label: i for i, label in enumerate(labels)}
+    out = []
+    for name, residuals in checks.items():
+        # Matrix residuals are keyed (row, column), tensor residuals by label.
+        bad = [
+            key[1] if isinstance(res, LinearMap) else index[key]
+            for res in residuals
+            for key in res.coeffs
+        ]
+        out.append((name, labels[min(bad)] if bad else None))
+    return tuple(out)
+
+
+def _case_split(d: int, n: int, k: int, seed: int):
+    """The split on every pattern block.  A failure names the first identity
+    that fails and its first failing label in the first block where it does."""
+    q = n - k
+    blocks = [_split_failures(mu, k, q) for mu, _ in weight_patterns(d, n)]
+    details = {"dim": block_dim(d, k, q)}
+    for step in zip(*blocks):
+        for name, label in step:
+            if label is not None:
+                details.update(failed=name, label=label.render())
+                return "fail", details
+    return "pass", details

@@ -26,6 +26,8 @@ H_{k+1,q-1} (H_{k-1,q+1}) at every choice of slot positions.
 embedded_subspace, span_all_positions and intersect build those spaces
 by elimination in the tensor power; no verify case calls them.  Characters are class functions: class_representatives gives one
 permutation per cycle type of S_n, built from the partitions of n.
+The decomposition and rep cases of `hodgefock verify` are here.  Only
+the rep case reads hodge, imported inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -305,3 +307,111 @@ def class_representatives(n: int) -> list[Permutation]:
             images += list(range(start + 1, start + length)) + [start]
         out.append(Permutation(images))
     return out
+
+
+def _case_decomposition(d: int, n: int, k: int, seed: int):
+    q = n - k
+    dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
+    block = block_dim(d, k, q)
+    patterns = weight_patterns(d, n)
+    ranks = (c * operator_rank("lower", mu, k, q) for mu, c in patterns)
+    ker_lower = block - sum(ranks)
+    details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
+    # With direct, the embedded dimension ties dim_minus to rank(lower).
+    ok = direct and dim == block and dim_plus == ker_lower
+    # Independent of the certificate: the hook Kostka numbers, r = len(mu).
+    for mu, _ in patterns:
+        r = len(mu)
+        expected = [comb(r, q), comb(r - 1, q - 1) if q else 0, comb(r - 1, q)]
+        if list(_pattern_block(mu, k, q)[:3]) != expected:
+            details.update(pattern=list(mu), expected=expected)
+            return "fail", details
+    return ("pass" if ok else "fail"), details
+
+
+def _repeated_label(d: int, n: int, k: int) -> MixedIndex | None:
+    q = n - k
+    if k >= 2 or (k == 1 and q >= 1):
+        return MixedIndex((1,) * k, tuple(range(1, q + 1)))
+    return None
+
+
+def _degenerate_orbit_dim(b: MixedIndex, d: int) -> int:
+    """dim orbit_span(b) predicted from (plus, minus) = hodge_split(e_b):
+    C(n-1, q-1) [plus != 0] + C(n-1, q) [minus != 0], the first term 0 at
+    q = 0."""
+    from .hodge import hodge_split
+
+    n, q = len(b.sym) + len(b.alt), len(b.alt)
+    plus, minus = hodge_split(FockTensor.basis(d, b))
+    dim_plus = comb(n - 1, q - 1) if q >= 1 and not plus.is_zero() else 0
+    return dim_plus + (comb(n - 1, q) if not minus.is_zero() else 0)
+
+
+def _slot_symmetric(v: FullTensor, lo: int, hi: int, sign: int) -> bool:
+    """Whether each (i i+1), lo <= i < hi, maps v to sign * v: these generate
+    the permutations of slots lo..hi, so v is symmetric (sign 1) or
+    alternating (sign -1) there.  True on an empty or one-slot range."""
+    target = v if sign == 1 else -v
+    return all(
+        permute(v, Permutation.transposition(v.n, i, i + 1)) == target for i in range(lo, hi)
+    )
+
+
+def _case_rep(d: int, n: int, k: int, seed: int):
+    from .hodge import witnesses
+
+    q = n - k
+    if n > d:
+        return "skip", {"reason": "no distinct-index label", "dim": d, "n": n}
+    b = _distinct_label(n, k)
+    orbit = orbit_span(b, d)
+    plus, minus = orbit_split_spaces(b, orbit)
+    dim_plus = comb(n - 1, q - 1) if q >= 1 else 0
+    details = {
+        "label": b.render(),
+        "orbit_dim": orbit.dim,
+        "split_dims": [plus.dim, minus.dim],
+        "expected": [comb(n, k), dim_plus, comb(n - 1, q)],
+    }
+    ok = orbit.dim == comb(n, k) and (plus.dim, minus.dim) == (
+        dim_plus,
+        comb(n - 1, q),
+    )
+    if k >= 1 and q >= 1:
+        vplus, vminus = witnesses(b, d)
+        wit_ok = (
+            not vplus.is_zero()
+            and not vminus.is_zero()
+            and orbit.contains(vplus)
+            and orbit.contains(vminus)
+            and _slot_symmetric(vplus, 1, k + 1, 1)
+            and _slot_symmetric(vplus, k + 2, n, -1)
+            and _slot_symmetric(vminus, k, n, -1)
+            and _slot_symmetric(vminus, 1, k - 1, 1)
+        )
+        details["witnesses"] = "ok" if wit_ok else "bad"
+        ok = ok and wit_ok
+    if n <= 4:
+        # The class representatives include (1 2) and (1 2 ... n), which
+        # generate S_n, so action_trace proves each space invariant and the
+        # characters are class functions: one permutation per class covers S_n.
+        char_ok = all(
+            action_trace(orbit, p) == action_trace(plus, p) + action_trace(minus, p)
+            for p in class_representatives(n)
+        )
+        details["character_additive"] = char_ok
+        ok = ok and char_ok
+    rep_label = _repeated_label(d, n, k)
+    if rep_label is not None:
+        orbit_dim = orbit_span(rep_label, d).dim
+        expected = _degenerate_orbit_dim(rep_label, d)
+        details["degenerate"] = {
+            "label": rep_label.render(),
+            "orbit_dim": orbit_dim,
+            "note": "degenerate-orbit",
+        }
+        if orbit_dim != expected:
+            details["degenerate"]["expected"] = expected
+            ok = False
+    return ("pass" if ok else "fail"), details

@@ -44,7 +44,8 @@ from hodgefock.rep_theory import _transposition_sum, intersect
 from hodgefock.linalg import dot
 from hodgefock.tensor_core import _gram_factor, _signed_arrangements, sort_sign
 
-import hodgefock.cli as cli
+import hodgefock.chaos as chaos
+import hodgefock.rep_theory as rep_theory
 
 
 def split_matrices(d, k, q):
@@ -147,7 +148,7 @@ def exactness_case(d, n, k):
 
 def decomposition_case(d, n, k):
     q = n - k
-    dim, dim_plus, dim_minus, direct = cli.decomposition_dims(d, k, q)
+    dim, dim_plus, dim_minus, direct = rep_theory.decomposition_dims(d, k, q)
     block = block_dim(d, k, q)
     ker_lower = block - operator_matrix("lower", d, k, q).rank()
     details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
@@ -167,7 +168,7 @@ def chaos_block_holds(d, k, q):
     dictionary = f.hermite_coords() == {hermite_key(b, d): c for b, c in t.coeffs.items()}
     isometry = (
         dictionary
-        and cli._hermite_table_holds(k)
+        and chaos._hermite_table_holds(k)
         and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, d)[1])) for b in labels)
         and gaussian_inner(f, f) == inner(t, t)
     )
@@ -180,7 +181,7 @@ def chaos_case(d, n, k):
     here, iso = chaos_block_holds(d, k, q)
     below, iso_below = chaos_block_holds(d, k - 1, q + 1)
     above = chaos_block_holds(d, k + 1, q - 1)[0]
-    ladder_d, ladder_delta, ladder_lap = cli._ladder_tables_hold(n)
+    ladder_d, ladder_delta, ladder_lap = chaos._ladder_tables_hold(n)
     diagram = here and below and ladder_d and hermite_matches("lower", d, k, q)
     dual = here and above and ladder_delta and hermite_matches("raise", d, k, q)
     eigen = (
@@ -240,7 +241,7 @@ def commutation_defect(h, x, order):
 def truncation_case(d, n, k, seed=0):
     """The chaos-truncation case through the monomial route, with the
     expected defect built as a chaos field."""
-    rng = cli._rng(seed, "trunc", d, n)
+    rng = chaos._rng(seed, "trunc", d, n)
     h = [rng.randint(-3, 3) for _ in range(d)]
     defect = commutation_defect(h, (1,), n)
     coeffs = {

@@ -7,9 +7,12 @@ kept for a user named in ALLOWED.  hodgefock.__all__ is exactly the
 """
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import hodgefock
 from hodgefock.cli import main
@@ -65,6 +68,7 @@ ALLOWED = {
     "hodge.ExactnessReport.is_exact": "users of exactness_report: the whole complex at once",
     "cli._process_pool": "pooled runs, HODGEFOCK_WORKERS > 1",
     "cli.parse_report": "benchmarks/test_bench.py and the tests read reports back",
+    "__init__.__getattr__": "hodgefock.<name> for users and tests; the driver imports modules",
 }
 
 
@@ -134,3 +138,16 @@ def test_all_is_the_readme_public_api():
     exported, listed = set(hodgefock.__all__), set(_readme_api())
     assert not exported - listed, f"in __all__, not in README: {sorted(exported - listed)}"
     assert not listed - exported, f"in README, not in __all__: {sorted(listed - exported)}"
+
+
+def test_every_public_name_resolves_to_its_modules_binding():
+    # Names resolve on first access and are never stored in the package,
+    # so each read gives the home module's current binding.
+    for name in hodgefock.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"hodgefock.{hodgefock._HOME[name]}")
+        assert getattr(hodgefock, name) is vars(home)[name], name
+        assert name not in vars(hodgefock), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hodgefock.no_such_name

@@ -24,6 +24,7 @@ from hypothesis import given
 
 import hodgefock.chaos as chaos
 import hodgefock.cli as cli
+import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
 import hodgefock.rep_theory as rep_theory
 from hodgefock import (
@@ -117,7 +118,7 @@ def chaos_oracle(d, n, k, seed):
         details["isometry"] = isometry_oracle(d, n)
         ok = ok and details["isometry"]
     if q + 1 <= d:
-        rng = cli._rng(seed, "chaos", d, n, k)
+        rng = chaos._rng(seed, "chaos", d, n, k)
         adj = True
         for _ in range(3):
             u = chaos_field(random_tensor(d, k, q, rng))
@@ -132,7 +133,7 @@ def chaos_oracle(d, n, k, seed):
 
 @pytest.mark.parametrize("d, n, k", GRID)
 def test_split_case_agrees_with_the_per_label_oracle(d, n, k):
-    status, details = cli._case_split(d, n, k, 0)
+    status, details = hodge._case_split(d, n, k, 0)
     assert split_oracle(d, n, k)
     assert status == "pass"
     assert details == {"dim": len(enum_basis(d, k, n - k))}
@@ -140,14 +141,14 @@ def test_split_case_agrees_with_the_per_label_oracle(d, n, k):
 
 @pytest.mark.parametrize("d, n, k", GRID)
 def test_chaos_case_agrees_with_the_per_label_oracle(d, n, k):
-    case = cli._case_chaos(d, n, k, 0)
+    case = chaos._case_chaos(d, n, k, 0)
     assert case[0] == "pass"
     assert case == chaos_oracle(d, n, k, 0)
 
 
 @pytest.mark.parametrize("d, n, k", GRID)
 def test_chaos_isometry_agrees_with_the_all_pairs_oracle(d, n, k):
-    status, details = cli._case_chaos(d, n, k, 0)
+    status, details = chaos._case_chaos(d, n, k, 0)
     assert status == "pass"
     if k == n:
         assert isometry_oracle(d, n)
@@ -181,8 +182,8 @@ def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
     d, n, k = 3, 3, 1
     labels = enum_basis((1, 1, 1), k, n - k)
     assert [b.render() for b in labels] == ["(1;2,3)", "(2;1,3)", "(3;1,2)"]
-    assert cli._case_split(d, n, k, 0) == ("pass", {"dim": len(enum_basis(d, k, n - k))})
-    assert cli._case_weitzenboeck(d, n, k, 0)[0] == "pass"
+    assert hodge._case_split(d, n, k, 0) == ("pass", {"dim": len(enum_basis(d, k, n - k))})
+    assert hodge._case_weitzenboeck(d, n, k, 0)[0] == "pass"
     real = hodge.split_matrices
 
     def stand_in(ground, k, q):
@@ -191,39 +192,38 @@ def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
         return real(ground, k, q)
 
     monkeypatch.setattr(hodge, "split_matrices", stand_in)
-    monkeypatch.setattr(cli, "split_matrices", stand_in)
     clear_caches()
-    status, details = cli._case_split(d, n, k, 0)
+    status, details = hodge._case_split(d, n, k, 0)
     assert status == "fail"
     assert details == {
         "dim": len(enum_basis(d, k, n - k)),
         "failed": "plus + minus = t",
         "label": "(3;1,2)",
     }
-    status, details = cli._case_weitzenboeck(d, n, k, 0)
+    status, details = hodge._case_weitzenboeck(d, n, k, 0)
     assert status == "fail" and details["defect"] == "1"
 
 
 def test_swapped_split_matrices_fail_past_the_sum(monkeypatch):
     # (B, A) still sums to n I, so the next identity is the one that fails.
-    real = cli.split_matrices
-    monkeypatch.setattr(cli, "split_matrices", lambda d, k, q: real(d, k, q)[::-1])
-    status, details = cli._case_split(3, 3, 1, 0)
+    real = hodge.split_matrices
+    monkeypatch.setattr(hodge, "split_matrices", lambda d, k, q: real(d, k, q)[::-1])
+    status, details = hodge._case_split(3, 3, 1, 0)
     assert status == "fail"
     assert details["failed"] == "lower(plus) = 0"
     assert details["label"] in [b.render() for b in enum_basis(3, 1, 2)]
 
 
 def test_split_case_checks_hodge_split_itself(monkeypatch):
-    assert cli._case_split(2, 2, 1, 0)[0] == "pass"
+    assert hodge._case_split(2, 2, 1, 0)[0] == "pass"
 
     def doubled_plus(t):
         plus, minus = hodge_split(t)
         return plus.scale(2), minus
 
-    monkeypatch.setattr(cli, "hodge_split", doubled_plus)
+    monkeypatch.setattr(hodge, "hodge_split", doubled_plus)
     clear_caches()
-    status, details = cli._case_split(2, 2, 1, 0)
+    status, details = hodge._case_split(2, 2, 1, 0)
     assert status == "fail"
     assert details["failed"] == "hodge_split"
     assert details["label"] in [b.render() for b in enum_basis(2, 1, 1)]
@@ -254,15 +254,15 @@ CHAOS_STAND_INS = {
         "from_poly",
         _from_poly_with(lambda h: {key[::-1]: c for key, c in h.coeffs.items()}),
     ),
-    # caught by the moment table, which reads cli's _he_coeffs
-    "He_2 = x^2": lambda mp: mp.setattr(cli, "_he_coeffs", _wrong_he_row(cli._he_coeffs)),
+    # caught by the moment table, which reads chaos's _he_coeffs
+    "He_2 = x^2": lambda mp: mp.setattr(chaos, "_he_coeffs", _wrong_he_row(chaos._he_coeffs)),
     "gram factor + 1": lambda mp: mp.setattr(
-        cli, "_gram_factor", lambda b, real=cli._gram_factor: real(b) + 1
+        chaos, "_gram_factor", lambda b, real=chaos._gram_factor: real(b) + 1
     ),
     # doubles the one gaussian_inner(f, f) per block, which only the
     # isometry runs (and the adjoint, which rests on the isometry)
     "gaussian_inner doubled": lambda mp: mp.setattr(
-        cli, "gaussian_inner", lambda u, v, real=cli.gaussian_inner: 2 * real(u, v)
+        chaos, "gaussian_inner", lambda u, v, real=chaos.gaussian_inner: 2 * real(u, v)
     ),
 }
 
@@ -270,11 +270,11 @@ CHAOS_STAND_INS = {
 @pytest.mark.parametrize("stand_in", sorted(CHAOS_STAND_INS))
 def test_chaos_isometry_fails_without_each_ingredient(stand_in, monkeypatch):
     d, n = 2, 3
-    status, details = cli._case_chaos(d, n, n, 0)
+    status, details = chaos._case_chaos(d, n, n, 0)
     assert status == "pass" and details["isometry"] is True
     clear_caches()
     CHAOS_STAND_INS[stand_in](monkeypatch)
-    status, details = cli._case_chaos(d, n, n, 0)
+    status, details = chaos._case_chaos(d, n, n, 0)
     assert status == "fail" and details["isometry"] is False
 
 
@@ -308,10 +308,9 @@ def _delta_without_slot_signs(u):
     return FormField._trusted((u.dim, u.q - 1), out)
 
 
-def _both(name, stand_in):
-    # cli runs the operator in the ladder tables, chaos in hodge_laplacian.
+def _in_chaos(name, stand_in):
+    # chaos runs the operator in the ladder tables and in hodge_laplacian.
     def patch(mp):
-        mp.setattr(cli, name, stand_in)
         mp.setattr(chaos, name, stand_in)
 
     return patch
@@ -325,7 +324,7 @@ def _perturbed_matrix(op):
     return stand_in
 
 
-def _perturbed_shift_at(sig, real=cli.hermite_matrix):
+def _perturbed_shift_at(sig, real=chaos.hermite_matrix):
     """hermite_matrix with one entry of δ on the block sig = (k, q) changed."""
 
     def stand_in(which, d, k, q):
@@ -355,40 +354,40 @@ def _rekeys_first_label(t, real=chaos_field):
 # (patch, the key it must make fail) on the case d = 2, n = 3, k = 2:
 # q = 1, so every key but isometry is reported.
 CERTIFICATE_STAND_INS = {
-    "exterior_derivative without m": (_both("exterior_derivative", _d_without_m), "diagram"),
+    "exterior_derivative without m": (_in_chaos("exterior_derivative", _d_without_m), "diagram"),
     "codifferential second slot sign flipped": (
-        _both("codifferential", _delta_without_slot_signs),
+        _in_chaos("codifferential", _delta_without_slot_signs),
         "dual_diagram",
     ),
     "operator_matrix lower entry perturbed": (
-        lambda mp: mp.setattr(cli, "operator_matrix", _perturbed_matrix("lower")),
+        lambda mp: mp.setattr(chaos, "operator_matrix", _perturbed_matrix("lower")),
         "diagram",
     ),
     "operator_matrix raise entry perturbed": (
-        lambda mp: mp.setattr(cli, "operator_matrix", _perturbed_matrix("raise")),
+        lambda mp: mp.setattr(chaos, "operator_matrix", _perturbed_matrix("raise")),
         "dual_diagram",
     ),
     # δ on the neighbour H_{1,2}: the adjoint pairs H_{2,1} with it.
     "hermite_matrix raise perturbed on H_{1,2}": (
-        lambda mp: mp.setattr(cli, "hermite_matrix", _perturbed_shift_at((1, 2))),
+        lambda mp: mp.setattr(chaos, "hermite_matrix", _perturbed_shift_at((1, 2))),
         "adjoint",
     ),
     "gram factor + 1 at q = 1": (
-        lambda mp: mp.setattr(cli, "_gram_factor", lambda b, real=cli._gram_factor: real(b) + 1),
+        lambda mp: mp.setattr(chaos, "_gram_factor", lambda b, real=chaos._gram_factor: real(b) + 1),
         "adjoint",
     ),
     "gram_matrix doubled on H_{2,1}": (
-        lambda mp: mp.setattr(cli, "gram_matrix", _doubled_gram_at((2, 1))),
+        lambda mp: mp.setattr(fock_ops, "gram_matrix", _doubled_gram_at((2, 1))),
         "adjoint",
     ),
     "chaos_field re-keys one label": (
-        lambda mp: mp.setattr(cli, "chaos_field", _rekeys_first_label),
+        lambda mp: mp.setattr(chaos, "chaos_field", _rekeys_first_label),
         "diagram",
     ),
     # The Laplacian has no boolean key: its eigenvalue fails the case.
     "hodge_laplacian adds u": (
         lambda mp: mp.setattr(
-            cli, "hodge_laplacian", lambda u, real=cli.hodge_laplacian: real(u) + u
+            chaos, "hodge_laplacian", lambda u, real=chaos.hodge_laplacian: real(u) + u
         ),
         None,
     ),
@@ -406,13 +405,13 @@ CERTIFICATE_STAND_INS = {
 @pytest.mark.parametrize("stand_in", sorted(CERTIFICATE_STAND_INS))
 def test_chaos_certificate_fails_without_each_ingredient(stand_in, monkeypatch):
     d, n, k = 2, 3, 2
-    status, details = cli._case_chaos(d, n, k, 0)
+    status, details = chaos._case_chaos(d, n, k, 0)
     assert status == "pass"
     assert details["adjoint"] is True and "isometry" not in details
     clear_caches()
     patch, key = CERTIFICATE_STAND_INS[stand_in]
     patch(monkeypatch)
-    status, details = cli._case_chaos(d, n, k, 0)
+    status, details = chaos._case_chaos(d, n, k, 0)
     assert status == "fail"
     if key is not None:
         assert details[key] is False
@@ -506,11 +505,11 @@ def test_decomposition_certificate_fails_without_each_step(stand_in, monkeypatch
     d = n = 3
     r, q = 3, n - k
     assert rep_theory._pattern_block((1, 1, 1), k, q) == (*_hook_kostka(r, q), True)
-    assert cli._case_decomposition(d, n, k, 0)[0] == "pass"
+    assert rep_theory._case_decomposition(d, n, k, 0)[0] == "pass"
     clear_caches()
     patch(monkeypatch)
     assert rep_theory._pattern_block((1, 1, 1), k, q)[3] is False
-    status, details = cli._case_decomposition(d, n, k, 0)
+    status, details = rep_theory._case_decomposition(d, n, k, 0)
     assert status == "fail"
     if stand_in == "rank one short":
         assert (details["pattern"], details["expected"]) == ([2, 1], [1, 1, 0])
@@ -553,9 +552,9 @@ def rep_oracle(d, n, k):
     q = n - k
     if n > d:
         return "skip", {"reason": "no distinct-index label", "dim": d, "n": n}
-    b = cli._distinct_label(n, k)
-    orbit = cli.orbit_span(b, d)
-    plus, minus = cli.orbit_split_spaces(b, orbit)
+    b = rep_theory._distinct_label(n, k)
+    orbit = rep_theory.orbit_span(b, d)
+    plus, minus = rep_theory.orbit_split_spaces(b, orbit)
     dim_plus = comb(n - 1, q - 1) if q >= 1 else 0
     details = {
         "label": b.render(),
@@ -565,7 +564,7 @@ def rep_oracle(d, n, k):
     }
     ok = orbit.dim == comb(n, k) and (plus.dim, minus.dim) == (dim_plus, comb(n - 1, q))
     if k >= 1 and q >= 1:
-        vplus, vminus = cli.witnesses(b, d)
+        vplus, vminus = hodge.witnesses(b, d)
         wit_ok = (
             not vplus.is_zero()
             and not vminus.is_zero()
@@ -585,11 +584,11 @@ def rep_oracle(d, n, k):
         )
         details["character_additive"] = char_ok
         ok = ok and char_ok
-    rep_label = cli._repeated_label(d, n, k)
+    rep_label = rep_theory._repeated_label(d, n, k)
     if rep_label is not None:
         details["degenerate"] = {
             "label": rep_label.render(),
-            "orbit_dim": cli.orbit_span(rep_label, d).dim,
+            "orbit_dim": rep_theory.orbit_span(rep_label, d).dim,
             "note": "degenerate-orbit",
         }
     return ("pass" if ok else "fail"), details
@@ -597,7 +596,7 @@ def rep_oracle(d, n, k):
 
 @pytest.mark.parametrize("d, n, k", REP_GRID)
 def test_rep_case_agrees_with_the_averaging_oracle(d, n, k):
-    case = cli._case_rep(d, n, k, 0)
+    case = rep_theory._case_rep(d, n, k, 0)
     assert case[0] == ("skip" if n > d else "pass")
     assert case == rep_oracle(d, n, k)
 
@@ -611,17 +610,17 @@ def test_slot_symmetry_by_adjacent_transpositions_matches_the_averagers(v):
         for hi in range(lo - 1, v.n + 1):
             positions = range(lo, hi + 1)
             for w in (v, sym_subset(v, positions), alt_subset(v, positions)):
-                assert cli._slot_symmetric(w, lo, hi, 1) == (sym_subset(w, positions) == w)
-                assert cli._slot_symmetric(w, lo, hi, -1) == (alt_subset(w, positions) == w)
+                assert rep_theory._slot_symmetric(w, lo, hi, 1) == (sym_subset(w, positions) == w)
+                assert rep_theory._slot_symmetric(w, lo, hi, -1) == (alt_subset(w, positions) == w)
 
 
-def _orbit_vector_as_vplus(b, d, real=cli.witnesses):
+def _orbit_vector_as_vplus(b, d, real=hodge.witnesses):
     """witnesses with vplus replaced by embed(e_b): in the orbit, but not
     symmetric in slots 1..k+1."""
     return embed(FockTensor.basis(d, b)), real(b, d)[1]
 
 
-def _orbit_vector_span_as_plus(b, orbit, real=cli.orbit_split_spaces):
+def _orbit_vector_span_as_plus(b, orbit, real=rep_theory.orbit_split_spaces):
     """orbit_split_spaces with plus replaced by the span of embed(e_b),
     which is not S_n-invariant."""
     d, n = orbit.dim_ground, orbit.degree
@@ -652,15 +651,16 @@ def _reported(case, d, n, k):
 )
 def test_rep_case_and_oracle_fail_with_each_stand_in(name, stand_in, check, monkeypatch):
     d, n, k = 3, 3, 2
-    assert cli._case_rep(d, n, k, 0)[0] == "pass"
-    monkeypatch.setattr(cli, name, stand_in)
-    for case in (lambda d, n, k: cli._case_rep(d, n, k, 0), rep_oracle):
+    assert rep_theory._case_rep(d, n, k, 0)[0] == "pass"
+    # The rep case reads witnesses from hodge when it runs.
+    monkeypatch.setattr(hodge if name == "witnesses" else rep_theory, name, stand_in)
+    for case in (lambda d, n, k: rep_theory._case_rep(d, n, k, 0), rep_oracle):
         status, details = _reported(case, d, n, k)
         assert status == "fail"
         assert check(details)
 
 
-def _shrunk_on_repeated_labels(b, d, real=cli.orbit_span):
+def _shrunk_on_repeated_labels(b, d, real=rep_theory.orbit_span):
     """orbit_span with one basis vector fewer when b repeats an index."""
     orbit = real(b, d)
     if len(set(b.sym + b.alt)) == len(b.sym + b.alt):
@@ -673,12 +673,12 @@ def test_rep_case_checks_the_degenerate_orbit(d, n, k, monkeypatch):
     # dim orbit_span of the repeated label is C(n-1,q-1) [plus != 0] +
     # C(n-1,q) [minus != 0]; an orbit one vector short fails the case and
     # reports the predicted dimension.
-    status, details = cli._case_rep(d, n, k, 0)
+    status, details = rep_theory._case_rep(d, n, k, 0)
     assert status == "pass" and "expected" not in details["degenerate"]
     true_dim = details["degenerate"]["orbit_dim"]
-    assert true_dim == cli._degenerate_orbit_dim(cli._repeated_label(d, n, k), d) > 0
-    monkeypatch.setattr(cli, "orbit_span", _shrunk_on_repeated_labels)
-    status, details = cli._case_rep(d, n, k, 0)
+    assert true_dim == rep_theory._degenerate_orbit_dim(rep_theory._repeated_label(d, n, k), d) > 0
+    monkeypatch.setattr(rep_theory, "orbit_span", _shrunk_on_repeated_labels)
+    status, details = rep_theory._case_rep(d, n, k, 0)
     assert status == "fail"
     assert details["degenerate"]["orbit_dim"] == true_dim - 1
     assert details["degenerate"]["expected"] == true_dim
@@ -686,16 +686,18 @@ def test_rep_case_checks_the_degenerate_orbit(d, n, k, monkeypatch):
 
 def test_block_products_are_built_once_per_block(monkeypatch, capsys):
     # The weitzenboeck and chaos cases of a block share one
-    # weitzenboeck_defect, so one pair of split matrices, and its split and
-    # chaos cases one adjoint residual, which calls gram_matrix twice.
+    # weitzenboeck_defect, so one _sum_residual, and its split cases one
+    # _split_failures: these two cached readers ask for the block's split
+    # matrices once each.  Its split and chaos cases share one adjoint
+    # residual, which calls gram_matrix twice.
     splits, grams = [], []
-    real_split, real_gram = hodge.split_matrices, cli.gram_matrix
+    real_split, real_gram = hodge.split_matrices, fock_ops.gram_matrix
     monkeypatch.setattr(hodge, "split_matrices", lambda *sig: splits.append(sig) or real_split(*sig))
-    monkeypatch.setattr(cli, "gram_matrix", lambda *sig: grams.append(sig) or real_gram(*sig))
+    monkeypatch.setattr(fock_ops, "gram_matrix", lambda *sig: grams.append(sig) or real_gram(*sig))
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
     assert cli.main(["verify", "all", "--max-dim", "3", "--max-n", "3", "--format", "json"]) == 0
     capsys.readouterr()
-    residual_cache = cli._adjoint_residual.cache_info()
-    assert splits and len(splits) == len(set(splits))
+    residual_cache = fock_ops._adjoint_residual.cache_info()
+    assert splits and all(splits.count(sig) == 2 for sig in splits)
     assert len(grams) == 2 * residual_cache.currsize
     assert hodge._sum_residual.cache_info().hits > 0 and residual_cache.hits > 0

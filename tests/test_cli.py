@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import hodgefock.chaos as chaos
 import hodgefock.cli as cli
 import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
@@ -93,27 +94,24 @@ def test_exactness_report_is_built_once_per_grid_point(monkeypatch):
         return exactness_report(d, n)
 
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    monkeypatch.setattr(cli, "exactness_report", counted)
-    cli._exactness_report.cache_clear()
+    monkeypatch.setattr(hodge, "exactness_report", counted)
+    hodge._exactness_report.cache_clear()
     try:
         report = run_verify(small(suite="exactness", max_dim=2, max_n=3))
     finally:
-        cli._exactness_report.cache_clear()
+        hodge._exactness_report.cache_clear()
     assert report.status == "pass" and len(report.cases) == 2 * (2 + 3 + 4)
     assert sorted(calls) == [(d, n) for d in (1, 2) for n in (1, 2, 3)]
 
 
-def test_rank_nullity_check_can_fail(monkeypatch):
+def test_rank_nullity_check_can_fail(fresh_caches, monkeypatch):
     # Kernels come from their own elimination, so a kernel that loses a
     # vector breaks rank + kernel = dim and fails the case.
     real = hodge.kernel_basis
     monkeypatch.setattr(hodge, "kernel_basis", lambda cols: real(cols)[:-1])
-    cli._exactness_report.cache_clear()
-    try:
-        assert not all(row.rank_nullity_ok() for row in exactness_report(2, 2).rows)
-        status, _ = cli._case_exactness(2, 2, 1, 0)
-    finally:
-        cli._exactness_report.cache_clear()
+    clear_caches()
+    assert not all(row.rank_nullity_ok() for row in exactness_report(2, 2).rows)
+    status, _ = hodge._case_exactness(2, 2, 1, 0)
     assert status == "fail"
 
 
@@ -171,7 +169,7 @@ def test_empty_case_list_is_a_config_error(capsys):
 
 def test_failing_case_flips_status(monkeypatch):
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    monkeypatch.setitem(cli._CASES, "weitzenboeck", lambda *a: ("fail", {"forced": True}))
+    monkeypatch.setattr(hodge, "_case_weitzenboeck", lambda *a: ("fail", {"forced": True}))
     report = run_verify(small(suite="weitzenboeck", max_dim=1, max_n=1))
     assert report.status == "fail"
     assert all(c["details"] == {"forced": True} for c in report.cases)
@@ -182,7 +180,7 @@ def test_exception_in_case_is_reported_not_raised(monkeypatch):
         raise RuntimeError("synthetic")
 
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    monkeypatch.setitem(cli._CASES, "weitzenboeck", boom)
+    monkeypatch.setattr(hodge, "_case_weitzenboeck", boom)
     report = run_verify(small(suite="weitzenboeck", max_dim=1, max_n=1))
     assert report.status == "fail"
     assert report.cases[0]["details"]["error"] == "RuntimeError: synthetic"
@@ -207,12 +205,11 @@ def test_pool_failure_is_reported_and_falls_back_to_serial(monkeypatch, capsys):
     )
 
 
-def test_pool_is_never_larger_than_the_case_list(monkeypatch):
-    sizes = []
+def _recording_pool(sizes: list):
+    """A stand-in for the executor that starts no process: each one made
+    appends its size to `sizes`."""
 
     class RecordingPool:
-        """Stands in for the executor: records its size, starts no process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -225,7 +222,12 @@ def test_pool_is_never_larger_than_the_case_list(monkeypatch):
         def map(self, fn, specs, chunksize=1):
             return map(fn, specs)
 
-    monkeypatch.setattr(cli, "_process_pool", RecordingPool)
+    return RecordingPool
+
+
+def test_pool_is_never_larger_than_the_case_list(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "_process_pool", _recording_pool(sizes))
     monkeypatch.setenv("HODGEFOCK_WORKERS", "8")
     report = run_verify(small(suite="weitzenboeck", max_dim=1, max_n=1))
     assert len(report.cases) == 2 and report.status == "pass"
@@ -233,15 +235,50 @@ def test_pool_is_never_larger_than_the_case_list(monkeypatch):
     assert sizes == [2, 8]
 
 
-def test_serial_run_imports_no_pool_and_no_dataclasses(tmp_path):
-    # The modules a serial verify adds to a fresh interpreter, hodgefock's
-    # own import included; the before set comes from the same process, so
-    # what site loads at start-up cancels out.
+def test_case_homes_are_imported_before_the_pool_is_built(monkeypatch):
+    # Workers fork from the driver, so a module it imports before the pool
+    # is built is imported once, not once per worker.
+    imported, at_pool = [], []
+    real_import, pool = cli.import_module, _recording_pool([])
+
+    def recording_import(name, package):
+        imported.append(name)
+        return real_import(name, package)
+
+    def recording_pool(workers):
+        at_pool.append(list(imported))
+        return pool(workers)
+
+    monkeypatch.setattr(cli, "import_module", recording_import)
+    monkeypatch.setattr(cli, "_process_pool", recording_pool)
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "2")
+    assert run_verify(small(suite="chaos", max_dim=1, max_n=1)).status == "pass"
+    assert at_pool == [[".chaos"]]
+
+
+def test_default_workers_are_the_cpus_this_process_may_run_on(monkeypatch):
+    # taskset and cpusets narrow the affinity mask, not os.cpu_count().
+    sizes = []
+    monkeypatch.delenv("HODGEFOCK_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    assert cli._worker_budget() == 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._worker_budget() == 1
+    monkeypatch.setattr(cli, "_process_pool", _recording_pool(sizes))
+    report = run_verify(small(suite="weitzenboeck", max_dim=2, max_n=2))
+    assert report.status == "pass" and len(report.cases) == 10 and sizes == []
+
+
+def _modules_a_serial_run_adds(tmp_path, *args) -> list:
+    """The modules a serial `verify <args>` adds to a fresh interpreter,
+    hodgefock's own import included; the before set comes from the same
+    process, so what site loads at start-up cancels out."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from hodgefock.cli import main\n"
-        f"rc = main(['verify', 'weitzenboeck', '--dim', '1', '--n', '1', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        f"rc = main(['verify', *{list(args)!r}, '--out', {str(tmp_path / 'r.json')!r}])\n"
         "print(rc, *sorted(set(sys.modules) - before))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -253,8 +290,27 @@ def test_serial_run_imports_no_pool_and_no_dataclasses(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rc, *added = proc.stdout.split()
     assert rc == "0" and "hodgefock.cli" in added
+    return added
+
+
+def test_serial_run_imports_no_pool_and_no_dataclasses(tmp_path):
+    added = _modules_a_serial_run_adds(tmp_path, "weitzenboeck", "--dim", "1", "--n", "1")
     for name in ("multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"):
         assert name not in added, name
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("decomposition", "--max-dim", "2", "--max-n", "2"),
+        ("weitzenboeck", "--dim", "1", "--n", "1"),
+    ],
+)
+def test_serial_run_without_chaos_cases_never_loads_chaos(args, tmp_path):
+    # chaos is the largest module; hodge and rep_theory load with the package.
+    added = _modules_a_serial_run_adds(tmp_path, *args)
+    assert "hodgefock.hodge" in added and "hodgefock.rep_theory" in added
+    assert "hodgefock.chaos" not in added
 
 
 RECORDED_DIGESTS = [
@@ -335,13 +391,13 @@ def test_verify_path_runs_no_group_order_loop(monkeypatch, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def _doubled_own_gram(d, k, q):
-    g = fock_ops.gram_matrix(d, k, q)
+def _doubled_own_gram(d, k, q, real=fock_ops.gram_matrix):
+    g = real(d, k, q)
     return g.scale(2) if (k, q) == (1, 1) else g
 
 
-def _swapped_split(t):
-    plus, minus = hodge.hodge_split(t)
+def _swapped_split(t, real=hodge.hodge_split):
+    plus, minus = real(t)
     return minus, plus
 
 
@@ -352,40 +408,43 @@ def _swapped_split(t):
 def test_split_case_fails_when_its_proof_breaks(name, stand_in, fresh_caches, monkeypatch):
     # A doubled gram matrix breaks only the adjointness that proves
     # orthogonality; a swapped split breaks the hodge_split check.
-    assert cli._case_split(2, 2, 1, 0)[0] == "pass"
-    monkeypatch.setattr(cli, name, stand_in)
+    assert hodge._case_split(2, 2, 1, 0)[0] == "pass"
+    # gram_matrix reaches the split through fock_ops._adjoint_residual.
+    monkeypatch.setattr(fock_ops if name == "gram_matrix" else hodge, name, stand_in)
     clear_caches()
-    assert cli._case_split(2, 2, 1, 0)[0] == "fail"
+    assert hodge._case_split(2, 2, 1, 0)[0] == "fail"
 
 
 def test_decomposition_case_checks_the_embedded_dimension(monkeypatch):
     # One vector less in the block and in the minus piece keeps direct
     # and dim_plus == ker_lower; only dim == block_dim sees it.
-    assert cli._case_decomposition(3, 3, 1, 0)[0] == "pass"
-    real = cli.decomposition_dims
+    assert rep_theory._case_decomposition(3, 3, 1, 0)[0] == "pass"
+    real = rep_theory.decomposition_dims
 
     def short(d, k, q):
         dim, dim_plus, dim_minus, direct = real(d, k, q)
         return dim - 1, dim_plus, dim_minus - 1, direct
 
-    monkeypatch.setattr(cli, "decomposition_dims", short)
-    status, details = cli._case_decomposition(3, 3, 1, 0)
+    monkeypatch.setattr(rep_theory, "decomposition_dims", short)
+    status, details = rep_theory._case_decomposition(3, 3, 1, 0)
     assert status == "fail" and details["dim"] == 8
 
 
-def test_exactness_case_checks_the_hook_kostka_ranks(monkeypatch):
+def test_exactness_case_checks_the_hook_kostka_ranks(fresh_caches, monkeypatch):
     # The ranks of lower and raise_ on each pattern block with r parts are
-    # C(r-1, q) and C(r-1, q-1).  The check reads cli's operator_rank, and
-    # the report's eliminations do not, so one rank short on the pattern
-    # (2, 1) fails only it, and the case names that pattern.
-    assert cli._case_exactness(3, 3, 2, 0)[0] == "pass"
-    real = cli.operator_rank
+    # C(r-1, q) and C(r-1, q-1).  The report's rows read operator_rank too,
+    # so the report is built and cached before the patch: after it, only
+    # the check reads the short rank.  One rank short on the pattern (2, 1)
+    # fails only the check, and the case names that pattern.
+    hodge._exactness_report(3, 3)
+    assert hodge._case_exactness(3, 3, 2, 0)[0] == "pass"
+    real = hodge.operator_rank
 
     def short(which, mu, k, q):
         return real(which, mu, k, q) - (which == "lower" and mu == (2, 1))
 
-    monkeypatch.setattr(cli, "operator_rank", short)
-    status, details = cli._case_exactness(3, 3, 2, 0)
+    monkeypatch.setattr(hodge, "operator_rank", short)
+    status, details = hodge._case_exactness(3, 3, 2, 0)
     assert status == "fail" and details["pattern"] == [2, 1] and details["expected"] == [1, 1]
     assert details["lower_exact"] and details["raise_exact"] and details["harmonic_dim"] == 0
 
@@ -398,14 +457,14 @@ def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
     q = n - k
     clear_caches()
     built = []
-    original = cli.chaos_field
+    original = chaos.chaos_field
 
     def counted(t):
         built.append(t.signature)
         return original(t)
 
-    monkeypatch.setattr(cli, "chaos_field", counted)
-    status, _ = cli._case_chaos(d, n, k, 0)
+    monkeypatch.setattr(chaos, "chaos_field", counted)
+    status, _ = chaos._case_chaos(d, n, k, 0)
     assert status == "pass"
     blocks = [(mu, k + i, q - i) for i in (0, -1, 1) for mu, _ in weight_patterns(d, n)]
     assert built == [sig for sig in blocks if block_dim(*sig)]
@@ -416,8 +475,8 @@ def test_chaos_cases_draw_nothing_from_the_seed(monkeypatch, capsys):
     # case bytes are the same for every seed.
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
     drawn = []
-    real = cli._rng
-    monkeypatch.setattr(cli, "_rng", lambda seed, *tags: drawn.append(tags[0]) or real(seed, *tags))
+    real = chaos._rng
+    monkeypatch.setattr(chaos, "_rng", lambda seed, *tags: drawn.append(tags[0]) or real(seed, *tags))
     outs = []
     for seed in ("0", "1"):
         argv = ["verify", "chaos", "--max-dim", "3", "--max-n", "3", "--seed", seed]
@@ -438,7 +497,7 @@ def test_main_pass_exit_zero(capsys):
 
 def test_main_failure_exit_one(monkeypatch, capsys):
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    monkeypatch.setitem(cli._CASES, "weitzenboeck", lambda *a: ("fail", {}))
+    monkeypatch.setattr(hodge, "_case_weitzenboeck", lambda *a: ("fail", {}))
     rc = main(["verify", "weitzenboeck", "--max-dim", "1", "--max-n", "1", "--format", "json"])
     capsys.readouterr()
     assert rc == 1
@@ -551,7 +610,12 @@ def test_every_traced_layer_resolves_and_runs_on_the_verify_path(monkeypatch, ca
     # The benchmark's tracer times the functions named in LAYERS; a name
     # that no longer resolves, or that verify never calls, gives metrics
     # that read nothing.  Counting wrappers go into every hodgefock
-    # namespace that binds a name, as the tracer's do.
+    # namespace that binds a name, as the tracer's do.  Every layer module
+    # is loaded first: one loaded later would bind a wrapper that
+    # monkeypatch does not undo.
+    layers = _traced_layers()
+    for modname in layers:
+        importlib.import_module(f"hodgefock.{modname}")
     modules = [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
     clear_caches()
     calls = {}
@@ -563,7 +627,7 @@ def test_every_traced_layer_resolves_and_runs_on_the_verify_path(monkeypatch, ca
 
         return wrapper
 
-    for modname, names in _traced_layers().items():
+    for modname, names in layers.items():
         mod = importlib.import_module(f"hodgefock.{modname}")
         for name in names:
             key = f"{modname}.{name}"

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import hodgefock.chaos as chaos
-import hodgefock.cli as cli
+import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
 from hodgefock.cli import VerifyConfig, run_verify
 from hodgefock.fock_ops import operator_matrix, operator_rank
@@ -53,7 +53,7 @@ def test_cases_equal_the_whole_block_oracles(serial_fresh):
             for k in range(n + 1):
                 q = n - k
                 assert weitzenboeck_defect(d, k, q) == oracles.weitzenboeck_defect(d, k, q)
-                pairs = [cli._chaos_pattern_holds(mu, k, q) for mu, _ in weight_patterns(d, n)]
+                pairs = [chaos._chaos_pattern_holds(mu, k, q) for mu, _ in weight_patterns(d, n)]
                 holds = tuple(all(pair[i] for pair in pairs) for i in (0, 1))
                 assert holds == oracles.chaos_block_holds(d, k, q) == (True, True), (d, k)
 
@@ -84,8 +84,8 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
         "operator_rank": (operator_rank, 1),
         "split_matrices": (split_matrices, 0),
         "_sum_residual": (hodge._sum_residual, 0),
-        "_adjoint_residual": (cli._adjoint_residual, 0),
-        "_split_failures": (cli._split_failures, 0),
+        "_adjoint_residual": (fock_ops._adjoint_residual, 0),
+        "_split_failures": (hodge._split_failures, 0),
     }
     asked = {name: set() for name in cached}
 
@@ -113,7 +113,7 @@ def test_gaussian_model_builds_pattern_fields_and_no_monomial_defect(serial_fres
     # and commutation_defect runs route one as a Hermite shift: it calls
     # exterior_derivative (which the ladder tables still run) not once.
     grounds, inside, derived = [], [], []
-    real_field, real_defect, real_d = cli.chaos_field, cli.commutation_defect, chaos.exterior_derivative
+    real_field, real_defect, real_d = chaos.chaos_field, chaos.commutation_defect, chaos.exterior_derivative
 
     def field(t):
         grounds.append(t.dim)
@@ -131,8 +131,8 @@ def test_gaussian_model_builds_pattern_fields_and_no_monomial_defect(serial_fres
             derived.append(inside[-1])
         return real_d(u)
 
-    monkeypatch.setattr(cli, "chaos_field", field)
-    monkeypatch.setattr(cli, "commutation_defect", defect)
+    monkeypatch.setattr(chaos, "chaos_field", field)
+    monkeypatch.setattr(chaos, "commutation_defect", defect)
     for mod in _hodgefock_modules():
         if getattr(mod, "exterior_derivative", None) is real_d:
             monkeypatch.setattr(mod, "exterior_derivative", derivative)
