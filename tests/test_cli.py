@@ -339,6 +339,11 @@ RECORDED_DIGESTS = [
         "c1c38dffcf2f5c666241c59bbcaeda57d356895aa3430e23c417d73c775904a6",
         "537454fa995970fdec3aea4ce94221ecf611d70b659c03ffe289e064102fdeb1",
     ),
+    (
+        ["rep", "--max-dim", "6", "--max-n", "6"],
+        "a216e7a988c67b7f2c4b1bf96a6e0dedca0224663d6fc6eb1e45045530a9fde4",
+        "d4dba84592e9a9cf881481b11f204fc8e3d239cd9f85a61152f435796fac7f9d",
+    ),
 ]
 
 
