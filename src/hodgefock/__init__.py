@@ -29,7 +29,7 @@ _PUBLIC = {
     "errors": "ConfigError DegreeOutOfRange DimensionMismatch InvalidIndex NotInvariant",
     "fock_ops": "LinearMap Permutation gram_matrix lower operator_matrix permute raise_",
     "hodge": """ExactnessReport ExactnessRow exactness_report hodge_split random_tensor
-        weitzenboeck_defect witnesses""",
+        weitzenboeck_defect""",
     "rep_theory": """Subspace action_trace decomposition_dims embedded_subspace intersect
         orbit_span orbit_split_spaces span_all_positions""",
     "tensor_core": """FockTensor FullTensor MixedIndex block_dim embed enum_basis inner

@@ -25,11 +25,11 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DegreeOutOfRange
-from .fock_ops import LinearMap, Permutation, _adjoint_residual, lower, operator_matrix
-from .fock_ops import operator_rank, permute, raise_
+from .fock_ops import LinearMap, _adjoint_residual, lower, operator_matrix, operator_rank, raise_
 from .linalg import kernel_basis, matrix_rank
-from .tensor_core import FockTensor, FullTensor, MixedIndex, block_dim, embed, enum_basis
-from .tensor_core import weight_patterns
+# embed is not called here; benchmarks/test_bench.py checks that the
+# tracer's wrapper of embed reaches this binding too.
+from .tensor_core import FockTensor, block_dim, embed, enum_basis, weight_patterns  # noqa: F401
 
 
 @lru_cache(maxsize=None)
@@ -162,33 +162,6 @@ def _block_row(ground, k: int, q: int) -> ExactnessRow:
     dim = block_dim(ground, k, q)
     harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
     return ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)
-
-
-def witnesses(b: MixedIndex, d: int) -> tuple[FullTensor, FullTensor]:
-    """Explicit members of the two neighbouring position-set families.
-
-    For a label b with k, q >= 1 and w = embed(b), n = k + q:
-
-      vplus  = (1/(k+1)) * sum_{l=1..k+1} (l <-> k+1) w
-      vminus = (1/(q+1)) * (w - sum_{m=k+1..n} (k <-> m) w)
-
-    vplus is symmetric in slots 1..k+1 and alternating in the rest;
-    vminus is symmetric in slots 1..k-1 and alternating in slots k..n.
-    """
-    k, q = len(b.sym), len(b.alt)
-    if k < 1 or q < 1:
-        raise DegreeOutOfRange("witnesses need k >= 1 and q >= 1")
-    n = k + q
-    w = embed(FockTensor.basis(d, b))
-    acc = FullTensor.zero(d, n)
-    for l in range(1, k + 2):
-        acc = acc + permute(w, Permutation.transposition(n, l, k + 1))
-    vplus = acc / (k + 1)
-    acc = w
-    for m in range(k + 1, n + 1):
-        acc = acc - permute(w, Permutation.transposition(n, k, m))
-    vminus = acc / (q + 1)
-    return vplus, vminus
 
 
 def random_tensor(d: int, k: int, q: int, rng) -> FockTensor:

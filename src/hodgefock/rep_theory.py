@@ -9,6 +9,15 @@ c(a, b) (Okounkov & Vershik 1996).  Read through embed, lower . raise_
 is T - c(k, q) and raise_ . lower is c(k+1, q-1) - T, so this split and
 the hodge split are one decomposition in two coordinate systems.
 
+Both suites here read the orbit of the distinct label s = e_(1..j; j+1..n)
+in position-set coordinates.  Moved onto a j-set S of slots by
+position_permutation, e = embed(s) holds the entries 1..j in the slots of
+S, so the copies at different S have disjoint supports and are a basis of
+the orbit span: C(n, j) coordinates, keyed by S as a sorted tuple.  A slot
+permutation p sends the copy at S to the copy at p(S), signed by the
+order in which p leaves the other slots (_set_permute); T and every
+witness below are sums of that action.
+
 decomposition_dims proves the split per weight block (tensor_core) by a
 certificate with no rank in the tensor power.  Let U be the embedded
 block of mu in H_{k,q}, and P+ (P-) the span of the embedded labels of
@@ -23,11 +32,19 @@ H_{k+1,q-1} (H_{k-1,q+1}) at every choice of slot positions.
    embed(raise_ s) = e + sum_{m<k} (m k) e, e = embed(s), bound the two
    below by the ranks of lower and raise_.  When these fill the block,
    every inequality is an equality.
-embedded_subspace, span_all_positions and intersect build those spaces
-by elimination in the tensor power; no verify case calls them.  Characters are class functions: class_representatives gives one
-permutation per cycle type of S_n, built from the partitions of n.
+
+The rep case splits the orbit of e itself, s in H_{k,q}: its pieces are
+the images of T - c(k, q) and T - c(k+1, q-1), its witnesses the sums of
+step 3 for this s, and at n <= 4 each class representative (one per
+cycle type of S_n, from the partitions of n) commutes with T.  Only the
+orbit of a repeated label is still spanned in the tensor power.
+
+embedded_subspace, span_all_positions, intersect, orbit_split_spaces and
+action_trace build and read spaces by elimination in the tensor power.
+No verify case calls them.
+
 The decomposition and rep cases of `hodgefock verify` are here.  Only
-the rep case reads hodge, imported inside the functions that use it.
+the rep case reads hodge, imported inside the function that uses it.
 """
 
 from __future__ import annotations
@@ -39,9 +56,9 @@ from math import comb
 
 from .errors import DimensionMismatch, InvalidIndex, NotInvariant
 from .fock_ops import Permutation, lower, operator_rank, permute, raise_
-from .linalg import EchelonBasis, kernel_basis, lincomb
+from .linalg import EchelonBasis, kernel_basis, lincomb, matrix_rank
 from .tensor_core import FockTensor, FullTensor, MixedIndex, _partitions, block_dim, embed
-from .tensor_core import enum_basis, weight_patterns
+from .tensor_core import enum_basis, perm_sign, weight_patterns
 
 
 class Subspace:
@@ -177,20 +194,25 @@ def _hook_content(a: int, b: int) -> int:
     return a * (a - 1) // 2 - b * (b + 1) // 2
 
 
-def _set_transposition_sum(n: int, vec: dict) -> dict:
-    """T on the orbit of embed(e_(1..j; j+1..n)) in position-set coordinates:
-    S, a j-set of slots, is that vector moved onto S by position_permutation.
-    (i m) fixes it for i, m in S, negates it for i, m outside S, and for i in
-    S, m outside S gives S - i + m times (-1)^(slots outside S between i, m)."""
-    out: dict = {}
+def _set_permute(vec: dict, p: Permutation) -> dict:
+    """The slot action of p in position-set coordinates (module docstring):
+    the copy at S goes to the copy at p(S), times the sign of p(r) for r
+    running over the slots outside S in increasing order."""
+    images = p.images
+    out = {}
     for s, c in vec.items():
-        rest = [p for p in range(1, n + 1) if p not in s]
-        out[s] = out.get(s, 0) + (comb(len(s), 2) - comb(len(rest), 2)) * c
-        for i in s:
-            for m in rest:
-                sign = (-1) ** sum(min(i, m) < p < max(i, m) for p in rest)
-                out[s - {i} | {m}] = out.get(s - {i} | {m}, 0) + sign * c
+        rest = (images[r - 1] for r in range(1, p.degree + 1) if r not in s)
+        out[tuple(sorted(images[i - 1] for i in s))] = perm_sign(rest) * c
     return out
+
+
+def _set_transposition_sum(n: int, vec: dict, pairs=None) -> dict:
+    """Sum over the slot transpositions (i j) of the given pairs of the
+    permuted vec, in position-set coordinates; over all pairs i < j (the
+    central T) by default."""
+    pairs = combinations(range(1, n + 1), 2) if pairs is None else pairs
+    images = (_set_permute(vec, Permutation.transposition(n, i, j)) for i, j in pairs)
+    return lincomb((1, image) for image in images)
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +221,7 @@ def _family_holds(n: int, j: int) -> bool:
     (T - c(j, n-j)) (T - c(j+1, n-j-1)) kills e = embed(s), and the P+
     witness at k = j - 1 and the P- witness at k = j + 1 hold.  Cached per
     (n, j) and process: the two blocks share it."""
-    vec = {frozenset(range(1, j + 1)): 1}
+    vec = {tuple(range(1, j + 1)): 1}
     for c in (_hook_content(j, n - j), _hook_content(j + 1, n - j - 1)):
         vec = lincomb(((1, _set_transposition_sum(n, vec)), (-c, vec)))
     s = FockTensor.basis(n, _distinct_label(n, j))
@@ -348,57 +370,51 @@ def _degenerate_orbit_dim(b: MixedIndex, d: int) -> int:
     return dim_plus + (comb(n - 1, q) if not minus.is_zero() else 0)
 
 
-def _slot_symmetric(v: FullTensor, lo: int, hi: int, sign: int) -> bool:
-    """Whether each (i i+1), lo <= i < hi, maps v to sign * v: these generate
-    the permutations of slots lo..hi, so v is symmetric (sign 1) or
-    alternating (sign -1) there.  True on an empty or one-slot range."""
-    target = v if sign == 1 else -v
-    return all(
-        permute(v, Permutation.transposition(v.n, i, i + 1)) == target for i in range(lo, hi)
-    )
-
-
 def _case_rep(d: int, n: int, k: int, seed: int):
-    from .hodge import witnesses
-
     q = n - k
     if n > d:
         return "skip", {"reason": "no distinct-index label", "dim": d, "n": n}
-    b = _distinct_label(n, k)
-    orbit = orbit_span(b, d)
-    plus, minus = orbit_split_spaces(b, orbit)
+    # The orbit of the distinct label has one coordinate per k-set of slots.
+    sets = list(combinations(range(1, n + 1), k))
+    t_of = {s: _set_transposition_sum(n, {s: 1}) for s in sets}
+    plus, minus = (
+        matrix_rank([lincomb(((1, t_of[s]), (-c, {s: 1}))) for s in sets])
+        for c in (_hook_content(k, q), _hook_content(k + 1, q - 1))
+    )
     dim_plus = comb(n - 1, q - 1) if q >= 1 else 0
     details = {
-        "label": b.render(),
-        "orbit_dim": orbit.dim,
-        "split_dims": [plus.dim, minus.dim],
+        "label": _distinct_label(n, k).render(),
+        "orbit_dim": len(sets),
+        "split_dims": [plus, minus],
         "expected": [comb(n, k), dim_plus, comb(n - 1, q)],
     }
-    ok = orbit.dim == comb(n, k) and (plus.dim, minus.dim) == (
-        dim_plus,
-        comb(n - 1, q),
-    )
+    ok = (plus, minus) == (dim_plus, comb(n - 1, q))
     if k >= 1 and q >= 1:
-        vplus, vminus = witnesses(b, d)
-        wit_ok = (
-            not vplus.is_zero()
-            and not vminus.is_zero()
-            and orbit.contains(vplus)
-            and orbit.contains(vminus)
-            and _slot_symmetric(vplus, 1, k + 1, 1)
-            and _slot_symmetric(vplus, k + 2, n, -1)
-            and _slot_symmetric(vminus, k, n, -1)
-            and _slot_symmetric(vminus, 1, k - 1, 1)
+        e = {tuple(range(1, k + 1)): 1}
+        before, after = [(m, k + 1) for m in range(1, k + 1)], [(k, m) for m in range(k + 1, n + 1)]
+        vplus = lincomb(((1, e), (1, _set_transposition_sum(n, e, before))))
+        vminus = lincomb(((1, e), (-1, _set_transposition_sum(n, e, after))))
+        # (v, lo, hi, sign): each (i i+1), lo <= i < hi, maps v to sign * v.
+        # These generate the permutations of slots lo..hi, so v is symmetric
+        # (sign 1) or alternating (sign -1) there.
+        ranges = ((vplus, 1, k + 1, 1), (vplus, k + 2, n, -1))
+        ranges += ((vminus, k, n, -1), (vminus, 1, k - 1, 1))
+        wit_ok = bool(vplus and vminus) and all(
+            _set_permute(v, Permutation.transposition(n, i, i + 1)) == lincomb(((sign, v),))
+            for v, lo, hi, sign in ranges
+            for i in range(lo, hi)
         )
         details["witnesses"] = "ok" if wit_ok else "bad"
         ok = ok and wit_ok
     if n <= 4:
         # The class representatives include (1 2) and (1 2 ... n), which
-        # generate S_n, so action_trace proves each space invariant and the
+        # generate S_n, so commuting with T makes both pieces invariant.
+        # Their dims add up to the orbit's, so the characters add, and
         # characters are class functions: one permutation per class covers S_n.
         char_ok = all(
-            action_trace(orbit, p) == action_trace(plus, p) + action_trace(minus, p)
+            _set_transposition_sum(n, _set_permute({s: 1}, p)) == _set_permute(t_of[s], p)
             for p in class_representatives(n)
+            for s in sets
         )
         details["character_additive"] = char_ok
         ok = ok and char_ok

@@ -20,10 +20,11 @@ is the elimination it replaced, intersections of position families in
 the full tensor power, and family_holds runs the certificate's family
 check on full tensors instead of position-set coordinates.
 
-Last, the slow, obvious constructions on the full tensor power: the n!
-sweep symmetric_group, the m!-term averagers sym_subset and alt_subset
-over a position set, project_mixed back onto canonical labels (a k! q!
-left inverse of embed), and the slot-wise pairing inner_full.
+Last, the slow, obvious constructions on the full tensor power: the rep
+case's two witnesses as full tensors (witnesses), the n! sweep
+symmetric_group, the m!-term averagers sym_subset and alt_subset over a
+position set, project_mixed back onto canonical labels (a k! q! left
+inverse of embed), and the slot-wise pairing inner_full.
 """
 
 from fractions import Fraction
@@ -31,8 +32,8 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
 
-from hodgefock import FockTensor, FormField, FullTensor, InvalidIndex, LinearMap, MixedIndex
-from hodgefock import Subspace, block_dim, embed
+from hodgefock import DegreeOutOfRange, FockTensor, FormField, FullTensor, InvalidIndex
+from hodgefock import LinearMap, MixedIndex, Subspace, block_dim, embed
 from hodgefock import chaos_field, enum_basis, exterior_derivative, gaussian_inner, gram_matrix
 from hodgefock import inner, lower, operator_matrix, permute, raise_
 from hodgefock.chaos import hermite_key, hermite_matrix
@@ -301,6 +302,33 @@ def family_holds(n, j):
             rhs = rhs + permute(e, Permutation.transposition(n, m, j + 1))
         ok = ok and embed(raise_(s)) == rhs
     return ok
+
+
+def witnesses(b, d):
+    """Explicit members of the two neighbouring position-set families.
+
+    For a label b with k, q >= 1 and w = embed(b), n = k + q:
+
+      vplus  = (1/(k+1)) * sum_{l=1..k+1} (l <-> k+1) w
+      vminus = (1/(q+1)) * (w - sum_{m=k+1..n} (k <-> m) w)
+
+    vplus is symmetric in slots 1..k+1 and alternating in the rest;
+    vminus is symmetric in slots 1..k-1 and alternating in slots k..n.
+    """
+    k, q = len(b.sym), len(b.alt)
+    if k < 1 or q < 1:
+        raise DegreeOutOfRange("witnesses need k >= 1 and q >= 1")
+    n = k + q
+    w = embed(FockTensor.basis(d, b))
+    acc = FullTensor.zero(d, n)
+    for l in range(1, k + 2):
+        acc = acc + permute(w, Permutation.transposition(n, l, k + 1))
+    vplus = acc / (k + 1)
+    acc = w
+    for m in range(k + 1, n + 1):
+        acc = acc - permute(w, Permutation.transposition(n, k, m))
+    vminus = acc / (q + 1)
+    return vplus, vminus
 
 
 def symmetric_group(n):

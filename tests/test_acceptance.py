@@ -37,12 +37,11 @@ from hodgefock import (
     random_tensor,
     span_all_positions,
     weitzenboeck_defect,
-    witnesses,
 )
 from hodgefock.chaos import Poly
 from hodgefock.rep_theory import action_trace
 
-from oracles import alt_subset, sym_subset, symmetric_group
+from oracles import alt_subset, sym_subset, symmetric_group, witnesses
 
 
 def _announce(capsys, number, name, failures):

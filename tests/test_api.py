@@ -64,6 +64,15 @@ ALLOWED = {
     "rep_theory.embedded_subspace": TRACER,
     "rep_theory.span_all_positions": TRACER,
     "rep_theory.intersect": TRACER,
+    "rep_theory.orbit_split_spaces": TRACER,
+    "rep_theory.action_trace": TRACER,
+    "rep_theory.Subspace.basis": "benchmarks/tracer.py sizes subspaces with it; orbit_split_spaces",
+    "rep_theory.Subspace.contains": "action_trace, and the tests' witness oracle",
+    "linalg.EchelonBasis.contains": "Subspace.contains",
+    "linalg.EchelonBasis.rows": "Subspace.basis and intersect",
+    "linalg.SparseVector.__neg__": EDGE,
+    "tensor_core.FullTensor.__init__": EDGE,
+    "tensor_core.FullTensor.zero": EDGE,
     "hodge.random_tensor": TRACER,
     "hodge.ExactnessReport.is_exact": "users of exactness_report: the whole complex at once",
     "cli._process_pool": "pooled runs, HODGEFOCK_WORKERS > 1",

@@ -8,19 +8,20 @@ dictionary on one field per block, the shift matrices of hermite_matrix
 against operator_matrix, one-variable ladder and moment tables, and the
 Fock adjointness.  The decomposition is proved per pattern block by the
 transposition sum, witness identities and Fock ranks.  The rep suite
-reads S_n through its adjacent transpositions and one permutation per
-cycle type.  The slow checks they
-replaced stay here as oracles, and a stand-in for each ingredient shows
-that the case fails without it.
+reads the orbit in position-set coordinates, S_n through its adjacent
+transpositions and one permutation per cycle type.  The slow checks
+they replaced stay here as oracles, and a stand-in for each ingredient
+shows that the case fails without it.
 """
 
 import inspect
 import sys
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import hodgefock.chaos as chaos
 import hodgefock.cli as cli
@@ -48,12 +49,13 @@ from hodgefock import (
 )
 from hodgefock.chaos import FormField, HermiteExpansion
 from hodgefock.cli import VerifyConfig, run_verify
-from hodgefock.fock_ops import _wedge_insert, gram_matrix, operator_matrix, operator_rank
+from hodgefock.fock_ops import Permutation, _wedge_insert, gram_matrix, operator_matrix
+from hodgefock.fock_ops import operator_rank
 from hodgefock.hodge import hodge_split
 from hodgefock.tensor_core import weight_patterns
 
 import oracles
-from conftest import clear_caches, full_tensors
+from conftest import clear_caches
 from oracles import alt_subset, sym_subset, symmetric_group
 
 GRID = [(d, n, k) for d in (1, 2, 3) for n in range(1, 5) for k in range(n + 1)]
@@ -439,21 +441,50 @@ def test_certificate_equals_the_elimination_oracle(n):
     assert len(blocks) == [2, 6, 12, 25, 42, 77][n - 1]
 
 
+def _moved_copies(n, j):
+    """{S: embed(e_(1..j; j+1..n)) over R^n moved onto the j-set S}."""
+    g = embed(FockTensor.basis(n, rep_theory._distinct_label(n, j)))
+    sets = combinations(range(1, n + 1), j)
+    return {s: permute(g, rep_theory.position_permutation(n, j, s)) for s in sets}
+
+
+def _in_full(vec, moved, n):
+    """The full tensor with position-set coordinates vec."""
+    return sum((moved[s].scale(c) for s, c in vec.items()), FullTensor.zero(n, n))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_family_check_in_position_sets_equals_the_full_tensor_oracle(n):
     # The position-set model of T agrees with T on the moved generator
     # for every j-set S of slots, and both family checks hold.
     for j in range(n + 1):
-        g = embed(FockTensor.basis(n, rep_theory._distinct_label(n, j)))
-        moved = {
-            frozenset(s): permute(g, rep_theory.position_permutation(n, j, s))
-            for s in combinations(range(1, n + 1), j)
-        }
+        moved = _moved_copies(n, j)
         for s, v in moved.items():
             image = rep_theory._set_transposition_sum(n, {s: 1})
-            terms = [moved[key].scale(c) for key, c in image.items() if c]
-            assert sum(terms, FullTensor.zero(n, n)) == rep_theory._transposition_sum(v), (j, s)
+            assert _in_full(image, moved, n) == rep_theory._transposition_sum(v), (j, s)
         assert rep_theory._family_holds(n, j) and oracles.family_holds(n, j), j
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_set_permute_is_the_slot_action_on_the_moved_copies(n):
+    # The premise of position-set coordinates: the moved copies have
+    # disjoint supports, so they are a basis of the orbit with C(n, j)
+    # coordinates, and _set_permute is permute on them.  Every p in S_n
+    # for n <= 5, the generators (1 2) and (1 ... n) at n = 6.
+    if n <= 5:
+        perms = list(symmetric_group(n))
+    else:
+        perms = [Permutation.transposition(n, 1, 2), Permutation((*range(2, n + 1), 1))]
+    for j in range(n + 1):
+        moved = _moved_copies(n, j)
+        supports = [set(v.coeffs) for v in moved.values()]
+        assert all(supports) and len(set().union(*supports)) == sum(map(len, supports))
+        orbit = rep_theory.orbit_span(rep_theory._distinct_label(n, j), n)
+        assert len(moved) == comb(n, j) == orbit.dim
+        for s, v in moved.items():
+            for p in perms:
+                image = rep_theory._set_permute({s: 1}, p)
+                assert _in_full(image, moved, n) == permute(v, p), (j, s, p)
 
 
 def _content_off_at(sig, real=rep_theory._hook_content):
@@ -542,13 +573,13 @@ def test_operator_matrix_is_built_once_and_never_mutated(monkeypatch):
     assert operator_matrix.cache_info().misses == len(asked)
 
 
-REP_GRID = [(d, n, k) for d in range(1, 5) for n in range(1, 5) for k in range(n + 1)]
-REP_GRID += [(5, 5, k) for k in range(6)]
+REP_GRID = [(d, n, k) for d in range(1, 7) for n in range(1, 7) for k in range(n + 1)]
 
 
 def rep_oracle(d, n, k):
-    """The rep case with the witnesses checked by the averaging
-    symmetrizers and the characters compared on all n! permutations."""
+    """The rep case in the full tensor power: the orbit spanned and split
+    by elimination, the witnesses checked by the averaging symmetrizers
+    and the characters compared on all n! permutations."""
     q = n - k
     if n > d:
         return "skip", {"reason": "no distinct-index label", "dim": d, "n": n}
@@ -564,7 +595,7 @@ def rep_oracle(d, n, k):
     }
     ok = orbit.dim == comb(n, k) and (plus.dim, minus.dim) == (dim_plus, comb(n - 1, q))
     if k >= 1 and q >= 1:
-        vplus, vminus = hodge.witnesses(b, d)
+        vplus, vminus = oracles.witnesses(b, d)
         wit_ok = (
             not vplus.is_zero()
             and not vminus.is_zero()
@@ -601,63 +632,91 @@ def test_rep_case_agrees_with_the_averaging_oracle(d, n, k):
     assert case == rep_oracle(d, n, k)
 
 
-@given(full_tensors())
-def test_slot_symmetry_by_adjacent_transpositions_matches_the_averagers(v):
-    # Every slot range lo..hi, the empty ones (hi = lo - 1) and the
-    # one-slot ones included; averaging v over the range first gives a
-    # tensor on which both sides must say True.
-    for lo in range(1, v.n + 2):
-        for hi in range(lo - 1, v.n + 1):
+@st.composite
+def set_vectors(draw, max_n=4):
+    """(n, j, vec): n <= max_n and vec in the position-set coordinates of
+    the orbit of embed(e_(1..j; j+1..n))."""
+    n = draw(st.integers(1, max_n))
+    j = draw(st.integers(0, n))
+    sets = list(combinations(range(1, n + 1), j))
+    chosen = draw(st.lists(st.sampled_from(sets), max_size=4))
+    return n, j, {s: draw(st.integers(-3, 3).filter(bool)) for s in chosen}
+
+
+def _set_coordinates(t, moved):
+    """The position-set coordinates of a full tensor t in the orbit: each
+    copy has coefficients +-1 on its own keys, so one key reads its
+    coordinate."""
+    out = {}
+    for s, v in moved.items():
+        key = min(v.coeffs)
+        if t.coeffs.get(key, 0):
+            out[s] = Fraction(t.coeffs[key], v.coeffs[key])
+    return out
+
+
+@given(set_vectors())
+def test_slot_symmetry_in_set_coordinates_matches_the_averagers(drawn):
+    # The rep case's witness check: vec is symmetric (sign 1) or
+    # alternating (sign -1) in slots lo..hi when each (i i+1), lo <= i <
+    # hi, maps it to sign * vec through _set_permute.  On every slot
+    # range, the empty and one-slot ones included, and on vec averaged
+    # over the range first, this must agree with the averagers on the
+    # full tensor.
+    n, j, vec = drawn
+    moved = _moved_copies(n, j)
+    v = _in_full(vec, moved, n)
+    for lo in range(1, n + 2):
+        for hi in range(lo - 1, n + 1):
             positions = range(lo, hi + 1)
-            for w in (v, sym_subset(v, positions), alt_subset(v, positions)):
-                assert rep_theory._slot_symmetric(w, lo, hi, 1) == (sym_subset(w, positions) == w)
-                assert rep_theory._slot_symmetric(w, lo, hi, -1) == (alt_subset(w, positions) == w)
+            adjacent = [Permutation.transposition(n, i, i + 1) for i in range(lo, hi)]
+            for t in (v, sym_subset(v, positions), alt_subset(v, positions)):
+                w = _set_coordinates(t, moved)
+                assert (_in_full(w, moved, n) - t).is_zero()
+                for sign, average in ((1, sym_subset), (-1, alt_subset)):
+                    target = {s: sign * c for s, c in w.items()}
+                    by_generators = all(rep_theory._set_permute(w, p) == target for p in adjacent)
+                    assert by_generators == (average(t, positions) == t), (lo, hi, sign)
 
 
-def _orbit_vector_as_vplus(b, d, real=hodge.witnesses):
-    """witnesses with vplus replaced by embed(e_b): in the orbit, but not
-    symmetric in slots 1..k+1."""
-    return embed(FockTensor.basis(d, b)), real(b, d)[1]
+def _unsigned_set_permute(vec, p):
+    """_set_permute without its sign: the copy at S goes to the copy at p(S)."""
+    return {tuple(sorted(p.images[i - 1] for i in s)): c for s, c in vec.items()}
 
 
-def _orbit_vector_span_as_plus(b, orbit, real=rep_theory.orbit_split_spaces):
-    """orbit_split_spaces with plus replaced by the span of embed(e_b),
-    which is not S_n-invariant."""
-    d, n = orbit.dim_ground, orbit.degree
-    plus = Subspace.spanned_by(d, n, [embed(FockTensor.basis(d, b))])
-    return plus, real(b, orbit)[1]
+def _set_sum_drops_last_pair(n, vec, pairs=None, real=rep_theory._set_transposition_sum):
+    return real(n, vec, pairs if pairs is None else list(pairs)[:-1])
 
 
-def _reported(case, d, n, k):
-    """(status, details) as the driver reports them: an exception fails the case."""
-    try:
-        return case(d, n, k)
-    except Exception as e:
-        return "fail", {"error": f"{type(e).__name__}: {e}"}
+# (patch, ks): on d = n the case must fail at each k in ks(n).  At q <= 1
+# at most one slot lies outside S, so every sign of _set_permute is 1 and
+# the unsigned action is the true one.  c(k+1, q-1) is an eigenvalue of T
+# on the orbit only for q >= 1, and witnesses exist for 1 <= k < n.
+REP_STAND_INS = {
+    "unsigned_set_action": (
+        lambda mp, k, q: mp.setattr(rep_theory, "_set_permute", _unsigned_set_permute),
+        lambda n: range(n - 1),
+    ),
+    "shifted_hook_content": (
+        lambda mp, k, q: mp.setattr(rep_theory, "_hook_content", _content_off_at((k + 1, q - 1))),
+        lambda n: range(n),
+    ),
+    "dropped_witness_pair": (
+        lambda mp, k, q: mp.setattr(rep_theory, "_set_transposition_sum", _set_sum_drops_last_pair),
+        lambda n: range(1, n),
+    ),
+}
 
 
-# On d = n = 3, k = 2 the plus piece has dimension C(2, 0) = 1, so the
-# one-vector plus keeps the split dimensions: only the characters see it.
-@pytest.mark.parametrize(
-    "name, stand_in, check",
-    [
-        ("witnesses", _orbit_vector_as_vplus, lambda det: det["witnesses"] == "bad"),
-        (
-            "orbit_split_spaces",
-            _orbit_vector_span_as_plus,
-            lambda det: det["error"].startswith("NotInvariant"),
-        ),
-    ],
-)
-def test_rep_case_and_oracle_fail_with_each_stand_in(name, stand_in, check, monkeypatch):
-    d, n, k = 3, 3, 2
-    assert rep_theory._case_rep(d, n, k, 0)[0] == "pass"
-    # The rep case reads witnesses from hodge when it runs.
-    monkeypatch.setattr(hodge if name == "witnesses" else rep_theory, name, stand_in)
-    for case in (lambda d, n, k: rep_theory._case_rep(d, n, k, 0), rep_oracle):
-        status, details = _reported(case, d, n, k)
-        assert status == "fail"
-        assert check(details)
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("stand_in", sorted(REP_STAND_INS))
+def test_rep_case_fails_with_each_stand_in(stand_in, n, monkeypatch):
+    patch, ks = REP_STAND_INS[stand_in]
+    for k in ks(n):
+        assert rep_theory._case_rep(n, n, k, 0)[0] == "pass"
+        with monkeypatch.context() as mp:
+            patch(mp, k, n - k)
+            assert rep_theory._case_rep(n, n, k, 0)[0] == "fail", k
 
 
 def _shrunk_on_repeated_labels(b, d, real=rep_theory.orbit_span):

@@ -594,11 +594,14 @@ def test_main_empty_out_exits_two_before_any_case(monkeypatch, capsys):
 
 
 # Listed in the benchmark's LAYERS but not called by any verify suite.
-# intersect is the decomposition's old route, now its test oracle.
+# intersect is the decomposition's old route, orbit_split_spaces and
+# action_trace the rep suite's; the tests keep them as oracles.
 OFF_THE_VERIFY_PATH = {
     "hodge.random_tensor",
+    "rep_theory.action_trace",
     "rep_theory.embedded_subspace",
     "rep_theory.intersect",
+    "rep_theory.orbit_split_spaces",
     "rep_theory.span_all_positions",
 }
 
@@ -673,3 +676,27 @@ def test_decomposition_computes_no_elimination_in_the_tensor_power(monkeypatch):
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
     report = run_verify(VerifyConfig(suite="decomposition", max_dim=5, max_n=6))
     assert report.status == "pass" and len(report.cases) == 5 * sum(n + 1 for n in range(1, 7))
+
+
+def test_rep_computes_no_elimination_in_the_tensor_power_on_distinct_labels(monkeypatch):
+    # The distinct label's orbit is read in position-set coordinates: with
+    # the split and the traces of the tensor power refused, and orbit_span
+    # refused on distinct-index labels, a serial rep run still passes with
+    # every cache emptied first.  Only the repeated label is spanned.
+    clear_caches()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("elimination in the tensor power")
+
+    def repeated_only(b, d, real=rep_theory.orbit_span):
+        entries = b.sym + b.alt
+        if len(set(entries)) == len(entries):
+            refused()
+        return real(b, d)
+
+    monkeypatch.setattr(rep_theory, "orbit_split_spaces", refused)
+    monkeypatch.setattr(rep_theory, "action_trace", refused)
+    monkeypatch.setattr(rep_theory, "orbit_span", repeated_only)
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    report = run_verify(VerifyConfig(suite="rep", max_dim=6, max_n=6))
+    assert report.status == "pass" and len(report.cases) == 6 * sum(n + 1 for n in range(1, 7))

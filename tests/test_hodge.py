@@ -18,13 +18,12 @@ from hodgefock import (
     raise_,
     random_tensor,
     weitzenboeck_defect,
-    witnesses,
 )
 from hodgefock.hodge import ExactnessReport, ExactnessRow
 from hodgefock.rep_theory import orbit_span, span_all_positions
 
 from conftest import mixed_tensors
-from oracles import alt_subset, sym_subset
+from oracles import alt_subset, sym_subset, witnesses
 
 
 def test_weitzenboeck_defect_vanishes_on_small_grid():
