@@ -16,11 +16,17 @@ on; results come back in case order either way, so the output does not
 depend on the worker count.  With HODGEFOCK_WORKERS=1 the cases run in
 this process, and the pool's modules (multiprocessing and its
 dependencies) are never imported.
+
+The report is streamed: _cases yields the case records in spec order and
+_write_report encodes each into the sink as it arrives, status last.  A
+run holds neither the case list nor the report text, and a run stopped
+mid-way leaves a truncated report.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -72,12 +78,7 @@ class VerifyConfig(NamedTuple):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ConfigError(f"{name} must be >= 0, got {v}")
-        if (
-            self.n is not None
-            and self.k is not None
-            and self.q is not None
-            and self.k + self.q != self.n
-        ):
+        if None not in (self.n, self.k, self.q) and self.k + self.q != self.n:
             raise ConfigError(f"inconsistent filters: k + q = {self.k + self.q} != n = {self.n}")
         if self.out is not None and not _writable(self.out):
             raise ConfigError(f"cannot write the report to {self.out!r}")
@@ -92,9 +93,6 @@ class Report(NamedTuple):
     config: dict
     cases: list
     status: str = "pass"
-
-    def as_dict(self) -> dict:
-        return self._asdict()
 
 
 # The module of each kind of case; it defines the body as _case_<kind>,
@@ -117,12 +115,7 @@ def _run_case(spec):
         status, details = getattr(home, "_case_" + label.replace("-", "_"))(d, n, k, seed)
     except Exception as e:
         status, details = "fail", {"error": f"{type(e).__name__}: {e}"}
-    return {
-        "name": name,
-        "params": {"d": d, "n": n, "k": k},
-        "status": status,
-        "details": details,
-    }
+    return {"name": name, "params": {"d": d, "n": n, "k": k}, "status": status, "details": details}
 
 
 def _case_specs(cfg: VerifyConfig) -> list:
@@ -180,7 +173,8 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def run_verify(cfg: VerifyConfig) -> Report:
+def _plan(cfg: VerifyConfig) -> tuple:
+    """The specs and worker count of a run; each of its ConfigErrors comes here."""
     cfg.validate()
     specs = _case_specs(cfg)
     if not specs:
@@ -189,55 +183,81 @@ def run_verify(cfg: VerifyConfig) -> Report:
     # The homes of the cases are imported here, once, so pool workers fork with them.
     for home in sorted({_HOMES[spec[0]] for spec in specs}):
         import_module(f".{home}", __package__)
-    cases = None
+    return specs, workers
+
+
+def _cases(specs: list, workers: int):
+    """Yield the record of each spec in spec order, from the pool as its
+    results arrive or from this process; if the pool fails, the cases not
+    yet yielded run in this process."""
+    done = 0
     if workers > 1 and len(specs) > 1:
         # The pool starts all of its workers at once; never more than cases.
         workers = min(workers, len(specs))
         try:
             with _process_pool(workers) as pool:
                 chunk = max(1, len(specs) // (workers * 4))
-                cases = list(pool.map(_run_case, specs, chunksize=chunk))
+                for case in pool.map(_run_case, specs, chunksize=chunk):
+                    yield case
+                    done += 1
         except Exception as e:
             print(
                 f"warning: process pool failed ({type(e).__name__}: {e}); running cases serially",
                 file=sys.stderr,
             )
-            cases = None
-    if cases is None:
-        cases = [_run_case(s) for s in specs]
+    for spec in specs[done:]:
+        yield _run_case(spec)
+
+
+def _write_report(sink, fmt: str, report: Report) -> str:
+    """Write `report` to `sink` case by case, as `report.cases` yields them,
+    and return their status, written last.  The JSON is json.dumps(report,
+    indent=2) and a newline: each case is encoded alone and indented by
+    four spaces, which is exact, as no JSON string holds a raw newline."""
+    counts = {"pass": 0, "fail": 0, "skip": 0}
+    encode = json.JSONEncoder(indent=2).encode
+    if fmt == "json":
+        head = encode({"tool": report.tool, "version": report.version, "config": report.config})
+        sink.write(head[:-2] + ',\n  "cases": [')
+    else:
+        cfg = report.config
+        sink.write(f"{report.tool} {report.version}  suite={cfg.get('suite')} max_dim="
+                   f"{cfg.get('max_dim')} max_n={cfg.get('max_n')} seed={cfg.get('seed')}\n")
+    sep = "\n    "
+    for case in report.cases:
+        counts[case["status"]] = counts.get(case["status"], 0) + 1
+        if fmt == "json":
+            sink.write(sep + encode(case).replace("\n", "\n    "))
+            sep = ",\n    "
+        else:
+            fail = f"  {json.dumps(case['details'])}" if case["status"] == "fail" else ""
+            sink.write(f"{case['status']:>4}  {case['name']}{fail}\n")
+    status = "fail" if counts["fail"] else "pass"
+    if fmt == "json":
+        close = "]" if sep == "\n    " else "\n  ]"
+        sink.write(f'{close},\n  "status": {encode(status)}\n}}\n')
+    else:
+        sink.write(
+            f"{counts['pass']} passed, {counts['fail']} failed, {counts['skip']} skipped\n"
+            f"status: {status}\n"
+        )
+    return status
+
+
+def run_verify(cfg: VerifyConfig) -> Report:
+    """The report of `cfg`, its cases collected in a list."""
+    cases = list(_cases(*_plan(cfg)))
     status = "fail" if any(c["status"] == "fail" for c in cases) else "pass"
-    return Report(
-        tool="hodgefock",
-        version=__version__,
-        config=cfg.as_dict(),
-        cases=cases,
-        status=status,
-    )
+    return Report("hodgefock", __version__, cfg.as_dict(), cases, status)
 
 
 def render_report(report: Report, fmt: str = "json") -> str:
-    if fmt == "json":
-        return json.dumps(report.as_dict(), indent=2)
-    if fmt != "text":
+    """What `main` writes for `report`, without the last newline."""
+    if fmt not in ("json", "text"):
         raise ConfigError(f"unknown format {fmt!r}")
-    cfg = report.config
-    lines = [
-        f"{report.tool} {report.version}  suite={cfg.get('suite')}"
-        f" max_dim={cfg.get('max_dim')} max_n={cfg.get('max_n')}"
-        f" seed={cfg.get('seed')}"
-    ]
-    counts = {"pass": 0, "fail": 0, "skip": 0}
-    for case in report.cases:
-        counts[case["status"]] = counts.get(case["status"], 0) + 1
-        line = f"{case['status']:>4}  {case['name']}"
-        if case["status"] == "fail":
-            line += f"  {json.dumps(case['details'])}"
-        lines.append(line)
-    lines.append(
-        f"{counts['pass']} passed, {counts['fail']} failed, {counts['skip']} skipped"
-    )
-    lines.append(f"status: {report.status}")
-    return "\n".join(lines)
+    buf = io.StringIO()
+    _write_report(buf, fmt, report)
+    return buf.getvalue()[:-1]
 
 
 def parse_report(text: str) -> Report:
@@ -265,14 +285,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = VerifyConfig(**{name: getattr(args, name) for name in VerifyConfig._fields})
     try:
-        report = run_verify(cfg)
+        specs, workers = _plan(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = render_report(report, cfg.format)
+    # The report's cases are an iterator; its status is the writer's.
+    report = Report("hodgefock", __version__, cfg.as_dict(), _cases(specs, workers))
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            status = _write_report(fh, cfg.format, report)
     else:
-        print(text)
-    return 0 if report.status == "pass" else 1
+        status = _write_report(sys.stdout, cfg.format, report)
+    return 0 if status == "pass" else 1

@@ -77,6 +77,8 @@ ALLOWED = {
     "hodge.ExactnessReport.is_exact": "users of exactness_report: the whole complex at once",
     "cli._process_pool": "pooled runs, HODGEFOCK_WORKERS > 1",
     "cli.parse_report": "benchmarks/test_bench.py and the tests read reports back",
+    "cli.run_verify": "the tests collect a run's cases in a list, over main's iterator",
+    "cli.render_report": "the tests render a collected report, through main's writer",
     "__init__.__getattr__": "hodgefock.<name> for users and tests; the driver imports modules",
 }
 

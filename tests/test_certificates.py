@@ -576,10 +576,32 @@ def test_operator_matrix_is_built_once_and_never_mutated(monkeypatch):
 REP_GRID = [(d, n, k) for d in range(1, 7) for n in range(1, 7) for k in range(n + 1)]
 
 
+def _fixed_by_average(t, positions, sign):
+    """Whether the average (sign 1) or the signed average (sign -1) over
+    the slot permutations of `positions` fixes t."""
+    return (sym_subset if sign == 1 else alt_subset)(t, positions) == t
+
+
+def _fixed_by_generators(t, positions, sign):
+    """Whether each adjacent transposition of the consecutive `positions`
+    maps t to sign * t.  They generate the permutations of `positions`, so
+    this is _fixed_by_average without its m!-term sums."""
+    return all(
+        permute(t, Permutation.transposition(t.n, i, i + 1)) == t.scale(sign)
+        for i in positions[:-1]
+    )
+
+
+def _fixed(t, positions, sign):
+    # At n = 6 the 720-term averages cost seconds per case.
+    return (_fixed_by_average if t.n <= 5 else _fixed_by_generators)(t, positions, sign)
+
+
 def rep_oracle(d, n, k):
     """The rep case in the full tensor power: the orbit spanned and split
     by elimination, the witnesses checked by the averaging symmetrizers
-    and the characters compared on all n! permutations."""
+    (by their generators at n = 6) and the characters compared on all n!
+    permutations."""
     q = n - k
     if n > d:
         return "skip", {"reason": "no distinct-index label", "dim": d, "n": n}
@@ -601,10 +623,10 @@ def rep_oracle(d, n, k):
             and not vminus.is_zero()
             and orbit.contains(vplus)
             and orbit.contains(vminus)
-            and sym_subset(vplus, range(1, k + 2)) == vplus
-            and alt_subset(vplus, range(k + 2, n + 1)) == vplus
-            and alt_subset(vminus, range(k, n + 1)) == vminus
-            and sym_subset(vminus, range(1, k)) == vminus
+            and _fixed(vplus, range(1, k + 2), 1)
+            and _fixed(vplus, range(k + 2, n + 1), -1)
+            and _fixed(vminus, range(k, n + 1), -1)
+            and _fixed(vminus, range(1, k), 1)
         )
         details["witnesses"] = "ok" if wit_ok else "bad"
         ok = ok and wit_ok
@@ -630,6 +652,26 @@ def test_rep_case_agrees_with_the_averaging_oracle(d, n, k):
     case = rep_theory._case_rep(d, n, k, 0)
     assert case[0] == ("skip" if n > d else "pass")
     assert case == rep_oracle(d, n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_slot_symmetry_by_generators_equals_the_averages(n):
+    # The oracle's n = 6 route against the averages, on the witnesses and
+    # the embedded label, over every slot range and both signs; some of
+    # these fix the vector and some do not.
+    checks = []
+    for k in range(1, n):
+        b = rep_theory._distinct_label(n, k)
+        vplus, vminus = oracles.witnesses(b, n)
+        w = embed(FockTensor.basis(n, b))
+        for t in (vplus, vminus, w):
+            for lo in range(1, n + 1):
+                for hi in range(lo + 1, n + 2):
+                    for sign in (1, -1):
+                        by_average = _fixed_by_average(t, range(lo, hi), sign)
+                        assert _fixed_by_generators(t, range(lo, hi), sign) == by_average
+                        checks.append(by_average)
+    assert True in checks and False in checks
 
 
 @st.composite

@@ -32,7 +32,7 @@ def small(**kwargs):
 def test_run_verify_is_deterministic():
     a = run_verify(small())
     b = run_verify(small())
-    assert a.as_dict() == b.as_dict()
+    assert a._asdict() == b._asdict()
     assert render_report(a, "json") == render_report(b, "json")
     assert a.status == "pass"
 
@@ -48,7 +48,7 @@ def test_worker_count_does_not_change_output(monkeypatch):
 def test_json_roundtrip():
     report = run_verify(small(suite="weitzenboeck"))
     again = parse_report(render_report(report, "json"))
-    assert again.as_dict() == report.as_dict()
+    assert again._asdict() == report._asdict()
 
 
 def test_default_config_keys_and_values_in_report_order():
@@ -63,8 +63,8 @@ def test_parsed_report_renders_the_same_bytes():
     report = run_verify(small(suite="chaos", max_dim=2, max_n=2))
     text = render_report(report, "json")
     again = parse_report(text)
-    assert again.as_dict() == report.as_dict()
-    assert list(again.as_dict()) == ["tool", "version", "config", "cases", "status"]
+    assert again._asdict() == report._asdict()
+    assert list(again._asdict()) == ["tool", "version", "config", "cases", "status"]
     assert render_report(again, "json") == text
 
 
@@ -203,6 +203,144 @@ def test_pool_failure_is_reported_and_falls_back_to_serial(monkeypatch, capsys):
     assert captured.err == (
         "warning: process pool failed (OSError: no semaphores); running cases serially\n"
     )
+
+
+def _counting_run_case(monkeypatch) -> list:
+    """Rebind cli._run_case, as benchmarks/tracer.py does, to a wrapper
+    that records the name of each spec it runs; return that record."""
+    ran, real = [], cli._run_case
+
+    def counted(spec):
+        ran.append(spec[1])
+        return real(spec)
+
+    monkeypatch.setattr(cli, "_run_case", counted)
+    return ran
+
+
+def test_pool_that_breaks_mid_stream_runs_only_the_cases_not_yet_written(monkeypatch, capsys):
+    # The pool yields three records and then breaks: the report keeps those
+    # three, and only the cases after them run in this process.
+    from concurrent.futures.process import BrokenProcessPool
+
+    argv = ["verify", "all", "--max-dim", "2", "--max-n", "2", "--format", "json"]
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+
+    class BreakingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, specs, chunksize=1):
+            for spec in list(specs)[:3]:
+                yield fn(spec)
+            raise BrokenProcessPool("a worker died")
+
+    ran = _counting_run_case(monkeypatch)
+    monkeypatch.setattr(cli, "_process_pool", BreakingPool)
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "2")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == serial
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("warning: process pool failed (BrokenProcessPool: ")
+    assert ran == [spec[1] for spec in cli._case_specs(small())]
+
+
+def test_a_config_error_neither_creates_nor_truncates_the_out_file(tmp_path, monkeypatch, capsys):
+    # Every ConfigError, a bad HODGEFOCK_WORKERS among them, comes before
+    # the report is opened.
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("previous report\n", encoding="utf-8")
+    for workers, extra in (("zero", []), ("1", ["--k", "7"]), ("0", [])):
+        monkeypatch.setenv("HODGEFOCK_WORKERS", workers)
+        for target in (old, new):
+            assert main(["verify", "split", "--max-n", "2", *extra, "--out", str(target)]) == 2
+    assert old.read_text(encoding="utf-8") == "previous report\n"
+    assert not new.exists()
+    assert capsys.readouterr().err.count("error: ") == 6
+
+
+class _RecordingSink:
+    """A stand-in for stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_each_write_holds_at_most_one_case(fmt, monkeypatch):
+    # The report is streamed: past the header, each write encodes one case
+    # record, and only the closing lines follow the last.
+    grid, digest, _ = RECORDED_DIGESTS[0]
+    assert grid == ["all", "--max-dim", "3", "--max-n", "4", "--seed", "42"]
+    sink = _RecordingSink()
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["verify", *grid, "--format", fmt]) == 0
+    monkeypatch.undo()
+    head, *cases, close = sink.writes
+    names = [spec[1] for spec in cli._case_specs(VerifyConfig(max_dim=3, max_n=4))]
+    assert len(cases) == len(names) == 264
+    if fmt == "json":
+        assert hashlib.sha256("".join(sink.writes).encode("utf-8")).hexdigest() == digest
+        assert head.endswith('"cases": [') and '"name"' not in head
+        for name, text in zip(names, cases):
+            record = json.loads(text.removeprefix(","))
+            assert list(record) == ["name", "params", "status", "details"]
+            assert record["name"] == name
+        assert close == '\n  ],\n  "status": "pass"\n}\n'
+    else:
+        assert head.startswith("hodgefock ") and head.count("\n") == 1
+        assert [text.split()[1:] for text in cases] == [name.split() for name in names]
+        assert all(text.count("\n") == 1 for text in cases)
+        statuses = [text.split()[0] for text in cases]
+        assert statuses.count("pass") + statuses.count("skip") == 264
+        assert close == f"{statuses.count('pass')} passed, 0 failed, {statuses.count('skip')}" \
+            " skipped\nstatus: pass\n"
+
+
+def test_a_run_stopped_mid_way_leaves_a_truncated_report(tmp_path, monkeypatch, capsys):
+    # KeyboardInterrupt is not an Exception, so _run_case lets it through
+    # and main does not catch it.  The file then holds the report up to the
+    # last case written before it, and does not parse.
+    target = tmp_path / "r.json"
+    argv = ["verify", "all", "--max-dim", "2", "--max-n", "3", "--format", "json",
+            "--out", str(target)]
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    assert main(argv) == 0
+    full = target.read_text(encoding="utf-8")
+    real = hodge._case_split
+
+    def interrupted(d, n, k, seed):
+        if (d, n, k) == (2, 2, 1):
+            raise KeyboardInterrupt
+        return real(d, n, k, seed)
+
+    monkeypatch.setattr(hodge, "_case_split", interrupted)
+    ran = _counting_run_case(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    names = [spec[1] for spec in cli._case_specs(small(max_n=3))]
+    stop = names.index("split d=2 n=2 k=1")
+    assert ran == names[: stop + 1]
+    text = target.read_text(encoding="utf-8")
+    assert full.startswith(text) and text.endswith("}")
+    assert text.count('"name": ') == stop
+    with pytest.raises(ValueError):
+        json.loads(text)
+    assert capsys.readouterr().out == ""
 
 
 def _recording_pool(sizes: list):
@@ -345,6 +483,28 @@ RECORDED_DIGESTS = [
         "d4dba84592e9a9cf881481b11f204fc8e3d239cd9f85a61152f435796fac7f9d",
     ),
 ]
+
+
+def test_pooled_run_in_real_processes_writes_the_recorded_bytes(tmp_path):
+    # The pool forks while the report is open: multiprocessing flushes
+    # stdout before each fork and its workers leave through os._exit, so no
+    # byte is written twice, to stdout or to --out.
+    grid, digest, _ = RECORDED_DIGESTS[2]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {**os.environ, "HODGEFOCK_WORKERS": "2", "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "hodgefock", "verify", *grid, "--format", "json"]
+    proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    target = tmp_path / "r.json"
+    again = subprocess.run([*argv, "--out", str(target)], env=env, stdout=subprocess.PIPE,
+                           timeout=120)
+    assert again.returncode == 0 and again.stdout == b""
+    # The config names the --out path; no other byte differs.
+    out = f'"out": {json.dumps(str(target))}'.encode("utf-8")
+    assert proc.stdout.count(b'"out": null') == 1
+    assert target.read_bytes() == proc.stdout.replace(b'"out": null', out)
 
 
 def _with_sampled_trials(out: str) -> str:
