@@ -31,13 +31,19 @@ H_{k+1,q-1} (H_{k-1,q+1}) at every choice of slot positions.
 3. The witnesses embed(lower s) = e - sum_{m>k+1} (k+1 m) e and
    embed(raise_ s) = e + sum_{m<k} (m k) e, e = embed(s), bound the two
    below by the ranks of lower and raise_.  When these fill the block,
-   every inequality is an equality.
+   every inequality is an equality.  _embeds checks a witness v of s in
+   H_{j,n-j} against t = lower s in H_{a,n-a}, a = j-1 (or raise_ s,
+   a = j+1): each (i i+1) inside slots 1..a fixes v, each inside a+1..n
+   negates it, and on the C(n, a) keys sorted within both slot groups,
+   which then fix v, v reads t's coefficients.  Such a key meets one
+   copy, at the slots holding 1..j, signed by its entries > j in slot order.
 
 The rep case splits the orbit of e itself, s in H_{k,q}: its pieces are
-the images of T - c(k, q) and T - c(k+1, q-1), its witnesses the sums of
-step 3 for this s, and at n <= 4 each class representative (one per
-cycle type of S_n, from the partitions of n) commutes with T.  Only the
-orbit of a repeated label is still spanned in the tensor power.
+the images of T - c(k, q) and T - c(k+1, q-1), its witnesses are those
+of step 3 at j = k (_family_holds(n, k), shared with decomposition), and
+at n <= 4 each class representative (one per cycle type of S_n, from
+the partitions of n) commutes with T.  Only the orbit of a repeated
+label is still spanned in the tensor power.
 
 embedded_subspace, span_all_positions, intersect, orbit_split_spaces and
 action_trace build and read spaces by elimination in the tensor power.
@@ -215,22 +221,37 @@ def _set_transposition_sum(n: int, vec: dict, pairs=None) -> dict:
     return lincomb((1, image) for image in images)
 
 
+def _embeds(t: FockTensor, j: int, sign: int, pairs) -> bool:
+    """Step 3 in j-set coordinates: whether e + sign * sum of (i m) e over
+    the pairs, e = {1..j: 1}, is embed(t) (module docstring)."""
+    n, a, e = t.k + t.q, t.k, {tuple(range(1, j + 1)): 1}
+    vec = lincomb(((1, e), (sign, _set_transposition_sum(n, e, pairs))))
+    # Each (i i+1) inside slots 1..a fixes vec, each inside a+1..n negates it.
+    adjacent = ((i, Permutation.transposition(n, i, i + 1)) for i in range(1, n) if i != a)
+    typed = all(_set_permute(vec, p) == lincomb((((-1) ** (i > a), vec),)) for i, p in adjacent)
+    read = {}
+    for sym in combinations(range(1, n + 1), a):
+        key = sym + tuple(m for m in range(1, n + 1) if m not in sym)
+        c = vec.get(tuple(slot for slot, m in enumerate(key, 1) if m <= j), 0)
+        if c:
+            read[MixedIndex(sym, key[a:])] = perm_sign(m for m in key if m > j) * c
+    return typed and read == t.coeffs
+
+
 @lru_cache(maxsize=None)
 def _family_holds(n: int, j: int) -> bool:
     """Steps 1 and 3 of the certificate on s = e_(1..j; j+1..n) over R^n:
-    (T - c(j, n-j)) (T - c(j+1, n-j-1)) kills e = embed(s), and the P+
-    witness at k = j - 1 and the P- witness at k = j + 1 hold.  Cached per
-    (n, j) and process: the two blocks share it."""
+    (T - c(j, n-j)) (T - c(j+1, n-j-1)) kills e = embed(s), and the
+    witnesses of s are embed(lower s) and embed(raise_ s).  Cached per
+    (n, j) and process: decomposition blocks and the rep case share it."""
     vec = {tuple(range(1, j + 1)): 1}
     for c in (_hook_content(j, n - j), _hook_content(j + 1, n - j - 1)):
         vec = lincomb(((1, _set_transposition_sum(n, vec)), (-c, vec)))
     s = FockTensor.basis(n, _distinct_label(n, j))
-    e = embed(s)
-    after, before = [(j, m) for m in range(j + 1, n + 1)], [(m, j + 1) for m in range(1, j + 1)]
     return (
         not vec
-        and (j == 0 or embed(lower(s)) == e - _transposition_sum(e, after))
-        and (j == n or embed(raise_(s)) == e + _transposition_sum(e, before))
+        and (j == 0 or _embeds(lower(s), j, -1, [(j, m) for m in range(j + 1, n + 1)]))
+        and (j == n or _embeds(raise_(s), j, 1, [(m, j + 1) for m in range(1, j + 1)]))
     )
 
 
@@ -267,15 +288,6 @@ def decomposition_dims(d: int, k: int, q: int) -> tuple[int, int, int, bool]:
     return (*dims, all(block[3] for _, block in blocks))
 
 
-def _transposition_sum(v: FullTensor, pairs=None) -> FullTensor:
-    """Sum over the slot transpositions (i j) of the given pairs of the
-    permuted v; over all pairs i < j (the central T) by default."""
-    n = v.n
-    pairs = combinations(range(1, n + 1), 2) if pairs is None else pairs
-    images = (permute(v, Permutation.transposition(n, i, j)).coeffs for i, j in pairs)
-    return FullTensor._trusted((v.dim, n), lincomb((1, image) for image in images))
-
-
 def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspace]:
     """The two invariant pieces of orbit = orbit_span(b, d).
 
@@ -290,8 +302,9 @@ def orbit_split_spaces(b: MixedIndex, orbit: Subspace) -> tuple[Subspace, Subspa
         raise InvalidIndex("the split needs total degree k + q >= 1")
     c_plus, c_minus = _hook_content(k + 1, q - 1), _hook_content(k, q)
     plus, minus = Subspace(orbit.dim_ground, n), Subspace(orbit.dim_ground, n)
+    swaps = [Permutation.transposition(n, *pair) for pair in combinations(range(1, n + 1), 2)]
     for v in orbit.basis():
-        tv = _transposition_sum(v)
+        tv = sum((permute(v, p) for p in swaps), FullTensor.zero(orbit.dim_ground, n))
         plus.add(tv - v.scale(c_minus))
         minus.add(tv - v.scale(c_plus))
     if plus.dim + minus.dim != orbit.dim:
@@ -390,22 +403,9 @@ def _case_rep(d: int, n: int, k: int, seed: int):
     }
     ok = (plus, minus) == (dim_plus, comb(n - 1, q))
     if k >= 1 and q >= 1:
-        e = {tuple(range(1, k + 1)): 1}
-        before, after = [(m, k + 1) for m in range(1, k + 1)], [(k, m) for m in range(k + 1, n + 1)]
-        vplus = lincomb(((1, e), (1, _set_transposition_sum(n, e, before))))
-        vminus = lincomb(((1, e), (-1, _set_transposition_sum(n, e, after))))
-        # (v, lo, hi, sign): each (i i+1), lo <= i < hi, maps v to sign * v.
-        # These generate the permutations of slots lo..hi, so v is symmetric
-        # (sign 1) or alternating (sign -1) there.
-        ranges = ((vplus, 1, k + 1, 1), (vplus, k + 2, n, -1))
-        ranges += ((vminus, k, n, -1), (vminus, 1, k - 1, 1))
-        wit_ok = bool(vplus and vminus) and all(
-            _set_permute(v, Permutation.transposition(n, i, i + 1)) == lincomb(((sign, v),))
-            for v, lo, hi, sign in ranges
-            for i in range(lo, hi)
-        )
-        details["witnesses"] = "ok" if wit_ok else "bad"
-        ok = ok and wit_ok
+        # Step 3 at j = k: the witnesses are embed(raise_ s) and embed(lower s).
+        details["witnesses"] = "ok" if _family_holds(n, k) else "bad"
+        ok = ok and _family_holds(n, k)
     if n <= 4:
         # The class representatives include (1 2) and (1 2 ... n), which
         # generate S_n, so commuting with T makes both pieces invariant.

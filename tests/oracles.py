@@ -18,7 +18,8 @@ of the truncation square on monomials, route one by exterior_derivative.
 The decomposition's certificate has its oracles here too: pattern_block
 is the elimination it replaced, intersections of position families in
 the full tensor power, and family_holds runs the certificate's family
-check on full tensors instead of position-set coordinates.
+check on full tensors instead of position-set coordinates, with T as
+transposition_sum.
 
 Last, the slow, obvious constructions on the full tensor power: the rep
 case's two witnesses as full tensors (witnesses), the n! sweep
@@ -29,7 +30,7 @@ inverse of embed), and the slot-wise pairing inner_full.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, prod
 
 from hodgefock import DegreeOutOfRange, FockTensor, FormField, FullTensor, InvalidIndex
@@ -39,9 +40,9 @@ from hodgefock import inner, lower, operator_matrix, permute, raise_
 from hodgefock.chaos import hermite_key, hermite_matrix
 from hodgefock.fock_ops import Permutation, _wedge_insert
 from hodgefock.hodge import ExactnessReport, ExactnessRow, hodge_split
-from hodgefock.linalg import kernel_basis, matrix_rank
+from hodgefock.linalg import kernel_basis, lincomb, matrix_rank
 from hodgefock.rep_theory import _distinct_label, _hook_content, _position_span
-from hodgefock.rep_theory import _transposition_sum, intersect
+from hodgefock.rep_theory import intersect
 from hodgefock.linalg import dot
 from hodgefock.tensor_core import _gram_factor, _signed_arrangements, sort_sign
 
@@ -281,6 +282,14 @@ def pattern_block(mu, k, q):
     return space.dim, plus.dim, minus.dim, direct
 
 
+def transposition_sum(v):
+    """T v: the sum over all slot transpositions (i j), i < j, of the
+    permuted full tensor v."""
+    n = v.n
+    swaps = (Permutation.transposition(n, i, j) for i, j in combinations(range(1, n + 1), 2))
+    return FullTensor._trusted((v.dim, n), lincomb((1, permute(v, p).coeffs) for p in swaps))
+
+
 def family_holds(n, j):
     """The family check of the certificate on full tensors over R^n: T
     applied by permuting slots, and each witness sum written out with
@@ -289,7 +298,7 @@ def family_holds(n, j):
     e = embed(s)
     z = e
     for c in (_hook_content(j, n - j), _hook_content(j + 1, n - j - 1)):
-        z = _transposition_sum(z) - z.scale(c)
+        z = transposition_sum(z) - z.scale(c)
     ok = z.is_zero()
     if j >= 1:
         rhs = e

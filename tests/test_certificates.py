@@ -52,6 +52,7 @@ from hodgefock.cli import VerifyConfig, run_verify
 from hodgefock.fock_ops import Permutation, _wedge_insert, gram_matrix, operator_matrix
 from hodgefock.fock_ops import operator_rank
 from hodgefock.hodge import hodge_split
+from hodgefock.linalg import lincomb
 from hodgefock.tensor_core import weight_patterns
 
 import oracles
@@ -453,7 +454,7 @@ def _in_full(vec, moved, n):
     return sum((moved[s].scale(c) for s, c in vec.items()), FullTensor.zero(n, n))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_family_check_in_position_sets_equals_the_full_tensor_oracle(n):
     # The position-set model of T agrees with T on the moved generator
     # for every j-set S of slots, and both family checks hold.
@@ -461,7 +462,7 @@ def test_family_check_in_position_sets_equals_the_full_tensor_oracle(n):
         moved = _moved_copies(n, j)
         for s, v in moved.items():
             image = rep_theory._set_transposition_sum(n, {s: 1})
-            assert _in_full(image, moved, n) == rep_theory._transposition_sum(v), (j, s)
+            assert _in_full(image, moved, n) == oracles.transposition_sum(v), (j, s)
         assert rep_theory._family_holds(n, j) and oracles.family_holds(n, j), j
 
 
@@ -495,8 +496,21 @@ def _content_as_at(sig, other, real=rep_theory._hook_content):
     return lambda a, b: real(*other) if (a, b) == sig else real(a, b)
 
 
-def _drops_last_pair(v, pairs=None, real=rep_theory._transposition_sum):
-    return real(v, pairs if pairs is None else list(pairs)[:-1])
+def _set_sum_drops_last_pair(n, vec, pairs=None, real=rep_theory._set_transposition_sum):
+    return real(n, vec, pairs if pairs is None else list(pairs)[:-1])
+
+
+def _set_sum_with_unread_coordinate(n, vec, pairs=None, real=rep_theory._set_transposition_sum):
+    """The witness sums of j = 1 at n = 3 with one more unit on the slot
+    set {2}; T itself (pairs=None) is left as it is."""
+    out = real(n, vec, pairs)
+    if pairs is not None and n == 3 and (1,) in vec:
+        out = lincomb(((1, out), (1, {(2,): 1})))
+    return out
+
+
+def _doubled(t, real=fock_ops.lower):
+    return real(t).scale(2)
 
 
 def _lower_rank_one_short(which, *sig, real=operator_rank):
@@ -509,15 +523,26 @@ def _lower_rank_one_short(which, *sig, real=operator_rank):
 # rank 1 on the block of (2, 1), where the Kostka numbers are (1, 1, 0).
 # At k = 2 (q = 1) the family of j = 3 is the trivial module, so the
 # second root c(4, -1) of Z+ kills nothing: set to the root c(2, 1) of Z-,
-# only the coprimality check of step 2 sees it.
+# only the coprimality check of step 2 sees it.  The ranks come from
+# fock_ops, so a doubled rep_theory.lower shows only in the sorted-key
+# reading of the lower witness.  At k = 2 the family of j = 1 is read too:
+# its witnesses are read on the slot sets {1} and {3}, so a coordinate on
+# {2} fails only the adjacent transpositions.
 DECOMPOSITION_STAND_INS = {
     "wrong content in Z+": (
         lambda mp: mp.setattr(rep_theory, "_hook_content", _content_off_at((3, 0))),
         1,
     ),
     "witness with a term dropped": (
-        lambda mp: mp.setattr(rep_theory, "_transposition_sum", _drops_last_pair),
+        lambda mp: mp.setattr(rep_theory, "_set_transposition_sum", _set_sum_drops_last_pair),
         1,
+    ),
+    "Fock side off": (lambda mp: mp.setattr(rep_theory, "lower", _doubled), 1),
+    "coordinate on an unread set": (
+        lambda mp: mp.setattr(
+            rep_theory, "_set_transposition_sum", _set_sum_with_unread_coordinate
+        ),
+        2,
     ),
     "rank one short": (
         lambda mp: mp.setattr(rep_theory, "operator_rank", _lower_rank_one_short),
@@ -528,6 +553,9 @@ DECOMPOSITION_STAND_INS = {
         2,
     ),
 }
+# The rep case at k = 1 reads the witness check of j = 1 (_family_holds):
+# these stand-ins fail it, the others leave it passing.
+REP_READS_TOO = {"witness with a term dropped", "Fock side off", "coordinate on an unread set"}
 
 
 @pytest.mark.parametrize("stand_in", sorted(DECOMPOSITION_STAND_INS))
@@ -537,11 +565,15 @@ def test_decomposition_certificate_fails_without_each_step(stand_in, monkeypatch
     r, q = 3, n - k
     assert rep_theory._pattern_block((1, 1, 1), k, q) == (*_hook_kostka(r, q), True)
     assert rep_theory._case_decomposition(d, n, k, 0)[0] == "pass"
+    assert rep_theory._case_rep(d, n, 1, 0)[0] == "pass"
     clear_caches()
     patch(monkeypatch)
     assert rep_theory._pattern_block((1, 1, 1), k, q)[3] is False
     status, details = rep_theory._case_decomposition(d, n, k, 0)
     assert status == "fail"
+    rep_status, rep_details = rep_theory._case_rep(d, n, 1, 0)
+    expected = ("fail", "bad") if stand_in in REP_READS_TOO else ("pass", "ok")
+    assert (rep_status, rep_details["witnesses"]) == expected
     if stand_in == "rank one short":
         assert (details["pattern"], details["expected"]) == ([2, 1], [1, 1, 0])
     else:
@@ -699,12 +731,12 @@ def _set_coordinates(t, moved):
 
 @given(set_vectors())
 def test_slot_symmetry_in_set_coordinates_matches_the_averagers(drawn):
-    # The rep case's witness check: vec is symmetric (sign 1) or
-    # alternating (sign -1) in slots lo..hi when each (i i+1), lo <= i <
-    # hi, maps it to sign * vec through _set_permute.  On every slot
-    # range, the empty and one-slot ones included, and on vec averaged
-    # over the range first, this must agree with the averagers on the
-    # full tensor.
+    # The first half of the witness check of both suites (_embeds):
+    # vec is symmetric (sign 1) or alternating (sign -1) in slots lo..hi
+    # when each (i i+1), lo <= i < hi, maps it to sign * vec through
+    # _set_permute.  On every slot range, the empty and one-slot ones
+    # included, and on vec averaged over the range first, this must
+    # agree with the averagers on the full tensor.
     n, j, vec = drawn
     moved = _moved_copies(n, j)
     v = _in_full(vec, moved, n)
@@ -724,10 +756,6 @@ def test_slot_symmetry_in_set_coordinates_matches_the_averagers(drawn):
 def _unsigned_set_permute(vec, p):
     """_set_permute without its sign: the copy at S goes to the copy at p(S)."""
     return {tuple(sorted(p.images[i - 1] for i in s)): c for s, c in vec.items()}
-
-
-def _set_sum_drops_last_pair(n, vec, pairs=None, real=rep_theory._set_transposition_sum):
-    return real(n, vec, pairs if pairs is None else list(pairs)[:-1])
 
 
 # (patch, ks): on d = n the case must fail at each k in ks(n).  At q <= 1
@@ -754,10 +782,14 @@ REP_STAND_INS = {
 @pytest.mark.parametrize("stand_in", sorted(REP_STAND_INS))
 def test_rep_case_fails_with_each_stand_in(stand_in, n, monkeypatch):
     patch, ks = REP_STAND_INS[stand_in]
+    # The case reads the cached _family_holds, so each run starts with
+    # empty caches: none may hold what the other side computed.
     for k in ks(n):
+        clear_caches()
         assert rep_theory._case_rep(n, n, k, 0)[0] == "pass"
         with monkeypatch.context() as mp:
             patch(mp, k, n - k)
+            clear_caches()
             assert rep_theory._case_rep(n, n, k, 0)[0] == "fail", k
 
 

@@ -823,19 +823,22 @@ def test_every_traced_layer_resolves_and_runs_on_the_verify_path(monkeypatch, ca
 
 
 def test_decomposition_computes_no_elimination_in_the_tensor_power(monkeypatch):
-    # The certificate reads Fock ranks only: with the intersections and the
-    # position families of the tensor power refused, and every cache
-    # emptied first, a serial decomposition run still passes.
+    # The certificate reads Fock ranks and j-set coordinates only: with the
+    # intersections and the position families of the tensor power refused,
+    # and embed and permute too (nothing else in rep_theory writes a key of
+    # the tensor power), a serial decomposition run still passes with every
+    # cache emptied first.  The n = 9 grid keeps the n!-key route out:
+    # it would take seconds here.
     clear_caches()
 
     def refused(*args, **kwargs):
         raise AssertionError("elimination in the tensor power")
 
-    monkeypatch.setattr(rep_theory, "intersect", refused)
-    monkeypatch.setattr(rep_theory, "_position_span", refused)
+    for name in ("intersect", "_position_span", "embed", "permute"):
+        monkeypatch.setattr(rep_theory, name, refused)
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    report = run_verify(VerifyConfig(suite="decomposition", max_dim=5, max_n=6))
-    assert report.status == "pass" and len(report.cases) == 5 * sum(n + 1 for n in range(1, 7))
+    report = run_verify(VerifyConfig(suite="decomposition", max_dim=9, max_n=9))
+    assert report.status == "pass" and len(report.cases) == 9 * sum(n + 1 for n in range(1, 10))
 
 
 def test_rep_computes_no_elimination_in_the_tensor_power_on_distinct_labels(monkeypatch):

@@ -21,11 +21,10 @@ from hodgefock import (
     raise_,
 )
 from hodgefock.chaos import hermite_matrix
-from hodgefock.rep_theory import _transposition_sum
 from hodgefock.tensor_core import _gram_factor, weight_patterns
 
 from conftest import full_tensors, mixed_tensors, pattern_tensors, relabel
-from oracles import alt_subset, sym_subset, symmetric_group
+from oracles import alt_subset, sym_subset, symmetric_group, transposition_sum
 
 
 def test_permutation_basics():
@@ -314,4 +313,4 @@ def test_merging_maps_commute_with_embed_the_operators_and_t(t, data):
     v = embed(t)
     p = Permutation(data.draw(st.permutations(range(1, n + 1))))
     assert permute(_relabel_full(v, f, r), p) == _relabel_full(permute(v, p), f, r)
-    assert _transposition_sum(_relabel_full(v, f, r)) == _relabel_full(_transposition_sum(v), f, r)
+    assert transposition_sum(_relabel_full(v, f, r)) == _relabel_full(transposition_sum(v), f, r)

@@ -29,10 +29,10 @@ from hodgefock import (
     span_all_positions,
     weight_patterns,
 )
-from hodgefock.rep_theory import _transposition_sum, class_representatives, position_permutation
+from hodgefock.rep_theory import class_representatives, position_permutation
 
 from conftest import mixed_tensors
-from oracles import symmetric_group
+from oracles import symmetric_group, transposition_sum
 
 
 def _casimir(w: FullTensor) -> FullTensor:
@@ -227,26 +227,29 @@ def test_casimir_transports_the_split(t):
 
 
 def test_orbit_split_sums_transpositions_once_per_basis_vector(monkeypatch):
-    calls = []
-    real = rep_theory._transposition_sum
-
-    def counted(v):
-        calls.append(v)
-        return real(v)
-
-    monkeypatch.setattr(rep_theory, "_transposition_sum", counted)
+    # T v is one permute per slot transposition, C(3, 2) of them, and
+    # each basis vector v is summed once.
     b = MixedIndex((1,), (2, 3))
     orbit = orbit_span(b, 3)
+    calls = []
+    real = rep_theory.permute
+
+    def counted(v, p):
+        calls.append(orbit.basis().index(v))
+        return real(v, p)
+
+    monkeypatch.setattr(rep_theory, "permute", counted)
     plus, minus = orbit_split_spaces(b, orbit)
     assert (plus.dim, minus.dim) == (2, 1)
-    assert len(calls) == orbit.dim == comb(3, 1)
+    assert orbit.dim == comb(3, 1)
+    assert Counter(calls) == {i: comb(3, 2) for i in range(orbit.dim)}
 
 
 def transposition_sum_matrix(space):
     """Matrix of the sum of all slot transpositions in the canonical basis
     of an invariant subspace: column j holds the coordinates of the image
     of the j-th basis vector (NotInvariant if it leaves the subspace)."""
-    cols = [space.coordinates(_transposition_sum(v)) for v in space.basis()]
+    cols = [space.coordinates(transposition_sum(v)) for v in space.basis()]
     return [list(row) for row in zip(*cols)]
 
 
