@@ -83,9 +83,6 @@ class VerifyConfig(NamedTuple):
         if self.out is not None and not _writable(self.out):
             raise ConfigError(f"cannot write the report to {self.out!r}")
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 class Report(NamedTuple):
     tool: str
@@ -248,7 +245,7 @@ def run_verify(cfg: VerifyConfig) -> Report:
     """The report of `cfg`, its cases collected in a list."""
     cases = list(_cases(*_plan(cfg)))
     status = "fail" if any(c["status"] == "fail" for c in cases) else "pass"
-    return Report("hodgefock", __version__, cfg.as_dict(), cases, status)
+    return Report("hodgefock", __version__, cfg._asdict(), cases, status)
 
 
 def render_report(report: Report, fmt: str = "json") -> str:
@@ -271,7 +268,7 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run an invariant suite over a parameter grid")
-    verify.set_defaults(**VerifyConfig().as_dict())
+    verify.set_defaults(**VerifyConfig()._asdict())
     verify.add_argument("suite", choices=SUITES + ("all",))
     verify.add_argument("--max-dim", type=int)
     verify.add_argument("--max-n", type=int)
@@ -290,7 +287,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     # The report's cases are an iterator; its status is the writer's.
-    report = Report("hodgefock", __version__, cfg.as_dict(), _cases(specs, workers))
+    report = Report("hodgefock", __version__, cfg._asdict(), _cases(specs, workers))
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             status = _write_report(fh, cfg.format, report)

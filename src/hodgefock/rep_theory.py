@@ -42,12 +42,15 @@ The rep case splits the orbit of e itself, s in H_{k,q}: its pieces are
 the images of T - c(k, q) and T - c(k+1, q-1), its witnesses are those
 of step 3 at j = k (_family_holds(n, k), shared with decomposition), and
 at n <= 4 each class representative (one per cycle type of S_n, from
-the partitions of n) commutes with T.  Only the orbit of a repeated
-label is still spanned in the tensor power.
+the partitions of n) commutes with T.  The index map e_i -> e_max(1,i-k)
+in every slot commutes with slot permutations, so it sends the copy of e
+at S to k! times that of embed(b), b = e_(1^k; 1..q): _repeated_orbit's
+sum_{r not in S} (-1)^#{slots outside S before r} [S + {r}], keyed by the
+slots holding 1 (2..q alternate in the others), or [S] at q = 0.
 
-embedded_subspace, span_all_positions, intersect, orbit_split_spaces and
-action_trace build and read spaces by elimination in the tensor power.
-No verify case calls them.
+orbit_span, embedded_subspace, span_all_positions, intersect,
+orbit_split_spaces and action_trace build and read spaces by elimination
+in the tensor power.  No verify case calls them.
 
 The decomposition and rep cases of `hodgefock verify` are here.  Only
 the rep case reads hodge, imported inside the function that uses it.
@@ -364,15 +367,23 @@ def _case_decomposition(d: int, n: int, k: int, seed: int):
     return ("pass" if ok else "fail"), details
 
 
-def _repeated_label(d: int, n: int, k: int) -> MixedIndex | None:
-    q = n - k
-    if k >= 2 or (k == 1 and q >= 1):
-        return MixedIndex((1,) * k, tuple(range(1, q + 1)))
+def _repeated_label(n: int, k: int) -> MixedIndex | None:
+    if k >= 1 and n >= 2:
+        return MixedIndex((1,) * k, tuple(range(1, n - k + 1)))
     return None
 
 
+def _repeated_orbit(n: int, k: int) -> list[dict]:
+    """The copies of embed(_repeated_label(n, k)) at the k-sets, over k!, in set coordinates."""
+    columns = []
+    for s in combinations(range(1, n + 1), k):
+        rest = (r for r in range(1, n + 1) if r not in s)
+        columns.append({tuple(sorted(s + (r,))): (-1) ** i for i, r in enumerate(rest)} or {s: 1})
+    return columns
+
+
 def _degenerate_orbit_dim(b: MixedIndex, d: int) -> int:
-    """dim orbit_span(b) predicted from (plus, minus) = hodge_split(e_b):
+    """The rank of b's orbit predicted from (plus, minus) = hodge_split(e_b):
     C(n-1, q-1) [plus != 0] + C(n-1, q) [minus != 0], the first term 0 at
     q = 0."""
     from .hodge import hodge_split
@@ -418,9 +429,9 @@ def _case_rep(d: int, n: int, k: int, seed: int):
         )
         details["character_additive"] = char_ok
         ok = ok and char_ok
-    rep_label = _repeated_label(d, n, k)
+    rep_label = _repeated_label(n, k)
     if rep_label is not None:
-        orbit_dim = orbit_span(rep_label, d).dim
+        orbit_dim = matrix_rank(_repeated_orbit(n, k))
         expected = _degenerate_orbit_dim(rep_label, d)
         details["degenerate"] = {
             "label": rep_label.render(),

@@ -58,9 +58,20 @@ ALLOWED = {
     "fock_ops.Permutation.__repr__": PERMUTATION,
     "linalg.EchelonBasis.__eq__": "Subspace.__eq__",
     "linalg.EchelonBasis.coordinates": "Subspace.coordinates",
+    "fock_ops.Permutation.inverse": PERMUTATION,
+    "rep_theory.Subspace.__init__": "spanned_by, _position_span, intersect, orbit_split_spaces",
+    "rep_theory.Subspace._check": "Subspace.add, .contains and .coordinates",
+    "rep_theory.Subspace.add": "Subspace.spanned_by, _position_span and orbit_split_spaces",
+    "rep_theory.Subspace.dim": "orbit_split_spaces, and the tests' oracles compare dimensions",
     "rep_theory.Subspace.__eq__": "the tests compare spans with it",
     "rep_theory.Subspace.coordinates": "the tests' action_trace oracle reads it",
     "rep_theory.Subspace.spanned_by": "embedded_subspace, and the tests' elimination oracle",
+    "rep_theory.orbit_span": TRACER,
+    "rep_theory._position_span": "orbit_span and span_all_positions",
+    "rep_theory.position_permutation": "orbit_span and span_all_positions",
+    "tensor_core.embed": TRACER,
+    "tensor_core._signed_arrangements": "embed",
+    "fock_ops.permute": TRACER,
     "rep_theory.embedded_subspace": TRACER,
     "rep_theory.span_all_positions": TRACER,
     "rep_theory.intersect": TRACER,

@@ -17,8 +17,8 @@ shows that the case fails without it.
 import inspect
 import sys
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +31,6 @@ import hodgefock.rep_theory as rep_theory
 from hodgefock import (
     FockTensor,
     FullTensor,
-    Subspace,
     action_trace,
     block_dim,
     chaos_field,
@@ -52,8 +51,8 @@ from hodgefock.cli import VerifyConfig, run_verify
 from hodgefock.fock_ops import Permutation, _wedge_insert, gram_matrix, operator_matrix
 from hodgefock.fock_ops import operator_rank
 from hodgefock.hodge import hodge_split
-from hodgefock.linalg import lincomb
-from hodgefock.tensor_core import weight_patterns
+from hodgefock.linalg import lincomb, matrix_rank
+from hodgefock.tensor_core import perm_sign, weight_patterns
 
 import oracles
 from conftest import clear_caches
@@ -451,7 +450,7 @@ def _moved_copies(n, j):
 
 def _in_full(vec, moved, n):
     """The full tensor with position-set coordinates vec."""
-    return sum((moved[s].scale(c) for s, c in vec.items()), FullTensor.zero(n, n))
+    return FullTensor._trusted((n, n), lincomb((c, moved[s].coeffs) for s, c in vec.items()))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -669,7 +668,7 @@ def rep_oracle(d, n, k):
         )
         details["character_additive"] = char_ok
         ok = ok and char_ok
-    rep_label = rep_theory._repeated_label(d, n, k)
+    rep_label = rep_theory._repeated_label(n, k)
     if rep_label is not None:
         details["degenerate"] = {
             "label": rep_label.render(),
@@ -793,27 +792,79 @@ def test_rep_case_fails_with_each_stand_in(stand_in, n, monkeypatch):
             assert rep_theory._case_rep(n, n, k, 0)[0] == "fail", k
 
 
-def _shrunk_on_repeated_labels(b, d, real=rep_theory.orbit_span):
-    """orbit_span with one basis vector fewer when b repeats an index."""
-    orbit = real(b, d)
-    if len(set(b.sym + b.alt)) == len(b.sym + b.alt):
-        return orbit
-    return Subspace.spanned_by(d, orbit.degree, orbit.basis()[1:])
+def _written_out(column, n):
+    """A column of _repeated_orbit as a full tensor over R^n: on each key,
+    1 in its slots and 2, 3, ... alternating in the others."""
+    out = {}
+    for ones, c in column.items():
+        rest = [r for r in range(1, n + 1) if r not in ones]
+        for sigma in permutations(range(2, len(rest) + 2)):
+            key = [1] * n
+            for r, m in zip(rest, sigma):
+                key[r - 1] = m
+            out[tuple(key)] = perm_sign(sigma) * c
+    return FullTensor(n, n, out)
 
 
-@pytest.mark.parametrize("d, n, k", [(3, 3, 2), (3, 3, 1), (4, 4, 3), (2, 2, 2)])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_repeated_orbit_is_the_orbit_of_the_repeated_label(n):
+    # The premise of the degenerate orbit's set coordinates: the column
+    # of the k-set S, written out, is the copy of embed(b) at S over k!,
+    # so its rank is dim orbit_span(b).  The copies are compared for
+    # n <= 6; at n = 7 only the ranks, as the n!-key copies cost seconds.
+    for k in range(1, n + 1):
+        b = rep_theory._repeated_label(n, k)
+        columns = rep_theory._repeated_orbit(n, k)
+        sets = list(combinations(range(1, n + 1), k))
+        assert len(columns) == len(sets) == comb(n, k)
+        if n <= 6:
+            e = embed(FockTensor.basis(n, b))
+            for s, column in zip(sets, columns):
+                copy = permute(e, rep_theory.position_permutation(n, k, s))
+                assert _written_out(column, n).scale(factorial(k)) == copy, (k, s)
+        rank = matrix_rank(columns)
+        assert rank == rep_theory.orbit_span(b, n).dim == rep_theory._degenerate_orbit_dim(b, n)
+
+
+def _unsigned_columns(n, k, real=rep_theory._repeated_orbit):
+    return [{key: 1 for key in column} for column in real(n, k)]
+
+
+def _columns_keyed_by_s(n, k):
+    return [{s: 1} for s in combinations(range(1, n + 1), k)]
+
+
+def _one_column_short(n, k, real=rep_theory._repeated_orbit):
+    return real(n, k)[1:]
+
+
+# {(d, n, k): stand-in}: the signs of a column differ only at q >= 2, the
+# (k+1)-set keys from the k-sets at q = 1 (where all copies share one
+# key), and at q = 0 the orbit is one column.
+DEGENERATE_STAND_INS = {
+    (3, 3, 1): _unsigned_columns,
+    (3, 3, 2): _columns_keyed_by_s,
+    (4, 4, 3): _columns_keyed_by_s,
+    (2, 2, 2): _one_column_short,
+}
+
+
+@pytest.mark.parametrize("d, n, k", DEGENERATE_STAND_INS)
 def test_rep_case_checks_the_degenerate_orbit(d, n, k, monkeypatch):
-    # dim orbit_span of the repeated label is C(n-1,q-1) [plus != 0] +
-    # C(n-1,q) [minus != 0]; an orbit one vector short fails the case and
-    # reports the predicted dimension.
+    # The rank of the repeated label's orbit is C(n-1,q-1) [plus != 0] +
+    # C(n-1,q) [minus != 0]; a wrong orbit fails the case and reports the
+    # predicted dimension.
+    stand_in = DEGENERATE_STAND_INS[d, n, k]
     status, details = rep_theory._case_rep(d, n, k, 0)
     assert status == "pass" and "expected" not in details["degenerate"]
     true_dim = details["degenerate"]["orbit_dim"]
-    assert true_dim == rep_theory._degenerate_orbit_dim(rep_theory._repeated_label(d, n, k), d) > 0
-    monkeypatch.setattr(rep_theory, "orbit_span", _shrunk_on_repeated_labels)
+    assert true_dim == rep_theory._degenerate_orbit_dim(rep_theory._repeated_label(n, k), d) > 0
+    wrong_dim = matrix_rank(stand_in(n, k))
+    assert wrong_dim != true_dim
+    monkeypatch.setattr(rep_theory, "_repeated_orbit", stand_in)
     status, details = rep_theory._case_rep(d, n, k, 0)
     assert status == "fail"
-    assert details["degenerate"]["orbit_dim"] == true_dim - 1
+    assert details["degenerate"]["orbit_dim"] == wrong_dim
     assert details["degenerate"]["expected"] == true_dim
 
 

@@ -53,7 +53,7 @@ def test_json_roundtrip():
 
 def test_default_config_keys_and_values_in_report_order():
     # config is written into every report, so its keys keep this order.
-    assert list(VerifyConfig().as_dict().items()) == [
+    assert list(VerifyConfig()._asdict().items()) == [
         ("suite", "all"), ("max_dim", 3), ("max_n", 4), ("seed", 0), ("dim", None),
         ("n", None), ("k", None), ("q", None), ("format", "text"), ("out", None),
     ]
@@ -81,7 +81,7 @@ def test_report_schema():
 
 
 def test_config_dict_keeps_the_field_order():
-    assert list(small().as_dict()) == [
+    assert list(small()._asdict()) == [
         "suite", "max_dim", "max_n", "seed", "dim", "n", "k", "q", "format", "out",
     ]
 
@@ -754,15 +754,19 @@ def test_main_empty_out_exits_two_before_any_case(monkeypatch, capsys):
 
 
 # Listed in the benchmark's LAYERS but not called by any verify suite.
-# intersect is the decomposition's old route, orbit_split_spaces and
-# action_trace the rep suite's; the tests keep them as oracles.
+# intersect is the decomposition's old route; orbit_span, orbit_split_spaces
+# and action_trace the rep suite's, with embed and permute, which wrote
+# their full tensors.  The tests keep them as oracles.
 OFF_THE_VERIFY_PATH = {
+    "fock_ops.permute",
     "hodge.random_tensor",
     "rep_theory.action_trace",
     "rep_theory.embedded_subspace",
     "rep_theory.intersect",
+    "rep_theory.orbit_span",
     "rep_theory.orbit_split_spaces",
     "rep_theory.span_all_positions",
+    "tensor_core.embed",
 }
 
 
@@ -822,44 +826,40 @@ def test_every_traced_layer_resolves_and_runs_on_the_verify_path(monkeypatch, ca
     assert {key for key, n in calls.items() if not n} <= OFF_THE_VERIFY_PATH
 
 
-def test_decomposition_computes_no_elimination_in_the_tensor_power(monkeypatch):
-    # The certificate reads Fock ranks and j-set coordinates only: with the
-    # intersections and the position families of the tensor power refused,
-    # and embed and permute too (nothing else in rep_theory writes a key of
-    # the tensor power), a serial decomposition run still passes with every
-    # cache emptied first.  The n = 9 grid keeps the n!-key route out:
-    # it would take seconds here.
+# Every route that writes a key of the tensor power or eliminates there;
+# rep_theory binds them all.
+TENSOR_POWER = (
+    "embed", "permute", "_position_span", "orbit_span", "orbit_split_spaces", "action_trace",
+)
+GUARDED_RUNS = {
+    "all-5-6": (VerifyConfig(suite="all", max_dim=5, max_n=6), 840),
+    "decomposition-9-9": (VerifyConfig(suite="decomposition", max_dim=9, max_n=9), 486),
+    "rep-9-9": (VerifyConfig(suite="rep", max_dim=9, max_n=9), 486),
+}
+
+
+@pytest.mark.parametrize("run", GUARDED_RUNS)
+def test_verify_builds_no_vector_or_span_in_the_tensor_power(run, monkeypatch):
+    # rep and decomposition read S_n in position-set coordinates and Fock
+    # ranks only: with every tensor-power route refused in every hodgefock
+    # namespace that binds it, and no Subspace built (intersect and the
+    # position families build one), a serial run still passes with every
+    # cache emptied first.  The n = 9 grids keep the n!-key routes out:
+    # they would take seconds here.
     clear_caches()
 
     def refused(*args, **kwargs):
-        raise AssertionError("elimination in the tensor power")
+        raise AssertionError("a vector or span of the tensor power")
 
-    for name in ("intersect", "_position_span", "embed", "permute"):
-        monkeypatch.setattr(rep_theory, name, refused)
+    modules = [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
+    for name in TENSOR_POWER:
+        real = vars(rep_theory)[name]
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, refused)
+    monkeypatch.setattr(rep_theory.Subspace, "__init__", refused)
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    report = run_verify(VerifyConfig(suite="decomposition", max_dim=9, max_n=9))
-    assert report.status == "pass" and len(report.cases) == 9 * sum(n + 1 for n in range(1, 10))
-
-
-def test_rep_computes_no_elimination_in_the_tensor_power_on_distinct_labels(monkeypatch):
-    # The distinct label's orbit is read in position-set coordinates: with
-    # the split and the traces of the tensor power refused, and orbit_span
-    # refused on distinct-index labels, a serial rep run still passes with
-    # every cache emptied first.  Only the repeated label is spanned.
-    clear_caches()
-
-    def refused(*args, **kwargs):
-        raise AssertionError("elimination in the tensor power")
-
-    def repeated_only(b, d, real=rep_theory.orbit_span):
-        entries = b.sym + b.alt
-        if len(set(entries)) == len(entries):
-            refused()
-        return real(b, d)
-
-    monkeypatch.setattr(rep_theory, "orbit_split_spaces", refused)
-    monkeypatch.setattr(rep_theory, "action_trace", refused)
-    monkeypatch.setattr(rep_theory, "orbit_span", repeated_only)
-    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    report = run_verify(VerifyConfig(suite="rep", max_dim=6, max_n=6))
-    assert report.status == "pass" and len(report.cases) == 6 * sum(n + 1 for n in range(1, 7))
+    cfg, cases = GUARDED_RUNS[run]
+    report = run_verify(cfg)
+    assert report.status == "pass" and len(report.cases) == cases
