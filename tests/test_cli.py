@@ -482,6 +482,11 @@ RECORDED_DIGESTS = [
         "a216e7a988c67b7f2c4b1bf96a6e0dedca0224663d6fc6eb1e45045530a9fde4",
         "d4dba84592e9a9cf881481b11f204fc8e3d239cd9f85a61152f435796fac7f9d",
     ),
+    (
+        ["all", "--max-dim", "6", "--max-n", "7"],
+        "7e565c27a91b105cbd65e930e3470c6781cc05340c3a922327b0b2df9b23a523",
+        "c8cf0b372a5d4cd7dc74c4d764c016fce5c3c5228253a81675ba933ab6baf6ef",
+    ),
 ]
 
 
