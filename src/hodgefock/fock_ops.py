@@ -8,7 +8,7 @@ maps square to zero and satisfy the degree-n commutation identity
 
 Also here: the slot action of permutations on full tensors, and exact
 integer matrices of the operators on a whole block or on the weight
-block of a pattern (tensor_core).
+block of a pattern (tensor_core), whose ranks hodge reads as traces.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DimensionMismatch, InvalidIndex
-from .linalg import SparseVector, as_coeff, lincomb, matrix_rank
+from .linalg import SparseVector, as_coeff, lincomb
 from .tensor_core import (
     FockTensor,
     FullTensor,
@@ -204,9 +204,6 @@ class LinearMap(SparseVector):
             cols[c][r] = v
         return cols
 
-    def rank(self) -> int:
-        return matrix_rank(self.columns())
-
 
 @lru_cache(maxsize=None)
 def operator_matrix(which: str, ground, k: int, q: int) -> LinearMap:
@@ -232,13 +229,6 @@ def operator_matrix(which: str, ground, k: int, q: int) -> LinearMap:
         for lab, v in image.coeffs.items():
             entries[(index[lab], c)] = v
     return LinearMap._trusted(((ground, k, q), cod_sig), entries)
-
-
-@lru_cache(maxsize=None)
-def operator_rank(which: str, ground, k: int, q: int) -> int:
-    """Rank of operator_matrix(which, ground, k, q), once per argument tuple
-    and process."""
-    return operator_matrix(which, ground, k, q).rank()
 
 
 def gram_matrix(ground, k: int, q: int) -> LinearMap:

@@ -1,15 +1,15 @@
 """Degree-n commutation identity, exact sequences and the two-term split.
 
-On H_{k,q} with n = k + q >= 1 write A = lower . raise_ and
-B = raise_ . lower.  Off the end of the complex both operators are the
-zero map into an empty block, so A = 0 when q = 0 and B = 0 when k = 0.
-Then A + B = n times the identity, and dividing by n yields two
-complementary idempotents: the image of A is killed by lower, the image
-of B is killed by raise_, and the two pieces are orthogonal.
-split_matrices gives A and B as exact integer matrices, so on a block
-the split claims are integer identities with no division:
-A + B = n I, lower A = 0, raise_ B = 0, A A = n A, B A = 0, A B = 0 and
-B B = n B.
+On H_{k,q} with n = k + q >= 1 write L = lower, R = raise_, A = L R and
+B = R L; off the end of the complex both operators are the zero map into
+an empty block.  Each block has one homotopy certificate (_certificate):
+the integer identities L L = 0 and R R = 0 through the block, and
+A + B = n I.  Then A A = n A - R L L R = n A, and likewise B B = n B,
+A B = B A = 0, L A = 0 and R B = 0: A / n and B / n are complementary
+idempotents and R / n is a contracting homotopy.  So the split of t is
+(A t / n, B t / n), L x = R x = 0 gives n x = 0, Ker L = Im A = Im L from
+H_{k+1,q-1} and Ker R = Im B = Im R from H_{k-1,q+1}, and the ranks are
+traces: rank lower = tr(B) / n and rank raise_ = tr(A) / n.
 
 H_{k,q} over R^d is a sum of relabelled pattern blocks (tensor_core), so
 ranks and kernels are count-weighted sums over the patterns, a defect is
@@ -25,8 +25,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DegreeOutOfRange
-from .fock_ops import LinearMap, _adjoint_residual, lower, operator_matrix, operator_rank, raise_
-from .linalg import kernel_basis, matrix_rank
+from .fock_ops import LinearMap, _adjoint_residual, lower, operator_matrix, raise_
 # embed is not called here; benchmarks/test_bench.py checks that the
 # tracer's wrapper of embed reaches this binding too.
 from .tensor_core import FockTensor, block_dim, embed, enum_basis, weight_patterns  # noqa: F401
@@ -37,9 +36,8 @@ def split_matrices(ground, k: int, q: int) -> tuple[LinearMap, LinearMap]:
     """A = lower . raise_ and B = raise_ . lower on a block, as integer matrices.
 
     Column b of each is the image of the label b; A = 0 when q = 0 and
-    B = 0 when k = 0.  The split of t is (A t / n, B t / n).  Built once
-    per argument tuple and process.  Negative k or q raises
-    DegreeOutOfRange.
+    B = 0 when k = 0.  Built once per argument tuple and process.
+    Negative k or q raises DegreeOutOfRange.
     """
     if k < 0 or q < 0:
         raise DegreeOutOfRange(f"the split matrices need k, q >= 0, got ({k},{q})")
@@ -64,11 +62,57 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
 def _sum_residual(ground, k: int, q: int) -> LinearMap:
     """A + B - n I on one block, from split_matrices.
 
-    Computed once per argument tuple and process: the weitzenboeck, split
-    and chaos cases of a block all read it.
+    Computed once per argument tuple and process: the weitzenboeck, chaos
+    and every Fock-side case of a block read it.
     """
     a, b = split_matrices(ground, k, q)
     return a + b - LinearMap.identity((ground, k, q)).scale(k + q)
+
+
+def _first_label(m: LinearMap):
+    """The domain label of the first nonzero column of m, or None if m = 0."""
+    return enum_basis(*m.dom_sig)[min(c for _, c in m.coeffs)] if m.coeffs else None
+
+
+@lru_cache(maxsize=None)
+def _certificate(ground, k: int, q: int) -> tuple:
+    """(checks, ranks) of one block, k + q >= 1: each identity with its first
+    failing label or None (L L from H_{k+1,q-1}, R R from H_{k-1,q+1}), and
+    (tr(B) / n, tr(A) / n) = (rank lower, rank raise_), None if one fails.
+    Once per argument tuple and process: every Fock-side case reads it."""
+    checks = [("plus + minus = t", _first_label(_sum_residual(ground, k, q)))]
+    for name, which, i in (("lower lower = 0", "lower", 1), ("raise_ raise_ = 0", "raise", -1)):
+        twice = operator_matrix(which, ground, k, q) @ operator_matrix(which, ground, k + i, q - i)
+        checks.append((name, _first_label(twice)))
+    if any(label is not None for _, label in checks):
+        return tuple(checks), None
+    a, b = split_matrices(ground, k, q)
+    trace_a, trace_b = (sum(v for (r, c), v in m.coeffs.items() if r == c) for m in (a, b))
+    return tuple(checks), (trace_b // (k + q), trace_a // (k + q))
+
+
+def operator_rank(which: str, ground, k: int, q: int) -> int | None:
+    """Rank of operator_matrix(which, ground, k, q), k, q >= 0 and k + q >= 1,
+    as a trace of the block's certificate; None if that fails."""
+    ranks = _certificate(ground, k, q)[1]
+    return None if ranks is None else ranks[which == "raise"]
+
+
+def _first_failure(blocks) -> dict:
+    """failed and label of the first identity that fails, in check order, at
+    its first failing label in the first block where it fails, or {}."""
+    for step in zip(*blocks):
+        for name, label in step:
+            if label is not None:
+                return {"failed": name, "label": label.render()}
+    return {}
+
+
+def _complex_failure(d: int, n: int) -> dict:
+    """_first_failure over the certificates of the degree-n complex over R^d."""
+    patterns = weight_patterns(d, n)
+    blocks = (_certificate(mu, k, n - k)[0] for mu, _ in patterns for k in range(n + 1))
+    return _first_failure(blocks)
 
 
 def hodge_split(t: FockTensor) -> tuple[FockTensor, FockTensor]:
@@ -135,33 +179,22 @@ class ExactnessReport(NamedTuple):
 def exactness_report(d: int, n: int) -> ExactnessReport:
     """Exact ranks, kernels and harmonic dimensions for total degree n >= 1.
 
-    The harmonic dimension of a block is the kernel of the stacked matrix
-    (lower on top of raise_), i.e. dim(Ker lower intersect Ker raise_).
-    lower at k = 0 and raise_ at q = 0 are zero-row matrices, so the same
-    code serves the ends of the sequence.  Ranks and kernels come from
-    separate eliminations, so rank_nullity_ok cross-checks the two.
+    Read from the pattern blocks' certificates (module docstring): ranks
+    are traces, kernels are dim - rank and no block has a harmonic part.
+    Every block of the complex must hold its certificate (_complex_failure).
     """
     if n < 1:
         raise DegreeOutOfRange("the report needs total degree n >= 1")
+    patterns = weight_patterns(d, n)
     rows = []
     for k in range(n, -1, -1):
-        blocks = [(count, _block_row(mu, k, n - k)) for mu, count in weight_patterns(d, n)]
-        sums = (sum(count * row[i] for count, row in blocks) for i in range(2, 8))
-        rows.append(ExactnessRow(k, n - k, *sums))
+        q, dim = n - k, block_dim(d, k, n - k)
+        low, up = (
+            sum(count * operator_rank(which, mu, k, q) for mu, count in patterns)
+            for which in ("lower", "raise")
+        )
+        rows.append(ExactnessRow(k, q, dim, low, dim - low, up, dim - up, 0))
     return ExactnessReport(d, n, tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def _block_row(ground, k: int, q: int) -> ExactnessRow:
-    """The row of one pattern block, once per argument tuple and process:
-    the reports of every d >= len(ground) read it."""
-    ops = ("lower", "raise")
-    maps = [operator_matrix(which, ground, k, q) for which in ops]
-    rank_lower, rank_raise = (operator_rank(which, ground, k, q) for which in ops)
-    ker_lower, ker_raise = (len(kernel_basis(m.columns())) for m in maps)
-    dim = block_dim(ground, k, q)
-    harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
-    return ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)
 
 
 def random_tensor(d: int, k: int, q: int, rng) -> FockTensor:
@@ -194,13 +227,16 @@ def _exactness_report(d: int, n: int):
 
 def _case_exactness(d: int, n: int, k: int, seed: int):
     q = n - k
+    failure = _complex_failure(d, n)
+    if failure:
+        return "fail", {"dim": block_dim(d, k, q), **failure}
     rep = _exactness_report(d, n)
     row = rep.row(k)
     lower_ok, raise_ok = rep.exact_at(k)
     # dim, rank_lower, ker_lower, rank_raise, ker_raise and harmonic_dim, in order
     details = dict(zip(row._fields[2:], row[2:]), lower_exact=lower_ok, raise_exact=raise_ok)
     ok = lower_ok and raise_ok and row.rank_nullity_ok() and row.harmonic_dim == 0
-    # Independent of the eliminations: the hook Kostka numbers of each pattern.
+    # The traces against the closed form: the hook Kostka numbers of each pattern.
     for mu, _ in weight_patterns(d, n):
         expected = [comb(len(mu) - 1, q), comb(len(mu) - 1, q - 1) if q else 0]
         if [operator_rank(w, mu, k, q) for w in ("lower", "raise")] != expected:
@@ -212,45 +248,25 @@ def _case_exactness(d: int, n: int, k: int, seed: int):
 @lru_cache(maxsize=None)
 def _split_failures(ground, k: int, q: int) -> tuple:
     """(identity, first failing label or None) for each split claim on one
-    block: integer identities of A, B = split_matrices(ground, k, q), and
-    hodge_split on t = sum_i (i+1) e_i.  Cached as _adjoint_residual is."""
+    block: its certificate, which proves every identity of A and B, then
+    adjointness and hodge_split on t = sum_i (i+1) e_i.  Cached likewise."""
     n = k + q
     labels = enum_basis(ground, k, q)
     a, b = split_matrices(ground, k, q)
     t = FockTensor._trusted((ground, k, q), {label: i + 1 for i, label in enumerate(labels)})
     plus, minus = hodge_split(t)
-    checks = {
-        "plus + minus = t": [_sum_residual(ground, k, q)],
-        "lower(plus) = 0": [operator_matrix("lower", ground, k, q) @ a],
-        "raise_(minus) = 0": [operator_matrix("raise", ground, k, q) @ b],
-        "split(plus) = (plus, 0)": [a @ a - a.scale(n), b @ a],
-        "split(minus) = (0, minus)": [a @ b, b @ b - b.scale(n)],
+    residuals = (plus - a.apply(t) / n, minus - b.apply(t) / n)
+    bad = min((key for res in residuals for key in res.coeffs), key=labels.index, default=None)
+    return _certificate(ground, k, q)[0] + (
         # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
-        "adjoint": [_adjoint_residual(ground, k, q)],
-        "hodge_split": [plus - a.apply(t) / n, minus - b.apply(t) / n],
-    }
-    index = {label: i for i, label in enumerate(labels)}
-    out = []
-    for name, residuals in checks.items():
-        # Matrix residuals are keyed (row, column), tensor residuals by label.
-        bad = [
-            key[1] if isinstance(res, LinearMap) else index[key]
-            for res in residuals
-            for key in res.coeffs
-        ]
-        out.append((name, labels[min(bad)] if bad else None))
-    return tuple(out)
+        ("adjoint", _first_label(_adjoint_residual(ground, k, q))),
+        ("hodge_split", bad),
+    )
 
 
 def _case_split(d: int, n: int, k: int, seed: int):
     """The split on every pattern block.  A failure names the first identity
     that fails and its first failing label in the first block where it does."""
     q = n - k
-    blocks = [_split_failures(mu, k, q) for mu, _ in weight_patterns(d, n)]
-    details = {"dim": block_dim(d, k, q)}
-    for step in zip(*blocks):
-        for name, label in step:
-            if label is not None:
-                details.update(failed=name, label=label.render())
-                return "fail", details
-    return "pass", details
+    failure = _first_failure(_split_failures(mu, k, q) for mu, _ in weight_patterns(d, n))
+    return ("fail" if failure else "pass"), {"dim": block_dim(d, k, q), **failure}

@@ -10,7 +10,8 @@ EchelonBasis is the one elimination routine; matrix_rank and
 kernel_basis are built on it.  It clears each input's denominators and
 keeps its rows as primitive integer vectors, reduced by fraction-free
 integer cross-multiplication; those rows are the one basis of the span
-that callers read.
+that callers read.  No verify case eliminates (Fock ranks are traces,
+hodge._certificate); Subspace, intersect and the tests' oracles do.
 
 SparseVector is the base of every exact container (FockTensor,
 FullTensor, Poly, HermiteExpansion, FormField, LinearMap): arithmetic,
@@ -192,9 +193,7 @@ class EchelonBasis:
     denominators on the way in, and elimination is fraction-free integer
     cross-multiplication (Bareiss, Math. Comp. 22, 1968; here each row's
     content gcd is divided out instead), with no modular shortcut.
-    rows() and coordinates() read that one basis.  This is the one
-    elimination routine of the package; matrix_rank and kernel_basis are
-    built on it.
+    rows() and coordinates() read that one basis.
     """
 
     __slots__ = ("_rows",)

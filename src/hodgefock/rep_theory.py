@@ -38,22 +38,26 @@ H_{k+1,q-1} (H_{k-1,q+1}) at every choice of slot positions.
    which then fix v, v reads t's coefficients.  Such a key meets one
    copy, at the slots holding 1..j, signed by its entries > j in slot order.
 
-The rep case splits the orbit of e itself, s in H_{k,q}: its pieces are
-the images of T - c(k, q) and T - c(k+1, q-1), its witnesses are those
-of step 3 at j = k (_family_holds(n, k), shared with decomposition), and
-at n <= 4 each class representative (one per cycle type of S_n, from
-the partitions of n) commutes with T.  The index map e_i -> e_max(1,i-k)
-in every slot commutes with slot permutations, so it sends the copy of e
-at S to k! times that of embed(b), b = e_(1^k; 1..q): _repeated_orbit's
+The rep case splits the orbit of e itself, s in H_{k,q}.  Step 1 of
+_family_holds(n, k) makes T diagonalisable there, with the eigenvalues
+c+ = c(k+1, q-1) and c- = c(k, q) = c+ - n.  Each copy is a signed image
+of e and T is central, so T has one diagonal entry at every copy, and the
+trace C(n, k) diag = m+ c+ + m- c- gives the pieces' dimensions.  Its
+witnesses are those of step 3 at j = k, and at n <= 4 each class
+representative (one per cycle type of S_n) commutes with T.  The index
+map e_i -> e_max(1,i-k) in every slot commutes with slot permutations, so
+it sends the copy of e at S to k! times that of embed(b), b = e_(1^k; 1..q):
 sum_{r not in S} (-1)^#{slots outside S before r} [S + {r}], keyed by the
-slots holding 1 (2..q alternate in the others), or [S] at q = 0.
+slots holding 1 (2..q alternate in the others), or [S] at q = 0.  That is
+raise_ of the label S of the block of 1^n, keyed by the complement of the
+alternating set.
 
 orbit_span, embedded_subspace, span_all_positions, intersect,
 orbit_split_spaces and action_trace build and read spaces by elimination
 in the tensor power.  No verify case calls them.
 
-The decomposition and rep cases of `hodgefock verify` are here.  Only
-the rep case reads hodge, imported inside the function that uses it.
+The decomposition and rep cases of `hodgefock verify` are here; their
+Fock ranks are traces of hodge's certificates (operator_rank).
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ from itertools import combinations
 from math import comb
 
 from .errors import DimensionMismatch, InvalidIndex, NotInvariant
-from .fock_ops import Permutation, lower, operator_rank, permute, raise_
-from .linalg import EchelonBasis, kernel_basis, lincomb, matrix_rank
+from .fock_ops import Permutation, lower, permute, raise_
+from .hodge import _complex_failure, hodge_split, operator_rank
+from .linalg import EchelonBasis, kernel_basis, lincomb
 from .tensor_core import FockTensor, FullTensor, MixedIndex, _partitions, block_dim, embed
 from .tensor_core import enum_basis, perm_sign, weight_patterns
 
@@ -260,19 +265,19 @@ def _family_holds(n: int, j: int) -> bool:
 
 def _pattern_block(mu: tuple[int, ...], k: int, q: int) -> tuple[int, int, int, bool]:
     """(dim, dim_plus, dim_minus, direct) of the weight block of mu: the ranks
-    of lower from H_{k+1,q-1} and raise_ from H_{k-1,q+1} (0 off the end of
-    the complex), and whether the certificate of the module docstring holds."""
+    of lower from H_{k+1,q-1} and raise_ from H_{k-1,q+1}, which are those of
+    raise_ and lower on the block (Im A and Im B, hodge), and whether the
+    certificate of the module docstring holds."""
     n, dim = k + q, block_dim(mu, k, q)
-    plus = operator_rank("lower", mu, k + 1, q - 1)
-    minus = operator_rank("raise", mu, k - 1, q + 1)
+    dim_minus, dim_plus = (operator_rank(which, mu, k, q) for which in ("lower", "raise"))
     roots_plus = {_hook_content(k + 1, q - 1), _hook_content(k + 2, q - 2)}
     direct = (
         (q == 0 or _family_holds(n, k + 1))
         and (k == 0 or _family_holds(n, k - 1))
         and roots_plus.isdisjoint({_hook_content(k, q), _hook_content(k - 1, q + 1)})
-        and plus + minus == dim
+        and dim_plus + dim_minus == dim
     )
-    return dim, plus, minus, direct
+    return dim, dim_plus, dim_minus, direct
 
 
 def decomposition_dims(d: int, k: int, q: int) -> tuple[int, int, int, bool]:
@@ -349,11 +354,13 @@ def class_representatives(n: int) -> list[Permutation]:
 
 def _case_decomposition(d: int, n: int, k: int, seed: int):
     q = n - k
-    dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
     block = block_dim(d, k, q)
+    failure = _complex_failure(d, n)
+    if failure:
+        return "fail", {"dim": block, **failure}
+    dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
     patterns = weight_patterns(d, n)
-    ranks = (c * operator_rank("lower", mu, k, q) for mu, c in patterns)
-    ker_lower = block - sum(ranks)
+    ker_lower = block - sum(c * operator_rank("lower", mu, k, q) for mu, c in patterns)
     details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
     # With direct, the embedded dimension ties dim_minus to rank(lower).
     ok = direct and dim == block and dim_plus == ker_lower
@@ -373,21 +380,10 @@ def _repeated_label(n: int, k: int) -> MixedIndex | None:
     return None
 
 
-def _repeated_orbit(n: int, k: int) -> list[dict]:
-    """The copies of embed(_repeated_label(n, k)) at the k-sets, over k!, in set coordinates."""
-    columns = []
-    for s in combinations(range(1, n + 1), k):
-        rest = (r for r in range(1, n + 1) if r not in s)
-        columns.append({tuple(sorted(s + (r,))): (-1) ** i for i, r in enumerate(rest)} or {s: 1})
-    return columns
-
-
 def _degenerate_orbit_dim(b: MixedIndex, d: int) -> int:
     """The rank of b's orbit predicted from (plus, minus) = hodge_split(e_b):
     C(n-1, q-1) [plus != 0] + C(n-1, q) [minus != 0], the first term 0 at
     q = 0."""
-    from .hodge import hodge_split
-
     n, q = len(b.sym) + len(b.alt), len(b.alt)
     plus, minus = hodge_split(FockTensor.basis(d, b))
     dim_plus = comb(n - 1, q - 1) if q >= 1 and not plus.is_zero() else 0
@@ -398,40 +394,38 @@ def _case_rep(d: int, n: int, k: int, seed: int):
     q = n - k
     if n > d:
         return "skip", {"reason": "no distinct-index label", "dim": d, "n": n}
-    # The orbit of the distinct label has one coordinate per k-set of slots.
-    sets = list(combinations(range(1, n + 1), k))
-    t_of = {s: _set_transposition_sum(n, {s: 1}) for s in sets}
-    plus, minus = (
-        matrix_rank([lincomb(((1, t_of[s]), (-c, {s: 1}))) for s in sets])
-        for c in (_hook_content(k, q), _hook_content(k + 1, q - 1))
-    )
-    dim_plus = comb(n - 1, q - 1) if q >= 1 else 0
+    # T's trace on the k-sets of slots gives the split (module docstring).
+    e = tuple(range(1, k + 1))
+    diag = _set_transposition_sum(n, {e: 1}).get(e, 0)
+    plus, rest = divmod(comb(n, k) * (diag - _hook_content(k, q)), n)
+    minus = comb(n, k) - plus
     details = {
         "label": _distinct_label(n, k).render(),
-        "orbit_dim": len(sets),
+        "orbit_dim": comb(n, k),
         "split_dims": [plus, minus],
-        "expected": [comb(n, k), dim_plus, comb(n - 1, q)],
+        "expected": [comb(n, k), comb(n - 1, q - 1) if q >= 1 else 0, comb(n - 1, q)],
     }
-    ok = (plus, minus) == (dim_plus, comb(n - 1, q))
+    ok = _family_holds(n, k) and not rest and details["expected"][1:] == [plus, minus]
     if k >= 1 and q >= 1:
         # Step 3 at j = k: the witnesses are embed(raise_ s) and embed(lower s).
         details["witnesses"] = "ok" if _family_holds(n, k) else "bad"
-        ok = ok and _family_holds(n, k)
     if n <= 4:
         # The class representatives include (1 2) and (1 2 ... n), which
         # generate S_n, so commuting with T makes both pieces invariant.
         # Their dims add up to the orbit's, so the characters add, and
         # characters are class functions: one permutation per class covers S_n.
         char_ok = all(
-            _set_transposition_sum(n, _set_permute({s: 1}, p)) == _set_permute(t_of[s], p)
+            _set_transposition_sum(n, _set_permute({s: 1}, p))
+            == _set_permute(_set_transposition_sum(n, {s: 1}), p)
             for p in class_representatives(n)
-            for s in sets
+            for s in combinations(range(1, n + 1), k)
         )
         details["character_additive"] = char_ok
         ok = ok and char_ok
     rep_label = _repeated_label(n, k)
     if rep_label is not None:
-        orbit_dim = matrix_rank(_repeated_orbit(n, k))
+        # raise_ on the block of 1^n spans the orbit (module docstring).
+        orbit_dim = operator_rank("raise", (1,) * n, k, q) if q else 1
         expected = _degenerate_orbit_dim(rep_label, d)
         details["degenerate"] = {
             "label": rep_label.render(),

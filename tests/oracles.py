@@ -15,6 +15,14 @@ chaos_block_holds reads the dictionary and the isometry off one field
 per block H_{k,q} over R^d, and commutation_defect computes both routes
 of the truncation square on monomials, route one by exterior_derivative.
 
+The Fock ranks of the verify path are traces of each pattern block's
+homotopy certificate.  The eliminations they replaced are the tests'
+references: a rank is matrix_rank of the matrix's columns, block_row is
+the exactness row of one block with kernels and harmonic part by
+elimination, and for the rep case rep_split_dims gives the ranks of T
+minus each hook content over the orbit's sets and repeated_orbit the
+columns of the repeated label's orbit, whose rank was its dimension.
+
 The decomposition's certificate has its oracles here too: pattern_block
 is the elimination it replaced, intersections of position families in
 the full tensor power, and family_holds runs the certificate's family
@@ -65,19 +73,20 @@ def weitzenboeck_defect(d, k, q):
 @lru_cache(maxsize=None)
 def exactness_report(d, n):
     """Ranks, kernels and harmonic dimensions from whole-block eliminations."""
-    rows = []
-    for k in range(n, -1, -1):
-        q = n - k
-        maps = [operator_matrix("lower", d, k, q), operator_matrix("raise", d, k, q)]
-        (rank_lower, ker_lower), (rank_raise, ker_raise) = (
-            (m.rank(), len(kernel_basis(m.columns()))) for m in maps
-        )
-        dim = block_dim(d, k, q)
-        harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
-        rows.append(
-            ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)
-        )
-    return ExactnessReport(d, n, tuple(rows))
+    return ExactnessReport(d, n, tuple(block_row(d, k, n - k) for k in range(n, -1, -1)))
+
+
+def block_row(ground, k, q):
+    """The exactness row of one block (ground d or a pattern mu) from
+    eliminations: each rank by matrix_rank, each kernel by kernel_basis,
+    and the harmonic dimension as the kernel of lower stacked on raise_."""
+    maps = [operator_matrix("lower", ground, k, q), operator_matrix("raise", ground, k, q)]
+    (rank_lower, ker_lower), (rank_raise, ker_raise) = (
+        (matrix_rank(m.columns()), len(kernel_basis(m.columns()))) for m in maps
+    )
+    dim = block_dim(ground, k, q)
+    harmonic = dim - matrix_rank([row for m in maps for row in m.transpose().columns()])
+    return ExactnessRow(k, q, dim, rank_lower, ker_lower, rank_raise, ker_raise, harmonic)
 
 
 def hermite_matches(which, d, k, q):
@@ -152,7 +161,7 @@ def decomposition_case(d, n, k):
     q = n - k
     dim, dim_plus, dim_minus, direct = rep_theory.decomposition_dims(d, k, q)
     block = block_dim(d, k, q)
-    ker_lower = block - operator_matrix("lower", d, k, q).rank()
+    ker_lower = block - matrix_rank(operator_matrix("lower", d, k, q).columns())
     details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
     ok = direct and dim == block and dim_plus == ker_lower
     return ("pass" if ok else "fail"), details
@@ -311,6 +320,31 @@ def family_holds(n, j):
             rhs = rhs + permute(e, Permutation.transposition(n, m, j + 1))
         ok = ok and embed(raise_(s)) == rhs
     return ok
+
+
+def rep_split_dims(n, k):
+    """The dimensions of the two pieces of the distinct label's orbit by
+    elimination in position-set coordinates: the ranks of T - c(k, q) and
+    T - c(k+1, q-1) over the C(n, k) sets, T from _set_transposition_sum."""
+    q = n - k
+    sets = list(combinations(range(1, n + 1), k))
+    t_of = {s: rep_theory._set_transposition_sum(n, {s: 1}) for s in sets}
+    return tuple(
+        matrix_rank([lincomb(((1, t_of[s]), (-c, {s: 1}))) for s in sets])
+        for c in (_hook_content(k, q), _hook_content(k + 1, q - 1))
+    )
+
+
+def repeated_orbit(n, k):
+    """The copies of embed(e_(1^k; 1..q)) at the k-sets S, over k!, in
+    coordinates keyed by the (k+1)-set of slots holding 1: the sum over the
+    slots r outside S of (-1)^#{slots outside S before r} [S + {r}], or [S]
+    at q = 0."""
+    columns = []
+    for s in combinations(range(1, n + 1), k):
+        rest = (r for r in range(1, n + 1) if r not in s)
+        columns.append({tuple(sorted(s + (r,))): (-1) ** i for i, r in enumerate(rest)} or {s: 1})
+    return columns
 
 
 def witnesses(b, d):

@@ -39,6 +39,7 @@ from hodgefock import (
     weitzenboeck_defect,
 )
 from hodgefock.chaos import Poly
+from hodgefock.linalg import matrix_rank
 from hodgefock.rep_theory import action_trace
 
 from oracles import alt_subset, sym_subset, symmetric_group, witnesses
@@ -120,7 +121,7 @@ def test_criterion_4_decomposition_by_intersection(capsys):
                 block = embedded_subspace(d, k, q)
                 up = intersect(block, span_all_positions(d, k + 1, q - 1))
                 down = intersect(block, span_all_positions(d, k - 1, q + 1))
-                ker_lower = dim - operator_matrix("lower", d, k, q).rank()
+                ker_lower = dim - matrix_rank(operator_matrix("lower", d, k, q).columns())
                 checks = [
                     up.dim + down.dim == dim,
                     intersect(up, down).dim == 0,

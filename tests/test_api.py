@@ -81,6 +81,15 @@ ALLOWED = {
     "rep_theory.Subspace.contains": "action_trace, and the tests' witness oracle",
     "linalg.EchelonBasis.contains": "Subspace.contains",
     "linalg.EchelonBasis.rows": "Subspace.basis and intersect",
+    "linalg.EchelonBasis.__init__": "Subspace, matrix_rank and kernel_basis",
+    "linalg.EchelonBasis.dim": "Subspace.dim and matrix_rank",
+    "linalg.EchelonBasis.insert": "Subspace.add and intersect",
+    "linalg.EchelonBasis._reduce": "EchelonBasis.insert, .contains and .coordinates",
+    "linalg._integer_row": "EchelonBasis._reduce",
+    "linalg._cancel": "EchelonBasis._reduce and .insert",
+    "linalg._primitive": "EchelonBasis.insert",
+    "linalg.kernel_basis": "intersect",
+    "linalg.matrix_rank": TRACER,
     "linalg.SparseVector.__neg__": EDGE,
     "tensor_core.FullTensor.__init__": EDGE,
     "tensor_core.FullTensor.zero": EDGE,

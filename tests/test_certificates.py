@@ -49,8 +49,7 @@ from hodgefock import (
 from hodgefock.chaos import FormField, HermiteExpansion
 from hodgefock.cli import VerifyConfig, run_verify
 from hodgefock.fock_ops import Permutation, _wedge_insert, gram_matrix, operator_matrix
-from hodgefock.fock_ops import operator_rank
-from hodgefock.hodge import hodge_split
+from hodgefock.hodge import ExactnessRow, hodge_split, operator_rank
 from hodgefock.linalg import lincomb, matrix_rank
 from hodgefock.tensor_core import perm_sign, weight_patterns
 
@@ -207,12 +206,14 @@ def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
 
 
 def test_swapped_split_matrices_fail_past_the_sum(monkeypatch):
-    # (B, A) still sums to n I, so the next identity is the one that fails.
+    # (B, A) still sums to n I, and the certificate's products and the
+    # adjointness read the operator matrices: hodge_split is the identity
+    # that fails.
     real = hodge.split_matrices
     monkeypatch.setattr(hodge, "split_matrices", lambda d, k, q: real(d, k, q)[::-1])
     status, details = hodge._case_split(3, 3, 1, 0)
     assert status == "fail"
-    assert details["failed"] == "lower(plus) = 0"
+    assert details["failed"] == "hodge_split"
     assert details["label"] in [b.render() for b in enum_basis(3, 1, 2)]
 
 
@@ -421,6 +422,24 @@ def test_chaos_certificate_fails_without_each_ingredient(stand_in, monkeypatch):
         assert details["diagram"] and details["dual_diagram"] and details["adjoint"]
 
 
+# The homotopy certificate (hodge module docstring), on each pattern block
+# of every n <= 8: its trace ranks, kernels and harmonic dimension against
+# the eliminations they replaced.
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_ranks_equal_the_eliminations(n):
+    for mu, _ in weight_patterns(n, n):
+        for k in range(n + 1):
+            q, dim = n - k, block_dim(mu, k, n - k)
+            checks, _ = hodge._certificate(mu, k, q)
+            assert all(label is None for _, label in checks), (mu, k)
+            rank_lower, rank_raise = (operator_rank(w, mu, k, q) for w in ("lower", "raise"))
+            kernels = (dim - rank_lower, dim - rank_raise)
+            row = ExactnessRow(k, q, dim, rank_lower, kernels[0], rank_raise, kernels[1], 0)
+            assert row == oracles.block_row(mu, k, q), (mu, k)
+
+
 # The decomposition certificate (rep_theory module docstring), on each
 # pattern block of every n <= 6: 164 blocks.
 
@@ -518,12 +537,13 @@ def _lower_rank_one_short(which, *sig, real=operator_rank):
 
 
 # (patch, k) on d = n = 3.  At k = 1 (q = 2): Z+ = (T - c(2, 1)) (T - c(3, 0)),
-# the lower witness at j = 2 is e - (2 3) e, and lower from H_{2,1} has
-# rank 1 on the block of (2, 1), where the Kostka numbers are (1, 1, 0).
+# the lower witness at j = 2 is e - (2 3) e, and lower on H_{1,2}, whose
+# rank is dim_minus, has rank 0 on the block of (2, 1) and rank 1 on that
+# of (1, 1, 1), where the Kostka numbers are (3, 2, 1).
 # At k = 2 (q = 1) the family of j = 3 is the trivial module, so the
 # second root c(4, -1) of Z+ kills nothing: set to the root c(2, 1) of Z-,
 # only the coprimality check of step 2 sees it.  The ranks come from
-# fock_ops, so a doubled rep_theory.lower shows only in the sorted-key
+# hodge, so a doubled rep_theory.lower shows only in the sorted-key
 # reading of the lower witness.  At k = 2 the family of j = 1 is read too:
 # its witnesses are read on the slot sets {1} and {3}, so a coordinate on
 # {2} fails only the adjacent transpositions.
@@ -574,7 +594,7 @@ def test_decomposition_certificate_fails_without_each_step(stand_in, monkeypatch
     expected = ("fail", "bad") if stand_in in REP_READS_TOO else ("pass", "ok")
     assert (rep_status, rep_details["witnesses"]) == expected
     if stand_in == "rank one short":
-        assert (details["pattern"], details["expected"]) == ([2, 1], [1, 1, 0])
+        assert (details["pattern"], details["expected"]) == ([1, 1, 1], [3, 2, 1])
     else:
         assert "pattern" not in details
 
@@ -792,9 +812,46 @@ def test_rep_case_fails_with_each_stand_in(stand_in, n, monkeypatch):
             assert rep_theory._case_rep(n, n, k, 0)[0] == "fail", k
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rep_split_dims_equal_the_eliminations(n):
+    # The rep case solves its split from T's trace on the orbit; the ranks
+    # of T minus each hook content over the orbit's sets are the
+    # elimination that it replaced.
+    for k in range(n + 1):
+        dims = list(oracles.rep_split_dims(n, k))
+        for d in range(n, 8):
+            status, details = rep_theory._case_rep(d, n, k, 0)
+            assert status == "pass" and details["split_dims"] == dims, (d, k)
+
+
+def _set_sum_with_diagonal_off_at(s0, real=rep_theory._set_transposition_sum):
+    """T with one more unit on its diagonal at the slot set s0."""
+
+    def stand_in(n, vec, pairs=None):
+        out = real(n, vec, pairs)
+        return out if pairs is not None else lincomb(((1, out), (vec.get(s0, 0), {s0: 1})))
+
+    return stand_in
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_rep_split_reads_the_diagonal_of_t(k, monkeypatch):
+    # With _family_holds cached from a passing run, only the trace sees a
+    # diagonal entry off by one at the set 1..k, which the case reads.  At
+    # n = 5 no class representative is compared either.
+    n = 5
+    status, details = rep_theory._case_rep(n, n, k, 0)
+    assert status == "pass" and details["split_dims"] == details["expected"][1:]
+    s0 = tuple(range(1, k + 1))
+    monkeypatch.setattr(rep_theory, "_set_transposition_sum", _set_sum_with_diagonal_off_at(s0))
+    status, details = rep_theory._case_rep(n, n, k, 0)
+    assert status == "fail" and details["witnesses"] == "ok"
+    assert details["split_dims"] != details["expected"][1:]
+
+
 def _written_out(column, n):
-    """A column of _repeated_orbit as a full tensor over R^n: on each key,
-    1 in its slots and 2, 3, ... alternating in the others."""
+    """A column of oracles.repeated_orbit as a full tensor over R^n: on
+    each key, 1 in its slots and 2, 3, ... alternating in the others."""
     out = {}
     for ones, c in column.items():
         rest = [r for r in range(1, n + 1) if r not in ones]
@@ -814,7 +871,7 @@ def test_repeated_orbit_is_the_orbit_of_the_repeated_label(n):
     # n <= 6; at n = 7 only the ranks, as the n!-key copies cost seconds.
     for k in range(1, n + 1):
         b = rep_theory._repeated_label(n, k)
-        columns = rep_theory._repeated_orbit(n, k)
+        columns = oracles.repeated_orbit(n, k)
         sets = list(combinations(range(1, n + 1), k))
         assert len(columns) == len(sets) == comb(n, k)
         if n <= 6:
@@ -826,54 +883,88 @@ def test_repeated_orbit_is_the_orbit_of_the_repeated_label(n):
         assert rank == rep_theory.orbit_span(b, n).dim == rep_theory._degenerate_orbit_dim(b, n)
 
 
-def _unsigned_columns(n, k, real=rep_theory._repeated_orbit):
-    return [{key: 1 for key in column} for column in real(n, k)]
+@pytest.mark.parametrize("n", range(2, 9))
+def test_raise_on_the_block_of_ones_is_the_repeated_orbit(n):
+    # A label of the block of 1^n, keyed by the complement of its
+    # alternating set, is a set of slots; so keyed, raise_ there is the
+    # repeated label's orbit, and the rep case reads its rank as a trace.
+    ones, slots = (1,) * n, range(1, n + 1)
+
+    def key(label):
+        return tuple(i for i in slots if i not in label.alt)
+
+    for k in range(1, n + 1):
+        q = n - k
+        columns = oracles.repeated_orbit(n, k)
+        if q == 0:
+            assert matrix_rank(columns) == 1
+            continue
+        rows = enum_basis(ones, k + 1, q - 1)
+        m = operator_matrix("raise", ones, k, q)
+        by_set = {
+            key(label): {key(rows[r]): v for r, v in column.items()}
+            for label, column in zip(enum_basis(ones, k, q), m.columns())
+        }
+        assert by_set == dict(zip(combinations(slots, k), columns)), k
+        assert operator_rank("raise", ones, k, q) == matrix_rank(columns), k
 
 
-def _columns_keyed_by_s(n, k):
-    return [{s: 1} for s in combinations(range(1, n + 1), k)]
+def _raise_sign_flipped_on(sig, real=hodge.operator_matrix):
+    """operator_matrix with the sign of one entry flipped in raise_ on the
+    block sig."""
+
+    def stand_in(which, *block):
+        m = real(which, *block)
+        if (which, block) != ("raise", sig):
+            return m
+        key = min(m.coeffs)
+        return type(m)._trusted(m.shape(), {**m.coeffs, key: -m.coeffs[key]})
+
+    return stand_in
 
 
-def _one_column_short(n, k, real=rep_theory._repeated_orbit):
-    return real(n, k)[1:]
+def _minus_dropped(t, real=hodge.hodge_split):
+    plus, minus = real(t)
+    return plus, minus.scale(0)
 
 
-# {(d, n, k): stand-in}: the signs of a column differ only at q >= 2, the
-# (k+1)-set keys from the k-sets at q = 1 (where all copies share one
-# key), and at q = 0 the orbit is one column.
+# {(d, n, k): stand-in}: raise_ on the block of 1^n at (k, q) with one sign
+# flipped fails that block's certificate, so it has no trace rank.  At
+# q = 0 the orbit is one copy, and a hodge_split without its minus piece
+# predicts 0.
 DEGENERATE_STAND_INS = {
-    (3, 3, 1): _unsigned_columns,
-    (3, 3, 2): _columns_keyed_by_s,
-    (4, 4, 3): _columns_keyed_by_s,
-    (2, 2, 2): _one_column_short,
+    (3, 3, 1): (hodge, "operator_matrix", _raise_sign_flipped_on(((1, 1, 1), 1, 2))),
+    (3, 3, 2): (hodge, "operator_matrix", _raise_sign_flipped_on(((1, 1, 1), 2, 1))),
+    (4, 4, 3): (hodge, "operator_matrix", _raise_sign_flipped_on(((1, 1, 1, 1), 3, 1))),
+    (2, 2, 2): (rep_theory, "hodge_split", _minus_dropped),
 }
 
 
 @pytest.mark.parametrize("d, n, k", DEGENERATE_STAND_INS)
 def test_rep_case_checks_the_degenerate_orbit(d, n, k, monkeypatch):
     # The rank of the repeated label's orbit is C(n-1,q-1) [plus != 0] +
-    # C(n-1,q) [minus != 0]; a wrong orbit fails the case and reports the
-    # predicted dimension.
-    stand_in = DEGENERATE_STAND_INS[d, n, k]
+    # C(n-1,q) [minus != 0]; a wrong orbit, or a wrong prediction, fails
+    # the case and reports the predicted dimension.
     status, details = rep_theory._case_rep(d, n, k, 0)
     assert status == "pass" and "expected" not in details["degenerate"]
     true_dim = details["degenerate"]["orbit_dim"]
     assert true_dim == rep_theory._degenerate_orbit_dim(rep_theory._repeated_label(n, k), d) > 0
-    wrong_dim = matrix_rank(stand_in(n, k))
-    assert wrong_dim != true_dim
-    monkeypatch.setattr(rep_theory, "_repeated_orbit", stand_in)
+    monkeypatch.setattr(*DEGENERATE_STAND_INS[d, n, k])
+    clear_caches()
     status, details = rep_theory._case_rep(d, n, k, 0)
-    assert status == "fail"
-    assert details["degenerate"]["orbit_dim"] == wrong_dim
-    assert details["degenerate"]["expected"] == true_dim
+    degenerate = details["degenerate"]
+    assert status == "fail" and degenerate["orbit_dim"] != degenerate["expected"]
+    if k < n:
+        assert (degenerate["orbit_dim"], degenerate["expected"]) == (None, true_dim)
 
 
 def test_block_products_are_built_once_per_block(monkeypatch, capsys):
     # The weitzenboeck and chaos cases of a block share one
-    # weitzenboeck_defect, so one _sum_residual, and its split cases one
-    # _split_failures: these two cached readers ask for the block's split
-    # matrices once each.  Its split and chaos cases share one adjoint
-    # residual, which calls gram_matrix twice.
+    # weitzenboeck_defect, so one _sum_residual, its split cases one
+    # _split_failures, and every Fock-side case one _certificate: these
+    # three cached readers ask for the block's split matrices once each.
+    # Its split and chaos cases share one adjoint residual, which calls
+    # gram_matrix twice.
     splits, grams = [], []
     real_split, real_gram = hodge.split_matrices, fock_ops.gram_matrix
     monkeypatch.setattr(hodge, "split_matrices", lambda *sig: splits.append(sig) or real_split(*sig))
@@ -882,6 +973,6 @@ def test_block_products_are_built_once_per_block(monkeypatch, capsys):
     assert cli.main(["verify", "all", "--max-dim", "3", "--max-n", "3", "--format", "json"]) == 0
     capsys.readouterr()
     residual_cache = fock_ops._adjoint_residual.cache_info()
-    assert splits and all(splits.count(sig) == 2 for sig in splits)
+    assert splits and all(splits.count(sig) == 3 for sig in splits)
     assert len(grams) == 2 * residual_cache.currsize
     assert hodge._sum_residual.cache_info().hits > 0 and residual_cache.hits > 0

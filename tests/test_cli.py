@@ -15,10 +15,12 @@ import hodgefock.chaos as chaos
 import hodgefock.cli as cli
 import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
+import hodgefock.linalg as linalg
 import hodgefock.rep_theory as rep_theory
 from hodgefock import ConfigError, block_dim, exactness_report
 from hodgefock.cli import VerifyConfig, main, parse_report, render_report, run_verify
-from hodgefock.tensor_core import weight_patterns
+from hodgefock.linalg import matrix_rank
+from hodgefock.tensor_core import enum_basis, weight_patterns
 
 from conftest import clear_caches
 
@@ -104,15 +106,33 @@ def test_exactness_report_is_built_once_per_grid_point(monkeypatch):
     assert sorted(calls) == [(d, n) for d in (1, 2) for n in (1, 2, 3)]
 
 
-def test_rank_nullity_check_can_fail(fresh_caches, monkeypatch):
-    # Kernels come from their own elimination, so a kernel that loses a
-    # vector breaks rank + kernel = dim and fails the case.
-    real = hodge.kernel_basis
-    monkeypatch.setattr(hodge, "kernel_basis", lambda cols: real(cols)[:-1])
+def _lower_rows_swapped(which, *block, real=hodge.operator_matrix):
+    """operator_matrix with rows 0 and 1 swapped in lower on the block
+    ((1, 1, 1), 2, 1): every elimination rank and kernel stays the same."""
+    m = real(which, *block)
+    if (which, block) != ("lower", ((1, 1, 1), 2, 1)):
+        return m
+    swap = {0: 1, 1: 0}
+    entries = {(swap.get(r, r), c): v for (r, c), v in m.coeffs.items()}
+    return type(m)._trusted(m.shape(), entries)
+
+
+def test_exactness_case_fails_on_a_rank_preserving_broken_lower(fresh_caches, monkeypatch):
+    # Equal dimensions prove exactness only with lower lower = 0, which
+    # elimination ranks never see.  The certificate of every block of the
+    # complex is read first, so the case fails and names the identity and
+    # the label, in each of its k.
+    real = hodge.operator_matrix("lower", (1, 1, 1), 2, 1)
+    broken = _lower_rows_swapped("lower", (1, 1, 1), 2, 1)
+    assert broken != real and matrix_rank(broken.columns()) == matrix_rank(real.columns())
+    monkeypatch.setattr(hodge, "operator_matrix", _lower_rows_swapped)
     clear_caches()
-    assert not all(row.rank_nullity_ok() for row in exactness_report(2, 2).rows)
-    status, _ = hodge._case_exactness(2, 2, 1, 0)
-    assert status == "fail"
+    identities = {name for name, _ in hodge._certificate((1, 1, 1), 1, 2)[0]}
+    labels = {b.render() for k in range(4) for b in enum_basis(3, k, 3 - k)}
+    for k in range(4):
+        status, details = hodge._case_exactness(3, 3, k, 0)
+        assert status == "fail" and set(details) == {"dim", "failed", "label"}
+        assert details["failed"] in identities and details["label"] in labels
 
 
 def test_config_validation():
@@ -761,10 +781,14 @@ def test_main_empty_out_exits_two_before_any_case(monkeypatch, capsys):
 # Listed in the benchmark's LAYERS but not called by any verify suite.
 # intersect is the decomposition's old route; orbit_span, orbit_split_spaces
 # and action_trace the rep suite's, with embed and permute, which wrote
-# their full tensors.  The tests keep them as oracles.
+# their full tensors; the linalg eliminations gave every Fock rank before
+# the certificates' traces.  The tests keep them as oracles.
 OFF_THE_VERIFY_PATH = {
     "fock_ops.permute",
     "hodge.random_tensor",
+    "linalg.EchelonBasis.insert",
+    "linalg.kernel_basis",
+    "linalg.matrix_rank",
     "rep_theory.action_trace",
     "rep_theory.embedded_subspace",
     "rep_theory.intersect",
@@ -832,10 +856,11 @@ def test_every_traced_layer_resolves_and_runs_on_the_verify_path(monkeypatch, ca
 
 
 # Every route that writes a key of the tensor power or eliminates there;
-# rep_theory binds them all.
+# rep_theory binds them all.  Then every elimination: linalg binds them.
 TENSOR_POWER = (
     "embed", "permute", "_position_span", "orbit_span", "orbit_split_spaces", "action_trace",
 )
+ELIMINATION = ("kernel_basis", "matrix_rank")
 GUARDED_RUNS = {
     "all-5-6": (VerifyConfig(suite="all", max_dim=5, max_n=6), 840),
     "decomposition-9-9": (VerifyConfig(suite="decomposition", max_dim=9, max_n=9), 486),
@@ -845,25 +870,28 @@ GUARDED_RUNS = {
 
 @pytest.mark.parametrize("run", GUARDED_RUNS)
 def test_verify_builds_no_vector_or_span_in_the_tensor_power(run, monkeypatch):
-    # rep and decomposition read S_n in position-set coordinates and Fock
-    # ranks only: with every tensor-power route refused in every hodgefock
-    # namespace that binds it, and no Subspace built (intersect and the
-    # position families build one), a serial run still passes with every
-    # cache emptied first.  The n = 9 grids keep the n!-key routes out:
-    # they would take seconds here.
+    # rep and decomposition read S_n in position-set coordinates, and
+    # every Fock rank is a trace of a block's certificate: with every
+    # tensor-power route and every elimination refused in every hodgefock
+    # namespace that binds it, EchelonBasis.insert refused, and no Subspace
+    # built (intersect and the position families build one), a serial run
+    # still passes with every cache emptied first.  The n = 9 grids keep
+    # the n!-key routes out: they would take seconds here.
     clear_caches()
 
     def refused(*args, **kwargs):
-        raise AssertionError("a vector or span of the tensor power")
+        raise AssertionError("a vector or span of the tensor power, or an elimination")
 
     modules = [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
-    for name in TENSOR_POWER:
-        real = vars(rep_theory)[name]
+    routes = [vars(rep_theory)[name] for name in TENSOR_POWER]
+    routes += [vars(linalg)[name] for name in ELIMINATION]
+    for real in routes:
         for mod in modules:
             for attr, value in list(vars(mod).items()):
                 if value is real:
                     monkeypatch.setattr(mod, attr, refused)
     monkeypatch.setattr(rep_theory.Subspace, "__init__", refused)
+    monkeypatch.setattr(linalg.EchelonBasis, "insert", refused)
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
     cfg, cases = GUARDED_RUNS[run]
     report = run_verify(cfg)

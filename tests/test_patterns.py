@@ -17,7 +17,7 @@ import hodgefock.chaos as chaos
 import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
 from hodgefock.cli import VerifyConfig, run_verify
-from hodgefock.fock_ops import operator_matrix, operator_rank
+from hodgefock.fock_ops import operator_matrix
 from hodgefock.hodge import exactness_report, split_matrices, weitzenboeck_defect
 from hodgefock.tensor_core import weight_patterns
 
@@ -81,7 +81,7 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
     # block H_{k,q} over R^d is built.
     cached = {
         "operator_matrix": (operator_matrix, 1),
-        "operator_rank": (operator_rank, 1),
+        "_certificate": (hodge._certificate, 0),
         "split_matrices": (split_matrices, 0),
         "_sum_residual": (hodge._sum_residual, 0),
         "_adjoint_residual": (fock_ops._adjoint_residual, 0),
