@@ -605,7 +605,7 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
             and iso_below
             and ladder_delta
             and matches("raise", k - 1, q + 1)
-            and all(_adjoint_residual(mu, k, q).is_zero() for mu, _ in patterns)
+            and all(_adjoint_residual(mu, k, q) is None for mu, _ in patterns)
         )
         details["adjoint"] = adj
         ok = ok and adj

@@ -9,6 +9,8 @@ maps square to zero and satisfy the degree-n commutation identity
 Also here: the slot action of permutations on full tensors, and exact
 integer matrices of the operators on a whole block or on the weight
 block of a pattern (tensor_core), whose ranks hodge reads as traces.
+operator_matrix is the one cache that holds matrices; the adjointness
+check of a block (_adjoint_residual) keeps only its first failing label.
 """
 
 from __future__ import annotations
@@ -237,15 +239,22 @@ def gram_matrix(ground, k: int, q: int) -> LinearMap:
     return LinearMap._trusted(((ground, k, q), (ground, k, q)), ent)
 
 
+def _first_label(m: LinearMap):
+    """The domain label of the first nonzero column of m, or None if m = 0."""
+    return enum_basis(*m.dom_sig)[min(c for _, c in m.coeffs)] if m.coeffs else None
+
+
 @lru_cache(maxsize=None)
-def _adjoint_residual(ground, k: int, q: int) -> LinearMap:
-    """G' L - (G R')^T, with L = lower on H_{k,q}, R' = raise_ on
-    H_{k-1,q+1} and G, G' their gram matrices: zero iff
-    inner(lower(u), w) = inner(u, raise_(w)) for all u and w.
+def _adjoint_residual(ground, k: int, q: int):
+    """The first label of H_{k,q} where G' L - (G R')^T has a nonzero column,
+    or None, with L = lower on H_{k,q}, R' = raise_ on H_{k-1,q+1} and G, G'
+    their gram matrices: None iff inner(lower(u), w) = inner(u, raise_(w))
+    for all u and w.
 
     Computed once per argument tuple and process: the split and chaos
     cases of a block both ask for it.
     """
-    return gram_matrix(ground, k - 1, q + 1) @ operator_matrix("lower", ground, k, q) - (
-        gram_matrix(ground, k, q) @ operator_matrix("raise", ground, k - 1, q + 1)
-    ).transpose()
+    return _first_label(
+        gram_matrix(ground, k - 1, q + 1) @ operator_matrix("lower", ground, k, q)
+        - (gram_matrix(ground, k, q) @ operator_matrix("raise", ground, k - 1, q + 1)).transpose()
+    )

@@ -95,6 +95,7 @@ ALLOWED = {
     "tensor_core.FullTensor.zero": EDGE,
     "hodge.random_tensor": TRACER,
     "hodge.ExactnessReport.is_exact": "users of exactness_report: the whole complex at once",
+    "hodge.ExactnessRow.rank_nullity_ok": "users of exactness_report, and the tests' elimination oracle",
     "cli._process_pool": "pooled runs, HODGEFOCK_WORKERS > 1",
     "cli.parse_report": "benchmarks/test_bench.py and the tests read reports back",
     "cli.run_verify": "the tests collect a run's cases in a list, over main's iterator",

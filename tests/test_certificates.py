@@ -2,16 +2,16 @@
 decomposition's central-element certificate, and the group checks of
 the rep suite.
 
-The split is proved by integer identities of the matrices of
-split_matrices.  The chaos suite is proved in Hermite coordinates: the
-dictionary on one field per block, the shift matrices of hermite_matrix
-against operator_matrix, one-variable ladder and moment tables, and the
-Fock adjointness.  The decomposition is proved per pattern block by the
-transposition sum, witness identities and Fock ranks.  The rep suite
-reads the orbit in position-set coordinates, S_n through its adjacent
-transpositions and one permutation per cycle type.  The slow checks
-they replaced stay here as oracles, and a stand-in for each ingredient
-shows that the case fails without it.
+The split is proved by integer identities of the operator matrices in
+each pattern block's certificate.  The chaos suite is proved in Hermite
+coordinates: the dictionary on one field per block, the shift matrices
+of hermite_matrix against operator_matrix, one-variable ladder and
+moment tables, and the Fock adjointness.  The decomposition is proved
+per pattern block by the transposition sum, witness identities and Fock
+ranks.  The rep suite reads the orbit in position-set coordinates, S_n
+through its adjacent transpositions and one permutation per cycle type.
+The slow checks they replaced stay here as oracles, and a stand-in for
+each ingredient shows that the case fails without it.
 """
 
 import inspect
@@ -48,7 +48,7 @@ from hodgefock import (
 )
 from hodgefock.chaos import FormField, HermiteExpansion
 from hodgefock.cli import VerifyConfig, run_verify
-from hodgefock.fock_ops import Permutation, _wedge_insert, gram_matrix, operator_matrix
+from hodgefock.fock_ops import LinearMap, Permutation, _wedge_insert, gram_matrix, operator_matrix
 from hodgefock.hodge import ExactnessRow, hodge_split, operator_rank
 from hodgefock.linalg import lincomb, matrix_rank
 from hodgefock.tensor_core import perm_sign, weight_patterns
@@ -165,34 +165,36 @@ def _bumped(m, key=(0, 0)):
     return type(m)._trusted(m.shape(), entries)
 
 
-def _perturbed_a(d, k, q, real):
-    """A with its entry in row 0 and the last column raised by 1, on a
-    non-empty block; an empty block is left as it is."""
-    a, b = real(d, k, q)
-    size = block_dim(d, k, q)
-    return (_bumped(a, (0, size - 1)) if size else a), b
+def _perturbed_raise(which, ground, k, q, real=operator_matrix):
+    """operator_matrix with the raise_ entry in row 0 and the last column
+    raised by 1, where both blocks are non-empty: A = L R gains column 0
+    of L in its last column, and B is left as it is."""
+    m, size = real(which, ground, k, q), block_dim(ground, k, q)
+    if which == "raise" and size and block_dim(ground, k + 1, q - 1):
+        return _bumped(m, (0, size - 1))
+    return m
 
 
 def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
-    # One entry of A, in column 2, changed through the shared helper on
-    # every block that has a column 2: both the split and the weitzenboeck
-    # case fail, and the split case names the first identity and the label
-    # of the broken column.  On d = n = 3, k = 1 only the weight block of
-    # the pattern 1^3 has three labels, so the label is its third one,
+    # One entry of raise_, in column 2, changed in hodge's operator
+    # matrices on every block that has a column 2, so A = L R changes in
+    # that column: both the split and the weitzenboeck case fail, and the
+    # split case names the first identity and the label of the broken
+    # column.  On d = n = 3, k = 1 only the weight block of the pattern
+    # 1^3 has three labels, so the label is its third one,
     # e_3 tensor e_1 ^ e_2, a label over R^3 as well.
     d, n, k = 3, 3, 1
     labels = enum_basis((1, 1, 1), k, n - k)
     assert [b.render() for b in labels] == ["(1;2,3)", "(2;1,3)", "(3;1,2)"]
     assert hodge._case_split(d, n, k, 0) == ("pass", {"dim": len(enum_basis(d, k, n - k))})
     assert hodge._case_weitzenboeck(d, n, k, 0)[0] == "pass"
-    real = hodge.split_matrices
 
-    def stand_in(ground, k, q):
+    def stand_in(which, ground, k, q):
         if block_dim(ground, k, q) > 2:
-            return _perturbed_a(ground, k, q, real)
-        return real(ground, k, q)
+            return _perturbed_raise(which, ground, k, q)
+        return operator_matrix(which, ground, k, q)
 
-    monkeypatch.setattr(hodge, "split_matrices", stand_in)
+    monkeypatch.setattr(hodge, "operator_matrix", stand_in)
     clear_caches()
     status, details = hodge._case_split(d, n, k, 0)
     assert status == "fail"
@@ -205,12 +207,22 @@ def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
     assert status == "fail" and details["defect"] == "1"
 
 
-def test_swapped_split_matrices_fail_past_the_sum(monkeypatch):
-    # (B, A) still sums to n I, and the certificate's products and the
-    # adjointness read the operator matrices: hodge_split is the identity
-    # that fails.
-    real = hodge.split_matrices
-    monkeypatch.setattr(hodge, "split_matrices", lambda d, k, q: real(d, k, q)[::-1])
+def _first_label_negated(which, ground, k, q, real=operator_matrix):
+    """operator_matrix in the basis with the first label of every block
+    negated: D M D, D = diag(-1, 1, ..., 1) on each side."""
+    m = real(which, ground, k, q)
+    entries = {(r, c): v if (r == 0) == (c == 0) else -v for (r, c), v in m.coeffs.items()}
+    return type(m)._trusted(m.shape(), entries)
+
+
+def test_relabelled_operator_matrices_fail_past_the_certificate(monkeypatch):
+    # The matrices of lower and raise_ in another basis still satisfy every
+    # identity of the certificate, and the adjointness reads fock_ops' own
+    # matrices: hodge_split, which applies the operators themselves, is the
+    # identity that fails, at a label of the block.
+    assert hodge._case_split(3, 3, 1, 0)[0] == "pass"
+    monkeypatch.setattr(hodge, "operator_matrix", _first_label_negated)
+    clear_caches()
     status, details = hodge._case_split(3, 3, 1, 0)
     assert status == "fail"
     assert details["failed"] == "hodge_split"
@@ -394,14 +406,9 @@ CERTIFICATE_STAND_INS = {
         ),
         None,
     ),
-    "A + B != n I": (
-        lambda mp: mp.setattr(
-            hodge,
-            "split_matrices",
-            lambda d, k, q, real=hodge.split_matrices: _perturbed_a(d, k, q, real),
-        ),
-        None,
-    ),
+    # Only hodge's operator matrices: the certificate's A + B fails, and the
+    # chaos suite's own matrices still match.
+    "A + B != n I": (lambda mp: mp.setattr(hodge, "operator_matrix", _perturbed_raise), None),
 }
 
 
@@ -432,8 +439,8 @@ def test_trace_ranks_equal_the_eliminations(n):
     for mu, _ in weight_patterns(n, n):
         for k in range(n + 1):
             q, dim = n - k, block_dim(mu, k, n - k)
-            checks, _ = hodge._certificate(mu, k, q)
-            assert all(label is None for _, label in checks), (mu, k)
+            checks, _, defect = hodge._certificate(mu, k, q)
+            assert all(label is None for _, label in checks) and defect == 0, (mu, k)
             rank_lower, rank_raise = (operator_rank(w, mu, k, q) for w in ("lower", "raise"))
             kernels = (dim - rank_lower, dim - rank_raise)
             row = ExactnessRow(k, q, dim, rank_lower, kernels[0], rank_raise, kernels[1], 0)
@@ -959,20 +966,19 @@ def test_rep_case_checks_the_degenerate_orbit(d, n, k, monkeypatch):
 
 
 def test_block_products_are_built_once_per_block(monkeypatch, capsys):
-    # The weitzenboeck and chaos cases of a block share one
-    # weitzenboeck_defect, so one _sum_residual, its split cases one
-    # _split_failures, and every Fock-side case one _certificate: these
-    # three cached readers ask for the block's split matrices once each.
-    # Its split and chaos cases share one adjoint residual, which calls
-    # gram_matrix twice.
-    splits, grams = [], []
-    real_split, real_gram = hodge.split_matrices, fock_ops.gram_matrix
-    monkeypatch.setattr(hodge, "split_matrices", lambda *sig: splits.append(sig) or real_split(*sig))
+    # Every matrix product of a serial run is built inside a block's one
+    # record: its certificate builds A, B, L L and R R, and its adjoint
+    # residual G' L and G R'.  The weitzenboeck, split, exactness, chaos,
+    # decomposition and rep cases of a block share one certificate, and
+    # its split and chaos cases one adjoint residual.
+    products, grams = [], []
+    real_product, real_gram = LinearMap.__matmul__, fock_ops.gram_matrix
+    monkeypatch.setattr(LinearMap, "__matmul__", lambda m, o: products.append(m) or real_product(m, o))
     monkeypatch.setattr(fock_ops, "gram_matrix", lambda *sig: grams.append(sig) or real_gram(*sig))
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
     assert cli.main(["verify", "all", "--max-dim", "3", "--max-n", "3", "--format", "json"]) == 0
     capsys.readouterr()
-    residual_cache = fock_ops._adjoint_residual.cache_info()
-    assert splits and all(splits.count(sig) == 3 for sig in splits)
-    assert len(grams) == 2 * residual_cache.currsize
-    assert hodge._sum_residual.cache_info().hits > 0 and residual_cache.hits > 0
+    certificates, residuals = (f.cache_info() for f in (hodge._certificate, fock_ops._adjoint_residual))
+    assert len(products) == 4 * certificates.currsize + 2 * residuals.currsize
+    assert len(grams) == 2 * residuals.currsize
+    assert certificates.hits > 0 and residuals.hits > 0

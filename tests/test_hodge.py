@@ -40,6 +40,13 @@ def test_weitzenboeck_defect_on_empty_block_is_zero():
             assert weitzenboeck_defect(d, k, d + 1) == 0, (d, k)
 
 
+def test_weitzenboeck_defect_at_degree_zero_is_zero():
+    # H_{0,0} is one line and n = 0: the identity reads 0 = 0 there, and
+    # no block certificate covers it.
+    for d in (1, 2, 3):
+        assert weitzenboeck_defect(d, 0, 0) == 0, d
+
+
 @pytest.mark.parametrize("d, k, q", [(2, 1, -1), (2, 1, -2), (2, -1, 2)])
 def test_weitzenboeck_defect_refuses_negative_degrees(d, k, q):
     with pytest.raises(DegreeOutOfRange):

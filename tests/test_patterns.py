@@ -9,6 +9,7 @@ and the verify path is shown to build no whole-block Fock matrix, no
 whole-block chaos field and no monomial route of the defect.
 """
 
+import gc
 import sys
 
 import pytest
@@ -17,8 +18,8 @@ import hodgefock.chaos as chaos
 import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
 from hodgefock.cli import VerifyConfig, run_verify
-from hodgefock.fock_ops import operator_matrix
-from hodgefock.hodge import exactness_report, split_matrices, weitzenboeck_defect
+from hodgefock.fock_ops import LinearMap, operator_matrix
+from hodgefock.hodge import exactness_report, weitzenboeck_defect
 from hodgefock.tensor_core import weight_patterns
 
 import oracles
@@ -59,8 +60,9 @@ def test_cases_equal_the_whole_block_oracles(serial_fresh):
 
 
 def test_split_products_are_built_once_per_pattern_block(serial_fresh):
-    # split, weitzenboeck and chaos all read split_matrices; on the desk
-    # grid it is built once for each (mu, k, q) and never for a whole block.
+    # Every Fock-side suite reads the block's certificate, which builds
+    # the split products; on the desk grid it is built once for each
+    # (mu, k, q) and never for a whole block.
     report = run_verify(VerifyConfig(suite="all", max_dim=4, max_n=4))
     assert report.status == "pass"
     blocks = {
@@ -70,7 +72,7 @@ def test_split_products_are_built_once_per_pattern_block(serial_fresh):
         for k in range(n + 1)
         for mu, _ in weight_patterns(d, n)
     }
-    info = split_matrices.cache_info()
+    info = hodge._certificate.cache_info()
     assert info.misses == info.currsize == len(blocks) and info.hits > 0
 
 
@@ -82,8 +84,6 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
     cached = {
         "operator_matrix": (operator_matrix, 1),
         "_certificate": (hodge._certificate, 0),
-        "split_matrices": (split_matrices, 0),
-        "_sum_residual": (hodge._sum_residual, 0),
         "_adjoint_residual": (fock_ops._adjoint_residual, 0),
         "_split_failures": (hodge._split_failures, 0),
     }
@@ -106,6 +106,37 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
         assert asked[name] and info.misses == info.currsize == len(asked[name]), name
         grounds = {key[ground_at] for key in asked[name]}
         assert all(isinstance(ground, tuple) for ground in grounds), name
+
+
+def _linear_maps(value):
+    """The LinearMaps in value, looking through tuples, lists and dicts."""
+    if isinstance(value, LinearMap):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [m for item in value for m in _linear_maps(item)]
+    return []
+
+
+def test_no_cache_but_operator_matrix_holds_a_matrix(serial_fresh):
+    # A block's products are built inside its record and dropped: after a
+    # run, only operator_matrix holds matrices.  An lru_cache's store is
+    # among its gc referents.
+    assert run_verify(VerifyConfig(suite="all", max_dim=5, max_n=6)).status == "pass"
+    caches = {
+        fn
+        for mod in _hodgefock_modules()
+        for fn in vars(mod).values()
+        if callable(getattr(fn, "cache_info", None))
+    }
+    holding = {
+        fn.__qualname__
+        for fn in caches
+        for store in gc.get_referents(fn)
+        if isinstance(store, dict) and _linear_maps(store)
+    }
+    assert operator_matrix in caches and holding == {"operator_matrix"}
 
 
 def test_gaussian_model_builds_pattern_fields_and_no_monomial_defect(serial_fresh, monkeypatch):
