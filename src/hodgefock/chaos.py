@@ -38,11 +38,18 @@ integer matrices of lower and raise_ (operator_matrix), with no sampling.
 Relabelling the ground basis commutes with all of this, so the suite
 runs on one weight block per pattern mu, with forms on R^len(mu).  The
 chaos and chaos-truncation cases of `hodgefock verify` are here.
+
+The truncation square (commutation_defect) is a polynomial identity in
+h.  The chaos-truncation case proves it for every h, coefficient by
+coefficient: on each monomial h^c, both routes are Hermite coordinates
+built from the same shift _hermite_image and wedge sign _wedge_insert,
+and relabelling the coordinates other than 1 leaves one c per class.
+No case draws from the seed: exp_vector and commutation_defect, which
+build the defect of one given h, are kept for users.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -53,7 +60,7 @@ from .fock_ops import LinearMap, _adjoint_residual, _wedge_insert, operator_matr
 from .hodge import weitzenboeck_defect
 from .linalg import SparseVector, as_coeff, dot, lincomb
 from .tensor_core import FockTensor, MixedIndex, _gram_factor, block_dim, enum_basis, inner
-from .tensor_core import weight_patterns
+from .tensor_core import _partitions, weight_patterns
 
 
 def _render_monomial(exps: tuple[int, ...]) -> str:
@@ -467,10 +474,6 @@ def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField
     return FormField.from_hermite(d, len(x) + 1, out) / scale
 
 
-def _rng(seed: int, *tags) -> random.Random:
-    return random.Random(":".join([str(seed), *map(str, tags)]))
-
-
 @lru_cache(maxsize=None)
 def _hermite_table_holds(n: int) -> bool:
     """E[He_a He_b] = a! delta_ab for a, b <= n, one variable.
@@ -612,21 +615,75 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
     return ("pass" if ok else "fail"), details
 
 
+def _truncation_classes(d: int, n: int):
+    """One multi-index c over R^d per relabelling class, 1 <= |c| <= n + 1.
+
+    Relabelling coordinates 2..d fixes dx_1 and commutes with both routes
+    of the truncation square, so c = (c_1, nu), nu a partition of
+    |c| - c_1 into at most d - 1 parts, padded with zeros, stands for its
+    class.  Ordered by |c|, then c_1.
+    """
+    for size in range(1, n + 2):
+        for c1 in range(size + 1):
+            for nu in _partitions(size - c1, d - 1, size - c1):
+                yield (c1, *nu) + (0,) * (d - 1 - len(nu))
+
+
+def _truncation_routes(n: int, c: tuple[int, ...]) -> dict:
+    """n! times the coefficient of h^c in commutation_defect(h, (1,), n),
+    in Hermite coordinates, zeros dropped: route one minus route two.
+
+    The degree-|c| part of exp(h) puts h^c / c! on He_c.  Route one
+    differentiates He_c dx_1, for |c| <= n only, through the shift
+    _hermite_image("lower", ...); route two wedges h_i dx_i onto dx_1,
+    so h^c collects n! / (c - e_i)! He_{c - e_i} dx_i ^ dx_1 over i.
+    """
+    factor = factorial(n)
+    one = dict(_hermite_image("lower", (1,), c)) if sum(c) <= n else {}
+    two = {}
+    for i, a in enumerate(c, start=1):
+        ins = _wedge_insert(i, (1,)) if a else None
+        if ins is not None:
+            sign, new = ins
+            m = c[: i - 1] + (a - 1,) + c[i:]
+            two[(new, m)] = sign * (factor // prod(map(factorial, m)))
+    return lincomb(((factor // prod(map(factorial, c)), one), (-1, two)))
+
+
+def _top_chunk(n: int, c: tuple[int, ...]) -> dict:
+    """n! times the coefficient of h^c, |c| = n + 1, of the expected defect:
+    the degree-n part of exp(h) tensored with h wedge e_1 puts
+    n! / (c - e_i)! on He_{c - e_i} dx_1 ^ dx_i for each i >= 2 with c_i >= 1."""
+    out = {}
+    for i in range(2, len(c) + 1):
+        if c[i - 1]:
+            m = c[: i - 1] + (c[i - 1] - 1,) + c[i:]
+            out[((1, i), m)] = factorial(n) // prod(map(factorial, m))
+    return out
+
+
 def _case_chaos_truncation(d: int, n: int, k: int, seed: int):
-    rng = _rng(seed, "trunc", d, n)
-    h = [rng.randint(-3, 3) for _ in range(d)]
-    defect = commutation_defect(h, (1,), n)
-    # n! times the expected defect, in Hermite coordinates: the degree-n part
-    # of exp(h), prod_i h_i^{a_i} / a_i! on He_a, tensored with h wedge e_1,
-    # written out so that commutation_defect builds the only exponential vector.
-    expected = {
-        ((1, i), a): factorial(n) // prod(map(factorial, a)) * prod(map(pow, h, a)) * h[i - 1]
-        for a in (hermite_key(b, d)[1] for b in enum_basis(d, n, 0))
-        for i in range(2, d + 1)
-    }
-    ok = defect.scale(factorial(n)) == FormField.from_hermite(d, 2, expected)
-    # Equal forms have equal Hermite coordinates, all of degree n here: a
-    # passing case reads the degrees off the expected keys.
-    degrees = {sum(a) for (_, a), c in expected.items() if c} if ok else defect.hermite_degrees()
-    details = {"h": [str(c) for c in h], "order": n, "defect_degrees": sorted(degrees)}
-    return ("pass" if ok else "fail"), details
+    """The truncation square for every h, at x = e_1; seed is unused.
+
+    Both routes are polynomials in h, so the case compares them
+    coefficient by coefficient in Hermite coordinates, where equal forms
+    have equal coordinates: on h^c with |c| <= n the routes agree (the
+    d-ladder of the chaos suite's diagram), and on |c| = n + 1 their
+    difference is the top chunk.  One c per relabelling class is checked.
+    defect_degrees are the Hermite degrees of the computed differences;
+    a failing case names its first c and the residual as a form, n! times
+    the coefficient of h^c.
+    """
+    if d == 1:
+        return "skip", {"reason": "no 2-form on R^1", "order": n}
+    degrees: set[int] = set()
+    failure = None
+    for c in _truncation_classes(d, n):
+        difference = _truncation_routes(n, c)
+        degrees.update(sum(m) for _, m in difference)
+        expected = _top_chunk(n, c) if sum(c) == n + 1 else {}
+        residual = lincomb(((1, difference), (-1, expected)))
+        if residual and failure is None:
+            failure = {"c": list(c), "residual": FormField.from_hermite(d, 2, residual).render()}
+    details = {"order": n, "defect_degrees": sorted(degrees), **(failure or {})}
+    return ("fail" if failure else "pass"), details

@@ -31,6 +31,7 @@ import json
 import os
 import sys
 from importlib import import_module
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from . import __version__
@@ -206,15 +207,37 @@ def _cases(specs: list, workers: int):
         yield _run_case(spec)
 
 
+def _json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) for str, int, bool, None, list and dict
+    with str keys, where `indent` is a newline and the leading spaces of
+    obj's own line; strings go through json's C quoting.  Any other type
+    raises TypeError."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, list):
+        items = [_json(value, inner) for value in obj]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        items = [f"{_quote(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_report(sink, fmt: str, report: Report) -> str:
     """Write `report` to `sink` case by case, as `report.cases` yields them,
     and return their status, written last.  The JSON is json.dumps(report,
-    indent=2) and a newline: each case is encoded alone and indented by
-    four spaces, which is exact, as no JSON string holds a raw newline."""
+    indent=2) and a newline: each case is encoded alone, its lines
+    indented by four more spaces."""
     counts = {"pass": 0, "fail": 0, "skip": 0}
-    encode = json.JSONEncoder(indent=2).encode
     if fmt == "json":
-        head = encode({"tool": report.tool, "version": report.version, "config": report.config})
+        head = _json({"tool": report.tool, "version": report.version, "config": report.config})
         sink.write(head[:-2] + ',\n  "cases": [')
     else:
         cfg = report.config
@@ -224,7 +247,7 @@ def _write_report(sink, fmt: str, report: Report) -> str:
     for case in report.cases:
         counts[case["status"]] = counts.get(case["status"], 0) + 1
         if fmt == "json":
-            sink.write(sep + encode(case).replace("\n", "\n    "))
+            sink.write(sep + _json(case, "\n    "))
             sep = ",\n    "
         else:
             fail = f"  {json.dumps(case['details'])}" if case["status"] == "fail" else ""
@@ -232,7 +255,7 @@ def _write_report(sink, fmt: str, report: Report) -> str:
     status = "fail" if counts["fail"] else "pass"
     if fmt == "json":
         close = "]" if sep == "\n    " else "\n  ]"
-        sink.write(f'{close},\n  "status": {encode(status)}\n}}\n')
+        sink.write(f'{close},\n  "status": {_json(status)}\n}}\n')
     else:
         sink.write(
             f"{counts['pass']} passed, {counts['fail']} failed, {counts['skip']} skipped\n"

@@ -414,11 +414,13 @@ def _case_rep(d: int, n: int, k: int, seed: int):
         # generate S_n, so commuting with T makes both pieces invariant.
         # Their dims add up to the orbit's, so the characters add, and
         # characters are class functions: one permutation per class covers S_n.
+        # p e_s is the one signed set sign e_p(s), so T(p e_s) is read off t_of.
         t_of = {s: _set_transposition_sum(n, {s: 1}) for s in combinations(range(1, n + 1), k)}
         char_ok = all(
-            _set_transposition_sum(n, _set_permute({s: 1}, p)) == _set_permute(t_s, p)
+            {key: sign * c for key, c in t_of[ps].items()} == _set_permute(t_s, p)
             for p in class_representatives(n)
             for s, t_s in t_of.items()
+            for ps, sign in _set_permute({s: 1}, p).items()
         )
         details["character_additive"] = char_ok
         ok = ok and char_ok

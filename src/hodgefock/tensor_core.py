@@ -92,11 +92,12 @@ class MixedIndex(NamedTuple):
         return ok_range and ok_sym and ok_alt
 
 
-def enum_basis(ground, k: int, q: int) -> list[MixedIndex]:
+def enum_basis(ground, k: int, q: int) -> list[MixedIndex] | tuple[MixedIndex, ...]:
     """Canonical labels of a block, sorted lexicographically.
 
-    The ground is d or a pattern mu (module docstring).  Degenerate degrees
-    (negative k or q, or q > d) give the empty list: honest zero blocks.
+    The ground is d or a pattern mu (module docstring): a new list over
+    R^d, a cached tuple over a pattern.  Degenerate degrees (negative k or
+    q, or q > d) give no label: honest zero blocks.
     """
     if isinstance(ground, tuple):
         return _weight_labels(ground, k, q)
@@ -140,14 +141,16 @@ def weight_patterns(d: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
-def _weight_labels(mu: tuple[int, ...], k: int, q: int) -> list[MixedIndex]:
-    """Sorted labels of H_{k,q} of weight 1^mu_1 2^mu_2 ...; none unless k + q = sum(mu)."""
+@lru_cache(maxsize=None)
+def _weight_labels(mu: tuple[int, ...], k: int, q: int) -> tuple[MixedIndex, ...]:
+    """Sorted labels of H_{k,q} of weight 1^mu_1 2^mu_2 ...; none unless
+    k + q = sum(mu).  Cached per (mu, k, q) and process."""
     if k < 0 or q < 0 or k + q != sum(mu):
-        return []
-    return sorted(
+        return ()
+    return tuple(sorted(
         MixedIndex(tuple(v for v, m in enumerate(mu, 1) for _ in range(m - (v in alt))), alt)
         for alt in combinations(range(1, len(mu) + 1), q)
-    )
+    ))
 
 
 def _gram_factor(label: MixedIndex) -> int:

@@ -41,7 +41,10 @@ ALLOWED = {
     "chaos.FormField.zero": EDGE,
     "chaos.FormField.component": "ornstein_uhlenbeck, and users reading one component",
     "chaos.ornstein_uhlenbeck": "the paper's OU operator; ROADMAP item 4 puts it on the verify path",
-    "chaos.FormField.hermite_degrees": "a failing chaos-truncation case reports its degrees",
+    "chaos.FormField.hermite_degrees": "users, and the tests' seeded chaos-truncation oracle",
+    "chaos.exp_vector": "public API; " + TRACER,
+    "chaos.exp_vector.<locals>.coeff": "exp_vector",
+    "chaos.commutation_defect": "public API; " + TRACER,
     "chaos._render_monomial": EDGE,
     "chaos.FormField._render_key": EDGE,
     "linalg._render_tuple": EDGE,

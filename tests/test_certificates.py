@@ -10,11 +10,14 @@ moment tables, and the Fock adjointness.  The decomposition is proved
 per pattern block by the transposition sum, witness identities and Fock
 ranks.  The rep suite reads the orbit in position-set coordinates, S_n
 through its adjacent transpositions and one permutation per cycle type.
-The slow checks they replaced stay here as oracles, and a stand-in for
-each ingredient shows that the case fails without it.
+The chaos-truncation case compares the two routes of its defect on each
+monomial of h, one per relabelling class.  The slow checks they
+replaced stay here as oracles, and a stand-in for each ingredient shows
+that the case fails without it.
 """
 
 import inspect
+import json
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -119,7 +122,7 @@ def chaos_oracle(d, n, k, seed):
         details["isometry"] = isometry_oracle(d, n)
         ok = ok and details["isometry"]
     if q + 1 <= d:
-        rng = chaos._rng(seed, "chaos", d, n, k)
+        rng = oracles._rng(seed, "chaos", d, n, k)
         adj = True
         for _ in range(3):
             u = chaos_field(random_tensor(d, k, q, rng))
@@ -429,6 +432,72 @@ def test_chaos_certificate_fails_without_each_ingredient(stand_in, monkeypatch):
         assert details["diagram"] and details["dual_diagram"] and details["adjoint"]
 
 
+# The chaos-truncation case holds for every h: the routes are compared
+# on each monomial h^c, one c per relabelling class.  Its oracle is the
+# case as it ran on one h drawn from the seed.
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_truncation_case_agrees_with_the_seeded_oracle(seed):
+    # Statuses match, and so do the degrees whenever the drawn h has a
+    # wedge partner h_i != 0, i >= 2: without one the drawn defect is 0.
+    # At d = 1 there is no 2-form: the drawn case passed on the zero form.
+    for d in range(1, 6):
+        for n in range(1, 6):
+            status, details = chaos._case_chaos_truncation(d, n, n, seed)
+            old_status, old = oracles.truncation_case(d, n, n, seed)
+            assert old_status == "pass", (d, n)
+            if d == 1:
+                assert status == "skip" and old["defect_degrees"] == [], n
+                continue
+            assert (status, details) == ("pass", {"order": n, "defect_degrees": [n]}), (d, n)
+            h = oracles.seeded_h(seed, d, n)
+            assert old["defect_degrees"] == (details["defect_degrees"] if any(h[1:]) else [])
+
+
+def _doubled_first_image(which, key, m, real=chaos._hermite_image):
+    for i, (image, v) in enumerate(real(which, key, m)):
+        yield image, 2 * v if i == 0 else v
+
+
+def _top_chunk_first_sign_flipped(n, c, real=chaos._top_chunk):
+    out = real(n, c)
+    if out:
+        out[min(out)] *= -1
+    return out
+
+
+# (patch, c, residual): the case must fail at c and render the residual,
+# n! times the coefficient of h^c, as a form; None where only the name of
+# c is pinned.  At d = n = 3, h^(0,1,0) is the first c whose route one is
+# nonzero, and h^(0,4,0) the first of the top chunk.
+TRUNCATION_STAND_INS = {
+    "doubled_hermite_image": (
+        lambda mp: mp.setattr(chaos, "_hermite_image", _doubled_first_image),
+        [0, 1, 0],
+        "-6*dx1^dx2",
+    ),
+    "top_chunk_sign_flipped": (
+        lambda mp: mp.setattr(chaos, "_top_chunk", _top_chunk_first_sign_flipped),
+        [0, 4, 0],
+        None,
+    ),
+    "top_chunk_dropped": (lambda mp: mp.setattr(chaos, "_top_chunk", lambda n, c: {}), [0, 4, 0], None),
+}
+
+
+@pytest.mark.parametrize("stand_in", sorted(TRUNCATION_STAND_INS))
+def test_truncation_case_fails_and_names_c_without_each_ingredient(stand_in, monkeypatch):
+    patch, c, residual = TRUNCATION_STAND_INS[stand_in]
+    assert chaos._case_chaos_truncation(3, 3, 3, 0)[0] == "pass"
+    patch(monkeypatch)
+    status, details = chaos._case_chaos_truncation(3, 3, 3, 0)
+    assert status == "fail" and details["c"] == c and details["residual"] != "0"
+    assert residual is None or details["residual"] == residual
+    # The degrees are read off the computed routes, never off the expected chunk.
+    assert stand_in == "doubled_hermite_image" or details["defect_degrees"] == [3]
+
+
 # The homotopy certificate (hodge module docstring), on each pattern block
 # of every n <= 8: its trace ranks, kernels and harmonic dimension against
 # the eliminations they replaced.
@@ -710,6 +779,22 @@ def test_rep_case_agrees_with_the_averaging_oracle(d, n, k):
     case = rep_theory._case_rep(d, n, k, 0)
     assert case[0] == ("skip" if n > d else "pass")
     assert case == rep_oracle(d, n, k)
+
+
+def test_rep_character_check_applies_t_once_per_set(monkeypatch, capsys):
+    # Serial rep at d, n <= 4: each case reads T's diagonal once and builds
+    # T e_s once per k-set s, 82 calls over the cases with n <= d; the
+    # character check reads T(p e_s) off those, and _family_holds(n, j)
+    # adds 2 + [j > 0] + [j < n] per (n, j), 48 more.
+    calls = []
+    real = rep_theory._set_transposition_sum
+    monkeypatch.setattr(
+        rep_theory, "_set_transposition_sum", lambda *args: calls.append(args[0]) or real(*args)
+    )
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    assert cli.main(["verify", "rep", "--max-dim", "4", "--max-n", "4", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert len(calls) == 82 + 48
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -5,8 +5,10 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from hodgefock.cli import VerifyConfig, main, parse_report, render_report, run_v
 from hodgefock.linalg import matrix_rank
 from hodgefock.tensor_core import enum_basis, weight_patterns
 
+import oracles
 from conftest import clear_caches
 
 
@@ -303,7 +306,7 @@ class _RecordingSink:
 def test_each_write_holds_at_most_one_case(fmt, monkeypatch):
     # The report is streamed: past the header, each write encodes one case
     # record, and only the closing lines follow the last.
-    grid, digest, _ = RECORDED_DIGESTS[0]
+    grid, digest, *_ = RECORDED_DIGESTS[0]
     assert grid == ["all", "--max-dim", "3", "--max-n", "4", "--seed", "42"]
     sink = _RecordingSink()
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
@@ -471,39 +474,50 @@ def test_serial_run_without_chaos_cases_never_loads_chaos(args, tmp_path):
     assert "hodgefock.chaos" not in added
 
 
+# (grid, digest, seeded digest, sampled digest): the sha256 of the serial
+# report, of the report as it read while chaos-truncation drew its h
+# from the seed (_with_seeded_truncation), and of that report as it read
+# while the split was sampled (_with_sampled_trials).
 RECORDED_DIGESTS = [
     (
         ["all", "--max-dim", "3", "--max-n", "4", "--seed", "42"],
+        "2b9fc46ef9b412cdf3af94f03a35b24dd8f57f6b03750762063baadd5a45fc1f",
         "9c4f28044598c527d6ba2d99415f730f9629e5abc14a194ab5fbfaf91d9828b3",
         "58669858cd0bcde5c1fbb258772cbbf10dd6f894385a67617b9edbacfe75cdb3",
     ),
     (
         ["chaos", "--max-dim", "5", "--max-n", "4", "--seed", "3"],
+        "772771177215045a534f5836b0662a7e58fa7a5798e9113688411cfd54338c52",
         "f44534978b0f0f8e659a6583af7c00ca94ad1e66c573503ac0ac28adbd927318",
         "0d8d5c262d42ddaba0b78d26dbf29c7e548a2ace806f5766fbf921e39bbc5093",
     ),
     (
         ["all", "--max-dim", "4", "--max-n", "4", "--seed", "1"],
+        "f4247cf17a35df7e6b5a6e8321e228e0d82e68629bdafeefb11dd25e15b3ef13",
         "0b89add226bc5ada25ddd151416398e6836e1c2cd37502f886adefab74425fc9",
         "e73e201f05f71a25b4ce91347c887743352de44b0d3c94fc9412a23e10a6b902",
     ),
     (
         ["decomposition", "--max-dim", "5", "--max-n", "4"],
         "88900725584cb4c366a1a8824355c264e265204423522081055c4ea7d75bd52a",
+        "88900725584cb4c366a1a8824355c264e265204423522081055c4ea7d75bd52a",
         "4cf2545a1a6eac99958ebbe0e316cc9d97be8dcb5edf6205b90a1785fa790032",
     ),
     (
         ["rep", "--max-dim", "5", "--max-n", "5"],
+        "c1c38dffcf2f5c666241c59bbcaeda57d356895aa3430e23c417d73c775904a6",
         "c1c38dffcf2f5c666241c59bbcaeda57d356895aa3430e23c417d73c775904a6",
         "537454fa995970fdec3aea4ce94221ecf611d70b659c03ffe289e064102fdeb1",
     ),
     (
         ["rep", "--max-dim", "6", "--max-n", "6"],
         "a216e7a988c67b7f2c4b1bf96a6e0dedca0224663d6fc6eb1e45045530a9fde4",
+        "a216e7a988c67b7f2c4b1bf96a6e0dedca0224663d6fc6eb1e45045530a9fde4",
         "d4dba84592e9a9cf881481b11f204fc8e3d239cd9f85a61152f435796fac7f9d",
     ),
     (
         ["all", "--max-dim", "6", "--max-n", "7"],
+        "b0260def2c416ee8572cb7b7a83b73081260cb688e520c96e03d7f4cf548dae6",
         "7e565c27a91b105cbd65e930e3470c6781cc05340c3a922327b0b2df9b23a523",
         "c8cf0b372a5d4cd7dc74c4d764c016fce5c3c5228253a81675ba933ab6baf6ef",
     ),
@@ -514,7 +528,7 @@ def test_pooled_run_in_real_processes_writes_the_recorded_bytes(tmp_path):
     # The pool forks while the report is open: multiprocessing flushes
     # stdout before each fork and its workers leave through os._exit, so no
     # byte is written twice, to stdout or to --out.
-    grid, digest, _ = RECORDED_DIGESTS[2]
+    grid, digest, *_ = RECORDED_DIGESTS[2]
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     env = {**os.environ, "HODGEFOCK_WORKERS": "2", "PYTHONPATH": path}
@@ -548,17 +562,77 @@ def _with_sampled_trials(out: str) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _with_seeded_truncation(out: str) -> str:
+    """The report as it read while each chaos-truncation case drew its h
+    from the seed: h first in the details, from the oracle's draw; no
+    defect degree when h is 0 off the first coordinate, so that h wedge
+    e_1 vanished; and at d = 1 a pass with no degree, not a skip."""
+    data = json.loads(out)
+    seed = data["config"]["seed"]
+    for case in data["cases"]:
+        if case["name"].startswith("chaos-truncation "):
+            d, n = case["params"]["d"], case["params"]["n"]
+            h = oracles.seeded_h(seed, d, n)
+            degrees = case["details"].get("defect_degrees", []) if any(h[1:]) else []
+            case["status"] = "pass"
+            case["details"] = {"h": [str(c) for c in h], "order": n, "defect_degrees": degrees}
+    return json.dumps(data, indent=2) + "\n"
+
+
+ADVERSARIAL_JSON = [
+    "",
+    "caf\u00e9 \u4e2d \U0001f600",
+    '"',
+    "\\",
+    "".join(map(chr, range(32))) + "\x7f\u2028",
+    [],
+    {},
+    [[], {}, [[]], {"a": {}}],
+    {"": {"": []}},
+    [True, 1, False, 0, None, -1, 10**40],
+    {"\u00e9\"\\": [{"k": "p/q"}], "true": True, "one": 1},
+    True,
+    1,
+    None,
+]
+
+
+@pytest.mark.parametrize("value", ADVERSARIAL_JSON, ids=range(len(ADVERSARIAL_JSON)))
+def test_report_encoder_equals_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+    inner = json.dumps({"x": value}, indent=2).replace("\n", "\n    ")
+    assert cli._json({"x": value}, "\n    ") == inner
+
+
+@pytest.mark.parametrize("value", [1.5, (1,), {1: 2}, Fraction(1, 2), {"a"}])
+def test_report_encoder_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json([value])
+
+
+@pytest.mark.parametrize("max_dim, max_n", [(4, 4), (6, 7)])
+def test_report_encoder_equals_json_dumps_on_every_case(max_dim, max_n, monkeypatch):
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    report = run_verify(VerifyConfig(max_dim=max_dim, max_n=max_n))
+    assert cli._json(report.config) == json.dumps(report.config, indent=2)
+    for case in report.cases:
+        assert cli._json(case) == json.dumps(case, indent=2), case["name"]
+
+
 def test_report_bytes_match_the_recorded_digest(monkeypatch, capsys):
     # sha256 of the serial `verify <grid> --format json` output; any
-    # refactor must keep these bytes.  Restoring the two removed `trials`
-    # keys must give back the bytes of the sampled split, so the report
-    # changed in those keys and nowhere else.
+    # refactor must keep these bytes.  Each deliberate report change maps
+    # back to the bytes before it: the seeded chaos-truncation details,
+    # then the two removed `trials` keys of the sampled split.  So the
+    # report changed in those keys and statuses and nowhere else.
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    for grid, digest, sampled_digest in RECORDED_DIGESTS:
+    for grid, digest, seeded_digest, sampled_digest in RECORDED_DIGESTS:
         assert main(["verify", *grid, "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, grid
-        old = _with_sampled_trials(out).encode("utf-8")
+        seeded = _with_seeded_truncation(out)
+        assert hashlib.sha256(seeded.encode("utf-8")).hexdigest() == seeded_digest, grid
+        old = _with_sampled_trials(seeded).encode("utf-8")
         assert hashlib.sha256(old).hexdigest() == sampled_digest, grid
 
 
@@ -574,7 +648,7 @@ def test_verify_path_runs_no_group_order_loop(monkeypatch, capsys):
             assert not loops & set(vars(mod)), name
     clear_caches()
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    grid, digest, _ = RECORDED_DIGESTS[2]
+    grid, digest, *_ = RECORDED_DIGESTS[2]
     assert grid == ["all", "--max-dim", "4", "--max-n", "4", "--seed", "1"]
     assert main(["verify", *grid, "--format", "json"]) == 0
     out = capsys.readouterr().out
@@ -661,20 +735,29 @@ def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
 
 
 def test_chaos_cases_draw_nothing_from_the_seed(monkeypatch, capsys):
-    # Only chaos-truncation draws from the seed (its vector h); the chaos
-    # case bytes are the same for every seed.
+    # --seed stays in the config, and nothing else reads it: the reports
+    # of two seeds differ only in config.seed.
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    drawn = []
-    real = chaos._rng
-    monkeypatch.setattr(chaos, "_rng", lambda seed, *tags: drawn.append(tags[0]) or real(seed, *tags))
     outs = []
     for seed in ("0", "1"):
-        argv = ["verify", "chaos", "--max-dim", "3", "--max-n", "3", "--seed", seed]
+        argv = ["verify", "all", "--max-dim", "3", "--max-n", "3", "--seed", seed]
         assert main([*argv, "--format", "json"]) == 0
-        cases = json.loads(capsys.readouterr().out)["cases"]
-        outs.append(json.dumps([c for c in cases if c["name"].startswith("chaos ")], indent=2))
-    assert outs[0] == outs[1] and len(json.loads(outs[0])) == 27
-    assert set(drawn) == {"trunc"}
+        outs.append(capsys.readouterr().out)
+    assert [out.count(f'"seed": {seed},') for seed, out in enumerate(outs)] == [1, 1]
+    assert outs[0].replace('"seed": 0,', '"seed": 1,') == outs[1]
+    assert len(json.loads(outs[0])["cases"]) == 171
+
+
+def test_serial_run_builds_no_random_generator(monkeypatch):
+    # No verify case samples: a serial run passes with random.Random refused.
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a random generator")
+
+    clear_caches()
+    monkeypatch.setattr(random.Random, "__init__", refused)
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    report = run_verify(VerifyConfig(suite="all", max_dim=5, max_n=6))
+    assert report.status == "pass" and len(report.cases) == 840
 
 
 def test_main_pass_exit_zero(capsys):
@@ -782,8 +865,12 @@ def test_main_empty_out_exits_two_before_any_case(monkeypatch, capsys):
 # intersect is the decomposition's old route; orbit_span, orbit_split_spaces
 # and action_trace the rep suite's, with embed and permute, which wrote
 # their full tensors; the linalg eliminations gave every Fock rank before
-# the certificates' traces.  The tests keep them as oracles.
+# the certificates' traces; exp_vector and commutation_defect gave the
+# chaos-truncation defect on one drawn h before it held for every h.  The
+# tests keep them as oracles.
 OFF_THE_VERIFY_PATH = {
+    "chaos.commutation_defect",
+    "chaos.exp_vector",
     "fock_ops.permute",
     "hodge.random_tensor",
     "linalg.EchelonBasis.insert",

@@ -3,10 +3,11 @@
 split, exactness, weitzenboeck, chaos and the decomposition's ker_lower
 read one representative weight block per multiplicity pattern and sum,
 take the maximum of, or and their results over the patterns; the
-chaos-truncation defect runs in Hermite coordinates.  Here they are
-compared with the whole-block and monomial oracles of tests/oracles.py,
-and the verify path is shown to build no whole-block Fock matrix, no
-whole-block chaos field and no monomial route of the defect.
+chaos-truncation case compares the routes of its defect in Hermite
+coordinates, one monomial of h per relabelling class.  Here they are
+compared with the whole-block, monomial and seeded oracles of
+tests/oracles.py, and the verify path is shown to build no whole-block
+Fock matrix, no whole-block chaos field and no truncation defect.
 """
 
 import gc
@@ -40,14 +41,16 @@ def test_cases_equal_the_whole_block_oracles(serial_fresh):
     compared = 0
     for case in report.cases:
         suite = case["name"].split()[0]
+        d, n, k = (case["params"][key] for key in ("d", "n", "k"))
         if suite in oracles.CASES:
-            d, n, k = (case["params"][key] for key in ("d", "n", "k"))
             assert (case["status"], case["details"]) == oracles.CASES[suite](d, n, k), case["name"]
             compared += 1
         if suite == "chaos-truncation":
-            h = [int(c) for c in case["details"]["h"]]
+            h = oracles.seeded_h(0, d, n)
             assert chaos.commutation_defect(h, (1,), n) == oracles.commutation_defect(h, (1,), n)
-    assert compared == 5 * sum(n + 1 for n in range(1, 7)) * 5 + 5 * 6
+            seeded = oracles.truncation_case(d, n, k)
+            assert case["status"] == ("skip" if d == 1 else seeded[0]), case["name"]
+    assert compared == 5 * sum(n + 1 for n in range(1, 7)) * 5
     for d in range(1, 6):
         for n in range(1, 7):
             assert exactness_report(d, n) == oracles.exactness_report(d, n), (d, n)
@@ -141,33 +144,30 @@ def test_no_cache_but_operator_matrix_holds_a_matrix(serial_fresh):
 
 def test_gaussian_model_builds_pattern_fields_and_no_monomial_defect(serial_fresh, monkeypatch):
     # Every chaos field of a serial chaos run is built on a pattern ground,
-    # and commutation_defect runs route one as a Hermite shift: it calls
-    # exterior_derivative (which the ladder tables still run) not once.
-    grounds, inside, derived = [], [], []
+    # and no case builds the truncation defect: chaos-truncation compares
+    # the two routes coefficient by coefficient.  commutation_defect runs
+    # route one as a Hermite shift: it calls exterior_derivative (which the
+    # ladder tables still run) not once.
+    grounds, defects, derived = [], [], []
     real_field, real_defect, real_d = chaos.chaos_field, chaos.commutation_defect, chaos.exterior_derivative
 
     def field(t):
         grounds.append(t.dim)
         return real_field(t)
 
-    def defect(*args):
-        inside.append(args)
-        try:
-            return real_defect(*args)
-        finally:
-            inside.pop()
-
     def derivative(u):
-        if inside:
-            derived.append(inside[-1])
+        derived.append(u)
         return real_d(u)
 
     monkeypatch.setattr(chaos, "chaos_field", field)
-    monkeypatch.setattr(chaos, "commutation_defect", defect)
+    monkeypatch.setattr(chaos, "commutation_defect", lambda *args: defects.append(args))
     for mod in _hodgefock_modules():
         if getattr(mod, "exterior_derivative", None) is real_d:
             monkeypatch.setattr(mod, "exterior_derivative", derivative)
     report = run_verify(VerifyConfig(suite="chaos", max_dim=6, max_n=4))
     assert report.status == "pass" and len(report.cases) == 6 * (2 + 3 + 4 + 5 + 4)
     assert grounds and all(isinstance(ground, tuple) for ground in grounds)
+    assert not defects and derived
+    derived.clear()
+    assert not real_defect((1, -2, 3, 0), (1,), 4).is_zero()
     assert not derived
