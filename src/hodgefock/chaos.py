@@ -36,16 +36,17 @@ matrices indexed by the labels of the neighbouring blocks, so the
 `verify chaos` suite proves the dictionary by comparing them with the
 integer matrices of lower and raise_ (operator_matrix), with no sampling.
 Relabelling the ground basis commutes with all of this, so the suite
-runs on one weight block per pattern mu, with forms on R^len(mu).  The
-chaos and chaos-truncation cases of `hodgefock verify` are here.
+runs on one weight block per pattern mu, with forms on R^len(mu), and
+keeps one record per block (_chaos_pattern_holds).  The chaos and
+chaos-truncation cases of `hodgefock verify` are here.
 
 The truncation square (commutation_defect) is a polynomial identity in
 h.  The chaos-truncation case proves it for every h, coefficient by
 coefficient: on each monomial h^c, both routes are Hermite coordinates
 built from the same shift _hermite_image and wedge sign _wedge_insert,
 and relabelling the coordinates other than 1 leaves one c per class.
-No case draws from the seed: exp_vector and commutation_defect, which
-build the defect of one given h, are kept for users.
+exp_vector and commutation_defect, which build the defect of one given
+h, are kept for users; no case calls them.
 """
 
 from __future__ import annotations
@@ -520,14 +521,9 @@ def _ladder_tables_hold(n: int) -> tuple[bool, bool, bool]:
 
 
 @lru_cache(maxsize=None)
-def _hermite_matches(which: str, mu: tuple, k: int, q: int) -> bool:
-    """The shift matrix of d or δ equals lower or raise_ on the block of mu."""
-    return hermite_matrix(which, mu, k, q) == operator_matrix(which, mu, k, q)
-
-
-@lru_cache(maxsize=None)
-def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool]:
-    """(dictionary, isometry) of the Gaussian model on the block of mu, from one field.
+def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool, bool, bool]:
+    """(dictionary, isometry, lower matches, raise_ matches): the one cached
+    record of the Gaussian model on the block of mu.
 
     With t = sum_i (i+1) e_{b_i} over the labels and f = chaos_field(t),
     the dictionary holds when the Hermite coordinates of f are exactly
@@ -537,12 +533,14 @@ def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool]:
     The isometry then holds when each Fock weight _gram_factor(b) is
     prod mult(b)! and _hermite_table_holds(k) gives that Gaussian norm:
     both pairings are bilinear and vanish on distinct keys, so they agree
-    on the whole block.  gaussian_inner itself is run once, on f.  An
-    empty block builds no field.
+    on the whole block.  gaussian_inner itself is run once, on f.  The
+    matches compare the shift matrices of d and δ (hermite_matrix) with
+    lower and raise_ (operator_matrix) on the block.  An empty block
+    builds nothing and holds all four.
     """
     labels = enum_basis(mu, k, q)
     if not labels:
-        return True, True
+        return True, True, True, True
     t = FockTensor._trusted((mu, k, q), {b: i + 1 for i, b in enumerate(labels)})
     f = chaos_field(t)
     dictionary = f.hermite_coords() == {hermite_key(b, mu): c for b, c in t.coeffs.items()}
@@ -552,18 +550,22 @@ def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool]:
         and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, mu)[1])) for b in labels)
         and gaussian_inner(f, f) == inner(t, t)
     )
-    return dictionary, isometry
+    lower_ok, raise_ok = (
+        hermite_matrix(w, mu, k, q) == operator_matrix(w, mu, k, q) for w in ("lower", "raise")
+    )
+    return dictionary, isometry, lower_ok, raise_ok
 
 
-def _case_chaos(d: int, n: int, k: int, seed: int):
-    """The Gaussian model of H_{k,q}, proved exactly; seed is unused.
+def _case_chaos(d: int, n: int, k: int):
+    """The Gaussian model of H_{k,q}, proved exactly.
 
     Premise: exterior_derivative and codifferential act one coordinate at
     a time, with the shared wedge sign rule.  The ladder tables then make
     them the integer shift matrices of hermite_matrix in Hermite
     coordinates, and under the dictionary each key is a matrix identity.
-    Relabelling the ground commutes with all of it, so the dictionary,
-    the isometry and each identity are and-ed over the pattern blocks:
+    Relabelling the ground commutes with all of it, so the case ands the
+    records (_chaos_pattern_holds) of H_{k,q}, H_{k-1,q+1} and H_{k+1,q-1}
+    over the pattern blocks:
 
     * diagram: d = lower on H_{k,q};
     * dual_diagram: δ = raise_ on H_{k,q};
@@ -574,26 +576,15 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
     """
     q = n - k
     patterns = weight_patterns(d, n)
-
-    def holds(k: int, q: int) -> tuple[bool, bool]:
-        pairs = [_chaos_pattern_holds(mu, k, q) for mu, _ in patterns]
-        return all(dictionary for dictionary, _ in pairs), all(iso for _, iso in pairs)
-
-    def matches(which: str, k: int, q: int) -> bool:
-        return all(_hermite_matches(which, mu, k, q) for mu, _ in patterns)
-
-    here, iso = holds(k, q)
-    below, iso_below = holds(k - 1, q + 1)
-    above = holds(k + 1, q - 1)[0]
-    ladder_d, ladder_delta, ladder_lap = _ladder_tables_hold(n)
-    diagram = here and below and ladder_d and matches("lower", k, q)
-    dual = here and above and ladder_delta and matches("raise", k, q)
-    eigen = (
-        ladder_lap
-        and matches("lower", k + 1, q - 1)
-        and matches("raise", k - 1, q + 1)
-        and weitzenboeck_defect(d, k, q) == 0
+    # Built in this order: H_{k,q}, then the block below, then the one above.
+    (here, iso, d_here, delta_here), (below, iso_below, _, delta_below), (above, _, d_above, _) = (
+        map(all, zip(*(_chaos_pattern_holds(mu, k + i, q - i) for mu, _ in patterns)))
+        for i in (0, -1, 1)
     )
+    ladder_d, ladder_delta, ladder_lap = _ladder_tables_hold(n)
+    diagram = here and below and ladder_d and d_here
+    dual = here and above and ladder_delta and delta_here
+    eigen = ladder_lap and d_above and delta_below and weitzenboeck_defect(d, k, q) == 0
     dim = block_dim(d, k, q)
     details = {"dim": dim, "diagram": diagram, "dual_diagram": dual}
     details["laplacian_eigenvalue"] = str(n) if dim else "0"
@@ -602,13 +593,8 @@ def _case_chaos(d: int, n: int, k: int, seed: int):
         details["isometry"] = iso
         ok = ok and iso
     if q + 1 <= d:
-        adj = (
-            diagram
-            and iso
-            and iso_below
-            and ladder_delta
-            and matches("raise", k - 1, q + 1)
-            and all(_adjoint_residual(mu, k, q) is None for mu, _ in patterns)
+        adj = diagram and iso and iso_below and ladder_delta and delta_below and all(
+            _adjoint_residual(mu, k, q) is None for mu, _ in patterns
         )
         details["adjoint"] = adj
         ok = ok and adj
@@ -662,8 +648,8 @@ def _top_chunk(n: int, c: tuple[int, ...]) -> dict:
     return out
 
 
-def _case_chaos_truncation(d: int, n: int, k: int, seed: int):
-    """The truncation square for every h, at x = e_1; seed is unused.
+def _case_chaos_truncation(d: int, n: int, k: int):
+    """The truncation square for every h, at x = e_1.
 
     Both routes are polynomials in h, so the case compares them
     coefficient by coefficient in Hermite coordinates, where equal forms

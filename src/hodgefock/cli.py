@@ -3,10 +3,11 @@
 `hodgefock verify <suite>` sweeps the identity checks over a parameter
 grid d in 1..max_dim, n in 1..max_n and all k, one case per block, and
 emits a report.  This module is only the driver: configuration, the
-case grid, the pool and the report.  Each case body lives beside the
-math it checks (hodge, rep_theory, chaos).  hodge and rep_theory load
-with the package; a run imports chaos only when it has a chaos case,
-once, before the pool forks.
+case grid, the pool and the report.  A case spec is (kind, name, d, n,
+k), and each case body, _case_<kind>(d, n, k), lives beside the math it
+checks (hodge, rep_theory, chaos); --seed is only recorded in the
+config.  hodge and rep_theory load with the package; a run imports chaos
+only when it has a chaos case, once, before the pool forks.
 
 Reports are deterministic given the config: no timestamps, no timings,
 rationals rendered as exact "p/q" strings, cases sorted by
@@ -107,10 +108,10 @@ _HOMES = {
 
 
 def _run_case(spec):
-    label, name, d, n, k, seed = spec
+    label, name, d, n, k = spec
     try:
         home = import_module(f".{_HOMES[label]}", __package__)
-        status, details = getattr(home, "_case_" + label.replace("-", "_"))(d, n, k, seed)
+        status, details = getattr(home, "_case_" + label.replace("-", "_"))(d, n, k)
     except Exception as e:
         status, details = "fail", {"error": f"{type(e).__name__}: {e}"}
     return {"name": name, "params": {"d": d, "n": n, "k": k}, "status": status, "details": details}
@@ -137,14 +138,14 @@ def _case_specs(cfg: VerifyConfig) -> list:
                     if cfg.q is not None and n - k != cfg.q:
                         continue
                     name = f"{suite} d={d} n={n} k={k}"
-                    specs.append((suite, name, d, n, k, cfg.seed))
+                    specs.append((suite, name, d, n, k))
                 if suite == "chaos":
                     if cfg.k is not None and cfg.k != n:
                         continue
                     if cfg.q is not None and cfg.q != 0:
                         continue
                     name = f"chaos-truncation d={d} n={n}"
-                    specs.append(("chaos-truncation", name, d, n, n, cfg.seed))
+                    specs.append(("chaos-truncation", name, d, n, n))
     return specs
 
 

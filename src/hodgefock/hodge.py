@@ -40,12 +40,12 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
 
     Exact, over the pattern blocks' certificates; the identity holds iff
     this is 0.  A block with q > d, and k = q = 0, give 0.  Negative k or
-    q raises DegreeOutOfRange.
+    q raises DegreeOutOfRange, and d < 1 DimensionMismatch (weight_patterns).
     """
     if k < 0 or q < 0:
         raise DegreeOutOfRange(f"the defect needs k, q >= 0, got ({k},{q})")
-    patterns = weight_patterns(d, k + q) if k + q else ()
-    return max((_certificate(mu, k, q)[2] for mu, _ in patterns), default=Fraction(0))
+    patterns = weight_patterns(d, k + q)
+    return max((_certificate(mu, k, q)[2] for mu, _ in patterns if k + q), default=Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -69,6 +69,12 @@ def _certificate(ground, k: int, q: int) -> tuple:
         trace_a, trace_b = (sum(v for (r, c), v in m.coeffs.items() if r == c) for m in (a, b))
         ranks = (trace_b // n, trace_a // n)
     return tuple(checks), ranks, residual.max_abs_entry()
+
+
+def _hook_ranks(r: int, q: int) -> tuple[int, int]:
+    """(rank lower, rank raise_) on a pattern block with r parts and q wedge
+    slots, the hook Kostka numbers: (C(r-1, q), C(r-1, q-1)), 0 at q = 0."""
+    return comb(r - 1, q), comb(r - 1, q - 1) if q else 0
 
 
 def operator_rank(which: str, ground, k: int, q: int) -> int | None:
@@ -192,7 +198,7 @@ def random_tensor(d: int, k: int, q: int, rng) -> FockTensor:
     return FockTensor(d, k, q, coeffs)
 
 
-def _case_weitzenboeck(d: int, n: int, k: int, seed: int):
+def _case_weitzenboeck(d: int, n: int, k: int):
     q = n - k
     defect = weitzenboeck_defect(d, k, q)
     details = {"dim": block_dim(d, k, q), "defect": str(defect)}
@@ -205,7 +211,7 @@ def _exactness_report(d: int, n: int):
     return exactness_report(d, n)
 
 
-def _case_exactness(d: int, n: int, k: int, seed: int):
+def _case_exactness(d: int, n: int, k: int):
     q = n - k
     failure = _complex_failure(d, n)
     if failure:
@@ -217,7 +223,7 @@ def _case_exactness(d: int, n: int, k: int, seed: int):
     details = dict(zip(row._fields[2:], row[2:]), lower_exact=lower_ok, raise_exact=raise_ok)
     # The traces against the closed form: the hook Kostka numbers of each pattern.
     for mu, _ in weight_patterns(d, n):
-        expected = [comb(len(mu) - 1, q), comb(len(mu) - 1, q - 1) if q else 0]
+        expected = list(_hook_ranks(len(mu), q))
         if [operator_rank(w, mu, k, q) for w in ("lower", "raise")] != expected:
             details.update(pattern=list(mu), expected=expected)
             return "fail", details
@@ -247,7 +253,7 @@ def _split_failures(ground, k: int, q: int) -> tuple:
     )
 
 
-def _case_split(d: int, n: int, k: int, seed: int):
+def _case_split(d: int, n: int, k: int):
     """The split on every pattern block.  A failure names the first identity
     that fails and its first failing label in the first block where it does."""
     q = n - k

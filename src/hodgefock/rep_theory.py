@@ -69,7 +69,7 @@ from math import comb
 
 from .errors import DimensionMismatch, InvalidIndex, NotInvariant
 from .fock_ops import Permutation, lower, permute, raise_
-from .hodge import _complex_failure, hodge_split, operator_rank
+from .hodge import _complex_failure, _hook_ranks, hodge_split, operator_rank
 from .linalg import EchelonBasis, kernel_basis, lincomb
 from .tensor_core import FockTensor, FullTensor, MixedIndex, _partitions, block_dim, embed
 from .tensor_core import enum_basis, perm_sign, weight_patterns
@@ -352,7 +352,7 @@ def class_representatives(n: int) -> list[Permutation]:
     return out
 
 
-def _case_decomposition(d: int, n: int, k: int, seed: int):
+def _case_decomposition(d: int, n: int, k: int):
     q = n - k
     block = block_dim(d, k, q)
     failure = _complex_failure(d, n)
@@ -364,10 +364,11 @@ def _case_decomposition(d: int, n: int, k: int, seed: int):
     details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
     # With direct, the embedded dimension ties dim_minus to rank(lower).
     ok = direct and dim == block and dim_plus == ker_lower
-    # Independent of the certificate: the hook Kostka numbers, r = len(mu).
+    # Independent of the certificate: the hook Kostka numbers, and their
+    # sum C(len(mu), q), the block's dimension.
     for mu, _ in patterns:
-        r = len(mu)
-        expected = [comb(r, q), comb(r - 1, q - 1) if q else 0, comb(r - 1, q)]
+        low, up = _hook_ranks(len(mu), q)
+        expected = [low + up, up, low]
         if list(_pattern_block(mu, k, q)[:3]) != expected:
             details.update(pattern=list(mu), expected=expected)
             return "fail", details
@@ -382,15 +383,14 @@ def _repeated_label(n: int, k: int) -> MixedIndex | None:
 
 def _degenerate_orbit_dim(b: MixedIndex, d: int) -> int:
     """The rank of b's orbit predicted from (plus, minus) = hodge_split(e_b):
-    C(n-1, q-1) [plus != 0] + C(n-1, q) [minus != 0], the first term 0 at
-    q = 0."""
-    n, q = len(b.sym) + len(b.alt), len(b.alt)
+    the hook ranks of raise_ and lower with n parts, each counted when its
+    piece is nonzero."""
+    low, up = _hook_ranks(len(b.sym) + len(b.alt), len(b.alt))
     plus, minus = hodge_split(FockTensor.basis(d, b))
-    dim_plus = comb(n - 1, q - 1) if q >= 1 and not plus.is_zero() else 0
-    return dim_plus + (comb(n - 1, q) if not minus.is_zero() else 0)
+    return (0 if plus.is_zero() else up) + (0 if minus.is_zero() else low)
 
 
-def _case_rep(d: int, n: int, k: int, seed: int):
+def _case_rep(d: int, n: int, k: int):
     q = n - k
     if n > d:
         return "skip", {"reason": "no distinct-index label", "dim": d, "n": n}
@@ -399,13 +399,14 @@ def _case_rep(d: int, n: int, k: int, seed: int):
     diag = _set_transposition_sum(n, {e: 1}).get(e, 0)
     plus, rest = divmod(comb(n, k) * (diag - _hook_content(k, q)), n)
     minus = comb(n, k) - plus
+    low, up = _hook_ranks(n, q)
     details = {
         "label": _distinct_label(n, k).render(),
         "orbit_dim": comb(n, k),
         "split_dims": [plus, minus],
-        "expected": [comb(n, k), comb(n - 1, q - 1) if q >= 1 else 0, comb(n - 1, q)],
+        "expected": [comb(n, k), up, low],
     }
-    ok = _family_holds(n, k) and not rest and details["expected"][1:] == [plus, minus]
+    ok = _family_holds(n, k) and not rest and (up, low) == (plus, minus)
     if k >= 1 and q >= 1:
         # Step 3 at j = k: the witnesses are embed(raise_ s) and embed(lower s).
         details["witnesses"] = "ok" if _family_holds(n, k) else "bad"

@@ -135,6 +135,8 @@ def weight_patterns(d: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     d! / ((d - r)! * prod_v m_v!), with r = len(mu) and m_v the number of
     parts equal to v.  Cached per (d, n) and process.
     """
+    if d < 1:
+        raise DimensionMismatch(f"ground dimension must be >= 1, got {d}")
     return tuple(
         (mu, perm(d, len(mu)) // prod(map(factorial, Counter(mu).values())))
         for mu in _partitions(n, d, n)
@@ -277,6 +279,8 @@ def block_dim(ground, k: int, q: int) -> int:
     C(len(mu), q) on the weight block of mu; zero for degenerate degrees."""
     if isinstance(ground, tuple):
         return comb(len(ground), q) if k >= 0 and q >= 0 and k + q == sum(ground) else 0
+    if ground < 1:
+        raise DimensionMismatch(f"ground dimension must be >= 1, got {ground}")
     if k < 0 or q < 0 or q > ground:
         return 0
     return comb(ground + k - 1, k) * comb(ground, q)

@@ -137,7 +137,7 @@ def chaos_oracle(d, n, k, seed):
 
 @pytest.mark.parametrize("d, n, k", GRID)
 def test_split_case_agrees_with_the_per_label_oracle(d, n, k):
-    status, details = hodge._case_split(d, n, k, 0)
+    status, details = hodge._case_split(d, n, k)
     assert split_oracle(d, n, k)
     assert status == "pass"
     assert details == {"dim": len(enum_basis(d, k, n - k))}
@@ -145,14 +145,14 @@ def test_split_case_agrees_with_the_per_label_oracle(d, n, k):
 
 @pytest.mark.parametrize("d, n, k", GRID)
 def test_chaos_case_agrees_with_the_per_label_oracle(d, n, k):
-    case = chaos._case_chaos(d, n, k, 0)
+    case = chaos._case_chaos(d, n, k)
     assert case[0] == "pass"
     assert case == chaos_oracle(d, n, k, 0)
 
 
 @pytest.mark.parametrize("d, n, k", GRID)
 def test_chaos_isometry_agrees_with_the_all_pairs_oracle(d, n, k):
-    status, details = chaos._case_chaos(d, n, k, 0)
+    status, details = chaos._case_chaos(d, n, k)
     assert status == "pass"
     if k == n:
         assert isometry_oracle(d, n)
@@ -189,8 +189,8 @@ def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
     d, n, k = 3, 3, 1
     labels = enum_basis((1, 1, 1), k, n - k)
     assert [b.render() for b in labels] == ["(1;2,3)", "(2;1,3)", "(3;1,2)"]
-    assert hodge._case_split(d, n, k, 0) == ("pass", {"dim": len(enum_basis(d, k, n - k))})
-    assert hodge._case_weitzenboeck(d, n, k, 0)[0] == "pass"
+    assert hodge._case_split(d, n, k) == ("pass", {"dim": len(enum_basis(d, k, n - k))})
+    assert hodge._case_weitzenboeck(d, n, k)[0] == "pass"
 
     def stand_in(which, ground, k, q):
         if block_dim(ground, k, q) > 2:
@@ -199,14 +199,14 @@ def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
 
     monkeypatch.setattr(hodge, "operator_matrix", stand_in)
     clear_caches()
-    status, details = hodge._case_split(d, n, k, 0)
+    status, details = hodge._case_split(d, n, k)
     assert status == "fail"
     assert details == {
         "dim": len(enum_basis(d, k, n - k)),
         "failed": "plus + minus = t",
         "label": "(3;1,2)",
     }
-    status, details = hodge._case_weitzenboeck(d, n, k, 0)
+    status, details = hodge._case_weitzenboeck(d, n, k)
     assert status == "fail" and details["defect"] == "1"
 
 
@@ -223,17 +223,17 @@ def test_relabelled_operator_matrices_fail_past_the_certificate(monkeypatch):
     # identity of the certificate, and the adjointness reads fock_ops' own
     # matrices: hodge_split, which applies the operators themselves, is the
     # identity that fails, at a label of the block.
-    assert hodge._case_split(3, 3, 1, 0)[0] == "pass"
+    assert hodge._case_split(3, 3, 1)[0] == "pass"
     monkeypatch.setattr(hodge, "operator_matrix", _first_label_negated)
     clear_caches()
-    status, details = hodge._case_split(3, 3, 1, 0)
+    status, details = hodge._case_split(3, 3, 1)
     assert status == "fail"
     assert details["failed"] == "hodge_split"
     assert details["label"] in [b.render() for b in enum_basis(3, 1, 2)]
 
 
 def test_split_case_checks_hodge_split_itself(monkeypatch):
-    assert hodge._case_split(2, 2, 1, 0)[0] == "pass"
+    assert hodge._case_split(2, 2, 1)[0] == "pass"
 
     def doubled_plus(t):
         plus, minus = hodge_split(t)
@@ -241,7 +241,7 @@ def test_split_case_checks_hodge_split_itself(monkeypatch):
 
     monkeypatch.setattr(hodge, "hodge_split", doubled_plus)
     clear_caches()
-    status, details = hodge._case_split(2, 2, 1, 0)
+    status, details = hodge._case_split(2, 2, 1)
     assert status == "fail"
     assert details["failed"] == "hodge_split"
     assert details["label"] in [b.render() for b in enum_basis(2, 1, 1)]
@@ -288,11 +288,11 @@ CHAOS_STAND_INS = {
 @pytest.mark.parametrize("stand_in", sorted(CHAOS_STAND_INS))
 def test_chaos_isometry_fails_without_each_ingredient(stand_in, monkeypatch):
     d, n = 2, 3
-    status, details = chaos._case_chaos(d, n, n, 0)
+    status, details = chaos._case_chaos(d, n, n)
     assert status == "pass" and details["isometry"] is True
     clear_caches()
     CHAOS_STAND_INS[stand_in](monkeypatch)
-    status, details = chaos._case_chaos(d, n, n, 0)
+    status, details = chaos._case_chaos(d, n, n)
     assert status == "fail" and details["isometry"] is False
 
 
@@ -418,13 +418,13 @@ CERTIFICATE_STAND_INS = {
 @pytest.mark.parametrize("stand_in", sorted(CERTIFICATE_STAND_INS))
 def test_chaos_certificate_fails_without_each_ingredient(stand_in, monkeypatch):
     d, n, k = 2, 3, 2
-    status, details = chaos._case_chaos(d, n, k, 0)
+    status, details = chaos._case_chaos(d, n, k)
     assert status == "pass"
     assert details["adjoint"] is True and "isometry" not in details
     clear_caches()
     patch, key = CERTIFICATE_STAND_INS[stand_in]
     patch(monkeypatch)
-    status, details = chaos._case_chaos(d, n, k, 0)
+    status, details = chaos._case_chaos(d, n, k)
     assert status == "fail"
     if key is not None:
         assert details[key] is False
@@ -444,7 +444,7 @@ def test_truncation_case_agrees_with_the_seeded_oracle(seed):
     # At d = 1 there is no 2-form: the drawn case passed on the zero form.
     for d in range(1, 6):
         for n in range(1, 6):
-            status, details = chaos._case_chaos_truncation(d, n, n, seed)
+            status, details = chaos._case_chaos_truncation(d, n, n)
             old_status, old = oracles.truncation_case(d, n, n, seed)
             assert old_status == "pass", (d, n)
             if d == 1:
@@ -489,9 +489,9 @@ TRUNCATION_STAND_INS = {
 @pytest.mark.parametrize("stand_in", sorted(TRUNCATION_STAND_INS))
 def test_truncation_case_fails_and_names_c_without_each_ingredient(stand_in, monkeypatch):
     patch, c, residual = TRUNCATION_STAND_INS[stand_in]
-    assert chaos._case_chaos_truncation(3, 3, 3, 0)[0] == "pass"
+    assert chaos._case_chaos_truncation(3, 3, 3)[0] == "pass"
     patch(monkeypatch)
-    status, details = chaos._case_chaos_truncation(3, 3, 3, 0)
+    status, details = chaos._case_chaos_truncation(3, 3, 3)
     assert status == "fail" and details["c"] == c and details["residual"] != "0"
     assert residual is None or details["residual"] == residual
     # The degrees are read off the computed routes, never off the expected chunk.
@@ -659,14 +659,14 @@ def test_decomposition_certificate_fails_without_each_step(stand_in, monkeypatch
     d = n = 3
     r, q = 3, n - k
     assert rep_theory._pattern_block((1, 1, 1), k, q) == (*_hook_kostka(r, q), True)
-    assert rep_theory._case_decomposition(d, n, k, 0)[0] == "pass"
-    assert rep_theory._case_rep(d, n, 1, 0)[0] == "pass"
+    assert rep_theory._case_decomposition(d, n, k)[0] == "pass"
+    assert rep_theory._case_rep(d, n, 1)[0] == "pass"
     clear_caches()
     patch(monkeypatch)
     assert rep_theory._pattern_block((1, 1, 1), k, q)[3] is False
-    status, details = rep_theory._case_decomposition(d, n, k, 0)
+    status, details = rep_theory._case_decomposition(d, n, k)
     assert status == "fail"
-    rep_status, rep_details = rep_theory._case_rep(d, n, 1, 0)
+    rep_status, rep_details = rep_theory._case_rep(d, n, 1)
     expected = ("fail", "bad") if stand_in in REP_READS_TOO else ("pass", "ok")
     assert (rep_status, rep_details["witnesses"]) == expected
     if stand_in == "rank one short":
@@ -776,7 +776,7 @@ def rep_oracle(d, n, k):
 
 @pytest.mark.parametrize("d, n, k", REP_GRID)
 def test_rep_case_agrees_with_the_averaging_oracle(d, n, k):
-    case = rep_theory._case_rep(d, n, k, 0)
+    case = rep_theory._case_rep(d, n, k)
     assert case[0] == ("skip" if n > d else "pass")
     assert case == rep_oracle(d, n, k)
 
@@ -897,11 +897,11 @@ def test_rep_case_fails_with_each_stand_in(stand_in, n, monkeypatch):
     # empty caches: none may hold what the other side computed.
     for k in ks(n):
         clear_caches()
-        assert rep_theory._case_rep(n, n, k, 0)[0] == "pass"
+        assert rep_theory._case_rep(n, n, k)[0] == "pass"
         with monkeypatch.context() as mp:
             patch(mp, k, n - k)
             clear_caches()
-            assert rep_theory._case_rep(n, n, k, 0)[0] == "fail", k
+            assert rep_theory._case_rep(n, n, k)[0] == "fail", k
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -912,7 +912,7 @@ def test_rep_split_dims_equal_the_eliminations(n):
     for k in range(n + 1):
         dims = list(oracles.rep_split_dims(n, k))
         for d in range(n, 8):
-            status, details = rep_theory._case_rep(d, n, k, 0)
+            status, details = rep_theory._case_rep(d, n, k)
             assert status == "pass" and details["split_dims"] == dims, (d, k)
 
 
@@ -932,11 +932,11 @@ def test_rep_split_reads_the_diagonal_of_t(k, monkeypatch):
     # diagonal entry off by one at the set 1..k, which the case reads.  At
     # n = 5 no class representative is compared either.
     n = 5
-    status, details = rep_theory._case_rep(n, n, k, 0)
+    status, details = rep_theory._case_rep(n, n, k)
     assert status == "pass" and details["split_dims"] == details["expected"][1:]
     s0 = tuple(range(1, k + 1))
     monkeypatch.setattr(rep_theory, "_set_transposition_sum", _set_sum_with_diagonal_off_at(s0))
-    status, details = rep_theory._case_rep(n, n, k, 0)
+    status, details = rep_theory._case_rep(n, n, k)
     assert status == "fail" and details["witnesses"] == "ok"
     assert details["split_dims"] != details["expected"][1:]
 
@@ -1037,13 +1037,13 @@ def test_rep_case_checks_the_degenerate_orbit(d, n, k, monkeypatch):
     # The rank of the repeated label's orbit is C(n-1,q-1) [plus != 0] +
     # C(n-1,q) [minus != 0]; a wrong orbit, or a wrong prediction, fails
     # the case and reports the predicted dimension.
-    status, details = rep_theory._case_rep(d, n, k, 0)
+    status, details = rep_theory._case_rep(d, n, k)
     assert status == "pass" and "expected" not in details["degenerate"]
     true_dim = details["degenerate"]["orbit_dim"]
     assert true_dim == rep_theory._degenerate_orbit_dim(rep_theory._repeated_label(n, k), d) > 0
     monkeypatch.setattr(*DEGENERATE_STAND_INS[d, n, k])
     clear_caches()
-    status, details = rep_theory._case_rep(d, n, k, 0)
+    status, details = rep_theory._case_rep(d, n, k)
     degenerate = details["degenerate"]
     assert status == "fail" and degenerate["orbit_dim"] != degenerate["expected"]
     if k < n:

@@ -133,7 +133,7 @@ def test_exactness_case_fails_on_a_rank_preserving_broken_lower(fresh_caches, mo
     identities = {name for name, _ in hodge._certificate((1, 1, 1), 1, 2)[0]}
     labels = {b.render() for k in range(4) for b in enum_basis(3, k, 3 - k)}
     for k in range(4):
-        status, details = hodge._case_exactness(3, 3, k, 0)
+        status, details = hodge._case_exactness(3, 3, k)
         assert status == "fail" and set(details) == {"dim", "failed", "label"}
         assert details["failed"] in identities and details["label"] in labels
 
@@ -346,10 +346,10 @@ def test_a_run_stopped_mid_way_leaves_a_truncated_report(tmp_path, monkeypatch, 
     full = target.read_text(encoding="utf-8")
     real = hodge._case_split
 
-    def interrupted(d, n, k, seed):
+    def interrupted(d, n, k):
         if (d, n, k) == (2, 2, 1):
             raise KeyboardInterrupt
-        return real(d, n, k, seed)
+        return real(d, n, k)
 
     monkeypatch.setattr(hodge, "_case_split", interrupted)
     ran = _counting_run_case(monkeypatch)
@@ -672,17 +672,17 @@ def _swapped_split(t, real=hodge.hodge_split):
 def test_split_case_fails_when_its_proof_breaks(name, stand_in, fresh_caches, monkeypatch):
     # A doubled gram matrix breaks only the adjointness that proves
     # orthogonality; a swapped split breaks the hodge_split check.
-    assert hodge._case_split(2, 2, 1, 0)[0] == "pass"
+    assert hodge._case_split(2, 2, 1)[0] == "pass"
     # gram_matrix reaches the split through fock_ops._adjoint_residual.
     monkeypatch.setattr(fock_ops if name == "gram_matrix" else hodge, name, stand_in)
     clear_caches()
-    assert hodge._case_split(2, 2, 1, 0)[0] == "fail"
+    assert hodge._case_split(2, 2, 1)[0] == "fail"
 
 
 def test_decomposition_case_checks_the_embedded_dimension(monkeypatch):
     # One vector less in the block and in the minus piece keeps direct
     # and dim_plus == ker_lower; only dim == block_dim sees it.
-    assert rep_theory._case_decomposition(3, 3, 1, 0)[0] == "pass"
+    assert rep_theory._case_decomposition(3, 3, 1)[0] == "pass"
     real = rep_theory.decomposition_dims
 
     def short(d, k, q):
@@ -690,7 +690,7 @@ def test_decomposition_case_checks_the_embedded_dimension(monkeypatch):
         return dim - 1, dim_plus, dim_minus - 1, direct
 
     monkeypatch.setattr(rep_theory, "decomposition_dims", short)
-    status, details = rep_theory._case_decomposition(3, 3, 1, 0)
+    status, details = rep_theory._case_decomposition(3, 3, 1)
     assert status == "fail" and details["dim"] == 8
 
 
@@ -701,16 +701,42 @@ def test_exactness_case_checks_the_hook_kostka_ranks(fresh_caches, monkeypatch):
     # the check reads the short rank.  One rank short on the pattern (2, 1)
     # fails only the check, and the case names that pattern.
     hodge._exactness_report(3, 3)
-    assert hodge._case_exactness(3, 3, 2, 0)[0] == "pass"
+    assert hodge._case_exactness(3, 3, 2)[0] == "pass"
     real = hodge.operator_rank
 
     def short(which, mu, k, q):
         return real(which, mu, k, q) - (which == "lower" and mu == (2, 1))
 
     monkeypatch.setattr(hodge, "operator_rank", short)
-    status, details = hodge._case_exactness(3, 3, 2, 0)
+    status, details = hodge._case_exactness(3, 3, 2)
     assert status == "fail" and details["pattern"] == [2, 1] and details["expected"] == [1, 1]
     assert details["lower_exact"] and details["raise_exact"] and details["harmonic_dim"] == 0
+
+
+def test_one_hook_formula_feeds_every_kostka_check(fresh_caches, monkeypatch):
+    # exactness, decomposition and rep all read the hook ranks from
+    # hodge._hook_ranks.  A stand-in one too high in the rank of lower at
+    # (r, q) = (3, 1) fails each case at d = n = 3, k = 2, and each reports
+    # the stand-in's numbers as expected.
+    real = hodge._hook_ranks
+    for case in (hodge._case_exactness, rep_theory._case_decomposition, rep_theory._case_rep):
+        assert case(3, 3, 2)[0] == "pass"
+
+    def off_by_one(r, q):
+        low, up = real(r, q)
+        return low + ((r, q) == (3, 1)), up
+
+    for mod in (hodge, rep_theory):
+        monkeypatch.setattr(mod, "_hook_ranks", off_by_one)
+    clear_caches()
+    expected = {
+        hodge._case_exactness: [3, 1],
+        rep_theory._case_decomposition: [4, 1, 3],
+        rep_theory._case_rep: [3, 1, 3],
+    }
+    for case, numbers in expected.items():
+        status, details = case(3, 3, 2)
+        assert status == "fail" and details["expected"] == numbers, case.__name__
 
 
 @pytest.mark.parametrize("d, n, k", [(3, 3, 1), (3, 3, 3), (2, 2, 0)])
@@ -728,7 +754,7 @@ def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
         return original(t)
 
     monkeypatch.setattr(chaos, "chaos_field", counted)
-    status, _ = chaos._case_chaos(d, n, k, 0)
+    status, _ = chaos._case_chaos(d, n, k)
     assert status == "pass"
     blocks = [(mu, k + i, q - i) for i in (0, -1, 1) for mu, _ in weight_patterns(d, n)]
     assert built == [sig for sig in blocks if block_dim(*sig)]

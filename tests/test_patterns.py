@@ -21,7 +21,7 @@ import hodgefock.hodge as hodge
 from hodgefock.cli import VerifyConfig, run_verify
 from hodgefock.fock_ops import LinearMap, operator_matrix
 from hodgefock.hodge import exactness_report, weitzenboeck_defect
-from hodgefock.tensor_core import weight_patterns
+from hodgefock.tensor_core import block_dim, weight_patterns
 
 import oracles
 
@@ -57,8 +57,8 @@ def test_cases_equal_the_whole_block_oracles(serial_fresh):
             for k in range(n + 1):
                 q = n - k
                 assert weitzenboeck_defect(d, k, q) == oracles.weitzenboeck_defect(d, k, q)
-                pairs = [chaos._chaos_pattern_holds(mu, k, q) for mu, _ in weight_patterns(d, n)]
-                holds = tuple(all(pair[i] for pair in pairs) for i in (0, 1))
+                records = [chaos._chaos_pattern_holds(mu, k, q) for mu, _ in weight_patterns(d, n)]
+                holds = tuple(all(record[i] for record in records) for i in (0, 1))
                 assert holds == oracles.chaos_block_holds(d, k, q) == (True, True), (d, k)
 
 
@@ -89,6 +89,7 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
         "_certificate": (hodge._certificate, 0),
         "_adjoint_residual": (fock_ops._adjoint_residual, 0),
         "_split_failures": (hodge._split_failures, 0),
+        "_chaos_pattern_holds": (chaos._chaos_pattern_holds, 0),
     }
     asked = {name: set() for name in cached}
 
@@ -109,6 +110,30 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
         assert asked[name] and info.misses == info.currsize == len(asked[name]), name
         grounds = {key[ground_at] for key in asked[name]}
         assert all(isinstance(ground, tuple) for ground in grounds), name
+
+
+def test_gaussian_record_builds_two_shift_matrices_per_nonempty_block(serial_fresh, monkeypatch):
+    # Each pattern block the chaos cases read has one record, which builds
+    # the shift matrices of d and δ once each, and none on an empty block.
+    read, shifts = set(), []
+    real_record, real_shift = chaos._chaos_pattern_holds, chaos.hermite_matrix
+
+    def record(*block):
+        read.add(block)
+        return real_record(*block)
+
+    def shift(which, *block):
+        shifts.append((which, block))
+        return real_shift(which, *block)
+
+    monkeypatch.setattr(chaos, "_chaos_pattern_holds", record)
+    monkeypatch.setattr(chaos, "hermite_matrix", shift)
+    assert run_verify(VerifyConfig(suite="chaos", max_dim=4, max_n=4)).status == "pass"
+    nonempty = {block for block in read if block_dim(*block)}
+    assert nonempty != read
+    assert sorted(shifts) == sorted((w, b) for w in ("lower", "raise") for b in nonempty)
+    info = real_record.cache_info()
+    assert info.misses == info.currsize == len(read)
 
 
 def _linear_maps(value):

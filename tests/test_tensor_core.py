@@ -52,6 +52,25 @@ def test_enum_basis_rejects_bad_dimension():
         enum_basis(0, 1, 1)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_block_counts_refuse_a_ground_below_one(d):
+    # Over R^0 or less there is no block to count: each of these refuses
+    # the ground as enum_basis does, instead of a ValueError from math, a
+    # zero count, or a vacuous pass.
+    calls = [
+        (block_dim, (d, 0, 0)),
+        (block_dim, (d, 1, 0)),
+        (hf.weight_patterns, (d, 3)),
+        (hf.weitzenboeck_defect, (d, 1, 1)),
+        (hf.weitzenboeck_defect, (d, 0, 0)),
+        (hf.decomposition_dims, (d, 1, 1)),
+        (hf.exactness_report, (d, 2)),
+    ]
+    for fn, args in calls:
+        with pytest.raises(DimensionMismatch):
+            fn(*args)
+
+
 def test_empty_signature_has_the_vacuum_label():
     assert enum_basis(3, 0, 0) == [MixedIndex((), ())]
     assert block_dim(3, 0, 0) == 1
