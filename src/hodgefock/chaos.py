@@ -6,39 +6,29 @@ maps onto polynomials through
     label with multiplicities (a_1, ..., a_d)  |->  prod_i He_{a_i}(x_i)
 
 where He_m is the monic (probabilists') Hermite polynomial, He_{m+1} =
-x He_m - m He_{m-1}.  Why this is the right dictionary: summing the
-labels of h^(.k)/k! over k gives, coordinate by coordinate, the
-generating series sum_m c^m He_m(x)/m! = exp(c x - c^2/2), so the
-exponential vector of h goes to exp(<h, x> - |h|^2/2); and the Gaussian
-moments E[He_a He_b] = a! delta_ab per coordinate reproduce exactly the
-permanent pairing of the symmetric block.  Both facts are enforced by the
-test suite, exhaustively in low degree.
+x He_m - m He_{m-1}.  Summing the labels of h^(.k)/k! over k gives the
+generating series sum_m c^m He_m(x)/m! = exp(c x - c^2/2) per coordinate,
+so the exponential vector of h goes to exp(<h, x> - |h|^2/2), and the
+moments E[He_a He_b] = a! delta_ab reproduce the permanent pairing.
 
-A mixed block goes to polynomial differential forms: the wedge part is
-carried along as the component key.  Under the dictionary, lower becomes
-the gradient-and-wedge operator (exterior_derivative) and raise_ becomes
-the Gaussian divergence (codifferential); their composite on functions is
-the classical number operator x . grad - laplacian (ornstein_uhlenbeck),
-diagonal with eigenvalue = total Hermite degree.
+A mixed block goes to polynomial differential forms, the wedge part
+carried as the component key.  lower becomes the gradient-and-wedge
+operator (exterior_derivative) and raise_ the Gaussian divergence
+(codifferential); on functions their composite is the number operator
+x . grad - laplacian (ornstein_uhlenbeck), with eigenvalue the degree.
 
 A form's Hermite coordinates {(wedge key, multi-degree): c} are its
-coefficients on He_m dx_J.  Forms change basis in two places only:
-FormField.from_hermite multiplies the products out into monomials, and
-FormField.hermite_coords reads each wedge component back through
-HermiteExpansion.from_poly.  chaos_field, gaussian_inner,
-commutation_defect and the `verify chaos` checks all go through these two.
-
-In these coordinates, where hermite_key gives a label's key, both
-operators are integer shifts, one coordinate at a time: He_a' =
-a He_{a-1} for the derivative and x He_a - He_a' = He_{a+1} for the
-creation part of the divergence.  hermite_matrix writes them as
-matrices indexed by the labels of the neighbouring blocks, so the
-`verify chaos` suite proves the dictionary by comparing them with the
-integer matrices of lower and raise_ (operator_matrix), with no sampling.
-Relabelling the ground basis commutes with all of this, so the suite
-runs on one weight block per pattern mu, with forms on R^len(mu), and
-keeps one record per block (_chaos_pattern_holds).  The chaos and
-chaos-truncation cases of `hodgefock verify` are here.
+coefficients on He_m dx_J.  Forms change basis only in
+FormField.from_hermite, which multiplies them out into monomials, and
+FormField.hermite_coords, which reads each component back through
+HermiteExpansion.from_poly.  In these coordinates (hermite_key gives a
+label's key) both operators are integer shifts, one coordinate at a
+time (_hermite_image): He_a' = a He_{a-1} and x He_a - He_a' = He_{a+1}.
+The `verify chaos` suite proves the dictionary with no sampling: on each
+label the shift, and lower and raise_ (hodge._dictionary), give the
+column of the Koszul model (fock_ops._koszul).  It runs on one weight
+block per pattern mu, forms on R^len(mu), with one record per block
+(_chaos_pattern_holds).
 
 The truncation square (commutation_defect) is a polynomial identity in
 h.  The chaos-truncation case proves it for every h, coefficient by
@@ -57,8 +47,8 @@ from math import factorial, prod
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
-from .fock_ops import LinearMap, _adjoint_residual, _wedge_insert, operator_matrix
-from .hodge import weitzenboeck_defect
+from .fock_ops import _adjoint_residual, _model_images, _wedge_insert
+from .hodge import _dictionary, weitzenboeck_defect
 from .linalg import SparseVector, as_coeff, dot, lincomb
 from .tensor_core import FockTensor, MixedIndex, _gram_factor, block_dim, enum_basis, inner
 from .tensor_core import _partitions, weight_patterns
@@ -215,9 +205,7 @@ class FormField(SparseVector):
         data: dict[tuple, object] = {}
         for key, poly in (comps or {}).items():
             key = tuple(key)
-            if len(key) != q or any(
-                not 1 <= i <= dim for i in key
-            ) or any(a >= b for a, b in zip(key, key[1:])):
+            if len(key) != q or not all(a < b for a, b in zip((0, *key), (*key, dim + 1))):
                 raise InvalidIndex(f"bad wedge key {key!r} for a {q}-form on R^{dim}")
             if not isinstance(poly, Poly):
                 raise TypeError("components must be Poly")
@@ -266,11 +254,8 @@ class FormField(SparseVector):
     def hermite_coords(self) -> dict:
         """The inverse of from_hermite: {(J, m): c}, each component read
         through HermiteExpansion.from_poly."""
-        return {
-            (key, mult): c
-            for key, p in self.items()
-            for mult, c in HermiteExpansion.from_poly(p).coeffs.items()
-        }
+        items = ((key, HermiteExpansion.from_poly(p).coeffs) for key, p in self.items())
+        return {(key, mult): c for key, coeffs in items for mult, c in coeffs.items()}
 
     def hermite_degrees(self) -> set[int]:
         return {sum(mult) for _, mult in self.hermite_coords()}
@@ -284,10 +269,7 @@ class GradedFock(NamedTuple):
 
 
 def _label_multiplicities(label: MixedIndex, dim: int) -> tuple[int, ...]:
-    mult = [0] * dim
-    for i in label.sym:
-        mult[i - 1] += 1
-    return tuple(mult)
+    return tuple(map(label.sym.count, range(1, dim + 1)))
 
 
 def hermite_key(label: MixedIndex, ground) -> tuple:
@@ -387,26 +369,6 @@ def _hermite_image(which: str, key: tuple[int, ...], m: tuple[int, ...]):
             yield (key[:pos] + key[pos + 1 :], up), (-1) ** pos
 
 
-def hermite_matrix(which: str, ground, k: int, q: int) -> LinearMap:
-    """Matrix of d ("lower") or δ ("raise") on the chaos of a block.
-
-    Column b is _hermite_image of He_{mult(b)} dx_{b.alt}, and each image
-    key is read back as the label of the neighbouring block with that
-    hermite_key.  Under the dictionary this must equal
-    operator_matrix(which, ground, k, q), entry for entry; off the end of
-    the complex both are zero maps into the empty block.
-    """
-    if which not in ("lower", "raise"):
-        raise InvalidIndex(f"unknown operator {which!r}")
-    cod_sig = (ground, k - 1, q + 1) if which == "lower" else (ground, k + 1, q - 1)
-    index = {hermite_key(b, ground): r for r, b in enumerate(enum_basis(*cod_sig))}
-    entries: dict[tuple[int, int], object] = {}
-    for c, b in enumerate(enum_basis(ground, k, q)):
-        for key, v in _hermite_image(which, *hermite_key(b, ground)):
-            entries[(index[key], c)] = v
-    return LinearMap._trusted(((ground, k, q), cod_sig), entries)
-
-
 def _as_form(f) -> FormField:
     if isinstance(f, FormField):
         return f
@@ -436,9 +398,11 @@ def gaussian_inner(u, v):
     coordinate-wise; exact, no quadrature.
     """
     u = _as_form(u)
-    v = _as_form(v)
+    v = u if v is u else _as_form(v)
     u._check_same(v)
-    return dot(u.hermite_coords(), v.hermite_coords(), lambda key: prod(map(factorial, key[1])))
+    coords = u.hermite_coords()  # read once when pairing a form with itself
+    other = coords if v is u else v.hermite_coords()
+    return dot(coords, other, lambda key: prod(map(factorial, key[1])))
 
 
 def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField:
@@ -497,13 +461,10 @@ def _hermite_table_holds(n: int) -> bool:
 @lru_cache(maxsize=None)
 def _ladder_tables_hold(n: int) -> tuple[bool, bool, bool]:
     """(d, δ, Laplacian) ladders of the monomial-basis operators, on every
-    form He_a(x_1) He_b(x_2) dx_J over R^2, a + b <= n and J a subset of {1, 2}.
-
-    exterior_derivative must give He_a' = a He_{a-1} and codifferential
-    x He_a - He_a' = He_{a+1}, both with the wedge-slot signs of
-    _hermite_image, and hodge_laplacian the eigenvalue a + b + |J|.  Each
-    form is multiplied out by FormField.from_hermite, never read through
-    from_poly.
+    form He_a(x_1) He_b(x_2) dx_J over R^2, a + b <= n and J a subset of {1, 2}:
+    exterior_derivative and codifferential must give _hermite_image, and
+    hodge_laplacian the eigenvalue a + b + |J|.  Each form is multiplied out
+    by FormField.from_hermite, never read through from_poly.
     """
     d_ok, delta_ok, lap_ok = _ladder_tables_hold(n - 1) if n else (True, True, True)
     for a in range(n + 1):
@@ -521,26 +482,22 @@ def _ladder_tables_hold(n: int) -> tuple[bool, bool, bool]:
 
 
 @lru_cache(maxsize=None)
-def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool, bool, bool]:
-    """(dictionary, isometry, lower matches, raise_ matches): the one cached
-    record of the Gaussian model on the block of mu.
+def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool, bool, bool, bool]:
+    """(dictionary, isometry, lower matches, raise_ matches, adjoint): the
+    one cached record of the Gaussian model on the block of mu.
 
-    With t = sum_i (i+1) e_{b_i} over the labels and f = chaos_field(t),
-    the dictionary holds when the Hermite coordinates of f are exactly
-    {hermite_key(b_i): i+1}: chaos_field acts label by label, and the
-    distinct coefficients make a re-keyed or rescaled label show.
-
-    The isometry then holds when each Fock weight _gram_factor(b) is
-    prod mult(b)! and _hermite_table_holds(k) gives that Gaussian norm:
-    both pairings are bilinear and vanish on distinct keys, so they agree
-    on the whole block.  gaussian_inner itself is run once, on f.  The
-    matches compare the shift matrices of d and δ (hermite_matrix) with
-    lower and raise_ (operator_matrix) on the block.  An empty block
-    builds nothing and holds all four.
+    With t = sum_i (i+1) e_{b_i} and f = chaos_field(t), the dictionary
+    holds when f has exactly the Hermite coordinates {hermite_key(b_i): i+1}:
+    chaos_field acts label by label, so a re-keyed or rescaled label shows.
+    The isometry holds when each _gram_factor(b) is prod mult(b)!, the norm
+    that _hermite_table_holds(k) gives, and gaussian_inner(f, f) = inner(t, t).
+    lower matches when d (_hermite_image) and lower (hodge._dictionary) give
+    the model's column on each label, and raise_ likewise with δ; adjoint
+    is _adjoint_residual.  An empty block builds nothing and holds all five.
     """
     labels = enum_basis(mu, k, q)
     if not labels:
-        return True, True, True, True
+        return True, True, True, True, True
     t = FockTensor._trusted((mu, k, q), {b: i + 1 for i, b in enumerate(labels)})
     f = chaos_field(t)
     dictionary = f.hermite_coords() == {hermite_key(b, mu): c for b, c in t.coeffs.items()}
@@ -550,22 +507,25 @@ def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool, bool, b
         and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, mu)[1])) for b in labels)
         and gaussian_inner(f, f) == inner(t, t)
     )
-    lower_ok, raise_ok = (
-        hermite_matrix(w, mu, k, q) == operator_matrix(w, mu, k, q) for w in ("lower", "raise")
+    matches = (
+        fock is None and all(
+            dict(_hermite_image(which, *hermite_key(b, mu))) == {keys[r]: v for r, v in c.items()}
+            for b, c in zip(labels, _model_images(which, mu, q))
+        )
+        for fock, which, keys in zip(_dictionary(mu, k, q), ("lower", "raise"), (
+            [hermite_key(b, mu) for b in enum_basis(mu, k + i, q - i)] for i in (-1, 1)
+        ))
     )
-    return dictionary, isometry, lower_ok, raise_ok
+    return dictionary, isometry, *matches, _adjoint_residual(mu, k, q) is None
 
 
 def _case_chaos(d: int, n: int, k: int):
     """The Gaussian model of H_{k,q}, proved exactly.
 
     Premise: exterior_derivative and codifferential act one coordinate at
-    a time, with the shared wedge sign rule.  The ladder tables then make
-    them the integer shift matrices of hermite_matrix in Hermite
-    coordinates, and under the dictionary each key is a matrix identity.
-    Relabelling the ground commutes with all of it, so the case ands the
-    records (_chaos_pattern_holds) of H_{k,q}, H_{k-1,q+1} and H_{k+1,q-1}
-    over the pattern blocks:
+    a time, with the shared wedge sign rule, so the ladder tables make them
+    the shifts of _hermite_image.  The case ands the records of H_{k,q},
+    H_{k-1,q+1} and H_{k+1,q-1} over the pattern blocks:
 
     * diagram: d = lower on H_{k,q};
     * dual_diagram: δ = raise_ on H_{k,q};
@@ -577,10 +537,11 @@ def _case_chaos(d: int, n: int, k: int):
     q = n - k
     patterns = weight_patterns(d, n)
     # Built in this order: H_{k,q}, then the block below, then the one above.
-    (here, iso, d_here, delta_here), (below, iso_below, _, delta_below), (above, _, d_above, _) = (
-        map(all, zip(*(_chaos_pattern_holds(mu, k + i, q - i) for mu, _ in patterns)))
-        for i in (0, -1, 1)
-    )
+    blocks = (map(all, zip(*(_chaos_pattern_holds(mu, k + i, q - i) for mu, _ in patterns)))
+              for i in (0, -1, 1))
+    here, iso, d_here, delta_here, adjoint = next(blocks)
+    below, iso_below, _, delta_below, _ = next(blocks)
+    above, _, d_above, _, _ = next(blocks)
     ladder_d, ladder_delta, ladder_lap = _ladder_tables_hold(n)
     diagram = here and below and ladder_d and d_here
     dual = here and above and ladder_delta and delta_here
@@ -593,9 +554,7 @@ def _case_chaos(d: int, n: int, k: int):
         details["isometry"] = iso
         ok = ok and iso
     if q + 1 <= d:
-        adj = diagram and iso and iso_below and ladder_delta and delta_below and all(
-            _adjoint_residual(mu, k, q) is None for mu, _ in patterns
-        )
+        adj = diagram and iso and iso_below and ladder_delta and delta_below and adjoint
         details["adjoint"] = adj
         ok = ok and adj
     return ("pass" if ok else "fail"), details

@@ -6,11 +6,13 @@ maps square to zero and satisfy the degree-n commutation identity
 
     raise_ . lower + lower . raise_ = (k + q) * id   on H_{k,q}.
 
-Also here: the slot action of permutations on full tensors, and exact
-integer matrices of the operators on a whole block or on the weight
-block of a pattern (tensor_core), whose ranks hodge reads as traces.
-operator_matrix is the one cache that holds matrices; the adjointness
-check of a block (_adjoint_residual) keeps only its first failing label.
+Also here: the slot action of permutations on full tensors, and the exact
+integer matrices of the operators (operator_matrix, gram_matrix), the
+slow public reference.  The verify path reads the model instead: a label
+of the block of mu, r = len(mu), is fixed by its wedge set A of {1..r},
+so the block is Lambda^q(Q^r), lower is the wedge with u = sum mu_i e_i
+and raise_ the contraction with w = sum e_i^*: the Koszul complex of one
+vector (Eisenbud, Commutative Algebra, 17), _koszul, with formal mu_i.
 """
 
 from __future__ import annotations
@@ -108,10 +110,9 @@ def _wedge_insert(i: int, alt: tuple[int, ...]) -> tuple[int, tuple[int, ...]] |
 def lower(t: FockTensor) -> FockTensor:
     """Move one symmetric slot into the wedge part, summed over slots.
 
-    On a label: sum over the k symmetric entries h of
-    (label minus h) tensor (h wedged in front).  For k = 0 the result is
-    the distinguished zero of the degenerate block (k-1, q+1), and a
-    degenerate zero input passes through as the shifted zero, so chained
+    On a label: sum over the k symmetric entries h of (label minus h)
+    tensor (h wedged in front).  For k = 0, and on a degenerate zero, the
+    result is the zero of the degenerate block (k-1, q+1), so chained
     applications stay total across the end of the complex.
     """
     out: dict[MixedIndex, object] = {}
@@ -130,19 +131,14 @@ def raise_(t: FockTensor) -> FockTensor:
     """Move one wedge slot into the symmetric part, with alternating signs.
 
     On a label with wedge entries j_1 < ... < j_q: sum of
-    (-1)^(i-1) * (sym with j_i inserted) tensor (wedge minus j_i).  For
-    q = 0 there is no wedge slot and the result is the zero of the
-    degenerate block (k+1, -1), and a degenerate zero input passes
-    through as the shifted zero: like lower, raise_ is the zero map off
-    the end of the complex.
+    (-1)^(i-1) * (sym with j_i inserted) tensor (wedge minus j_i).  Like
+    lower, raise_ is the zero map off the end of the complex, into the
+    degenerate block (k+1, -1) at q = 0.
     """
     out: dict[MixedIndex, object] = {}
     for label, c in t.coeffs.items():
         for i, j in enumerate(label.alt):
-            new = MixedIndex(
-                tuple(sorted(label.sym + (j,))),
-                label.alt[:i] + label.alt[i + 1 :],
-            )
+            new = MixedIndex(tuple(sorted(label.sym + (j,))), label.alt[:i] + label.alt[i + 1 :])
             out[new] = out.get(new, 0) + (-1) ** i * c
     return FockTensor._trusted((t.dim, t.k + 1, t.q - 1), out)
 
@@ -196,9 +192,7 @@ class LinearMap(SparseVector):
         return FockTensor._trusted(self.cod_sig, {cod[r]: v for r, v in image.items()})
 
     def max_abs_entry(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return Fraction(max(abs(v) for v in self.coeffs.values()))
+        return Fraction(max((abs(v) for v in self.coeffs.values()), default=0))
 
     def columns(self) -> list[dict]:
         cols: list[dict] = [{} for _ in range(block_dim(*self.dom_sig))]
@@ -207,23 +201,17 @@ class LinearMap(SparseVector):
         return cols
 
 
-@lru_cache(maxsize=None)
 def operator_matrix(which: str, ground, k: int, q: int) -> LinearMap:
     """Matrix of lower or raise_ on a block (ground d or a pattern mu).
 
     Entries are integers under the package conventions.  lower at k = 0
     and raise_ at q = 0 give zero-row matrices: the codomain is a
-    degenerate block.  Built once per argument tuple and process: the
-    suites ask for the same matrices, and a LinearMap is never mutated.
+    degenerate block.  No verify case builds one (_koszul instead).
     """
-    if which == "lower":
-        op = lower
-        cod_sig = (ground, k - 1, q + 1)
-    elif which == "raise":
-        op = raise_
-        cod_sig = (ground, k + 1, q - 1)
-    else:
+    if which not in ("lower", "raise"):
         raise InvalidIndex(f"unknown operator {which!r}")
+    op, shift = (lower, -1) if which == "lower" else (raise_, 1)
+    cod_sig = (ground, k + shift, q - shift)
     index = {label: i for i, label in enumerate(enum_basis(*cod_sig))}
     entries: dict[tuple[int, int], object] = {}
     for c, label in enumerate(enum_basis(ground, k, q)):
@@ -239,22 +227,69 @@ def gram_matrix(ground, k: int, q: int) -> LinearMap:
     return LinearMap._trusted(((ground, k, q), (ground, k, q)), ent)
 
 
-def _first_label(m: LinearMap):
-    """The domain label of the first nonzero column of m, or None if m = 0."""
-    return enum_basis(*m.dom_sig)[min(c for _, c in m.coeffs)] if m.coeffs else None
+def _columns(r: int, q: int) -> tuple[list, list]:
+    """(ε, ι) on the q-subsets A of {1..r}, listed as the wedge sets of the
+    labels of every pattern block with r parts (those of 1^r) are: the
+    column of e_i ^ e_A = sign e_{A+i} (_wedge_insert) is {(row, i - 1):
+    sign}, and the contraction of the p-th entry of A is {row: (-1)^p}."""
+    sets = [[b.alt for b in enum_basis((1,) * r, r - p, p)] for p in (q + 1, q, q - 1)]
+    up, down = ({a: row for row, a in enumerate(sets[i])} for i in (0, 2))
+    eps, iota = [], []
+    for a in sets[1]:
+        inserts = ((i, _wedge_insert(i + 1, a)) for i in range(r))
+        eps.append({(up[ins[1]], i): ins[0] for i, ins in inserts if ins})
+        iota.append({down[a[:p] + a[p + 1 :]]: (-1) ** p for p in range(q)})
+    return eps, iota
 
 
 @lru_cache(maxsize=None)
-def _adjoint_residual(ground, k: int, q: int):
-    """The first label of H_{k,q} where G' L - (G R')^T has a nonzero column,
-    or None, with L = lower on H_{k,q}, R' = raise_ on H_{k-1,q+1} and G, G'
-    their gram matrices: None iff inner(lower(u), w) = inner(u, raise_(w))
-    for all u and w.
+def _koszul(r: int, q: int) -> tuple:
+    """(ε, ι, checks, traces, residual): the model on the q-subsets of
+    {1..r}, lower = sum_i mu_i ε_i and raise_ = ι, checked once per (r, q)
+    with formal weights (an entry keyed (row, i) is a coefficient of mu_i,
+    (row, i, j) one of mu_i mu_j).  checks: (name, shift, first failing
+    column or None) for A + B = n I, L L = 0 from H_{k+1,q-1} (shift 1) and
+    R R = 0 from H_{k-1,q+1}; traces: (tr B, tr A) as coefficients of
+    mu_1..mu_r; residual: the nonzero columns of A + B - n I."""
+    eps, iota = _columns(r, q)
+    eps_below, iota_above = _columns(r, q - 1)[0], _columns(r, q + 1)[1]
+    a = [lincomb((s, eps_below[m]) for m, s in col.items()) for col in iota]
+    b = [lincomb((s, {(row, i): v for row, v in iota_above[m].items()}) for (m, i), s in c.items())
+         for c in eps]
+    ll = [lincomb((s, {(row, *sorted((i, j))): v for (row, j), v in eps[m].items()})
+                  for (m, i), s in c.items()) for c in eps_below]
+    rr = [lincomb((s, iota[m]) for m, s in col.items()) for col in iota_above]
+    residual = [lincomb(((1, x), (1, y), (-1, {(c, i): 1 for i in range(r)})))
+                for c, (x, y) in enumerate(zip(a, b))]
+    names = (("plus + minus = t", 0, residual), ("lower lower = 0", 1, ll),
+             ("raise_ raise_ = 0", -1, rr))
+    checks = tuple((name, i, next((c for c, x in enumerate(m) if x), None))
+                   for name, i, m in names)
+    traces = tuple([sum(x.get((c, i), 0) for c, x in enumerate(m)) for i in range(r)]
+                   for m in (b, a))
+    return eps, iota, checks, traces, [x for x in residual if x]
 
-    Computed once per argument tuple and process: the split and chaos
-    cases of a block both ask for it.
-    """
-    return _first_label(
-        gram_matrix(ground, k - 1, q + 1) @ operator_matrix("lower", ground, k, q)
-        - (gram_matrix(ground, k, q) @ operator_matrix("raise", ground, k - 1, q + 1)).transpose()
-    )
+
+def _model_images(which: str, mu: tuple, q: int) -> list[dict]:
+    """The model's column of lower (which = "lower") or raise_ on each label
+    of the block of mu with q wedge slots, as {row: coefficient}, rows and
+    columns in enum_basis order."""
+    eps, iota = _koszul(len(mu), q)[:2]
+    if which == "lower":
+        return [{row: s * mu[i] for (row, i), s in col.items()} for col in eps]
+    return [dict(col) for col in iota]
+
+
+def _adjoint_residual(ground: tuple, k: int, q: int):
+    """The first label u of H_{k,q} where G' L - (G R')^T has a nonzero
+    column, or None: L and R' are the model's lower on H_{k,q} and raise_ on
+    H_{k-1,q+1} over the pattern ground, and G, G' the diagonal pairings
+    (_gram_factor), entry by entry: G'_ww mu_i = G_uu for w = u + i."""
+    labels = enum_basis(ground, k, q)
+    gram, gram_up = ([_gram_factor(b) for b in enum_basis(ground, k + i, q - i)] for i in (0, -1))
+    right: list[dict] = [{} for _ in labels]
+    for w, col in enumerate(_model_images("raise", ground, q + 1)):
+        for u, v in col.items():
+            right[u][w] = gram[u] * v
+    left = ({w: gram_up[w] * v for w, v in c.items()} for c in _model_images("lower", ground, q))
+    return next((u for u, lo, ra in zip(labels, left, right) if lo != ra), None)

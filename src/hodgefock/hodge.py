@@ -3,17 +3,17 @@
 On H_{k,q} with n = k + q >= 1 write L = lower, R = raise_, A = L R and
 B = R L; off the end of the complex both operators are the zero map into
 an empty block.  Each block has one homotopy certificate (_certificate):
-the integer identities L L = 0 and R R = 0 through the block, and
-A + B = n I.  Then A A = n A - R L L R = n A, and likewise B B = n B,
-A B = B A = 0, L A = 0 and R B = 0: A / n and B / n are complementary
-idempotents and R / n is a contracting homotopy.  So the split of t is
-(A t / n, B t / n), L x = R x = 0 gives n x = 0, Ker L = Im A = Im L from
-H_{k+1,q-1} and Ker R = Im B = Im R from H_{k-1,q+1}, and the ranks are
-traces: rank lower = tr(B) / n and rank raise_ = tr(A) / n.  The
-certificate is the block's one cached record: it builds A, B and the
-products from operator_matrix, keeps each identity's first failing label,
-the traces and the largest |entry| of A + B - n I (weitzenboeck_defect),
-and drops the matrices.
+L L = 0 and R R = 0 through the block, and A + B = n I.  Then
+A A = n A - R L L R = n A, and likewise B B = n B, A B = B A = 0, L A = 0
+and R B = 0: A / n and B / n are complementary idempotents and R / n is a
+contracting homotopy.  So the split of t is (A t / n, B t / n),
+L x = R x = 0 gives n x = 0, Ker L = Im A and Ker R = Im B, and the ranks
+are traces: rank lower = tr(B) / n and rank raise_ = tr(A) / n.
+
+The identities are the Koszul model's (fock_ops._koszul), checked once
+per (len(mu), q) with formal weights; a block adds its dictionary
+(_dictionary): lower and raise_ give the model's columns.  The certificate
+keeps each check's first failing label, the traces and the defect.
 
 H_{k,q} over R^d is a sum of relabelled pattern blocks (tensor_core), so
 ranks and kernels are count-weighted sums over the patterns, a defect is
@@ -26,10 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DegreeOutOfRange
-from .fock_ops import LinearMap, _adjoint_residual, _first_label, lower, operator_matrix, raise_
+from .fock_ops import _adjoint_residual, _koszul, _model_images, lower, raise_
+from .linalg import lincomb
 # embed is not called here; benchmarks/test_bench.py checks that the
 # tracer's wrapper of embed reaches this binding too.
 from .tensor_core import FockTensor, block_dim, embed, enum_basis, weight_patterns  # noqa: F401
@@ -49,26 +51,44 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _dictionary(mu: tuple, k: int, q: int) -> tuple:
+    """(first label where lower, and where raise_, does not give the model's
+    column, or None) on the block of mu; its certificate, its neighbours'
+    and its Gaussian record read it."""
+    labels = enum_basis(mu, k, q)
+    return tuple(
+        next((b for b, col in zip(labels, _model_images(which, mu, q))
+              if op(FockTensor._trusted((mu, k, q), {b: 1})).coeffs
+              != {cod[r]: v for r, v in col.items()}), None)
+        for op, which, cod in ((lower, "lower", enum_basis(mu, k - 1, q + 1)),
+                               (raise_, "raise", enum_basis(mu, k + 1, q - 1)))
+    )
+
+
+@lru_cache(maxsize=None)
 def _certificate(ground, k: int, q: int) -> tuple:
-    """(checks, ranks, defect) of one block, k + q >= 1: each identity with
-    its first failing label or None (A + B = n I, L L from H_{k+1,q-1}, R R
-    from H_{k-1,q+1}), (tr(B) / n, tr(A) / n) = (rank lower, rank raise_),
-    None if one fails, and the largest |entry| of A + B - n I.  Once per
-    argument tuple and process: every Fock-side case reads it, and the
-    products are built here only."""
+    """(checks, ranks, defect) of a pattern block, k + q >= 1: the first
+    failing label or None of the dictionaries of L and R there, of L from
+    H_{k+1,q-1} and R from H_{k-1,q+1}, and of the model's A + B = n I,
+    L L = 0 and R R = 0; (tr(B) / n, tr(A) / n) = (rank lower, rank raise_)
+    if all hold; the largest |entry| of A + B - n I, read off lower and
+    raise_ themselves where a dictionary fails."""
     n = k + q
-    a = operator_matrix("lower", ground, k + 1, q - 1) @ operator_matrix("raise", ground, k, q)
-    b = operator_matrix("raise", ground, k - 1, q + 1) @ operator_matrix("lower", ground, k, q)
-    residual = a + b - LinearMap.identity((ground, k, q)).scale(n)
-    checks = [("plus + minus = t", _first_label(residual))]
-    for name, which, i in (("lower lower = 0", "lower", 1), ("raise_ raise_ = 0", "raise", -1)):
-        twice = operator_matrix(which, ground, k, q) @ operator_matrix(which, ground, k + i, q - i)
-        checks.append((name, _first_label(twice)))
-    ranks = None
-    if all(label is None for _, label in checks):
-        trace_a, trace_b = (sum(v for (r, c), v in m.coeffs.items() if r == c) for m in (a, b))
-        ranks = (trace_b // n, trace_a // n)
-    return tuple(checks), ranks, residual.max_abs_entry()
+    _, _, identities, traces, residual = _koszul(len(ground), q)
+    here = _dictionary(ground, k, q)
+    checks = (
+        ("lower = Σ mu_i ε_i", here[0] or _dictionary(ground, k + 1, q - 1)[0]),
+        ("raise_ = Σ ι_i", here[1] or _dictionary(ground, k - 1, q + 1)[1]),
+        *((name, c if c is None else enum_basis(ground, k + i, q - i)[c])
+          for name, i, c in identities),
+    )
+    holds = all(label is None for _, label in checks)
+    ranks = tuple(sum(map(mul, trace, ground)) // n for trace in traces) if holds else None
+    entries = (lincomb((v * ground[i], {r: 1}) for (r, i), v in col.items()) for col in residual)
+    if checks[0][1] or checks[1][1]:
+        images = (FockTensor._trusted((ground, k, q), {b: 1}) for b in enum_basis(ground, k, q))
+        entries = ((lower(raise_(e)) + raise_(lower(e)) - e.scale(n)).coeffs for e in images)
+    return checks, ranks, Fraction(max((abs(v) for e in entries for v in e.values()), default=0))
 
 
 def _hook_ranks(r: int, q: int) -> tuple[int, int]:
@@ -78,8 +98,9 @@ def _hook_ranks(r: int, q: int) -> tuple[int, int]:
 
 
 def operator_rank(which: str, ground, k: int, q: int) -> int | None:
-    """Rank of operator_matrix(which, ground, k, q), k, q >= 0 and k + q >= 1,
-    as a trace of the block's certificate; None if that fails."""
+    """Rank of lower (which = "lower") or raise_ on the block of a pattern
+    ground, k, q >= 0 and k + q >= 1, as a trace of the block's
+    certificate; None if that fails."""
     ranks = _certificate(ground, k, q)[1]
     return None if ranks is None else ranks[which == "raise"]
 
@@ -143,10 +164,7 @@ class ExactnessReport(NamedTuple):
     rows: tuple[ExactnessRow, ...]
 
     def row(self, k: int) -> ExactnessRow:
-        for r in self.rows:
-            if r.k == k:
-                return r
-        raise KeyError(k)
+        return {r.k: r for r in self.rows}[k]
 
     def exact_at(self, k: int) -> tuple[bool, bool]:
         """(lower, raise_) exactness at H_{k,n-k}: each kernel there equals
@@ -163,39 +181,26 @@ class ExactnessReport(NamedTuple):
 
 
 def exactness_report(d: int, n: int) -> ExactnessReport:
-    """Exact ranks, kernels and harmonic dimensions for total degree n >= 1.
-
-    Read from the pattern blocks' certificates (module docstring): ranks
-    are traces, kernels are dim - rank and no block has a harmonic part.
-    Every block of the complex must hold its certificate (_complex_failure).
-    """
+    """Exact ranks, kernels and harmonic dimensions for total degree n >= 1,
+    read from the pattern blocks' certificates (module docstring): ranks are
+    traces, kernels dim - rank, and no block has a harmonic part."""
     if n < 1:
         raise DegreeOutOfRange("the report needs total degree n >= 1")
     patterns = weight_patterns(d, n)
     rows = []
     for k in range(n, -1, -1):
         q, dim = n - k, block_dim(d, k, n - k)
-        low, up = (
-            sum(count * operator_rank(which, mu, k, q) for mu, count in patterns)
-            for which in ("lower", "raise")
-        )
+        low, up = (sum(c * operator_rank(w, mu, k, q) for mu, c in patterns)
+                   for w in ("lower", "raise"))
         rows.append(ExactnessRow(k, q, dim, low, dim - low, up, dim - up, 0))
     return ExactnessReport(d, n, tuple(rows))
 
 
 def random_tensor(d: int, k: int, q: int, rng) -> FockTensor:
-    """Pseudo-random element, coefficients rng.randint(-9, 9), for a
-    random.Random rng: deterministic given its seed.
-
-    No verify case draws one; it serves property tests, and the
-    benchmark's tracer names it as a layer.
-    """
-    coeffs = {}
-    for label in enum_basis(d, k, q):
-        c = rng.randint(-9, 9)
-        if c:
-            coeffs[label] = c
-    return FockTensor(d, k, q, coeffs)
+    """Pseudo-random element, coefficients rng.randint(-9, 9) from a
+    random.Random rng.  No verify case draws one; property tests do, and
+    the benchmark's tracer names it as a layer."""
+    return FockTensor(d, k, q, {label: rng.randint(-9, 9) for label in enum_basis(d, k, q)})
 
 
 def _case_weitzenboeck(d: int, n: int, k: int):
@@ -234,22 +239,20 @@ def _case_exactness(d: int, n: int, k: int):
 def _split_failures(ground, k: int, q: int) -> tuple:
     """(identity, first failing label or None) for each split claim on one
     block: its certificate, which proves every identity of A and B, then
-    adjointness and hodge_split on t = sum_i (i+1) e_i against A t and B t.
-    Cached likewise."""
-    n = k + q
-    labels = enum_basis(ground, k, q)
-    t = FockTensor._trusted((ground, k, q), {label: i + 1 for i, label in enumerate(labels)})
-    plus, minus = hodge_split(t)
-    # A t = L (R t) and B t = R (L t), through the operator matrices.
-    lower_t, raise_t = (operator_matrix(w, ground, k, q).apply(t) for w in ("lower", "raise"))
-    a_t = operator_matrix("lower", ground, k + 1, q - 1).apply(raise_t)
-    b_t = operator_matrix("raise", ground, k - 1, q + 1).apply(lower_t)
-    residuals = (plus - a_t / n, minus - b_t / n)
-    bad = min((key for res in residuals for key in res.coeffs), key=labels.index, default=None)
+    adjointness and hodge_split on t = sum_i (i+1) e_i against A t and B t,
+    read off the model's columns.  Cached likewise."""
+    n, labels = k + q, enum_basis(ground, k, q)
+    index, bad = {b: i for i, b in enumerate(labels)}, set()
+    split = hodge_split(FockTensor._trusted((ground, k, q), {b: i + 1 for b, i in index.items()}))
+    for got, first, second, shift in zip(split, ("raise", "lower"), ("lower", "raise"), (-1, 1)):
+        middle = lincomb((i + 1, col) for i, col in enumerate(_model_images(first, ground, q)))
+        outer = _model_images(second, ground, q + shift)
+        want = lincomb((c, outer[m]) for m, c in middle.items())
+        bad.update(lincomb(((n, {index[b]: c for b, c in got.coeffs.items()}), (-1, want))))
     return _certificate(ground, k, q)[0] + (
         # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
         ("adjoint", _adjoint_residual(ground, k, q)),
-        ("hodge_split", bad),
+        ("hodge_split", labels[min(bad)] if bad else None),
     )
 
 

@@ -10,8 +10,8 @@ EchelonBasis is the one elimination routine; matrix_rank and
 kernel_basis are built on it.  It clears each input's denominators and
 keeps its rows as primitive integer vectors, reduced by fraction-free
 integer cross-multiplication; those rows are the one basis of the span
-that callers read.  No verify case eliminates (Fock ranks are traces,
-hodge._certificate); Subspace, intersect and the tests' oracles do.
+that callers read.  No verify case eliminates or multiplies matrices
+(Fock ranks are traces of the Koszul model, fock_ops._koszul).
 
 SparseVector is the base of every exact container (FockTensor,
 FullTensor, Poly, HermiteExpansion, FormField, LinearMap): arithmetic,

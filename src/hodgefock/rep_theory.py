@@ -67,7 +67,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import DimensionMismatch, InvalidIndex, NotInvariant
+from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex, NotInvariant
 from .fock_ops import Permutation, lower, permute, raise_
 from .hodge import _complex_failure, _hook_ranks, hodge_split, operator_rank
 from .linalg import EchelonBasis, kernel_basis, lincomb
@@ -290,7 +290,10 @@ def decomposition_dims(d: int, k: int, q: int) -> tuple[int, int, int, bool]:
     and add up to the block.  Proved per multiplicity pattern by the
     certificate of the module docstring: Bezout bounds the pieces above,
     the ranks of lower and raise_ below, and these ranks fill the block.
+    Negative k or q, or k + q < 1, raises DegreeOutOfRange.
     """
+    if k < 0 or q < 0 or k + q < 1:
+        raise DegreeOutOfRange(f"the decomposition needs k, q >= 0 and k + q >= 1, got ({k},{q})")
     blocks = [(count, _pattern_block(mu, k, q)) for mu, count in weight_patterns(d, k + q)]
     dims = (sum(count * block[i] for count, block in blocks) for i in range(3))
     return (*dims, all(block[3] for _, block in blocks))

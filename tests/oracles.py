@@ -18,10 +18,15 @@ truncation_case is the chaos-truncation case as it ran on one h drawn
 from the seed (seeded_h), before it held for every h; it is not in CASES,
 as its details name h.
 
-The Fock ranks of the verify path are traces of each pattern block's
-homotopy certificate.  The eliminations they replaced are the tests'
-references: a rank is matrix_rank of the matrix's columns, block_row is
-the exactness row of one block with kernels and harmonic part by
+Each pattern block's certificate reads the Koszul model of the package
+(fock_ops._koszul).  The matrix certificate it replaced is here
+(certificate): the products of operator_matrix, their traces and the
+defect, with hermite_matrix, the shift matrices of d and δ that the chaos
+record compared with them.  operator_matrix is memoized here, as the
+package no longer caches it.  The Fock ranks of the verify path are
+traces; the eliminations they replaced are the tests' references too: a
+rank is matrix_rank of the matrix's columns, block_row is the exactness
+row of one block with kernels and harmonic part by
 elimination, and for the rep case rep_split_dims gives the ranks of T
 minus each hook content over the orbit's sets and repeated_orbit the
 columns of the repeated label's orbit, whose rank was its dimension.
@@ -48,8 +53,8 @@ from math import factorial, prod
 from hodgefock import DegreeOutOfRange, FockTensor, FormField, FullTensor, InvalidIndex
 from hodgefock import LinearMap, MixedIndex, Subspace, block_dim, embed
 from hodgefock import chaos_field, enum_basis, exterior_derivative, gaussian_inner, gram_matrix
-from hodgefock import inner, lower, operator_matrix, permute, raise_
-from hodgefock.chaos import hermite_key, hermite_matrix
+from hodgefock import inner, lower, permute, raise_
+from hodgefock.chaos import _hermite_image, hermite_key
 from hodgefock.fock_ops import Permutation, _wedge_insert
 from hodgefock.hodge import ExactnessReport, ExactnessRow, hodge_split
 from hodgefock.linalg import kernel_basis, lincomb, matrix_rank
@@ -59,7 +64,62 @@ from hodgefock.linalg import dot
 from hodgefock.tensor_core import _gram_factor, _signed_arrangements, sort_sign
 
 import hodgefock.chaos as chaos
+import hodgefock.fock_ops as fock_ops
 import hodgefock.rep_theory as rep_theory
+
+
+@lru_cache(maxsize=None)
+def operator_matrix(which, ground, k, q):
+    """fock_ops.operator_matrix, built once per argument tuple: the oracles
+    ask for the same matrices many times.  It reads fock_ops' own lower
+    and raise_, which no stand-in patches."""
+    return fock_ops.operator_matrix(which, ground, k, q)
+
+
+def first_label(m):
+    """The domain label of the first nonzero column of m, or None if m = 0."""
+    return enum_basis(*m.dom_sig)[min(c for _, c in m.coeffs)] if m.coeffs else None
+
+
+def certificate(ground, k, q):
+    """(checks, ranks, defect) of one block from the operator matrices: the
+    products A = L R and B = R L, each identity's first failing label
+    (A + B = n I, L L from H_{k+1,q-1}, R R from H_{k-1,q+1}), the traces
+    (tr(B) / n, tr(A) / n), None if one fails, and the largest |entry| of
+    A + B - n I.  The verify path's certificate adds the two dictionary
+    checks in front of these."""
+    n = k + q
+    a, b = split_matrices(ground, k, q)
+    residual = a + b - LinearMap.identity((ground, k, q)).scale(n)
+    checks = [("plus + minus = t", first_label(residual))]
+    for name, which, i in (("lower lower = 0", "lower", 1), ("raise_ raise_ = 0", "raise", -1)):
+        twice = operator_matrix(which, ground, k, q) @ operator_matrix(which, ground, k + i, q - i)
+        checks.append((name, first_label(twice)))
+    ranks = None
+    if all(label is None for _, label in checks):
+        trace_a, trace_b = (sum(v for (r, c), v in m.coeffs.items() if r == c) for m in (a, b))
+        ranks = (trace_b // n, trace_a // n)
+    return tuple(checks), ranks, residual.max_abs_entry()
+
+
+def hermite_matrix(which, ground, k, q):
+    """Matrix of d ("lower") or δ ("raise") on the chaos of a block.
+
+    Column b is _hermite_image of He_{mult(b)} dx_{b.alt}, and each image
+    key is read back as the label of the neighbouring block with that
+    hermite_key.  Under the dictionary this must equal
+    operator_matrix(which, ground, k, q), entry for entry; off the end of
+    the complex both are zero maps into the empty block.
+    """
+    if which not in ("lower", "raise"):
+        raise InvalidIndex(f"unknown operator {which!r}")
+    cod_sig = (ground, k - 1, q + 1) if which == "lower" else (ground, k + 1, q - 1)
+    index = {hermite_key(b, ground): r for r, b in enumerate(enum_basis(*cod_sig))}
+    entries = {}
+    for c, b in enumerate(enum_basis(ground, k, q)):
+        for key, v in _hermite_image(which, *hermite_key(b, ground)):
+            entries[(index[key], c)] = v
+    return LinearMap._trusted(((ground, k, q), cod_sig), entries)
 
 
 def split_matrices(d, k, q):

@@ -25,6 +25,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 EDGE = "public edge: tests and users build, combine and print containers with it"
 PERMUTATION = "Permutation, public: the group operations that tests and users compose"
 TRACER = "benchmarks/tracer.py LAYERS times it (and benchmarks/test_bench.py checks it)"
+MATRIX = "the slow public reference: the tests' oracles build, multiply and compare matrices"
 
 # Functions and methods that no verify run calls, each with its user.
 ALLOWED = {
@@ -40,7 +41,7 @@ ALLOWED = {
     "chaos.FormField.__init__": EDGE,
     "chaos.FormField.zero": EDGE,
     "chaos.FormField.component": "ornstein_uhlenbeck, and users reading one component",
-    "chaos.ornstein_uhlenbeck": "the paper's OU operator; ROADMAP item 4 puts it on the verify path",
+    "chaos.ornstein_uhlenbeck": "the paper's OU operator; ROADMAP item 6 puts it on the verify path",
     "chaos.FormField.hermite_degrees": "users, and the tests' seeded chaos-truncation oracle",
     "chaos.exp_vector": "public API; " + TRACER,
     "chaos.exp_vector.<locals>.coeff": "exp_vector",
@@ -97,6 +98,17 @@ ALLOWED = {
     "tensor_core.FullTensor.__init__": EDGE,
     "tensor_core.FullTensor.zero": EDGE,
     "hodge.random_tensor": TRACER,
+    "fock_ops.operator_matrix": "public API, " + MATRIX + "; " + TRACER,
+    "fock_ops.gram_matrix": "public API, " + MATRIX,
+    "fock_ops.LinearMap.__init__": EDGE,
+    "fock_ops.LinearMap.identity": MATRIX,
+    "fock_ops.LinearMap.__matmul__": MATRIX,
+    "fock_ops.LinearMap.transpose": MATRIX,
+    "fock_ops.LinearMap.apply": MATRIX,
+    "fock_ops.LinearMap.max_abs_entry": MATRIX,
+    "fock_ops.LinearMap.columns": MATRIX + ", and eliminate their columns",
+    "linalg.SparseVector.__sub__": EDGE,
+    "tensor_core.FockTensor.signature": EDGE,
     "hodge.ExactnessReport.is_exact": "users of exactness_report: the whole complex at once",
     "hodge.ExactnessRow.rank_nullity_ok": "users of exactness_report, and the tests' elimination oracle",
     "cli._process_pool": "pooled runs, HODGEFOCK_WORKERS > 1",

@@ -2,11 +2,12 @@
 decomposition's central-element certificate, and the group checks of
 the rep suite.
 
-The split is proved by integer identities of the operator matrices in
-each pattern block's certificate.  The chaos suite is proved in Hermite
-coordinates: the dictionary on one field per block, the shift matrices
-of hermite_matrix against operator_matrix, one-variable ladder and
-moment tables, and the Fock adjointness.  The decomposition is proved
+The split is proved by the identities of each pattern block's
+certificate, read off the Koszul model, whose columns lower and raise_
+must give on every label.  The chaos suite is proved in Hermite
+coordinates: the dictionary on one field per block, the shifts of d and δ
+against the model's columns, one-variable ladder and moment tables, and
+the Fock adjointness.  The decomposition is proved
 per pattern block by the transposition sum, witness identities and Fock
 ranks.  The rep suite reads the orbit in position-set coordinates, S_n
 through its adjacent transpositions and one permutation per cycle type.
@@ -16,7 +17,6 @@ replaced stay here as oracles, and a stand-in for each ingredient shows
 that the case fails without it.
 """
 
-import inspect
 import json
 import sys
 from fractions import Fraction
@@ -161,75 +161,90 @@ def test_chaos_isometry_agrees_with_the_all_pairs_oracle(d, n, k):
         assert "isometry" not in details
 
 
-def _bumped(m, key=(0, 0)):
-    """The matrix m with the entry at key raised by 1."""
-    entries = dict(m.coeffs)
-    entries[key] = entries.get(key, 0) + 1
-    return type(m)._trusted(m.shape(), entries)
+def _entry_changed(real, shift, where, change=lambda v: v + 1):
+    """The operator real (lower for shift -1, raise_ for 1) with one entry
+    of its matrix changed, on each block where where(sig, labels, cod)
+    names it as (row label, column label): change(v) replaces its value v."""
+
+    def stand_in(t):
+        image = real(t)
+        sig = t.shape()
+        ground, k, q = sig
+        entry = where(sig, enum_basis(*sig), enum_basis(ground, k + shift, q - shift))
+        if entry is None or entry[1] not in t.coeffs:
+            return image
+        row, col = entry
+        old = real(FockTensor._trusted(sig, {col: 1})).coeffs.get(row, 0)
+        coeffs = dict(image.coeffs)
+        coeffs[row] = coeffs.get(row, 0) + (change(old) - old) * t.coeffs[col]
+        return FockTensor._trusted(image.shape(), coeffs)
+
+    return stand_in
 
 
-def _perturbed_raise(which, ground, k, q, real=operator_matrix):
-    """operator_matrix with the raise_ entry in row 0 and the last column
-    raised by 1, where both blocks are non-empty: A = L R gains column 0
-    of L in its last column, and B is left as it is."""
-    m, size = real(which, ground, k, q), block_dim(ground, k, q)
-    if which == "raise" and size and block_dim(ground, k + 1, q - 1):
-        return _bumped(m, (0, size - 1))
-    return m
+def _row_0_of_the_last_column(sig, labels, cod):
+    """The entry in row 0 and the last column, on blocks with more than two
+    labels and a non-empty codomain."""
+    return (cod[0], labels[-1]) if len(labels) > 2 and cod else None
+
+
+def _row_0_of_column_0(sig, labels, cod):
+    return (cod[0], labels[0]) if labels and cod else None
+
+
+_perturbed_raise = _entry_changed(hodge.raise_, 1, _row_0_of_the_last_column)
 
 
 def test_perturbed_split_matrix_fails_and_names_the_label(monkeypatch):
-    # One entry of raise_, in column 2, changed in hodge's operator
-    # matrices on every block that has a column 2, so A = L R changes in
-    # that column: both the split and the weitzenboeck case fail, and the
-    # split case names the first identity and the label of the broken
-    # column.  On d = n = 3, k = 1 only the weight block of the pattern
-    # 1^3 has three labels, so the label is its third one,
-    # e_3 tensor e_1 ^ e_2, a label over R^3 as well.
+    # One entry of raise_, in column 2, changed on every block that has a
+    # column 2: raise_ no longer gives the model's column there, so both
+    # the split and the weitzenboeck case fail, and the split case names
+    # the dictionary of raise_ and the broken label.  On d = n = 3, k = 1
+    # only the weight block of the pattern 1^3 has three labels, so the
+    # label is its third one, e_3 tensor e_1 ^ e_2, a label over R^3 as
+    # well.  The defect is read off lower and raise_ themselves.
     d, n, k = 3, 3, 1
     labels = enum_basis((1, 1, 1), k, n - k)
     assert [b.render() for b in labels] == ["(1;2,3)", "(2;1,3)", "(3;1,2)"]
     assert hodge._case_split(d, n, k) == ("pass", {"dim": len(enum_basis(d, k, n - k))})
     assert hodge._case_weitzenboeck(d, n, k)[0] == "pass"
-
-    def stand_in(which, ground, k, q):
-        if block_dim(ground, k, q) > 2:
-            return _perturbed_raise(which, ground, k, q)
-        return operator_matrix(which, ground, k, q)
-
-    monkeypatch.setattr(hodge, "operator_matrix", stand_in)
+    monkeypatch.setattr(hodge, "raise_", _perturbed_raise)
     clear_caches()
     status, details = hodge._case_split(d, n, k)
     assert status == "fail"
     assert details == {
         "dim": len(enum_basis(d, k, n - k)),
-        "failed": "plus + minus = t",
+        "failed": "raise_ = Σ ι_i",
         "label": "(3;1,2)",
     }
     status, details = hodge._case_weitzenboeck(d, n, k)
     assert status == "fail" and details["defect"] == "1"
 
 
-def _first_label_negated(which, ground, k, q, real=operator_matrix):
-    """operator_matrix in the basis with the first label of every block
+def _first_label_negated(real):
+    """The operator real in the basis with the first label of every block
     negated: D M D, D = diag(-1, 1, ..., 1) on each side."""
-    m = real(which, ground, k, q)
-    entries = {(r, c): v if (r == 0) == (c == 0) else -v for (r, c), v in m.coeffs.items()}
-    return type(m)._trusted(m.shape(), entries)
+
+    def negated(t):
+        first = enum_basis(*t.shape())[:1]
+        coeffs = {b: -c if b in first else c for b, c in t.coeffs.items()}
+        return FockTensor._trusted(t.shape(), coeffs)
+
+    return lambda t: negated(real(negated(t)))
 
 
-def test_relabelled_operator_matrices_fail_past_the_certificate(monkeypatch):
+def test_relabelled_operators_fail_the_dictionary(monkeypatch):
     # The matrices of lower and raise_ in another basis still satisfy every
-    # identity of the certificate, and the adjointness reads fock_ops' own
-    # matrices: hodge_split, which applies the operators themselves, is the
-    # identity that fails, at a label of the block.
+    # identity of the certificate, but they are not the model's columns:
+    # the dictionary fails first and names a label of the degree-3 complex.
     assert hodge._case_split(3, 3, 1)[0] == "pass"
-    monkeypatch.setattr(hodge, "operator_matrix", _first_label_negated)
+    for name in ("lower", "raise_"):
+        monkeypatch.setattr(hodge, name, _first_label_negated(getattr(hodge, name)))
     clear_caches()
     status, details = hodge._case_split(3, 3, 1)
     assert status == "fail"
-    assert details["failed"] == "hodge_split"
-    assert details["label"] in [b.render() for b in enum_basis(3, 1, 2)]
+    assert details["failed"] in ("lower = Σ mu_i ε_i", "raise_ = Σ ι_i")
+    assert details["label"] in [b.render() for k in range(4) for b in enum_basis(3, k, 3 - k)]
 
 
 def test_split_case_checks_hodge_split_itself(monkeypatch):
@@ -334,30 +349,28 @@ def _in_chaos(name, stand_in):
     return patch
 
 
-def _perturbed_matrix(op):
-    def stand_in(which, d, k, q, real=operator_matrix):
-        m = real(which, d, k, q)
-        return _bumped(m) if which == op and m.coeffs else m
+def _perturbed_shift_at(sig, real=chaos._hermite_image):
+    """_hermite_image with the first coefficient of δ raised by 1 on the
+    keys of the labels of the block sig = (k, q)."""
+
+    def stand_in(which, key, m):
+        for i, (image, v) in enumerate(real(which, key, m)):
+            yield image, v + (i == 0 and (which, sum(m), len(key)) == ("raise", *sig))
 
     return stand_in
 
 
-def _perturbed_shift_at(sig, real=chaos.hermite_matrix):
-    """hermite_matrix with one entry of δ on the block sig = (k, q) changed."""
-
-    def stand_in(which, d, k, q):
-        m = real(which, d, k, q)
-        return _bumped(m) if (which, k, q) == ("raise", *sig) else m
-
-    return stand_in
+def _doubled_gram_at(sig, real=fock_ops._gram_factor):
+    """fock_ops' pairing of a label with itself, doubled on the block sig = (k, q)."""
+    return lambda b: real(b) * (2 if (len(b.sym), len(b.alt)) == sig else 1)
 
 
-def _doubled_gram_at(sig):
-    def stand_in(d, k, q, real=gram_matrix):
-        g = real(d, k, q)
-        return g.scale(2) if (k, q) == sig else g
-
-    return stand_in
+def _clifford_entry_off(r, q, real=fock_ops._koszul):
+    """The model record as hodge reads it, with A + B - n I off by mu_1 in
+    its first column: the check names it, and the defect is mu_1."""
+    eps, iota, checks, traces, residual = real(r, q)
+    checks = (("plus + minus = t", 0, 0), *checks[1:])
+    return eps, iota, checks, traces, [{(0, 0): 1}, *residual]
 
 
 def _rekeys_first_label(t, real=chaos_field):
@@ -377,25 +390,29 @@ CERTIFICATE_STAND_INS = {
         _in_chaos("codifferential", _delta_without_slot_signs),
         "dual_diagram",
     ),
+    # The entry (0, 0) of the matrix of lower (raise_) changed, in the
+    # operator that hodge's dictionary, and so the chaos record, reads.
     "operator_matrix lower entry perturbed": (
-        lambda mp: mp.setattr(chaos, "operator_matrix", _perturbed_matrix("lower")),
+        lambda mp: mp.setattr(hodge, "lower", _entry_changed(hodge.lower, -1, _row_0_of_column_0)),
         "diagram",
     ),
     "operator_matrix raise entry perturbed": (
-        lambda mp: mp.setattr(chaos, "operator_matrix", _perturbed_matrix("raise")),
+        lambda mp: mp.setattr(hodge, "raise_", _entry_changed(hodge.raise_, 1, _row_0_of_column_0)),
         "dual_diagram",
     ),
-    # δ on the neighbour H_{1,2}: the adjoint pairs H_{2,1} with it.
+    # δ on the neighbour H_{1,2}, an entry of its shift matrix
+    # (oracles.hermite_matrix): the adjoint pairs H_{2,1} with it.
     "hermite_matrix raise perturbed on H_{1,2}": (
-        lambda mp: mp.setattr(chaos, "hermite_matrix", _perturbed_shift_at((1, 2))),
+        lambda mp: mp.setattr(chaos, "_hermite_image", _perturbed_shift_at((1, 2))),
         "adjoint",
     ),
     "gram factor + 1 at q = 1": (
         lambda mp: mp.setattr(chaos, "_gram_factor", lambda b, real=chaos._gram_factor: real(b) + 1),
         "adjoint",
     ),
+    # The diagonal of the gram matrix, as fock_ops' adjoint check reads it.
     "gram_matrix doubled on H_{2,1}": (
-        lambda mp: mp.setattr(fock_ops, "gram_matrix", _doubled_gram_at((2, 1))),
+        lambda mp: mp.setattr(fock_ops, "_gram_factor", _doubled_gram_at((2, 1))),
         "adjoint",
     ),
     "chaos_field re-keys one label": (
@@ -409,9 +426,9 @@ CERTIFICATE_STAND_INS = {
         ),
         None,
     ),
-    # Only hodge's operator matrices: the certificate's A + B fails, and the
-    # chaos suite's own matrices still match.
-    "A + B != n I": (lambda mp: mp.setattr(hodge, "operator_matrix", _perturbed_raise), None),
+    # Only hodge's model record: the certificate's A + B fails, and the
+    # chaos suite's matches, which read fock_ops' columns, still hold.
+    "A + B != n I": (lambda mp: mp.setattr(hodge, "_koszul", _clifford_entry_off), None),
 }
 
 
@@ -514,6 +531,81 @@ def test_trace_ranks_equal_the_eliminations(n):
             kernels = (dim - rank_lower, dim - rank_raise)
             row = ExactnessRow(k, q, dim, rank_lower, kernels[0], rank_raise, kernels[1], 0)
             assert row == oracles.block_row(mu, k, q), (mu, k)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_model_record_equals_the_matrix_certificate(n):
+    # The certificate read off the Koszul model against the one it
+    # replaced, built from operator matrix products (oracles.certificate),
+    # and the Gaussian record's matches against the shift matrices of d
+    # and δ, on each pattern block of n <= 8.
+    dictionary = (("lower = Σ mu_i ε_i", None), ("raise_ = Σ ι_i", None))
+    for mu, _ in weight_patterns(n, n):
+        for k in range(n + 1):
+            q = n - k
+            checks, ranks, defect = hodge._certificate(mu, k, q)
+            assert checks[:2] == dictionary
+            assert (checks[2:], ranks, defect) == oracles.certificate(mu, k, q), (mu, k)
+            matches = tuple(
+                oracles.hermite_matrix(w, mu, k, q) == oracles.operator_matrix(w, mu, k, q)
+                for w in ("lower", "raise")
+            )
+            assert chaos._chaos_pattern_holds(mu, k, q)[2:4] == matches == (True, True), (mu, k)
+
+
+def test_a_lower_weight_off_by_one_fails_the_dictionary(monkeypatch):
+    # lower on the first label e_(1,1;2) of the block of (2, 1) at k = 2,
+    # q = 1 gives 3 e_(1;1,2), not mu_1 = 2 times it: the dictionary names
+    # that label, and every Fock-side suite that reads the block fails.
+    sig, d, n = ((2, 1), 2, 1), 2, 3
+    first = enum_basis(*sig)[0]
+    cases = (hodge._case_weitzenboeck, hodge._case_exactness, hodge._case_split)
+    cases += (rep_theory._case_decomposition,)
+    assert all(case(d, n, 2)[0] == "pass" for case in cases)
+
+    def entry(s, labels, cod):
+        return _row_0_of_column_0(s, labels, cod) if s == sig else None
+
+    off = _entry_changed(hodge.lower, -1, entry)
+    monkeypatch.setattr(hodge, "lower", off)
+    clear_caches()
+    assert off(FockTensor._trusted(sig, {first: 1})).coeffs == {enum_basis((2, 1), 1, 2)[0]: 3}
+    assert hodge._certificate(*sig)[0][0] == ("lower = Σ mu_i ε_i", first)
+    status, details = hodge._case_weitzenboeck(d, n, 2)
+    assert status == "fail" and details["defect"] == "1"
+    for case in cases[1:]:
+        status, details = case(d, n, 2)
+        assert status == "fail", case.__name__
+        failure = details["failed"], details["label"]
+        assert failure == ("lower = Σ mu_i ε_i", "(1,1;2)"), case.__name__
+
+
+def _epsilon_sign_flipped(r, q, real=fock_ops._columns):
+    """The model's columns with the sign of e_1 ^ e_A flipped in the first
+    column of ε, A = {2}, at (r, q) = (2, 1)."""
+    eps, iota = real(r, q)
+    if (r, q) == (2, 1):
+        assert eps[0] == {(0, 0): 1}
+        eps = [{(0, 0): -1}, *eps[1:]]
+    return eps, iota
+
+
+def test_a_sign_flipped_in_the_model_fails_its_identities(monkeypatch):
+    # With one sign of ε wrong, the model's own identities fail, checked
+    # once per (r, q) with formal weights: A + B = n I and L L = 0 through
+    # the 1-subsets of {1, 2}, and A + B = n I on the 2-subsets, whose A
+    # reads the flipped column.  The certificate names a label of the block
+    # of (2, 1), and split fails.  lower and raise_ no longer give the
+    # model's columns either, so the defect is read off them: it is 0.
+    monkeypatch.setattr(fock_ops, "_columns", _epsilon_sign_flipped)
+    clear_caches()
+    assert [c for _, _, c in fock_ops._koszul(2, 1)[2]] == [0, 0, None]
+    assert [c for _, _, c in fock_ops._koszul(2, 2)[2]] == [0, None, None]
+    checks, ranks, defect = hodge._certificate((2, 1), 2, 1)
+    assert dict(checks)["plus + minus = t"] == enum_basis((2, 1), 2, 1)[0]
+    assert checks[0] == ("lower = Σ mu_i ε_i", enum_basis((2, 1), 2, 1)[0])
+    assert ranks is None and defect == 0
+    assert hodge._case_split(2, 3, 2)[0] == "fail"
 
 
 # The decomposition certificate (rep_theory module docstring), on each
@@ -675,29 +767,24 @@ def test_decomposition_certificate_fails_without_each_step(stand_in, monkeypatch
         assert "pattern" not in details
 
 
-def test_operator_matrix_is_built_once_and_never_mutated(monkeypatch):
-    # Record every (which, d, k, q) asked for during a serial run, through
-    # every hodgefock module that binds operator_matrix.
-    asked = set()
-    signature = inspect.signature(operator_matrix.__wrapped__)
+def _recording(fn, calls):
+    return lambda *args: calls.append(args) or fn(*args)
 
-    def recording(*args, **kwargs):
-        asked.add(tuple(signature.bind(*args, **kwargs).arguments.values()))
-        return operator_matrix(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        binds = getattr(mod, "operator_matrix", None) is operator_matrix
-        if name.split(".")[0] == "hodgefock" and binds:
-            monkeypatch.setattr(mod, "operator_matrix", recording)
+def test_verify_path_builds_no_product_and_no_gram_matrix(monkeypatch):
+    # Every Fock and Gaussian identity of a serial run is read off the
+    # Koszul model: no LinearMap product, operator_matrix or gram_matrix
+    # is called, through any hodgefock module that binds them.
+    calls = []
+    real_product = LinearMap.__matmul__
+    monkeypatch.setattr(LinearMap, "__matmul__", lambda m, o: calls.append("@") or real_product(m, o))
+    for real in (fock_ops.operator_matrix, fock_ops.gram_matrix):
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "hodgefock" and getattr(mod, real.__name__, None) is real:
+                monkeypatch.setattr(mod, real.__name__, _recording(real, calls))
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    report = run_verify(VerifyConfig(suite="all", max_dim=3, max_n=3))
-    assert report.status == "pass"
-    info = operator_matrix.cache_info()
-    assert asked and info.hits > 0
-    assert info.misses == info.currsize == len(asked)
-    for key in asked:
-        assert operator_matrix(*key) == operator_matrix.__wrapped__(*key), key
-    assert operator_matrix.cache_info().misses == len(asked)
+    assert run_verify(VerifyConfig(suite="all", max_dim=5, max_n=6)).status == "pass"
+    assert not calls
 
 
 REP_GRID = [(d, n, k) for d in range(1, 7) for n in range(1, 7) for k in range(n + 1)]
@@ -1001,18 +1088,15 @@ def test_raise_on_the_block_of_ones_is_the_repeated_orbit(n):
         assert operator_rank("raise", ones, k, q) == matrix_rank(columns), k
 
 
-def _raise_sign_flipped_on(sig, real=hodge.operator_matrix):
-    """operator_matrix with the sign of one entry flipped in raise_ on the
-    block sig."""
+def _raise_sign_flipped_on(sig, real=hodge.raise_):
+    """raise_ with the sign of one entry flipped on the block sig: the
+    first entry of its image of the block's first label."""
+    col = enum_basis(*sig)[0]
+    row = min(real(FockTensor._trusted(sig, {col: 1})).coeffs)
+    def entry(s, labels, cod):
+        return (row, col) if s == sig else None
 
-    def stand_in(which, *block):
-        m = real(which, *block)
-        if (which, block) != ("raise", sig):
-            return m
-        key = min(m.coeffs)
-        return type(m)._trusted(m.shape(), {**m.coeffs, key: -m.coeffs[key]})
-
-    return stand_in
+    return _entry_changed(real, 1, entry, lambda v: -v)
 
 
 def _minus_dropped(t, real=hodge.hodge_split):
@@ -1021,13 +1105,13 @@ def _minus_dropped(t, real=hodge.hodge_split):
 
 
 # {(d, n, k): stand-in}: raise_ on the block of 1^n at (k, q) with one sign
-# flipped fails that block's certificate, so it has no trace rank.  At
+# flipped fails that block's dictionary, so it has no trace rank.  At
 # q = 0 the orbit is one copy, and a hodge_split without its minus piece
 # predicts 0.
 DEGENERATE_STAND_INS = {
-    (3, 3, 1): (hodge, "operator_matrix", _raise_sign_flipped_on(((1, 1, 1), 1, 2))),
-    (3, 3, 2): (hodge, "operator_matrix", _raise_sign_flipped_on(((1, 1, 1), 2, 1))),
-    (4, 4, 3): (hodge, "operator_matrix", _raise_sign_flipped_on(((1, 1, 1, 1), 3, 1))),
+    (3, 3, 1): (hodge, "raise_", _raise_sign_flipped_on(((1, 1, 1), 1, 2))),
+    (3, 3, 2): (hodge, "raise_", _raise_sign_flipped_on(((1, 1, 1), 2, 1))),
+    (4, 4, 3): (hodge, "raise_", _raise_sign_flipped_on(((1, 1, 1, 1), 3, 1))),
     (2, 2, 2): (rep_theory, "hodge_split", _minus_dropped),
 }
 
@@ -1048,22 +1132,3 @@ def test_rep_case_checks_the_degenerate_orbit(d, n, k, monkeypatch):
     assert status == "fail" and degenerate["orbit_dim"] != degenerate["expected"]
     if k < n:
         assert (degenerate["orbit_dim"], degenerate["expected"]) == (None, true_dim)
-
-
-def test_block_products_are_built_once_per_block(monkeypatch, capsys):
-    # Every matrix product of a serial run is built inside a block's one
-    # record: its certificate builds A, B, L L and R R, and its adjoint
-    # residual G' L and G R'.  The weitzenboeck, split, exactness, chaos,
-    # decomposition and rep cases of a block share one certificate, and
-    # its split and chaos cases one adjoint residual.
-    products, grams = [], []
-    real_product, real_gram = LinearMap.__matmul__, fock_ops.gram_matrix
-    monkeypatch.setattr(LinearMap, "__matmul__", lambda m, o: products.append(m) or real_product(m, o))
-    monkeypatch.setattr(fock_ops, "gram_matrix", lambda *sig: grams.append(sig) or real_gram(*sig))
-    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    assert cli.main(["verify", "all", "--max-dim", "3", "--max-n", "3", "--format", "json"]) == 0
-    capsys.readouterr()
-    certificates, residuals = (f.cache_info() for f in (hodge._certificate, fock_ops._adjoint_residual))
-    assert len(products) == 4 * certificates.currsize + 2 * residuals.currsize
-    assert len(grams) == 2 * residuals.currsize
-    assert certificates.hits > 0 and residuals.hits > 0

@@ -22,7 +22,7 @@ import hodgefock.rep_theory as rep_theory
 from hodgefock import ConfigError, block_dim, exactness_report
 from hodgefock.cli import VerifyConfig, main, parse_report, render_report, run_verify
 from hodgefock.linalg import matrix_rank
-from hodgefock.tensor_core import enum_basis, weight_patterns
+from hodgefock.tensor_core import FockTensor, enum_basis, weight_patterns
 
 import oracles
 from conftest import clear_caches
@@ -109,26 +109,30 @@ def test_exactness_report_is_built_once_per_grid_point(monkeypatch):
     assert sorted(calls) == [(d, n) for d in (1, 2) for n in (1, 2, 3)]
 
 
-def _lower_rows_swapped(which, *block, real=hodge.operator_matrix):
-    """operator_matrix with rows 0 and 1 swapped in lower on the block
-    ((1, 1, 1), 2, 1): every elimination rank and kernel stays the same."""
-    m = real(which, *block)
-    if (which, block) != ("lower", ((1, 1, 1), 2, 1)):
-        return m
-    swap = {0: 1, 1: 0}
-    entries = {(swap.get(r, r), c): v for (r, c), v in m.coeffs.items()}
-    return type(m)._trusted(m.shape(), entries)
+def _lower_rows_swapped(t, real=hodge.lower):
+    """lower with the first two labels of its codomain swapped on the block
+    ((1, 1, 1), 2, 1): rows 0 and 1 of its matrix, so every elimination
+    rank and kernel stays the same."""
+    image = real(t)
+    if t.shape() != ((1, 1, 1), 2, 1):
+        return image
+    first, second = enum_basis((1, 1, 1), 1, 2)[:2]
+    swap = {first: second, second: first}
+    return FockTensor._trusted(image.shape(), {swap.get(b, b): c for b, c in image.coeffs.items()})
 
 
 def test_exactness_case_fails_on_a_rank_preserving_broken_lower(fresh_caches, monkeypatch):
     # Equal dimensions prove exactness only with lower lower = 0, which
     # elimination ranks never see.  The certificate of every block of the
-    # complex is read first, so the case fails and names the identity and
-    # the label, in each of its k.
-    real = hodge.operator_matrix("lower", (1, 1, 1), 2, 1)
-    broken = _lower_rows_swapped("lower", (1, 1, 1), 2, 1)
-    assert broken != real and matrix_rank(broken.columns()) == matrix_rank(real.columns())
-    monkeypatch.setattr(hodge, "operator_matrix", _lower_rows_swapped)
+    # complex is read first, and lower there is not the model's: the case
+    # fails and names the check and the label, in each of its k.
+    sig = ((1, 1, 1), 2, 1)
+    real, broken = (
+        [op(FockTensor._trusted(sig, {b: 1})).coeffs for b in enum_basis(*sig)]
+        for op in (hodge.lower, _lower_rows_swapped)
+    )
+    assert broken != real and matrix_rank(broken) == matrix_rank(real)
+    monkeypatch.setattr(hodge, "lower", _lower_rows_swapped)
     clear_caches()
     identities = {name for name, _ in hodge._certificate((1, 1, 1), 1, 2)[0]}
     labels = {b.render() for k in range(4) for b in enum_basis(3, k, 3 - k)}
@@ -655,9 +659,9 @@ def test_verify_path_runs_no_group_order_loop(monkeypatch, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def _doubled_own_gram(d, k, q, real=fock_ops.gram_matrix):
-    g = real(d, k, q)
-    return g.scale(2) if (k, q) == (1, 1) else g
+def _doubled_own_gram(label, real=fock_ops._gram_factor):
+    """The diagonal of the gram matrix, doubled on H_{1,1}."""
+    return real(label) * (2 if (len(label.sym), len(label.alt)) == (1, 1) else 1)
 
 
 def _swapped_split(t, real=hodge.hodge_split):
@@ -673,8 +677,10 @@ def test_split_case_fails_when_its_proof_breaks(name, stand_in, fresh_caches, mo
     # A doubled gram matrix breaks only the adjointness that proves
     # orthogonality; a swapped split breaks the hodge_split check.
     assert hodge._case_split(2, 2, 1)[0] == "pass"
-    # gram_matrix reaches the split through fock_ops._adjoint_residual.
-    monkeypatch.setattr(fock_ops if name == "gram_matrix" else hodge, name, stand_in)
+    # The gram matrix reaches the split as fock_ops._adjoint_residual's
+    # diagonal, _gram_factor.
+    target = (fock_ops, "_gram_factor") if name == "gram_matrix" else (hodge, name)
+    monkeypatch.setattr(*target, stand_in)
     clear_caches()
     assert hodge._case_split(2, 2, 1)[0] == "fail"
 
@@ -891,12 +897,14 @@ def test_main_empty_out_exits_two_before_any_case(monkeypatch, capsys):
 # intersect is the decomposition's old route; orbit_span, orbit_split_spaces
 # and action_trace the rep suite's, with embed and permute, which wrote
 # their full tensors; the linalg eliminations gave every Fock rank before
-# the certificates' traces; exp_vector and commutation_defect gave the
-# chaos-truncation defect on one drawn h before it held for every h.  The
-# tests keep them as oracles.
+# the certificates' traces; operator_matrix gave every Fock and Gaussian
+# identity before the Koszul model; exp_vector and commutation_defect gave
+# the chaos-truncation defect on one drawn h before it held for every h.
+# The tests keep them as oracles.
 OFF_THE_VERIFY_PATH = {
     "chaos.commutation_defect",
     "chaos.exp_vector",
+    "fock_ops.operator_matrix",
     "fock_ops.permute",
     "hodge.random_tensor",
     "linalg.EchelonBasis.insert",

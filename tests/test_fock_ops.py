@@ -20,12 +20,11 @@ from hodgefock import (
     permute,
     raise_,
 )
-from hodgefock.chaos import hermite_matrix
 from hodgefock.linalg import matrix_rank
 from hodgefock.tensor_core import _gram_factor, weight_patterns
 
 from conftest import full_tensors, mixed_tensors, pattern_tensors, relabel
-from oracles import alt_subset, sym_subset, symmetric_group, transposition_sum
+from oracles import alt_subset, hermite_matrix, sym_subset, symmetric_group, transposition_sum
 
 
 def test_permutation_basics():

@@ -6,8 +6,8 @@ take the maximum of, or and their results over the patterns; the
 chaos-truncation case compares the routes of its defect in Hermite
 coordinates, one monomial of h per relabelling class.  Here they are
 compared with the whole-block, monomial and seeded oracles of
-tests/oracles.py, and the verify path is shown to build no whole-block
-Fock matrix, no whole-block chaos field and no truncation defect.
+tests/oracles.py, and the verify path is shown to build no Fock matrix,
+no whole-block chaos field and no truncation defect.
 """
 
 import gc
@@ -19,7 +19,7 @@ import hodgefock.chaos as chaos
 import hodgefock.fock_ops as fock_ops
 import hodgefock.hodge as hodge
 from hodgefock.cli import VerifyConfig, run_verify
-from hodgefock.fock_ops import LinearMap, operator_matrix
+from hodgefock.fock_ops import LinearMap
 from hodgefock.hodge import exactness_report, weitzenboeck_defect
 from hodgefock.tensor_core import block_dim, weight_patterns
 
@@ -63,9 +63,9 @@ def test_cases_equal_the_whole_block_oracles(serial_fresh):
 
 
 def test_split_products_are_built_once_per_pattern_block(serial_fresh):
-    # Every Fock-side suite reads the block's certificate, which builds
-    # the split products; on the desk grid it is built once for each
-    # (mu, k, q) and never for a whole block.
+    # Every Fock-side suite reads the block's certificate, which reads the
+    # split identities off the model; on the desk grid it is built once
+    # for each (mu, k, q) and never for a whole block.
     report = run_verify(VerifyConfig(suite="all", max_dim=4, max_n=4))
     assert report.status == "pass"
     blocks = {
@@ -82,12 +82,11 @@ def test_split_products_are_built_once_per_pattern_block(serial_fresh):
 def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
     # Record every key that reaches the block caches, through every
     # hodgefock module that binds them.  Each cache holds exactly the
-    # recorded keys, and every ground is a pattern: no matrix of a whole
+    # recorded keys, and every ground is a pattern: no record of a whole
     # block H_{k,q} over R^d is built.
     cached = {
-        "operator_matrix": (operator_matrix, 1),
+        "_dictionary": (hodge._dictionary, 0),
         "_certificate": (hodge._certificate, 0),
-        "_adjoint_residual": (fock_ops._adjoint_residual, 0),
         "_split_failures": (hodge._split_failures, 0),
         "_chaos_pattern_holds": (chaos._chaos_pattern_holds, 0),
     }
@@ -113,25 +112,25 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
 
 
 def test_gaussian_record_builds_two_shift_matrices_per_nonempty_block(serial_fresh, monkeypatch):
-    # Each pattern block the chaos cases read has one record, which builds
-    # the shift matrices of d and δ once each, and none on an empty block.
+    # Each pattern block the chaos cases read has one record, which reads
+    # the model's columns of d and δ once each, and none on an empty block.
     read, shifts = set(), []
-    real_record, real_shift = chaos._chaos_pattern_holds, chaos.hermite_matrix
+    real_record, real_shift = chaos._chaos_pattern_holds, chaos._model_images
 
     def record(*block):
         read.add(block)
         return real_record(*block)
 
-    def shift(which, *block):
-        shifts.append((which, block))
-        return real_shift(which, *block)
+    def shift(which, mu, q):
+        shifts.append((which, mu, q))
+        return real_shift(which, mu, q)
 
     monkeypatch.setattr(chaos, "_chaos_pattern_holds", record)
-    monkeypatch.setattr(chaos, "hermite_matrix", shift)
+    monkeypatch.setattr(chaos, "_model_images", shift)
     assert run_verify(VerifyConfig(suite="chaos", max_dim=4, max_n=4)).status == "pass"
     nonempty = {block for block in read if block_dim(*block)}
     assert nonempty != read
-    assert sorted(shifts) == sorted((w, b) for w in ("lower", "raise") for b in nonempty)
+    assert sorted(shifts) == sorted((w, mu, q) for w in ("lower", "raise") for mu, _, q in nonempty)
     info = real_record.cache_info()
     assert info.misses == info.currsize == len(read)
 
@@ -147,10 +146,10 @@ def _linear_maps(value):
     return []
 
 
-def test_no_cache_but_operator_matrix_holds_a_matrix(serial_fresh):
-    # A block's products are built inside its record and dropped: after a
-    # run, only operator_matrix holds matrices.  An lru_cache's store is
-    # among its gc referents.
+def test_no_cache_holds_a_linear_map(serial_fresh):
+    # The verify path reads every Fock and Gaussian identity off the Koszul
+    # model: after a run no cache holds a matrix, and operator_matrix has
+    # no cache.  An lru_cache's store is among its gc referents.
     assert run_verify(VerifyConfig(suite="all", max_dim=5, max_n=6)).status == "pass"
     caches = {
         fn
@@ -164,7 +163,8 @@ def test_no_cache_but_operator_matrix_holds_a_matrix(serial_fresh):
         for store in gc.get_referents(fn)
         if isinstance(store, dict) and _linear_maps(store)
     }
-    assert operator_matrix in caches and holding == {"operator_matrix"}
+    assert caches and not holding
+    assert not hasattr(fock_ops.operator_matrix, "cache_info")
 
 
 def test_gaussian_model_builds_pattern_fields_and_no_monomial_defect(serial_fresh, monkeypatch):

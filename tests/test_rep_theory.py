@@ -10,6 +10,7 @@ from hypothesis import given
 import hodgefock as hf
 from hodgefock import rep_theory
 from hodgefock import (
+    DegreeOutOfRange,
     FockTensor,
     FullTensor,
     MixedIndex,
@@ -176,6 +177,14 @@ def test_decomposition_dims_match_the_full_power_oracle():
                 assert sp.dim + sm.dim == space.dim and intersect(sp, sm).dim == 0
                 expected = (space.dim, sp.dim, sm.dim, True)
                 assert decomposition_dims(d, k, q) == expected, (d, k, q)
+
+
+@pytest.mark.parametrize("d, k, q", [(3, 0, 0), (2, 1, -1), (3, -1, 2), (1, -2, 0)])
+def test_decomposition_dims_refuses_bad_degrees(d, k, q):
+    # Degree 0 has no split, and a negative degree no block: both are
+    # refused before any certificate is read, as weitzenboeck_defect does.
+    with pytest.raises(DegreeOutOfRange, match="decomposition"):
+        decomposition_dims(d, k, q)
 
 
 def orbit_split_dims(b, d):
