@@ -24,19 +24,21 @@ FormField.hermite_coords, which reads each component back through
 HermiteExpansion.from_poly.  In these coordinates (hermite_key gives a
 label's key) both operators are integer shifts, one coordinate at a
 time (_hermite_image): He_a' = a He_{a-1} and x He_a - He_a' = He_{a+1}.
-The `verify chaos` suite proves the dictionary with no sampling: on each
-label the shift, and lower and raise_ (hodge._dictionary), give the
-column of the Koszul model (fock_ops._koszul).  It runs on one weight
-block per pattern mu, forms on R^len(mu), with one record per block
-(_chaos_pattern_holds).
+The `verify chaos` suite proves the dictionary with no sampling and no
+form read back: on each label the shift, and lower and raise_
+(hodge._dictionary), give the column of the Koszul model
+(fock_ops._koszul), and hermite_key is injective on each block's labels;
+the one-variable tables are checked once per degree.  It runs on one
+weight block per pattern mu, with one record per block
+(_chaos_pattern_holds).  The round trip through monomials (chaos_field,
+hermite_coords, gaussian_inner) is the tests' oracle of that record.
 
 The truncation square (commutation_defect) is a polynomial identity in
-h.  The chaos-truncation case proves it for every h, coefficient by
-coefficient: on each monomial h^c, both routes are Hermite coordinates
-built from the same shift _hermite_image and wedge sign _wedge_insert,
-and relabelling the coordinates other than 1 leaves one c per class.
-exp_vector and commutation_defect, which build the defect of one given
-h, are kept for users; no case calls them.
+h: on each monomial h^c, both routes are Hermite coordinates built from
+the shift _hermite_image and the wedge sign _wedge_insert
+(_truncation_routes).  commutation_defect sums them for one given h; the
+chaos-truncation case checks them for every h, one c per relabelling
+class of the coordinates other than 1, and calls neither it nor exp_vector.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex
 from .fock_ops import _adjoint_residual, _model_images, _wedge_insert
 from .hodge import _dictionary, weitzenboeck_defect
 from .linalg import SparseVector, as_coeff, dot, lincomb
-from .tensor_core import FockTensor, MixedIndex, _gram_factor, block_dim, enum_basis, inner
+from .tensor_core import FockTensor, MixedIndex, _gram_factor, block_dim, enum_basis
 from .tensor_core import _partitions, weight_patterns
 
 
@@ -413,30 +415,23 @@ def commutation_defect(h: Iterable, x: tuple[int, ...], order: int) -> FormField
     chaos field of (same truncation) tensor (h wedge x).  Without
     truncation the two agree; truncating at `order` leaves a defect
     supported purely in Hermite degree `order`, the top chunk that route
-    one differentiates away but route two keeps.  Both routes run in
-    Hermite coordinates, times order! (integers when h is), route one as
-    _hermite_image("lower", ...); only their difference is multiplied out.
+    one differentiates away but route two keeps.  The defect is the sum
+    over 1 <= |c| <= order + 1 of h^c _truncation_routes(order, c, x) /
+    order!; only the sum is multiplied out.
     """
-    if order < 1:
-        raise DegreeOutOfRange(f"truncation order must be >= 1, got {order}")
     hs = [as_coeff(c) for c in h]
     d = len(hs)
+    if d < 1:
+        raise DimensionMismatch("h must have at least one coordinate")
+    if order < 1:
+        raise DegreeOutOfRange(f"truncation order must be >= 1, got {order}")
     x = tuple(x)
     if any(not 1 <= i <= d for i in x) or any(a >= b for a, b in zip(x, x[1:])):
         raise InvalidIndex(f"x must be a strictly increasing tuple in 1..{d}")
-    scale = factorial(order)
-    wedges = [(ins, hi) for i, hi in enumerate(hs, start=1) if hi and (ins := _wedge_insert(i, x))]
-    out: dict[tuple, object] = {}
-    for part in exp_vector(hs, order).parts.values():
-        for b, c in part.coeffs.items():
-            c *= scale  # an int when h is, which keeps the sums below in ints
-            c = c.numerator if c.denominator == 1 else c
-            m = _label_multiplicities(b, d)
-            for key, v in _hermite_image("lower", x, m):
-                out[key] = out.get(key, 0) + v * c
-            for (sign, new), hi in wedges:
-                out[(new, m)] = out.get((new, m), 0) - sign * hi * c
-    return FormField.from_hermite(d, len(x) + 1, out) / scale
+    monomials = (_label_multiplicities(b, d)
+                 for k in range(1, order + 2) for b in enum_basis(d, k, 0))
+    out = lincomb((prod(map(pow, hs, c)), _truncation_routes(order, c, x)) for c in monomials)
+    return FormField.from_hermite(d, len(x) + 1, out) / factorial(order)
 
 
 @lru_cache(maxsize=None)
@@ -484,35 +479,33 @@ def _ladder_tables_hold(n: int) -> tuple[bool, bool, bool]:
 @lru_cache(maxsize=None)
 def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool, bool, bool, bool]:
     """(dictionary, isometry, lower matches, raise_ matches, adjoint): the
-    one cached record of the Gaussian model on the block of mu.
-
-    With t = sum_i (i+1) e_{b_i} and f = chaos_field(t), the dictionary
-    holds when f has exactly the Hermite coordinates {hermite_key(b_i): i+1}:
-    chaos_field acts label by label, so a re-keyed or rescaled label shows.
-    The isometry holds when each _gram_factor(b) is prod mult(b)!, the norm
-    that _hermite_table_holds(k) gives, and gaussian_inner(f, f) = inner(t, t).
-    lower matches when d (_hermite_image) and lower (hodge._dictionary) give
-    the model's column on each label, and raise_ likewise with δ; adjoint
-    is _adjoint_residual.  An empty block builds nothing and holds all five.
+    one cached record of the Gaussian model on the block of mu; it builds
+    no form.  chaos_field writes each label b on its own, as He_{mult(b)}
+    dx_{b.alt}, and the tables of that product are checked once per degree
+    (_hermite_table_holds, and _ladder_tables_hold, which _case_chaos ands
+    in).  So the dictionary holds when hermite_key is injective on the
+    labels, and the isometry when each _gram_factor(b) is prod mult(b)!,
+    the norm that _hermite_table_holds(k) gives.  lower matches when d
+    (_hermite_image) and lower (hodge._dictionary) give the model's column
+    on each label, and raise_ likewise with δ; adjoint is _adjoint_residual.
+    An empty block holds all five.
     """
     labels = enum_basis(mu, k, q)
     if not labels:
         return True, True, True, True, True
-    t = FockTensor._trusted((mu, k, q), {b: i + 1 for i, b in enumerate(labels)})
-    f = chaos_field(t)
-    dictionary = f.hermite_coords() == {hermite_key(b, mu): c for b, c in t.coeffs.items()}
+    keys = [hermite_key(b, mu) for b in labels]
+    dictionary = len(set(keys)) == len(keys)
     isometry = (
         dictionary
         and _hermite_table_holds(k)
-        and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, mu)[1])) for b in labels)
-        and gaussian_inner(f, f) == inner(t, t)
+        and all(_gram_factor(b) == prod(map(factorial, m)) for b, (_, m) in zip(labels, keys))
     )
     matches = (
         fock is None and all(
-            dict(_hermite_image(which, *hermite_key(b, mu))) == {keys[r]: v for r, v in c.items()}
-            for b, c in zip(labels, _model_images(which, mu, q))
+            dict(_hermite_image(which, *key)) == {images[r]: v for r, v in c.items()}
+            for key, c in zip(keys, _model_images(which, mu, q))
         )
-        for fock, which, keys in zip(_dictionary(mu, k, q), ("lower", "raise"), (
+        for fock, which, images in zip(_dictionary(mu, k, q), ("lower", "raise"), (
             [hermite_key(b, mu) for b in enum_basis(mu, k + i, q - i)] for i in (-1, 1)
         ))
     )
@@ -574,20 +567,21 @@ def _truncation_classes(d: int, n: int):
                 yield (c1, *nu) + (0,) * (d - 1 - len(nu))
 
 
-def _truncation_routes(n: int, c: tuple[int, ...]) -> dict:
-    """n! times the coefficient of h^c in commutation_defect(h, (1,), n),
-    in Hermite coordinates, zeros dropped: route one minus route two.
+def _truncation_routes(n: int, c: tuple[int, ...], x: tuple[int, ...]) -> dict:
+    """n! times the coefficient of h^c, 1 <= |c| <= n + 1, in
+    commutation_defect(h, x, n), in Hermite coordinates, zeros dropped:
+    route one minus route two.
 
     The degree-|c| part of exp(h) puts h^c / c! on He_c.  Route one
-    differentiates He_c dx_1, for |c| <= n only, through the shift
-    _hermite_image("lower", ...); route two wedges h_i dx_i onto dx_1,
-    so h^c collects n! / (c - e_i)! He_{c - e_i} dx_i ^ dx_1 over i.
+    differentiates He_c dx_x, for |c| <= n only, through the shift
+    _hermite_image("lower", ...); route two wedges h_i dx_i onto dx_x,
+    so h^c collects n! / (c - e_i)! He_{c - e_i} dx_i ^ dx_x over i.
     """
     factor = factorial(n)
-    one = dict(_hermite_image("lower", (1,), c)) if sum(c) <= n else {}
+    one = dict(_hermite_image("lower", x, c)) if sum(c) <= n else {}
     two = {}
     for i, a in enumerate(c, start=1):
-        ins = _wedge_insert(i, (1,)) if a else None
+        ins = _wedge_insert(i, x) if a else None
         if ins is not None:
             sign, new = ins
             m = c[: i - 1] + (a - 1,) + c[i:]
@@ -624,7 +618,7 @@ def _case_chaos_truncation(d: int, n: int, k: int):
     degrees: set[int] = set()
     failure = None
     for c in _truncation_classes(d, n):
-        difference = _truncation_routes(n, c)
+        difference = _truncation_routes(n, c, (1,))
         degrees.update(sum(m) for _, m in difference)
         expected = _top_chunk(n, c) if sum(c) == n + 1 else {}
         residual = lincomb(((1, difference), (-1, expected)))

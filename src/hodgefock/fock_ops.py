@@ -227,19 +227,19 @@ def gram_matrix(ground, k: int, q: int) -> LinearMap:
     return LinearMap._trusted(((ground, k, q), (ground, k, q)), ent)
 
 
-def _columns(r: int, q: int) -> tuple[list, list]:
-    """(ε, ι) on the q-subsets A of {1..r}, listed as the wedge sets of the
-    labels of every pattern block with r parts (those of 1^r) are: the
-    column of e_i ^ e_A = sign e_{A+i} (_wedge_insert) is {(row, i - 1):
-    sign}, and the contraction of the p-th entry of A is {row: (-1)^p}."""
-    sets = [[b.alt for b in enum_basis((1,) * r, r - p, p)] for p in (q + 1, q, q - 1)]
-    up, down = ({a: row for row, a in enumerate(sets[i])} for i in (0, 2))
-    eps, iota = [], []
-    for a in sets[1]:
-        inserts = ((i, _wedge_insert(i + 1, a)) for i in range(r))
-        eps.append({(up[ins[1]], i): ins[0] for i, ins in inserts if ins})
-        iota.append({down[a[:p] + a[p + 1 :]]: (-1) ** p for p in range(q)})
-    return eps, iota
+def _columns(which: str, r: int, q: int) -> list:
+    """ε ("lower") or ι ("raise") on the q-subsets A of {1..r}, listed as the
+    wedge sets of the labels of every pattern block with r parts (those of
+    1^r) are: the column of e_i ^ e_A = sign e_{A+i} (_wedge_insert) is
+    {(row, i - 1): sign}, and the contraction of the p-th entry of A is
+    {row: (-1)^p}."""
+    shift = 1 if which == "lower" else -1
+    sets, rows = ([b.alt for b in enum_basis((1,) * r, r - p, p)] for p in (q, q + shift))
+    row = {a: i for i, a in enumerate(rows)}
+    if which == "raise":
+        return [{row[a[:p] + a[p + 1 :]]: (-1) ** p for p in range(q)} for a in sets]
+    inserts = (((i, _wedge_insert(i + 1, a)) for i in range(r)) for a in sets)
+    return [{(row[ins[1]], i): ins[0] for i, ins in col if ins} for col in inserts]
 
 
 @lru_cache(maxsize=None)
@@ -251,8 +251,8 @@ def _koszul(r: int, q: int) -> tuple:
     column or None) for A + B = n I, L L = 0 from H_{k+1,q-1} (shift 1) and
     R R = 0 from H_{k-1,q+1}; traces: (tr B, tr A) as coefficients of
     mu_1..mu_r; residual: the nonzero columns of A + B - n I."""
-    eps, iota = _columns(r, q)
-    eps_below, iota_above = _columns(r, q - 1)[0], _columns(r, q + 1)[1]
+    eps_below, eps = (_columns("lower", r, p) for p in (q - 1, q))
+    iota, iota_above = (_columns("raise", r, p) for p in (q, q + 1))
     a = [lincomb((s, eps_below[m]) for m, s in col.items()) for col in iota]
     b = [lincomb((s, {(row, i): v for row, v in iota_above[m].items()}) for (m, i), s in c.items())
          for c in eps]

@@ -33,6 +33,18 @@ def fresh_caches():
     clear_caches()
 
 
+@pytest.fixture
+def fresh_oracles(fresh_caches):
+    """fresh_caches, with the Gaussian round trip's oracle emptied too: it
+    reads chaos's bindings, and caches what a stand-in there gave.  Ask
+    for it before monkeypatch, so that the patches are undone first."""
+    import oracles
+
+    oracles.chaos_block_holds.cache_clear()
+    yield
+    oracles.chaos_block_holds.cache_clear()
+
+
 @st.composite
 def signatures(draw, max_dim=3, max_n=4, min_k=0, min_q=0):
     """Small (d, k, q) with k >= min_k, q >= min_q and 1 <= k + q <= max_n."""

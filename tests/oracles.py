@@ -12,8 +12,11 @@ and the decomposition's ker_lower.  Each case function returns the
 
 The Gaussian model has its whole-block oracles here too:
 chaos_block_holds reads the dictionary and the isometry off one field
-per block H_{k,q} over R^d, and commutation_defect computes both routes
-of the truncation square on monomials, route one by exterior_derivative.
+per block H_{k,q} over R^d, multiplied out into monomials and read back
+through HermiteExpansion.from_poly, with gaussian_inner; the verify path
+reads only the labels and the per-degree tables.  commutation_defect
+computes both routes of the truncation square on monomials, route one by
+exterior_derivative.
 truncation_case is the chaos-truncation case as it ran on one h drawn
 from the seed (seeded_h), before it held for every h; it is not in CASES,
 as its details name h.
@@ -52,7 +55,7 @@ from math import factorial, prod
 
 from hodgefock import DegreeOutOfRange, FockTensor, FormField, FullTensor, InvalidIndex
 from hodgefock import LinearMap, MixedIndex, Subspace, block_dim, embed
-from hodgefock import chaos_field, enum_basis, exterior_derivative, gaussian_inner, gram_matrix
+from hodgefock import enum_basis, exterior_derivative, gram_matrix
 from hodgefock import inner, lower, permute, raise_
 from hodgefock.chaos import _hermite_image, hermite_key
 from hodgefock.fock_ops import Permutation, _wedge_insert
@@ -234,18 +237,27 @@ def decomposition_case(d, n, k):
 @lru_cache(maxsize=None)
 def chaos_block_holds(d, k, q):
     """(dictionary, isometry) on the whole block H_{k,q} over R^d, from the
-    one field f = chaos_field(t), t = sum_i (i+1) e_{b_i}."""
+    one field f = chaos_field(t), t = sum_i (i+1) e_{b_i}, multiplied out
+    into monomials and read back; the verify path reads per-degree tables.
+
+    The dictionary holds when f reads back, through hermite_coords and
+    HermiteExpansion.from_poly, to exactly {hermite_key(b_i): i+1}:
+    chaos_field acts label by label, so a re-keyed or rescaled label
+    shows.  The isometry adds gaussian_inner(f, f) = inner(t, t).
+    chaos_field and gaussian_inner are read from the chaos module on each
+    call, so a stand-in patched there reaches this oracle; it is cached
+    here, and a test that patches one clears it."""
     labels = enum_basis(d, k, q)
     if not labels:
         return True, True
     t = FockTensor(d, k, q, {b: i + 1 for i, b in enumerate(labels)})
-    f = chaos_field(t)
+    f = chaos.chaos_field(t)
     dictionary = f.hermite_coords() == {hermite_key(b, d): c for b, c in t.coeffs.items()}
     isometry = (
         dictionary
         and chaos._hermite_table_holds(k)
         and all(_gram_factor(b) == prod(map(factorial, hermite_key(b, d)[1])) for b in labels)
-        and gaussian_inner(f, f) == inner(t, t)
+        and chaos.gaussian_inner(f, f) == inner(t, t)
     )
     return dictionary, isometry
 

@@ -46,6 +46,15 @@ ALLOWED = {
     "chaos.exp_vector": "public API; " + TRACER,
     "chaos.exp_vector.<locals>.coeff": "exp_vector",
     "chaos.commutation_defect": "public API; " + TRACER,
+    "chaos.chaos_field": "public API, the tests' whole-block dictionary oracle; " + TRACER,
+    "chaos.FormField.hermite_coords": "gaussian_inner, hermite_degrees, and the tests' round trip",
+    "chaos.FormField.items": "FormField.hermite_coords, and users reading the components",
+    "chaos.HermiteExpansion.from_poly": "FormField.hermite_coords, and users; " + TRACER,
+    "chaos._monomial_in_he": "HermiteExpansion.from_poly",
+    "chaos._x_power_in_he": "_monomial_in_he",
+    "chaos.gaussian_inner": "public API, the tests' whole-block isometry oracle; " + TRACER,
+    "linalg.dot": "gaussian_inner, and the tests' slot-wise pairing inner_full",
+    "tensor_core.inner": "public API, the Fock pairing of the tests' isometry oracle; " + TRACER,
     "chaos._render_monomial": EDGE,
     "chaos.FormField._render_key": EDGE,
     "linalg._render_tuple": EDGE,

@@ -5,9 +5,10 @@ the rep suite.
 The split is proved by the identities of each pattern block's
 certificate, read off the Koszul model, whose columns lower and raise_
 must give on every label.  The chaos suite is proved in Hermite
-coordinates: the dictionary on one field per block, the shifts of d and δ
-against the model's columns, one-variable ladder and moment tables, and
-the Fock adjointness.  The decomposition is proved
+coordinates: the dictionary as distinct keys of the labels, the shifts of
+d and δ against the model's columns, one-variable ladder and moment
+tables, and the Fock adjointness; the round trip through monomials is
+the whole-block oracle's alone.  The decomposition is proved
 per pattern block by the transposition sum, witness identities and Fock
 ranks.  The rep suite reads the orbit in position-set coordinates, S_n
 through its adjacent transpositions and one permutation per cycle type.
@@ -272,28 +273,56 @@ def _from_poly_with(edit):
     return classmethod(stand_in)
 
 
-def _wrong_he_row(real):
-    return lambda a: ((2, 1),) if a == 2 else real(a)
+def _wrong_he_row(real, degree, row):
+    """The table real with the row of one degree replaced."""
+    return lambda a: row if a == degree else real(a)
+
+
+# Stand-ins of the round trip through monomials (chaos_field, then
+# hermite_coords through from_poly, and gaussian_inner), which the verify
+# path does not run: each must fail oracles.chaos_case, the whole-block
+# oracle that keeps the round trip, while the verify case still passes.
+ROUND_TRIP = {
+    "from_poly adds a key",
+    "from_poly reverses keys",
+    "gaussian_inner doubled",
+    "chaos_field re-keys one label",
+}
+
+
+def _case_reading(stand_in, d, n, k):
+    """(status, details) at (d, n, k) of the chaos case that reads the
+    patched stand_in, read with every cache emptied: the oracle for a
+    stand-in of the round trip, after checking that verify passes."""
+    clear_caches()
+    oracles.chaos_block_holds.cache_clear()
+    if stand_in not in ROUND_TRIP:
+        return chaos._case_chaos(d, n, k)
+    assert chaos._case_chaos(d, n, k)[0] == "pass"
+    return oracles.chaos_case(d, n, k)
 
 
 CHAOS_STAND_INS = {
-    # caught by the dictionary check, and by gaussian_inner(f, f)
+    # caught by the oracle's dictionary check, and by gaussian_inner(f, f)
     "from_poly adds a key": lambda mp: mp.setattr(
         HermiteExpansion, "from_poly", _from_poly_with(lambda h: {**h.coeffs, (0,) * h.dim: 1})
     ),
-    # caught by the dictionary check alone: the weights prod a! are symmetric
+    # caught by the oracle's dictionary check alone: the weights prod a!
+    # are symmetric
     "from_poly reverses keys": lambda mp: mp.setattr(
         HermiteExpansion,
         "from_poly",
         _from_poly_with(lambda h: {key[::-1]: c for key, c in h.coeffs.items()}),
     ),
     # caught by the moment table, which reads chaos's _he_coeffs
-    "He_2 = x^2": lambda mp: mp.setattr(chaos, "_he_coeffs", _wrong_he_row(chaos._he_coeffs)),
+    "He_2 = x^2": lambda mp: mp.setattr(
+        chaos, "_he_coeffs", _wrong_he_row(chaos._he_coeffs, 2, ((2, 1),))
+    ),
     "gram factor + 1": lambda mp: mp.setattr(
         chaos, "_gram_factor", lambda b, real=chaos._gram_factor: real(b) + 1
     ),
     # doubles the one gaussian_inner(f, f) per block, which only the
-    # isometry runs (and the adjoint, which rests on the isometry)
+    # oracle's isometry runs (and the adjoint, which rests on the isometry)
     "gaussian_inner doubled": lambda mp: mp.setattr(
         chaos, "gaussian_inner", lambda u, v, real=chaos.gaussian_inner: 2 * real(u, v)
     ),
@@ -301,14 +330,47 @@ CHAOS_STAND_INS = {
 
 
 @pytest.mark.parametrize("stand_in", sorted(CHAOS_STAND_INS))
-def test_chaos_isometry_fails_without_each_ingredient(stand_in, monkeypatch):
+def test_chaos_isometry_fails_without_each_ingredient(stand_in, fresh_oracles, monkeypatch):
     d, n = 2, 3
-    status, details = chaos._case_chaos(d, n, n)
-    assert status == "pass" and details["isometry"] is True
-    clear_caches()
+    for case in (chaos._case_chaos, oracles.chaos_case):
+        status, details = case(d, n, n)
+        assert status == "pass" and details["isometry"] is True
     CHAOS_STAND_INS[stand_in](monkeypatch)
-    status, details = chaos._case_chaos(d, n, n)
+    status, details = _case_reading(stand_in, d, n, n)
     assert status == "fail" and details["isometry"] is False
+
+
+def test_one_wrong_hermite_coefficient_fails_both_routes(fresh_oracles, monkeypatch):
+    # He_3 = x^3 - 2x, one coefficient off.  The verify case reads _he_coeffs
+    # through the per-degree tables: the ladder of d fails the diagram, the
+    # moment table the isometry, and the adjoint rests on both.  The oracle
+    # multiplies the field out with it and reads it back through from_poly.
+    d, n = 2, 3
+    assert chaos._case_chaos(d, n, n)[0] == "pass"
+    assert oracles.chaos_block_holds(d, n, 0) == (True, True)
+    monkeypatch.setattr(
+        chaos, "_he_coeffs", _wrong_he_row(chaos._he_coeffs, 3, ((1, -2), (3, 1)))
+    )
+    clear_caches()
+    oracles.chaos_block_holds.cache_clear()
+    status, details = chaos._case_chaos(d, n, n)
+    assert status == "fail"
+    assert [details[key] for key in ("diagram", "isometry", "adjoint")] == [False] * 3
+    assert oracles.chaos_block_holds(d, n, 0) == (False, False)
+
+
+def test_colliding_hermite_keys_fail_the_dictionary(fresh_caches, monkeypatch):
+    # The dictionary is distinct keys on each block's labels.  Within a
+    # weight block the wedge part alone tells the labels apart, so the
+    # stand-in keys every label He_0, with no wedge: on the block of (2, 1)
+    # at k = 2, q = 1 the two keys collide, the record's dictionary and
+    # isometry fail, and so does the case's diagram.
+    assert chaos._chaos_pattern_holds((2, 1), 2, 1)[:2] == (True, True)
+    monkeypatch.setattr(chaos, "hermite_key", lambda b, mu: ((), (0,) * len(mu)))
+    clear_caches()
+    assert chaos._chaos_pattern_holds((2, 1), 2, 1)[:2] == (False, False)
+    status, details = chaos._case_chaos(2, 3, 2)
+    assert status == "fail" and details["diagram"] is False
 
 
 def _d_without_m(u):
@@ -415,6 +477,7 @@ CERTIFICATE_STAND_INS = {
         lambda mp: mp.setattr(fock_ops, "_gram_factor", _doubled_gram_at((2, 1))),
         "adjoint",
     ),
+    # The round trip's field, which only the oracle builds.
     "chaos_field re-keys one label": (
         lambda mp: mp.setattr(chaos, "chaos_field", _rekeys_first_label),
         "diagram",
@@ -433,15 +496,15 @@ CERTIFICATE_STAND_INS = {
 
 
 @pytest.mark.parametrize("stand_in", sorted(CERTIFICATE_STAND_INS))
-def test_chaos_certificate_fails_without_each_ingredient(stand_in, monkeypatch):
+def test_chaos_certificate_fails_without_each_ingredient(stand_in, fresh_oracles, monkeypatch):
     d, n, k = 2, 3, 2
-    status, details = chaos._case_chaos(d, n, k)
-    assert status == "pass"
-    assert details["adjoint"] is True and "isometry" not in details
-    clear_caches()
+    for case in (chaos._case_chaos, oracles.chaos_case):
+        status, details = case(d, n, k)
+        assert status == "pass"
+        assert details["adjoint"] is True and "isometry" not in details
     patch, key = CERTIFICATE_STAND_INS[stand_in]
     patch(monkeypatch)
-    status, details = chaos._case_chaos(d, n, k)
+    status, details = _case_reading(stand_in, d, n, k)
     assert status == "fail"
     if key is not None:
         assert details[key] is False
@@ -580,14 +643,14 @@ def test_a_lower_weight_off_by_one_fails_the_dictionary(monkeypatch):
         assert failure == ("lower = Σ mu_i ε_i", "(1,1;2)"), case.__name__
 
 
-def _epsilon_sign_flipped(r, q, real=fock_ops._columns):
+def _epsilon_sign_flipped(which, r, q, real=fock_ops._columns):
     """The model's columns with the sign of e_1 ^ e_A flipped in the first
     column of ε, A = {2}, at (r, q) = (2, 1)."""
-    eps, iota = real(r, q)
-    if (r, q) == (2, 1):
-        assert eps[0] == {(0, 0): 1}
-        eps = [{(0, 0): -1}, *eps[1:]]
-    return eps, iota
+    cols = real(which, r, q)
+    if (which, r, q) == ("lower", 2, 1):
+        assert cols[0] == {(0, 0): 1}
+        cols = [{(0, 0): -1}, *cols[1:]]
+    return cols
 
 
 def test_a_sign_flipped_in_the_model_fails_its_identities(monkeypatch):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+import hodgefock.chaos as chaos
 from hodgefock import (
     DegreeOutOfRange,
+    DimensionMismatch,
     FockTensor,
     InvalidIndex,
     MixedIndex,
@@ -34,10 +36,12 @@ from hodgefock.chaos import (
     hermite,
     hermite_key,
 )
+from hodgefock.cli import VerifyConfig, run_verify
 from hodgefock.tensor_core import _gram_factor, sort_sign
 
 import oracles
-from conftest import coefficients, mixed_tensor_pairs, mixed_tensors, pattern_tensors, relabel
+from conftest import clear_caches, coefficients, mixed_tensor_pairs, mixed_tensors
+from conftest import pattern_tensors, relabel
 
 
 HE_TABLE = {
@@ -100,6 +104,24 @@ def test_hermite_expansion_roundtrip_and_x4():
     assert exp.to_poly() == p4
     mixed = Poly(2, {(3, 1): 2, (0, 2): -1, (0, 0): 5})
     assert HermiteExpansion.from_poly(mixed).to_poly() == mixed
+
+
+def test_x_power_table_is_read_by_from_poly_alone(fresh_oracles, monkeypatch):
+    # _x_power_in_he, x^m in the Hermite basis, is from_poly's table, and
+    # only the round trip through monomials reads it.  With x^3 = He_3 +
+    # 2 He_1 (one coefficient off) verify chaos still passes; the whole-block
+    # oracle and the round trips fail.
+    real = chaos._x_power_in_he
+    monkeypatch.setattr(chaos, "_x_power_in_he", lambda m: ((1, 2), (3, 1)) if m == 3 else real(m))
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    clear_caches()
+    oracles.chaos_block_holds.cache_clear()
+    assert run_verify(VerifyConfig(suite="chaos", max_dim=3, max_n=4)).status == "pass"
+    assert oracles.chaos_block_holds(2, 3, 0) == (False, False)
+    with pytest.raises(AssertionError):
+        test_hermite_expansion_roundtrip_and_x4()
+    coords = {((1,), (3, 0)): 1}
+    assert FormField.from_hermite(2, 1, coords).hermite_coords() != coords
 
 
 def test_chaos_poly_example():
@@ -410,6 +432,8 @@ def test_commutation_defect_edge_cases():
     assert commutation_defect((2,), (1,), 3).is_zero()
     with pytest.raises(DegreeOutOfRange):
         commutation_defect((1,), (1,), 0)
+    with pytest.raises(DimensionMismatch):
+        commutation_defect((), (1,), 2)
     with pytest.raises(InvalidIndex):
         commutation_defect((1, 2), (2, 1), 3)
     with pytest.raises(InvalidIndex):

@@ -747,23 +747,86 @@ def test_one_hook_formula_feeds_every_kostka_check(fresh_caches, monkeypatch):
 
 @pytest.mark.parametrize("d, n, k", [(3, 3, 1), (3, 3, 3), (2, 2, 0)])
 def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
-    # The certificate reads the dictionary off one field for each
-    # non-empty pattern block of H_{k,q} and of its neighbours H_{k-1,q+1}
-    # and H_{k+1,q-1}; there is no whole-block, per-label or random field.
+    # The certificate reads the dictionary off one record for each pattern
+    # block of H_{k,q} and of its neighbours H_{k-1,q+1} and H_{k+1,q-1},
+    # in that order, and each record keys every label of its block.  The
+    # records build no chaos field: no whole-block, per-label or random one.
     q = n - k
     clear_caches()
-    built = []
-    original = chaos.chaos_field
+    records, keyed = [], set()
+    real_record, real_key = chaos._chaos_pattern_holds, chaos.hermite_key
 
-    def counted(t):
-        built.append(t.signature)
-        return original(t)
+    def record(*sig):
+        records.append(sig)
+        return real_record(*sig)
 
-    monkeypatch.setattr(chaos, "chaos_field", counted)
+    def key(label, ground):
+        keyed.add((ground, label))
+        return real_key(label, ground)
+
+    def refused(t):
+        raise AssertionError("a chaos field built on the verify path")
+
+    monkeypatch.setattr(chaos, "_chaos_pattern_holds", record)
+    monkeypatch.setattr(chaos, "hermite_key", key)
+    monkeypatch.setattr(chaos, "chaos_field", refused)
     status, _ = chaos._case_chaos(d, n, k)
     assert status == "pass"
     blocks = [(mu, k + i, q - i) for i in (0, -1, 1) for mu, _ in weight_patterns(d, n)]
-    assert built == [sig for sig in blocks if block_dim(*sig)]
+    assert records == blocks
+    assert any(block_dim(*sig) for sig in blocks)
+    assert {(sig[0], b) for sig in blocks for b in enum_basis(*sig)} <= keyed
+
+
+# The round trip through monomials and the pairings it compares, which
+# the chaos record does not run; the tests' oracles keep them.
+READ_BACK = (
+    "chaos.chaos_field",
+    "chaos.FormField.hermite_coords",
+    "chaos.HermiteExpansion.from_poly",
+    "chaos.gaussian_inner",
+    "tensor_core.inner",
+)
+
+
+def test_verify_path_reads_no_form_back(monkeypatch):
+    # Each pattern block's chaos record reads the labels, the per-degree
+    # tables and the Koszul model.  On serial all 6 7, every cache emptied
+    # first, the round trip is refused in every hodgefock namespace that
+    # binds it, FormField.from_hermite multiplies out only the ladder
+    # tables' forms, and from_poly's two tables stay empty.
+    clear_caches()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a form read back, or a pairing, on the verify path")
+
+    modules = [mod for name, mod in list(sys.modules.items()) if name.split(".")[0] == "hodgefock"]
+    for key in READ_BACK:
+        modname, name = key.split(".", 1)
+        mod = importlib.import_module(f"hodgefock.{modname}")
+        if "." in name:
+            cls_name, meth = name.split(".")
+            monkeypatch.setattr(getattr(mod, cls_name), meth, refused)
+            continue
+        real = getattr(mod, name)
+        for other in modules:
+            for attr, value in list(vars(other).items()):
+                if value is real:
+                    monkeypatch.setattr(other, attr, refused)
+    callers = []
+    real_from_hermite = vars(chaos.FormField)["from_hermite"].__func__
+
+    def from_hermite(cls, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_from_hermite(cls, *args)
+
+    monkeypatch.setattr(chaos.FormField, "from_hermite", classmethod(from_hermite))
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    report = run_verify(VerifyConfig(suite="all", max_dim=6, max_n=7))
+    assert report.status == "pass" and len(report.cases) == 1302
+    assert callers and set(callers) == {"_ladder_tables_hold"}
+    assert chaos._monomial_in_he.cache_info().currsize == 0
+    assert chaos._x_power_in_he.cache_info().currsize == 0
 
 
 def test_chaos_cases_draw_nothing_from_the_seed(monkeypatch, capsys):
@@ -899,11 +962,16 @@ def test_main_empty_out_exits_two_before_any_case(monkeypatch, capsys):
 # their full tensors; the linalg eliminations gave every Fock rank before
 # the certificates' traces; operator_matrix gave every Fock and Gaussian
 # identity before the Koszul model; exp_vector and commutation_defect gave
-# the chaos-truncation defect on one drawn h before it held for every h.
+# the chaos-truncation defect on one drawn h before it held for every h;
+# chaos_field, from_poly, gaussian_inner and inner were the chaos record's
+# round trip through monomials before it read the per-degree tables.
 # The tests keep them as oracles.
 OFF_THE_VERIFY_PATH = {
+    "chaos.HermiteExpansion.from_poly",
+    "chaos.chaos_field",
     "chaos.commutation_defect",
     "chaos.exp_vector",
+    "chaos.gaussian_inner",
     "fock_ops.operator_matrix",
     "fock_ops.permute",
     "hodge.random_tensor",
@@ -917,6 +985,7 @@ OFF_THE_VERIFY_PATH = {
     "rep_theory.orbit_split_spaces",
     "rep_theory.span_all_positions",
     "tensor_core.embed",
+    "tensor_core.inner",
 }
 
 

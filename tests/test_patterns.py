@@ -7,7 +7,7 @@ chaos-truncation case compares the routes of its defect in Hermite
 coordinates, one monomial of h per relabelling class.  Here they are
 compared with the whole-block, monomial and seeded oracles of
 tests/oracles.py, and the verify path is shown to build no Fock matrix,
-no whole-block chaos field and no truncation defect.
+no chaos field and no truncation defect.
 """
 
 import gc
@@ -167,32 +167,35 @@ def test_no_cache_holds_a_linear_map(serial_fresh):
     assert not hasattr(fock_ops.operator_matrix, "cache_info")
 
 
-def test_gaussian_model_builds_pattern_fields_and_no_monomial_defect(serial_fresh, monkeypatch):
-    # Every chaos field of a serial chaos run is built on a pattern ground,
-    # and no case builds the truncation defect: chaos-truncation compares
-    # the two routes coefficient by coefficient.  commutation_defect runs
-    # route one as a Hermite shift: it calls exterior_derivative (which the
-    # ladder tables still run) not once.
-    grounds, defects, derived = [], [], []
-    real_field, real_defect, real_d = chaos.chaos_field, chaos.commutation_defect, chaos.exterior_derivative
-
-    def field(t):
-        grounds.append(t.dim)
-        return real_field(t)
+def test_gaussian_model_builds_no_field_and_no_monomial_defect(serial_fresh, monkeypatch):
+    # A serial chaos run builds no chaos field: each pattern block's record
+    # reads the labels and the per-degree tables.  No case builds the
+    # truncation defect either: chaos-truncation compares the two routes
+    # coefficient by coefficient.  commutation_defect sums the same routes,
+    # _truncation_routes: it calls neither exp_vector nor
+    # exterior_derivative (which the ladder tables still run).
+    fields, defects, derived, routes = [], [], [], []
+    real_defect, real_d = chaos.commutation_defect, chaos.exterior_derivative
+    real_routes = chaos._truncation_routes
 
     def derivative(u):
         derived.append(u)
         return real_d(u)
 
-    monkeypatch.setattr(chaos, "chaos_field", field)
+    def counted_routes(*args):
+        routes.append(args)
+        return real_routes(*args)
+
+    monkeypatch.setattr(chaos, "chaos_field", lambda t: fields.append(t))
     monkeypatch.setattr(chaos, "commutation_defect", lambda *args: defects.append(args))
     for mod in _hodgefock_modules():
         if getattr(mod, "exterior_derivative", None) is real_d:
             monkeypatch.setattr(mod, "exterior_derivative", derivative)
     report = run_verify(VerifyConfig(suite="chaos", max_dim=6, max_n=4))
     assert report.status == "pass" and len(report.cases) == 6 * (2 + 3 + 4 + 5 + 4)
-    assert grounds and all(isinstance(ground, tuple) for ground in grounds)
-    assert not defects and derived
+    assert not fields and not defects and derived
     derived.clear()
+    monkeypatch.setattr(chaos, "_truncation_routes", counted_routes)
+    monkeypatch.setattr(chaos, "exp_vector", lambda *args: defects.append(args))
     assert not real_defect((1, -2, 3, 0), (1,), 4).is_zero()
-    assert not derived
+    assert not derived and not defects and routes
