@@ -550,6 +550,33 @@ def test_pooled_run_in_real_processes_writes_the_recorded_bytes(tmp_path):
     assert target.read_bytes() == proc.stdout.replace(b'"out": null', out)
 
 
+# (filtered grid, sha256 of its `--format json` stdout).  A filtered run
+# reads the neighbours of its blocks without reading their own cases, so
+# these pin the records that whole grids read only together.
+FILTERED_DIGESTS = [
+    (["weitzenboeck", "--dim", "3", "--n", "3", "--k", "2"],
+     "2c915a3e576735a361a222abd10c18bdb1f009bee3312cd4486f842bb75f0332"),
+    (["chaos", "--max-dim", "5", "--max-n", "5", "--k", "2"],
+     "030109ed5e7f7e3ad5171c33af34898172bc4e40807b3db3cf22950a396f3500"),
+    (["split", "--max-dim", "5", "--max-n", "5", "--q", "1"],
+     "6d58db527baf07d20611f1f9593fedd9239ec1e3cd6d2c9525346d505a0a7a16"),
+    (["decomposition", "--max-dim", "6", "--max-n", "6", "--k", "3"],
+     "8d6854a26e6eba3e209adf50895fef0da0de15f3dffefada88e67eb762d6e64d"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("grid, digest", FILTERED_DIGESTS, ids=[g[0] for g, _ in FILTERED_DIGESTS])
+def test_filtered_grids_write_the_recorded_bytes(grid, digest, workers):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {**os.environ, "HODGEFOCK_WORKERS": workers, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "hodgefock", "verify", *grid, "--format", "json"]
+    proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def _with_sampled_trials(out: str) -> str:
     """The report as it read while the split was sampled: `trials` (20 by
     default) after `max_n` in the config and last in each split case."""
