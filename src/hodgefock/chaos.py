@@ -25,13 +25,15 @@ HermiteExpansion.from_poly.  In these coordinates (hermite_key gives a
 label's key) both operators are integer shifts, one coordinate at a
 time (_hermite_image): He_a' = a He_{a-1} and x He_a - He_a' = He_{a+1}.
 The `verify chaos` suite proves the dictionary with no sampling and no
-form read back: on each label the shift, and lower and raise_
-(hodge._dictionary), give the column of the Koszul model
-(fock_ops._koszul), and hermite_key is injective on each block's labels;
-the one-variable tables are checked once per degree.  It runs on one
-weight block per pattern mu, with one record per block
-(_chaos_pattern_holds).  The round trip through monomials (chaos_field,
-hermite_coords, gaussian_inner) is the tests' oracle of that record.
+form read back: on each label the shift gives the column of the Koszul
+model (fock_ops._koszul), and hermite_key is injective on each block's
+labels; the one-variable tables are checked once per degree.  Each
+pattern block has one record of these Gaussian facts
+(_chaos_pattern_holds); the case ands in the Fock facts it reads, lower
+and raise_ against the same model (hodge._dictionary) and the
+adjointness (fock_ops._adjoint_residual).  The round trip through
+monomials (chaos_field, hermite_coords, gaussian_inner) is the tests'
+oracle of that record.
 
 The truncation square (commutation_defect) is a polynomial identity in
 h: on each monomial h^c, both routes are Hermite coordinates built from
@@ -477,22 +479,21 @@ def _ladder_tables_hold(n: int) -> tuple[bool, bool, bool]:
 
 
 @lru_cache(maxsize=None)
-def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool, bool, bool, bool]:
-    """(dictionary, isometry, lower matches, raise_ matches, adjoint): the
-    one cached record of the Gaussian model on the block of mu; it builds
-    no form.  chaos_field writes each label b on its own, as He_{mult(b)}
-    dx_{b.alt}, and the tables of that product are checked once per degree
-    (_hermite_table_holds, and _ladder_tables_hold, which _case_chaos ands
-    in).  So the dictionary holds when hermite_key is injective on the
-    labels, and the isometry when each _gram_factor(b) is prod mult(b)!,
-    the norm that _hermite_table_holds(k) gives.  lower matches when d
-    (_hermite_image) and lower (hodge._dictionary) give the model's column
-    on each label, and raise_ likewise with δ; adjoint is _adjoint_residual.
-    An empty block holds all five.
+def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool, bool, bool]:
+    """(dictionary, isometry, d, δ): the one cached record of the Gaussian
+    model on the block of mu, Gaussian facts only; it builds no form and
+    reads no Fock operator.  chaos_field writes each label b on its own,
+    as He_{mult(b)} dx_{b.alt}, and the tables of that product are checked
+    once per degree (_hermite_table_holds, and _ladder_tables_hold, which
+    _case_chaos ands in).  So the dictionary holds when hermite_key is
+    injective on the labels, and the isometry when each _gram_factor(b) is
+    prod mult(b)!, the norm that _hermite_table_holds(k) gives.  d holds
+    when the shift (_hermite_image) gives the model's column of lower on
+    each label, and δ likewise for raise_.  An empty block holds all four.
     """
     labels = enum_basis(mu, k, q)
     if not labels:
-        return True, True, True, True, True
+        return True, True, True, True
     keys = [hermite_key(b, mu) for b in labels]
     dictionary = len(set(keys)) == len(keys)
     isometry = (
@@ -500,16 +501,13 @@ def _chaos_pattern_holds(mu: tuple, k: int, q: int) -> tuple[bool, bool, bool, b
         and _hermite_table_holds(k)
         and all(_gram_factor(b) == prod(map(factorial, m)) for b, (_, m) in zip(labels, keys))
     )
-    matches = (
-        fock is None and all(
-            dict(_hermite_image(which, *key)) == {images[r]: v for r, v in c.items()}
-            for key, c in zip(keys, _model_images(which, mu, q))
-        )
-        for fock, which, images in zip(_dictionary(mu, k, q), ("lower", "raise"), (
-            [hermite_key(b, mu) for b in enum_basis(mu, k + i, q - i)] for i in (-1, 1)
-        ))
-    )
-    return dictionary, isometry, *matches, _adjoint_residual(mu, k, q) is None
+
+    def shift_holds(which, i):
+        images = [hermite_key(b, mu) for b in enum_basis(mu, k + i, q - i)]
+        return all(dict(_hermite_image(which, *key)) == {images[r]: v for r, v in c.items()}
+                   for key, c in zip(keys, _model_images(which, mu, q)))
+
+    return dictionary, isometry, shift_holds("lower", -1), shift_holds("raise", 1)
 
 
 def _case_chaos(d: int, n: int, k: int):
@@ -517,13 +515,14 @@ def _case_chaos(d: int, n: int, k: int):
 
     Premise: exterior_derivative and codifferential act one coordinate at
     a time, with the shared wedge sign rule, so the ladder tables make them
-    the shifts of _hermite_image.  The case ands the records of H_{k,q},
-    H_{k-1,q+1} and H_{k+1,q-1} over the pattern blocks:
+    the shifts of _hermite_image.  The case ands the Gaussian records of
+    H_{k,q}, H_{k-1,q+1} and H_{k+1,q-1} over the pattern blocks with the
+    Fock dictionary entries (hodge._dictionary) of the same blocks:
 
     * diagram: d = lower on H_{k,q};
     * dual_diagram: δ = raise_ on H_{k,q};
     * the eigenvalue: δ d + d δ = B + A = n I (weitzenboeck_defect), with
-      d and δ matched on the neighbouring blocks too;
+      d = lower on H_{k+1,q-1} and δ = raise_ on H_{k-1,q+1};
     * adjoint: the diagram, δ = raise_ on H_{k-1,q+1}, the isometry on
       H_{k,q} and H_{k-1,q+1}, and the Fock adjointness G' L = (G R')^T.
     """
@@ -532,13 +531,18 @@ def _case_chaos(d: int, n: int, k: int):
     # Built in this order: H_{k,q}, then the block below, then the one above.
     blocks = (map(all, zip(*(_chaos_pattern_holds(mu, k + i, q - i) for mu, _ in patterns)))
               for i in (0, -1, 1))
-    here, iso, d_here, delta_here, adjoint = next(blocks)
-    below, iso_below, _, delta_below, _ = next(blocks)
-    above, _, d_above, _, _ = next(blocks)
+    here, iso, d_here, delta_here = next(blocks)
+    below, iso_below, _, delta_below = next(blocks)
+    above, _, d_above, _ = next(blocks)
+    lower_here, raise_here, lower_above, raise_below = (
+        all(_dictionary(which, mu, k + i, q - i) is None for mu, _ in patterns)
+        for which, i in (("lower", 0), ("raise", 0), ("lower", 1), ("raise", -1))
+    )
     ladder_d, ladder_delta, ladder_lap = _ladder_tables_hold(n)
-    diagram = here and below and ladder_d and d_here
-    dual = here and above and ladder_delta and delta_here
-    eigen = ladder_lap and d_above and delta_below and weitzenboeck_defect(d, k, q) == 0
+    diagram = here and below and ladder_d and d_here and lower_here
+    dual = here and above and ladder_delta and delta_here and raise_here
+    eigen = (ladder_lap and d_above and lower_above and delta_below and raise_below
+             and weitzenboeck_defect(d, k, q) == 0)
     dim = block_dim(d, k, q)
     details = {"dim": dim, "diagram": diagram, "dual_diagram": dual}
     details["laplacian_eigenvalue"] = str(n) if dim else "0"
@@ -547,7 +551,8 @@ def _case_chaos(d: int, n: int, k: int):
         details["isometry"] = iso
         ok = ok and iso
     if q + 1 <= d:
-        adj = diagram and iso and iso_below and ladder_delta and delta_below and adjoint
+        adj = (diagram and iso and iso_below and ladder_delta and delta_below and raise_below
+               and all(_adjoint_residual(mu, k, q) is None for mu, _ in patterns))
         details["adjoint"] = adj
         ok = ok and adj
     return ("pass" if ok else "fail"), details

@@ -273,18 +273,21 @@ def _koszul(r: int, q: int) -> tuple:
 def _model_images(which: str, mu: tuple, q: int) -> list[dict]:
     """The model's column of lower (which = "lower") or raise_ on each label
     of the block of mu with q wedge slots, as {row: coefficient}, rows and
-    columns in enum_basis order."""
+    columns in enum_basis order.  The raise_ columns are _koszul's ι
+    themselves: callers read them and never mutate them."""
     eps, iota = _koszul(len(mu), q)[:2]
     if which == "lower":
         return [{row: s * mu[i] for (row, i), s in col.items()} for col in eps]
-    return [dict(col) for col in iota]
+    return iota
 
 
+@lru_cache(maxsize=None)
 def _adjoint_residual(ground: tuple, k: int, q: int):
     """The first label u of H_{k,q} where G' L - (G R')^T has a nonzero
     column, or None: L and R' are the model's lower on H_{k,q} and raise_ on
     H_{k-1,q+1} over the pattern ground, and G, G' the diagonal pairings
-    (_gram_factor), entry by entry: G'_ww mu_i = G_uu for w = u + i."""
+    (_gram_factor), entry by entry: G'_ww mu_i = G_uu for w = u + i.
+    Cached per block: the split and the chaos adjoint both read it."""
     labels = enum_basis(ground, k, q)
     gram, gram_up = ([_gram_factor(b) for b in enum_basis(ground, k + i, q - i)] for i in (0, -1))
     right: list[dict] = [{} for _ in labels]

@@ -11,8 +11,8 @@ L x = R x = 0 gives n x = 0, Ker L = Im A and Ker R = Im B, and the ranks
 are traces: rank lower = tr(B) / n and rank raise_ = tr(A) / n.
 
 The identities are the Koszul model's (fock_ops._koszul), checked once
-per (len(mu), q) with formal weights; a block adds its dictionary
-(_dictionary): lower and raise_ give the model's columns.  The certificate
+per (len(mu), q) with formal weights; a block adds a dictionary entry per
+operator (_dictionary: it gives the model's columns).  The certificate
 keeps each check's first failing label, the traces and the defect.
 
 H_{k,q} over R^d is a sum of relabelled pattern blocks (tensor_core), so
@@ -51,18 +51,15 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _dictionary(mu: tuple, k: int, q: int) -> tuple:
-    """(first label where lower, and where raise_, does not give the model's
-    column, or None) on the block of mu; its certificate, its neighbours'
-    and its Gaussian record read it."""
-    labels = enum_basis(mu, k, q)
-    return tuple(
-        next((b for b, col in zip(labels, _model_images(which, mu, q))
-              if op(FockTensor._trusted((mu, k, q), {b: 1})).coeffs
-              != {cod[r]: v for r, v in col.items()}), None)
-        for op, which, cod in ((lower, "lower", enum_basis(mu, k - 1, q + 1)),
-                               (raise_, "raise", enum_basis(mu, k + 1, q - 1)))
-    )
+def _dictionary(which: str, mu: tuple, k: int, q: int):
+    """The first label of the block of mu where lower (which = "lower") or
+    raise_ does not give the model's column, or None; the certificates of
+    the block and of its neighbours, and the chaos case, read it."""
+    op, shift = (lower, -1) if which == "lower" else (raise_, 1)
+    cod = enum_basis(mu, k + shift, q - shift)
+    return next((b for b, col in zip(enum_basis(mu, k, q), _model_images(which, mu, q))
+                 if op(FockTensor._trusted((mu, k, q), {b: 1})).coeffs
+                 != {cod[r]: v for r, v in col.items()}), None)
 
 
 @lru_cache(maxsize=None)
@@ -75,10 +72,9 @@ def _certificate(ground, k: int, q: int) -> tuple:
     raise_ themselves where a dictionary fails."""
     n = k + q
     _, _, identities, traces, residual = _koszul(len(ground), q)
-    here = _dictionary(ground, k, q)
     checks = (
-        ("lower = Σ mu_i ε_i", here[0] or _dictionary(ground, k + 1, q - 1)[0]),
-        ("raise_ = Σ ι_i", here[1] or _dictionary(ground, k - 1, q + 1)[1]),
+        *((name, _dictionary(w, ground, k, q) or _dictionary(w, ground, k + i, q - i))
+          for name, w, i in (("lower = Σ mu_i ε_i", "lower", 1), ("raise_ = Σ ι_i", "raise", -1))),
         *((name, c if c is None else enum_basis(ground, k + i, q - i)[c])
           for name, i, c in identities),
     )
@@ -180,10 +176,12 @@ class ExactnessReport(NamedTuple):
         return all(all(self.exact_at(r.k)) and r.harmonic_dim == 0 for r in self.rows)
 
 
+@lru_cache(maxsize=None)
 def exactness_report(d: int, n: int) -> ExactnessReport:
     """Exact ranks, kernels and harmonic dimensions for total degree n >= 1,
     read from the pattern blocks' certificates (module docstring): ranks are
-    traces, kernels dim - rank, and no block has a harmonic part."""
+    traces, kernels dim - rank, and no block has a harmonic part.  Cached
+    per (d, n): the exactness and decomposition cases read its rows."""
     if n < 1:
         raise DegreeOutOfRange("the report needs total degree n >= 1")
     patterns = weight_patterns(d, n)
@@ -210,18 +208,12 @@ def _case_weitzenboeck(d: int, n: int, k: int):
     return ("pass" if defect == 0 else "fail"), details
 
 
-@lru_cache(maxsize=None)
-def _exactness_report(d: int, n: int):
-    """One report per (d, n) and process; each of its n + 1 cases reads a row."""
-    return exactness_report(d, n)
-
-
 def _case_exactness(d: int, n: int, k: int):
     q = n - k
     failure = _complex_failure(d, n)
     if failure:
         return "fail", {"dim": block_dim(d, k, q), **failure}
-    rep = _exactness_report(d, n)
+    rep = exactness_report(d, n)
     row = rep.row(k)
     lower_ok, raise_ok = rep.exact_at(k)
     # dim, rank_lower, ker_lower, rank_raise, ker_raise and harmonic_dim, in order
@@ -237,10 +229,10 @@ def _case_exactness(d: int, n: int, k: int):
 
 @lru_cache(maxsize=None)
 def _split_failures(ground, k: int, q: int) -> tuple:
-    """(identity, first failing label or None) for each split claim on one
-    block: its certificate, which proves every identity of A and B, then
-    adjointness and hodge_split on t = sum_i (i+1) e_i against A t and B t,
-    read off the model's columns.  Cached likewise."""
+    """(identity, first failing label or None) for the split's own claims on
+    one block, which _case_split reads after the block's certificate (it
+    proves every identity of A and B): adjointness, and hodge_split on
+    t = sum_i (i+1) e_i against A t and B t, read off the model's columns."""
     n, labels = k + q, enum_basis(ground, k, q)
     index, bad = {b: i for i, b in enumerate(labels)}, set()
     split = hodge_split(FockTensor._trusted((ground, k, q), {b: i + 1 for b, i in index.items()}))
@@ -249,7 +241,7 @@ def _split_failures(ground, k: int, q: int) -> tuple:
         outer = _model_images(second, ground, q + shift)
         want = lincomb((c, outer[m]) for m, c in middle.items())
         bad.update(lincomb(((n, {index[b]: c for b, c in got.coeffs.items()}), (-1, want))))
-    return _certificate(ground, k, q)[0] + (
+    return (
         # Adjointness gives inner(plus, raise_(y)) = inner(lower(plus), y) = 0.
         ("adjoint", _adjoint_residual(ground, k, q)),
         ("hodge_split", labels[min(bad)] if bad else None),
@@ -260,5 +252,6 @@ def _case_split(d: int, n: int, k: int):
     """The split on every pattern block.  A failure names the first identity
     that fails and its first failing label in the first block where it does."""
     q = n - k
-    failure = _first_failure(_split_failures(mu, k, q) for mu, _ in weight_patterns(d, n))
+    failure = _first_failure(_certificate(mu, k, q)[0] + _split_failures(mu, k, q)
+                             for mu, _ in weight_patterns(d, n))
     return ("fail" if failure else "pass"), {"dim": block_dim(d, k, q), **failure}

@@ -69,7 +69,7 @@ from math import comb
 
 from .errors import DegreeOutOfRange, DimensionMismatch, InvalidIndex, NotInvariant
 from .fock_ops import Permutation, lower, permute, raise_
-from .hodge import _complex_failure, _hook_ranks, hodge_split, operator_rank
+from .hodge import _complex_failure, _hook_ranks, exactness_report, hodge_split, operator_rank
 from .linalg import EchelonBasis, kernel_basis, lincomb
 from .tensor_core import FockTensor, FullTensor, MixedIndex, _partitions, block_dim, embed
 from .tensor_core import enum_basis, perm_sign, weight_patterns
@@ -362,14 +362,13 @@ def _case_decomposition(d: int, n: int, k: int):
     if failure:
         return "fail", {"dim": block, **failure}
     dim, dim_plus, dim_minus, direct = decomposition_dims(d, k, q)
-    patterns = weight_patterns(d, n)
-    ker_lower = block - sum(c * operator_rank("lower", mu, k, q) for mu, c in patterns)
+    ker_lower = exactness_report(d, n).row(k).ker_lower
     details = {"dim": dim, "dim_plus": dim_plus, "dim_minus": dim_minus, "ker_lower": ker_lower}
     # With direct, the embedded dimension ties dim_minus to rank(lower).
     ok = direct and dim == block and dim_plus == ker_lower
     # Independent of the certificate: the hook Kostka numbers, and their
     # sum C(len(mu), q), the block's dimension.
-    for mu, _ in patterns:
+    for mu, _ in weight_patterns(d, n):
         low, up = _hook_ranks(len(mu), q)
         expected = [low + up, up, low]
         if list(_pattern_block(mu, k, q)[:3]) != expected:

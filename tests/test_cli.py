@@ -91,22 +91,14 @@ def test_config_dict_keeps_the_field_order():
     ]
 
 
-def test_exactness_report_is_built_once_per_grid_point(monkeypatch):
-    calls = []
-
-    def counted(d, n):
-        calls.append((d, n))
-        return exactness_report(d, n)
-
+def test_exactness_report_is_built_once_per_grid_point(monkeypatch, fresh_caches):
+    # exactness_report is the cached record of (d, n): each of the 6 grid
+    # points builds it once, and the other 12 of the 18 cases read it.
     monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
-    monkeypatch.setattr(hodge, "exactness_report", counted)
-    hodge._exactness_report.cache_clear()
-    try:
-        report = run_verify(small(suite="exactness", max_dim=2, max_n=3))
-    finally:
-        hodge._exactness_report.cache_clear()
+    report = run_verify(small(suite="exactness", max_dim=2, max_n=3))
     assert report.status == "pass" and len(report.cases) == 2 * (2 + 3 + 4)
-    assert sorted(calls) == [(d, n) for d in (1, 2) for n in (1, 2, 3)]
+    info = exactness_report.cache_info()
+    assert info.misses == info.currsize == 2 * 3 and info.hits == 18 - 6
 
 
 def _lower_rows_swapped(t, real=hodge.lower):
@@ -435,6 +427,14 @@ def test_default_workers_are_the_cpus_this_process_may_run_on(monkeypatch):
     assert report.status == "pass" and len(report.cases) == 10 and sizes == []
 
 
+def _child_env(workers: str) -> dict:
+    """The environment of a child CLI process: this checkout's src/ first
+    on PYTHONPATH, and HODGEFOCK_WORKERS set."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "HODGEFOCK_WORKERS": workers, "PYTHONPATH": path}
+
+
 def _modules_a_serial_run_adds(tmp_path, *args) -> list:
     """The modules a serial `verify <args>` adds to a fresh interpreter,
     hodgefock's own import included; the before set comes from the same
@@ -446,9 +446,7 @@ def _modules_a_serial_run_adds(tmp_path, *args) -> list:
         f"rc = main(['verify', *{list(args)!r}, '--out', {str(tmp_path / 'r.json')!r}])\n"
         "print(rc, *sorted(set(sys.modules) - before))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    env = {**os.environ, "HODGEFOCK_WORKERS": "1", "PYTHONPATH": path}
+    env = _child_env("1")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -533,9 +531,7 @@ def test_pooled_run_in_real_processes_writes_the_recorded_bytes(tmp_path):
     # stdout before each fork and its workers leave through os._exit, so no
     # byte is written twice, to stdout or to --out.
     grid, digest, *_ = RECORDED_DIGESTS[2]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    env = {**os.environ, "HODGEFOCK_WORKERS": "2", "PYTHONPATH": path}
+    env = _child_env("2")
     argv = [sys.executable, "-m", "hodgefock", "verify", *grid, "--format", "json"]
     proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120)
     assert proc.returncode == 0
@@ -568,9 +564,7 @@ FILTERED_DIGESTS = [
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("grid, digest", FILTERED_DIGESTS, ids=[g[0] for g, _ in FILTERED_DIGESTS])
 def test_filtered_grids_write_the_recorded_bytes(grid, digest, workers):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    env = {**os.environ, "HODGEFOCK_WORKERS": workers, "PYTHONPATH": path}
+    env = _child_env(workers)
     argv = [sys.executable, "-m", "hodgefock", "verify", *grid, "--format", "json"]
     proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120)
     assert proc.returncode == 0
@@ -733,7 +727,7 @@ def test_exactness_case_checks_the_hook_kostka_ranks(fresh_caches, monkeypatch):
     # so the report is built and cached before the patch: after it, only
     # the check reads the short rank.  One rank short on the pattern (2, 1)
     # fails only the check, and the case names that pattern.
-    hodge._exactness_report(3, 3)
+    exactness_report(3, 3)
     assert hodge._case_exactness(3, 3, 2)[0] == "pass"
     real = hodge.operator_rank
 

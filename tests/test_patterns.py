@@ -85,10 +85,11 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
     # recorded keys, and every ground is a pattern: no record of a whole
     # block H_{k,q} over R^d is built.
     cached = {
-        "_dictionary": (hodge._dictionary, 0),
+        "_dictionary": (hodge._dictionary, 1),
         "_certificate": (hodge._certificate, 0),
         "_split_failures": (hodge._split_failures, 0),
         "_chaos_pattern_holds": (chaos._chaos_pattern_holds, 0),
+        "_adjoint_residual": (fock_ops._adjoint_residual, 0),
     }
     asked = {name: set() for name in cached}
 
@@ -109,6 +110,75 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
         assert asked[name] and info.misses == info.currsize == len(asked[name]), name
         grounds = {key[ground_at] for key in asked[name]}
         assert all(isinstance(ground, tuple) for ground in grounds), name
+
+
+def test_a_filtered_run_checks_one_operator_per_neighbour(serial_fresh, monkeypatch):
+    # The certificate of H_{2,1} reads lower there and from H_{3,0}, and
+    # raise_ there and from H_{1,2}: 4 one-operator entries for each of the
+    # 3 patterns of d = n = 3, and one operator call per label, 1 + 1 + 1
+    # on (3), 3 + 3 on (2, 1) and 4 + 6 on (1, 1, 1).
+    calls, asked = [], set()
+    real_dictionary = hodge._dictionary
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+
+        return wrapper
+
+    def recording(*key):
+        asked.add(key)
+        return real_dictionary(*key)
+
+    for mod in _hodgefock_modules():
+        for name in ("lower", "raise_"):
+            if getattr(mod, name, None) is getattr(hodge, name):
+                monkeypatch.setattr(mod, name, counted(getattr(hodge, name)))
+        if getattr(mod, "_dictionary", None) is real_dictionary:
+            monkeypatch.setattr(mod, "_dictionary", recording)
+    config = VerifyConfig(suite="weitzenboeck", dim=3, n=3, k=2)
+    assert run_verify(config).status == "pass"
+    steps = (("lower", 2, 1), ("raise", 2, 1), ("lower", 3, 0), ("raise", 1, 2))
+    assert asked == {(which, mu, k, q) for mu, _ in weight_patterns(3, 3) for which, k, q in steps}
+    info = real_dictionary.cache_info()
+    assert info.misses == info.currsize == 12 and len(calls) == 19
+
+
+def test_each_adjoint_residual_is_computed_once_per_block(serial_fresh, monkeypatch):
+    # The split and the chaos adjoint both read fock_ops._adjoint_residual;
+    # on all 6 7 it is computed once for each of the 276 blocks read.
+    asked = []
+    real = fock_ops._adjoint_residual
+
+    def recording(*block):
+        asked.append(block)
+        return real(*block)
+
+    for mod in _hodgefock_modules():
+        if getattr(mod, "_adjoint_residual", None) is real:
+            monkeypatch.setattr(mod, "_adjoint_residual", recording)
+    assert run_verify(VerifyConfig(suite="all", max_dim=6, max_n=7)).status == "pass"
+    info = real.cache_info()
+    assert info.misses == info.currsize == len(set(asked)) == 276
+    assert len(asked) > 276
+
+
+def test_gaussian_record_reads_no_fock_fact(serial_fresh, monkeypatch):
+    # _chaos_pattern_holds holds Gaussian facts only: with the Fock
+    # dictionary and adjointness replaced by stand-ins that raise, it
+    # still gives its four booleans on every block of d <= 4, n <= 4.
+    def refused(*args):
+        raise AssertionError(f"the Gaussian record read a Fock fact at {args}")
+
+    for name in ("_dictionary", "_adjoint_residual"):
+        for mod in _hodgefock_modules():
+            if callable(getattr(mod, name, None)):
+                monkeypatch.setattr(mod, name, refused)
+    for n in range(1, 5):
+        for mu, _ in weight_patterns(4, n):
+            for k in range(-1, n + 2):
+                assert chaos._chaos_pattern_holds(mu, k, n - k) == (True,) * 4, (mu, k)
 
 
 def test_gaussian_record_builds_two_shift_matrices_per_nonempty_block(serial_fresh, monkeypatch):
