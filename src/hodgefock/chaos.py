@@ -55,7 +55,7 @@ from .fock_ops import _adjoint_residual, _model_images, _wedge_insert
 from .hodge import _dictionary, weitzenboeck_defect
 from .linalg import SparseVector, as_coeff, dot, lincomb
 from .tensor_core import FockTensor, MixedIndex, _gram_factor, block_dim, enum_basis
-from .tensor_core import _partitions, weight_patterns
+from .tensor_core import _has_labels, _partitions, weight_patterns
 
 
 def _render_monomial(exps: tuple[int, ...]) -> str:
@@ -529,13 +529,17 @@ def _case_chaos(d: int, n: int, k: int):
     q = n - k
     patterns = weight_patterns(d, n)
     # Built in this order: H_{k,q}, then the block below, then the one above.
-    blocks = (map(all, zip(*(_chaos_pattern_holds(mu, k + i, q - i) for mu, _ in patterns)))
+    # A pattern block with no label holds every fact, Gaussian or Fock, so
+    # none of its records is read; the row of True stands in for them.
+    blocks = (map(all, zip((True,) * 4, *(_chaos_pattern_holds(mu, k + i, q - i)
+                                          for mu, _ in patterns if _has_labels(mu, q - i))))
               for i in (0, -1, 1))
     here, iso, d_here, delta_here = next(blocks)
     below, iso_below, _, delta_below = next(blocks)
     above, _, d_above, _ = next(blocks)
     lower_here, raise_here, lower_above, raise_below = (
-        all(_dictionary(which, mu, k + i, q - i) is None for mu, _ in patterns)
+        all(_dictionary(which, mu, k + i, q - i) is None
+            for mu, _ in patterns if _has_labels(mu, q - i))
         for which, i in (("lower", 0), ("raise", 0), ("lower", 1), ("raise", -1))
     )
     ladder_d, ladder_delta, ladder_lap = _ladder_tables_hold(n)
@@ -552,7 +556,8 @@ def _case_chaos(d: int, n: int, k: int):
         ok = ok and iso
     if q + 1 <= d:
         adj = (diagram and iso and iso_below and ladder_delta and delta_below and raise_below
-               and all(_adjoint_residual(mu, k, q) is None for mu, _ in patterns))
+               and all(_adjoint_residual(mu, k, q) is None
+                       for mu, _ in patterns if _has_labels(mu, q)))
         details["adjoint"] = adj
         ok = ok and adj
     return ("pass" if ok else "fail"), details

@@ -17,7 +17,9 @@ keeps each check's first failing label, the traces and the defect.
 
 H_{k,q} over R^d is a sum of relabelled pattern blocks (tensor_core), so
 ranks and kernels are count-weighted sums over the patterns, a defect is
-the largest over them, and an identity holds iff it holds on each.  The
+the largest over them, and an identity holds iff it holds on each.  A
+pattern block with no label (q > len(mu)) adds nothing to any of these,
+so the cases build no record of one (tensor_core._has_labels).  The
 weitzenboeck, exactness and split cases of `hodgefock verify` are here.
 """
 
@@ -35,6 +37,7 @@ from .linalg import lincomb
 # embed is not called here; benchmarks/test_bench.py checks that the
 # tracer's wrapper of embed reaches this binding too.
 from .tensor_core import FockTensor, block_dim, embed, enum_basis, weight_patterns  # noqa: F401
+from .tensor_core import _has_labels
 
 
 def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
@@ -47,7 +50,8 @@ def weitzenboeck_defect(d: int, k: int, q: int) -> Fraction:
     if k < 0 or q < 0:
         raise DegreeOutOfRange(f"the defect needs k, q >= 0, got ({k},{q})")
     patterns = weight_patterns(d, k + q)
-    return max((_certificate(mu, k, q)[2] for mu, _ in patterns if k + q), default=Fraction(0))
+    return max((_certificate(mu, k, q)[2] for mu, _ in patterns if k + q and _has_labels(mu, q)),
+               default=Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +77,9 @@ def _certificate(ground, k: int, q: int) -> tuple:
     n = k + q
     _, _, identities, traces, residual = _koszul(len(ground), q)
     checks = (
-        *((name, _dictionary(w, ground, k, q) or _dictionary(w, ground, k + i, q - i))
+        # A neighbour with no label holds: its entry is neither built nor cached.
+        *((name, _dictionary(w, ground, k, q) or (
+            _dictionary(w, ground, k + i, q - i) if _has_labels(ground, q - i) else None))
           for name, w, i in (("lower = Σ mu_i ε_i", "lower", 1), ("raise_ = Σ ι_i", "raise", -1))),
         *((name, c if c is None else enum_basis(ground, k + i, q - i)[c])
           for name, i, c in identities),
@@ -96,7 +102,10 @@ def _hook_ranks(r: int, q: int) -> tuple[int, int]:
 def operator_rank(which: str, ground, k: int, q: int) -> int | None:
     """Rank of lower (which = "lower") or raise_ on the block of a pattern
     ground, k, q >= 0 and k + q >= 1, as a trace of the block's
-    certificate; None if that fails."""
+    certificate; None if that fails.  A block with no label has rank 0,
+    and its certificate is not built."""
+    if not _has_labels(ground, q):
+        return 0
     ranks = _certificate(ground, k, q)[1]
     return None if ranks is None else ranks[which == "raise"]
 
@@ -114,7 +123,8 @@ def _first_failure(blocks) -> dict:
 def _complex_failure(d: int, n: int) -> dict:
     """_first_failure over the certificates of the degree-n complex over R^d."""
     patterns = weight_patterns(d, n)
-    blocks = (_certificate(mu, k, n - k)[0] for mu, _ in patterns for k in range(n + 1))
+    blocks = (_certificate(mu, k, n - k)[0]
+              for mu, _ in patterns for k in range(n + 1) if _has_labels(mu, n - k))
     return _first_failure(blocks)
 
 
@@ -253,5 +263,5 @@ def _case_split(d: int, n: int, k: int):
     that fails and its first failing label in the first block where it does."""
     q = n - k
     failure = _first_failure(_certificate(mu, k, q)[0] + _split_failures(mu, k, q)
-                             for mu, _ in weight_patterns(d, n))
+                             for mu, _ in weight_patterns(d, n) if _has_labels(mu, q))
     return ("fail" if failure else "pass"), {"dim": block_dim(d, k, q), **failure}

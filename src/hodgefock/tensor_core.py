@@ -143,6 +143,14 @@ def weight_patterns(d: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
+def _has_labels(mu: tuple[int, ...], q: int) -> bool:
+    """Whether the block of the pattern mu with q wedge slots (and
+    sum(mu) - q symmetric ones) has a label: 0 <= q <= len(mu).  Every
+    identity holds on an empty block and adds 0 to each dimension, so the
+    pattern loops of the verify cases read (and cache) no record of one."""
+    return 0 <= q <= len(mu)
+
+
 @lru_cache(maxsize=None)
 def _weight_labels(mu: tuple[int, ...], k: int, q: int) -> tuple[MixedIndex, ...]:
     """Sorted labels of H_{k,q} of weight 1^mu_1 2^mu_2 ...; none unless

@@ -125,6 +125,7 @@ ALLOWED = {
     "cli.run_verify": "the tests collect a run's cases in a list, over main's iterator",
     "cli.render_report": "the tests render a collected report, through main's writer",
     "__init__.__getattr__": "hodgefock.<name> for users and tests; the driver imports modules",
+    "__main__.run": "the process entry of python -m hodgefock and the hodgefock script",
 }
 
 

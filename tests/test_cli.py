@@ -1,5 +1,6 @@
 """Driver behavior: determinism, report schema, exit codes, filters."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -429,10 +430,12 @@ def test_default_workers_are_the_cpus_this_process_may_run_on(monkeypatch):
 
 def _child_env(workers: str) -> dict:
     """The environment of a child CLI process: this checkout's src/ first
-    on PYTHONPATH, and HODGEFOCK_WORKERS set."""
+    on PYTHONPATH, HODGEFOCK_WORKERS set, and PYTHONUNBUFFERED unset, so
+    that stdout is block-buffered into a pipe, as it is by default."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    return {**os.environ, "HODGEFOCK_WORKERS": workers, "PYTHONPATH": path}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "HODGEFOCK_WORKERS": workers, "PYTHONPATH": path}
 
 
 def _modules_a_serial_run_adds(tmp_path, *args) -> list:
@@ -569,6 +572,110 @@ def test_filtered_grids_write_the_recorded_bytes(grid, digest, workers):
     proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, timeout=120)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# The process entry (hodgefock.__main__.run) flushes stdout and stderr and
+# leaves through os._exit, so nothing the interpreter's exit would have
+# written or joined may be left to it.
+ENTRY = [sys.executable, "-m", "hodgefock", "verify"]
+
+
+def test_process_entry_flushes_the_whole_report_into_a_pipe(monkeypatch):
+    monkeypatch.setenv("HODGEFOCK_WORKERS", "1")
+    cfg = VerifyConfig(suite="all", max_dim=3, max_n=3, format="text")
+    argv = [*ENTRY, "all", "--max-dim", "3", "--max-n", "3", "--format", "text"]
+    proc = subprocess.run(argv, env=_child_env("1"), capture_output=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.decode("utf-8") == render_report(run_verify(cfg), "text") + "\n"
+
+
+def test_process_entry_config_error_exits_two_and_creates_no_out_file(tmp_path):
+    target = tmp_path / "r.json"
+    argv = [*ENTRY, "all", "--max-dim", "0", "--out", str(target)]
+    proc = subprocess.run(argv, env=_child_env("1"), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: max_dim must be >= 1, got 0\n"
+    assert not target.exists()
+
+
+def test_process_entry_exits_one_when_a_case_fails():
+    # The child installs a failing case body, then calls the entry, which
+    # must not return: a line printed after it would break the JSON.
+    code = (
+        "import sys\n"
+        "import hodgefock.hodge as hodge\n"
+        "from hodgefock.__main__ import run\n"
+        "hodge._case_weitzenboeck = lambda d, n, k: ('fail', {'why': 'stand-in'})\n"
+        "sys.argv = ['hodgefock', 'verify', 'weitzenboeck', '--dim', '1', '--n', '1',"
+        " '--format', 'json']\n"
+        "run()\n"
+        "print('run() returned')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env("1"),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "fail" and len(report["cases"]) == 2
+    assert {case["details"]["why"] for case in report["cases"]} == {"stand-in"}
+
+
+def _session_members(sid: int) -> list:
+    """The pids of the processes in session `sid`, read from /proc/*/stat."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+                stat = fh.read()
+        except OSError:  # the process has gone
+            continue
+        # After the command name in parentheses: state, ppid, pgrp, session.
+        if int(stat[stat.rindex(")") + 2 :].split()[3]) == sid:
+            members.append(int(pid))
+    return members
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/*/stat")
+
+
+@needs_proc
+def test_pooled_process_leaves_no_process_in_its_session(tmp_path):
+    argv = [*ENTRY, "all", "--max-dim", "4", "--max-n", "4", "--out", str(tmp_path / "r.txt")]
+    child = subprocess.Popen(argv, env=_child_env("2"), stderr=subprocess.PIPE,
+                             start_new_session=True)
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 0 and err == b""
+    assert (tmp_path / "r.txt").read_text(encoding="utf-8").endswith("status: pass\n")
+    assert _session_members(child.pid) == []
+
+
+@needs_proc
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_closed_stdout_exits_one_without_a_traceback(workers):
+    # The JSON report of all 6 6 (about 290 kB) outgrows the pipe, so the
+    # child is still writing when the reader goes away.
+    argv = [*ENTRY, "all", "--max-dim", "6", "--max-n", "6", "--format", "json"]
+    child = subprocess.Popen(argv, env=_child_env(workers), stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, start_new_session=True)
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 1 and err == b""
+    assert _session_members(child.pid) == []
+
+
+def test_console_script_runs_the_function_that_main_module_runs():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(cli.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["hodgefock"]
+    module, _, name = target.partition(":")
+    assert module == "hodgefock.__main__"
+    # The one statement under `if __name__ == "__main__":` calls that function.
+    tree = ast.parse(Path(cli.__file__).with_name("__main__.py").read_text(encoding="utf-8"))
+    guard = [node for node in tree.body if isinstance(node, ast.If)]
+    assert len(guard) == 1 and ast.unparse(guard[0].test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard[0].body] == [f"{name}()"]
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def _with_sampled_trials(out: str) -> str:
@@ -769,9 +876,10 @@ def test_one_hook_formula_feeds_every_kostka_check(fresh_caches, monkeypatch):
 @pytest.mark.parametrize("d, n, k", [(3, 3, 1), (3, 3, 3), (2, 2, 0)])
 def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
     # The certificate reads the dictionary off one record for each pattern
-    # block of H_{k,q} and of its neighbours H_{k-1,q+1} and H_{k+1,q-1},
-    # in that order, and each record keys every label of its block.  The
-    # records build no chaos field: no whole-block, per-label or random one.
+    # block with a label of H_{k,q} and of its neighbours H_{k-1,q+1} and
+    # H_{k+1,q-1}, in that order, and each record keys every label of its
+    # block.  The records build no chaos field: no whole-block, per-label
+    # or random one.
     q = n - k
     clear_caches()
     records, keyed = [], set()
@@ -793,9 +901,10 @@ def test_chaos_case_builds_one_field_per_block(d, n, k, monkeypatch):
     monkeypatch.setattr(chaos, "chaos_field", refused)
     status, _ = chaos._case_chaos(d, n, k)
     assert status == "pass"
-    blocks = [(mu, k + i, q - i) for i in (0, -1, 1) for mu, _ in weight_patterns(d, n)]
+    blocks = [(mu, k + i, q - i) for i in (0, -1, 1) for mu, _ in weight_patterns(d, n)
+              if 0 <= q - i <= len(mu)]
     assert records == blocks
-    assert any(block_dim(*sig) for sig in blocks)
+    assert all(block_dim(*sig) for sig in blocks)
     assert {(sig[0], b) for sig in blocks for b in enum_basis(*sig)} <= keyed
 
 

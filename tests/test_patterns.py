@@ -65,7 +65,7 @@ def test_cases_equal_the_whole_block_oracles(serial_fresh):
 def test_split_products_are_built_once_per_pattern_block(serial_fresh):
     # Every Fock-side suite reads the block's certificate, which reads the
     # split identities off the model; on the desk grid it is built once
-    # for each (mu, k, q) and never for a whole block.
+    # for each (mu, k, q) with a label and never for a whole block.
     report = run_verify(VerifyConfig(suite="all", max_dim=4, max_n=4))
     assert report.status == "pass"
     blocks = {
@@ -74,24 +74,27 @@ def test_split_products_are_built_once_per_pattern_block(serial_fresh):
         for n in range(1, 5)
         for k in range(n + 1)
         for mu, _ in weight_patterns(d, n)
+        if n - k <= len(mu)
     }
     info = hodge._certificate.cache_info()
     assert info.misses == info.currsize == len(blocks) and info.hits > 0
 
 
-def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
-    # Record every key that reaches the block caches, through every
-    # hodgefock module that binds them.  Each cache holds exactly the
-    # recorded keys, and every ground is a pattern: no record of a whole
-    # block H_{k,q} over R^d is built.
-    cached = {
-        "_dictionary": (hodge._dictionary, 1),
-        "_certificate": (hodge._certificate, 0),
-        "_split_failures": (hodge._split_failures, 0),
-        "_chaos_pattern_holds": (chaos._chaos_pattern_holds, 0),
-        "_adjoint_residual": (fock_ops._adjoint_residual, 0),
-    }
-    asked = {name: set() for name in cached}
+# The per-block caches, each with the index of the ground in its key.
+BLOCK_CACHES = {
+    "_dictionary": (hodge._dictionary, 1),
+    "_certificate": (hodge._certificate, 0),
+    "_split_failures": (hodge._split_failures, 0),
+    "_chaos_pattern_holds": (chaos._chaos_pattern_holds, 0),
+    "_adjoint_residual": (fock_ops._adjoint_residual, 0),
+}
+
+
+def _block_cache_keys(monkeypatch, config) -> dict:
+    """Run `config` and return the keys that reached each block cache,
+    recorded through every hodgefock module that binds it; each cache
+    holds exactly the recorded keys."""
+    asked = {name: set() for name in BLOCK_CACHES}
 
     def recording(name, fn):
         def wrapper(*args):
@@ -101,22 +104,41 @@ def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
         return wrapper
 
     for mod in _hodgefock_modules():
-        for name, (fn, _) in cached.items():
+        for name, (fn, _) in BLOCK_CACHES.items():
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, recording(name, fn))
-    assert run_verify(VerifyConfig(suite="all", max_dim=6, max_n=5)).status == "pass"
-    for name, (fn, ground_at) in cached.items():
+    assert run_verify(config).status == "pass"
+    for name, (fn, _) in BLOCK_CACHES.items():
         info = fn.cache_info()
         assert asked[name] and info.misses == info.currsize == len(asked[name]), name
+    return asked
+
+
+def test_verify_path_builds_no_whole_block_matrix(serial_fresh, monkeypatch):
+    # Every ground is a pattern: no record of a whole block H_{k,q} over
+    # R^d is built.
+    asked = _block_cache_keys(monkeypatch, VerifyConfig(suite="all", max_dim=6, max_n=5))
+    for name, (_, ground_at) in BLOCK_CACHES.items():
         grounds = {key[ground_at] for key in asked[name]}
         assert all(isinstance(ground, tuple) for ground in grounds), name
+
+
+def test_no_block_cache_holds_an_empty_block(serial_fresh, monkeypatch):
+    # A pattern block with q > len(mu) wedge slots, or q < 0, has no label:
+    # every identity holds there and it adds 0 to each dimension, so the
+    # pattern loops read no record of one.
+    asked = _block_cache_keys(monkeypatch, VerifyConfig(suite="all", max_dim=6, max_n=7))
+    for name, (_, ground_at) in BLOCK_CACHES.items():
+        empty = [key for key in asked[name] if not 0 <= key[-1] <= len(key[ground_at])]
+        assert empty == [], name
 
 
 def test_a_filtered_run_checks_one_operator_per_neighbour(serial_fresh, monkeypatch):
     # The certificate of H_{2,1} reads lower there and from H_{3,0}, and
     # raise_ there and from H_{1,2}: 4 one-operator entries for each of the
-    # 3 patterns of d = n = 3, and one operator call per label, 1 + 1 + 1
-    # on (3), 3 + 3 on (2, 1) and 4 + 6 on (1, 1, 1).
+    # 3 patterns of d = n = 3, less H_{1,2} of (3), which has no label,
+    # and one operator call per label, 1 + 1 + 1 on (3), 3 + 3 on (2, 1)
+    # and 4 + 6 on (1, 1, 1).
     calls, asked = [], set()
     real_dictionary = hodge._dictionary
 
@@ -140,14 +162,16 @@ def test_a_filtered_run_checks_one_operator_per_neighbour(serial_fresh, monkeypa
     config = VerifyConfig(suite="weitzenboeck", dim=3, n=3, k=2)
     assert run_verify(config).status == "pass"
     steps = (("lower", 2, 1), ("raise", 2, 1), ("lower", 3, 0), ("raise", 1, 2))
-    assert asked == {(which, mu, k, q) for mu, _ in weight_patterns(3, 3) for which, k, q in steps}
+    assert asked == {(which, mu, k, q) for mu, _ in weight_patterns(3, 3) for which, k, q in steps
+                     if q <= len(mu)}
     info = real_dictionary.cache_info()
-    assert info.misses == info.currsize == 12 and len(calls) == 19
+    assert info.misses == info.currsize == 11 and len(calls) == 19
 
 
 def test_each_adjoint_residual_is_computed_once_per_block(serial_fresh, monkeypatch):
     # The split and the chaos adjoint both read fock_ops._adjoint_residual;
-    # on all 6 7 it is computed once for each of the 276 blocks read.
+    # on all 6 7 it is computed once for each of the 167 blocks read, the
+    # pattern blocks with a label.
     asked = []
     real = fock_ops._adjoint_residual
 
@@ -160,8 +184,8 @@ def test_each_adjoint_residual_is_computed_once_per_block(serial_fresh, monkeypa
             monkeypatch.setattr(mod, "_adjoint_residual", recording)
     assert run_verify(VerifyConfig(suite="all", max_dim=6, max_n=7)).status == "pass"
     info = real.cache_info()
-    assert info.misses == info.currsize == len(set(asked)) == 276
-    assert len(asked) > 276
+    assert info.misses == info.currsize == len(set(asked)) == 167
+    assert len(asked) > 167
 
 
 def test_gaussian_record_reads_no_fock_fact(serial_fresh, monkeypatch):
@@ -183,7 +207,7 @@ def test_gaussian_record_reads_no_fock_fact(serial_fresh, monkeypatch):
 
 def test_gaussian_record_builds_two_shift_matrices_per_nonempty_block(serial_fresh, monkeypatch):
     # Each pattern block the chaos cases read has one record, which reads
-    # the model's columns of d and δ once each, and none on an empty block.
+    # the model's columns of d and δ once each; no empty block is read.
     read, shifts = set(), []
     real_record, real_shift = chaos._chaos_pattern_holds, chaos._model_images
 
@@ -198,9 +222,8 @@ def test_gaussian_record_builds_two_shift_matrices_per_nonempty_block(serial_fre
     monkeypatch.setattr(chaos, "_chaos_pattern_holds", record)
     monkeypatch.setattr(chaos, "_model_images", shift)
     assert run_verify(VerifyConfig(suite="chaos", max_dim=4, max_n=4)).status == "pass"
-    nonempty = {block for block in read if block_dim(*block)}
-    assert nonempty != read
-    assert sorted(shifts) == sorted((w, mu, q) for w in ("lower", "raise") for mu, _, q in nonempty)
+    assert read and all(block_dim(*block) for block in read)
+    assert sorted(shifts) == sorted((w, mu, q) for w in ("lower", "raise") for mu, _, q in read)
     info = real_record.cache_info()
     assert info.misses == info.currsize == len(read)
 
